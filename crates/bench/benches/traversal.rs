@@ -51,6 +51,32 @@ fn bench_traversal(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_millis(800));
 
+    // Baseline arms: the same range workload over the versioned-link
+    // baselines, so the traversal win is comparable across figure series.
+    // They go first, while the process's heap is still clean: a baseline
+    // list built *after* a skip hash lands its small nodes in the free
+    // fragments building the skip hash leaves in the heap, scattered instead
+    // of packed, and collects ~40% slower for it — a property of the
+    // allocator's leftovers, not of the baseline (docs/BENCHMARKS.md).
+    for (kind, label) in [
+        (MapKind::VcasSkipList, "vcas"),
+        (MapKind::BundledSkipList, "bundle"),
+    ] {
+        let map = prefilled_kind(kind);
+        let mut rng = SmallRng::seed_from_u64(17);
+        let mut buffer = Vec::with_capacity(RANGE_LEN as usize);
+        group.bench_function(BenchmarkId::new("range_collect", label), |b| {
+            b.iter(|| {
+                let low = rng.gen_range(0..UNIVERSE - RANGE_LEN);
+                let bounds = (
+                    std::ops::Bound::Included(low),
+                    std::ops::Bound::Excluded(low + RANGE_LEN),
+                );
+                map.range(bounds, &mut buffer)
+            })
+        });
+    }
+
     // Level-0 scan: one full materialization walks ~POPULATION nodes, so
     // the per-element cost is the reported time divided by the population.
     let map = prefilled_skiphash(RangePolicy::FastOnly);
@@ -90,27 +116,6 @@ fn bench_traversal(c: &mut Criterion) {
             slow.range(low..low + RANGE_LEN).count()
         })
     });
-
-    // Baseline arms: the same range workload over the versioned-link
-    // baselines, so the traversal win is comparable across figure series.
-    for (kind, label) in [
-        (MapKind::VcasSkipList, "vcas"),
-        (MapKind::BundledSkipList, "bundle"),
-    ] {
-        let map = prefilled_kind(kind);
-        let mut rng = SmallRng::seed_from_u64(17);
-        let mut buffer = Vec::with_capacity(RANGE_LEN as usize);
-        group.bench_function(BenchmarkId::new("range_collect", label), |b| {
-            b.iter(|| {
-                let low = rng.gen_range(0..UNIVERSE - RANGE_LEN);
-                let bounds = (
-                    std::ops::Bound::Included(low),
-                    std::ops::Bound::Excluded(low + RANGE_LEN),
-                );
-                map.range(bounds, &mut buffer)
-            })
-        });
-    }
 
     group.finish();
 }

@@ -69,6 +69,37 @@ fn median_ns(reps: usize, mut op: impl FnMut()) -> f64 {
 }
 
 fn traversal_points(reps: usize, points: &mut Vec<TrajectoryPoint>) {
+    // The baseline arms are measured first, while the process's heap is
+    // still clean, and written last.  A baseline list built *after* a skip
+    // hash lands its small nodes in the free fragments building the skip
+    // hash leaves in the heap, scattered instead of packed, and collects
+    // ~40% slower for it — a property of the allocator's leftovers, not of
+    // the baseline (docs/BENCHMARKS.md has the numbers).
+    let mut baselines = Vec::new();
+    for (kind, label) in [
+        (MapKind::VcasSkipList, "vcas"),
+        (MapKind::BundledSkipList, "bundle"),
+    ] {
+        let map = kind.build(UNIVERSE);
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut inserted = 0;
+        while inserted < POPULATION {
+            if map.insert(rng.gen_range(0..UNIVERSE), 1) {
+                inserted += 1;
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(17);
+        let mut buffer = Vec::with_capacity(RANGE_LEN as usize);
+        baselines.push(TrajectoryPoint::ns(
+            format!("traversal/range_collect/{label}"),
+            median_ns(reps, || {
+                let low = rng.gen_range(0..UNIVERSE - RANGE_LEN);
+                let bounds = (Bound::Included(low), Bound::Excluded(low + RANGE_LEN));
+                std::hint::black_box(map.range(bounds, &mut buffer));
+            }),
+        ));
+    }
+
     let map = prefilled_skiphash(RangePolicy::FastOnly);
     points.push(TrajectoryPoint::ns(
         "traversal/level0_scan/skiphash",
@@ -117,29 +148,7 @@ fn traversal_points(reps: usize, points: &mut Vec<TrajectoryPoint>) {
         }),
     ));
 
-    for (kind, label) in [
-        (MapKind::VcasSkipList, "vcas"),
-        (MapKind::BundledSkipList, "bundle"),
-    ] {
-        let map = kind.build(UNIVERSE);
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut inserted = 0;
-        while inserted < POPULATION {
-            if map.insert(rng.gen_range(0..UNIVERSE), 1) {
-                inserted += 1;
-            }
-        }
-        let mut rng = SmallRng::seed_from_u64(17);
-        let mut buffer = Vec::with_capacity(RANGE_LEN as usize);
-        points.push(TrajectoryPoint::ns(
-            format!("traversal/range_collect/{label}"),
-            median_ns(reps, || {
-                let low = rng.gen_range(0..UNIVERSE - RANGE_LEN);
-                let bounds = (Bound::Included(low), Bound::Excluded(low + RANGE_LEN));
-                std::hint::black_box(map.range(bounds, &mut buffer));
-            }),
-        ));
-    }
+    points.append(&mut baselines);
 }
 
 fn mixed_points(duration: Duration, points: &mut Vec<TrajectoryPoint>) {
@@ -247,9 +256,12 @@ fn main() -> ExitCode {
     let duration = options.duration(300);
     let reps = options.get_u64("reps", 15) as usize;
 
+    // Measured first (its baseline arms want a clean heap), written last.
+    let mut traversal = Vec::new();
+    traversal_points(reps, &mut traversal);
     let mut points = Vec::new();
     mixed_points(duration, &mut points);
-    traversal_points(reps, &mut points);
+    points.append(&mut traversal);
 
     let doc = render(&points);
     // Validate what we are about to commit; a writer/validator mismatch

@@ -48,9 +48,14 @@
 //!   [`crate::skiplist::SkipList::insert_after_logical_deletes`]).
 //!
 //! The count itself cannot resurrect: references are only ever cloned from
-//! live references, and any reference reachable through a `TCell` payload is
-//! kept alive by that payload, whose own drop is epoch-deferred.  So when the
-//! count hits zero no thread can produce a new one, and a single deferral
+//! live references.  A link cell holds its `Option<NodeRef>` directly in its
+//! data word (a link is one machine word, so `TCell` stores it inline), and
+//! that word owns one count.  A reader that hops through the link works on a
+//! bitwise copy of the word and owns nothing — what keeps the node alive
+//! under it is that the drop of a *displaced* link word is epoch-deferred:
+//! the count the word owned is given back only after every thread that was
+//! pinned when the word was swapped out has unpinned.  So when the count
+//! hits zero no thread can produce a new one, and a single deferral
 //! suffices.
 //!
 //! Reclamation glue may run *inside* an epoch collection cycle, and dropping
@@ -64,6 +69,7 @@ use skiphash_stm::sync::{fence, AtomicUsize, Ordering as AtomicOrdering};
 use std::alloc::Layout;
 use std::cmp::Ordering;
 use std::fmt;
+use std::num::NonZeroU64;
 use std::ops::Deref;
 use std::ptr::{self, addr_of_mut, NonNull};
 
@@ -107,6 +113,10 @@ impl<K: Ord> Bound<K> {
 
 /// A link to a neighbouring node (absent only outside the sentinels).
 pub type Link<K, V> = Option<NodeRef<K, V>>;
+
+// A link is one machine word (`None` is the null handle), which is what lets
+// a `TCell<Link>` hold it in place beside its orec: one cache miss per hop.
+const _: () = assert!(std::mem::size_of::<Link<(), ()>>() == std::mem::size_of::<usize>());
 
 /// Predecessor/successor links for one level of a node's tower.
 ///
@@ -174,9 +184,13 @@ fn block_layout<K, V>(height: usize) -> (Layout, usize) {
 pub struct Node<K, V> {
     /// The node's position on the key axis (immutable).
     pub bound: Bound<K>,
-    /// `None` while the node is logically present; set to the most recent
-    /// range query version when the node is logically deleted.
-    pub r_time: TCell<Option<u64>>,
+    /// `None` while the node is logically present; set when the node is
+    /// logically deleted, to the most recent range query version **plus
+    /// one** — the niche keeps the mark one machine word, which `TCell`
+    /// stores in place beside its orec (an `Option<u64>` is two words and
+    /// would live behind a pointer).  Written by [`Node::mark_removed`],
+    /// decoded by [`Node::removed_at`].
+    pub r_time: TCell<Option<NonZeroU64>>,
     /// The associated value (`None` only for sentinels).
     pub value: TCell<Option<V>>,
     /// Version of the most recent slow-path range query that began before
@@ -322,10 +336,10 @@ where
 /// A `RawNode` is valid only **inside the transaction attempt that read
 /// it** (equivalently: while the epoch guard it was read under stays
 /// pinned).  The argument mirrors the read-set orec rule in the module
-/// docs: any node reachable through a link payload read under a pin keeps
-/// `refs >= 1` until that pin is released — the payload the link was read
-/// from either is still installed or was retired *during* the pin, and
-/// either way its own drop (which holds a count) is deferred past the
+/// docs: any node reachable through a link word read under a pin keeps
+/// `refs >= 1` until that pin is released — the word the handle was copied
+/// from either is still installed or was swapped out *during* the pin, and
+/// either way the drop that gives its count back is deferred past the
 /// unpin.  For the same reason [`RawNode::upgrade`] (count increment) can
 /// never resurrect a dead block when called within the attempt.
 pub(crate) struct RawNode<K, V> {
@@ -547,7 +561,21 @@ impl<K: MapKey, V: MapValue> Node<K, V> {
 
     /// True if the node is logically deleted (its `r_time` is set).
     pub fn is_logically_deleted(&self, tx: &mut Txn<'_>) -> TxResult<bool> {
-        Ok(self.r_time.read(tx)?.is_some())
+        self.r_time.read_with(tx, Option::is_some)
+    }
+
+    /// Logically delete the node, stamping it with `version`, the most
+    /// recent range query version.
+    pub fn mark_removed(&self, tx: &mut Txn<'_>, version: u64) -> TxResult<()> {
+        self.r_time
+            .write(tx, Some(NonZeroU64::MIN.saturating_add(version)))
+    }
+
+    /// The range query version the node was logically deleted at, or `None`
+    /// while it is logically present.
+    pub fn removed_at(&self, tx: &mut Txn<'_>) -> TxResult<Option<u64>> {
+        self.r_time
+            .read_with(tx, |mark| mark.map(|stamp| stamp.get() - 1))
     }
 
     /// Sever all of this node's links (used only during teardown, outside of

@@ -579,7 +579,7 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
         if n.i_time.read_with(tx, |t| *t)? >= version {
             return Ok(false);
         }
-        Ok(match n.r_time.read_with(tx, |t| *t)? {
+        Ok(match n.removed_at(tx)? {
             None => true,
             Some(removed_at) => removed_at >= version,
         })

@@ -106,20 +106,29 @@ impl<K: MapKey, V: MapValue> Rqc<K, V> {
     /// slow-path range query is in flight, or the node was inserted after the
     /// most recent one began (so no in-flight query treats it as safe).
     pub fn can_unstitch_now(&self, tx: &mut Txn<'_>, node: &NodeRef<K, V>) -> TxResult<bool> {
-        let ops = self.range_ops.read(tx)?;
-        match ops.last() {
+        // Read in place: every remove asks, so the list is not cloned (an
+        // allocation and a shared-count RMW per in-flight query) to answer.
+        let latest = self
+            .range_ops
+            .read_with(tx, |ops| ops.last().map(|op| op.ver))?;
+        match latest {
             None => Ok(true),
-            Some(latest) => Ok(node.i_time.read(tx)? >= latest.ver),
+            Some(latest) => Ok(node.i_time.read(tx)? >= latest),
         }
+    }
+
+    /// The most recent in-flight range query's record (one handle cloned,
+    /// not the list).
+    fn latest(&self, tx: &mut Txn<'_>) -> TxResult<Option<Arc<RangeOp<K, V>>>> {
+        self.range_ops.read_with(tx, |ops| ops.last().cloned())
     }
 
     /// Hand `node` to the most recent in-flight range query (`after_remove`'s
     /// deferral branch).  The caller must have established, in this same
     /// transaction, that immediate unstitching is not allowed.
     pub fn defer_to_latest(&self, tx: &mut Txn<'_>, node: NodeRef<K, V>) -> TxResult<()> {
-        let ops = self.range_ops.read(tx)?;
-        let latest = ops
-            .last()
+        let latest = self
+            .latest(tx)?
             .expect("defer_to_latest requires an in-flight range query");
         let mut deferred = latest.deferred.read(tx)?;
         deferred.push(node);
@@ -136,8 +145,7 @@ impl<K: MapKey, V: MapValue> Rqc<K, V> {
         tx: &mut Txn<'_>,
         batch: &[NodeRef<K, V>],
     ) -> TxResult<bool> {
-        let ops = self.range_ops.read(tx)?;
-        match ops.last() {
+        match self.latest(tx)? {
             None => Ok(false),
             Some(latest) => {
                 let mut deferred = latest.deferred.read(tx)?;

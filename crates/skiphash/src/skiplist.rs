@@ -5,14 +5,12 @@
 //! predecessor and successor at every level, which is what lets `remove`
 //! unstitch a node in `O(height)` without re-traversing from the head.
 //!
-//! Nodes are arena-pooled [`NodeRef`]s (see [`crate::node`]); traversals use
-//! the stack-allocated [`LevelNodes`] scratch, so neither inserting a node
+//! Nodes are arena-pooled [`NodeRef`]s (see [`crate::node`]); traversals hop
+//! through borrowed handles kept on the stack, so neither inserting a node
 //! nor locating one touches the global allocator in the steady state.
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::mem::MaybeUninit;
-use std::ops::{Deref, DerefMut};
 
 use rand::Rng;
 use skiphash_stm::{TxResult, Txn};
@@ -20,79 +18,15 @@ use skiphash_stm::{TxResult, Txn};
 use crate::node::{Bound, Node, NodeRef, RawNode};
 use crate::{MapKey, MapValue};
 
-/// Upper bound on tower heights, and the inline capacity of [`LevelNodes`]
-/// ([`crate::SkipHashBuilder::max_level`] rejects anything at or above it).
+/// Upper bound on tower heights ([`crate::SkipHashBuilder::max_level`]
+/// rejects anything above it).
 pub const MAX_LEVEL_LIMIT: usize = 64;
 
-/// One node per level, indexed by level (as returned by
-/// [`SkipList::find_position`]).
-///
-/// A fixed-capacity inline array rather than a `Vec`: `find_position` runs
-/// on every insert and ordered point query, and two heap-allocated vectors
-/// per traversal would put the allocator right back on the paths the arena
-/// just took it off.  Capacity is [`MAX_LEVEL_LIMIT`]; the live prefix is
-/// `max_level` entries.  Dereferences to `[NodeRef<K, V>]`.
-pub struct LevelNodes<K, V> {
-    slots: [MaybeUninit<NodeRef<K, V>>; MAX_LEVEL_LIMIT],
-    len: usize,
-}
-
-impl<K, V> LevelNodes<K, V> {
-    /// Build by upgrading one borrowed handle per level.
-    ///
-    /// # Safety
-    ///
-    /// Every handle must satisfy the [`RawNode`] validity contract (obtained
-    /// under the still-running transaction attempt).
-    unsafe fn from_raw(raw: &[Option<RawNode<K, V>>]) -> Self {
-        assert!(raw.len() <= MAX_LEVEL_LIMIT);
-        let mut out = Self {
-            slots: [const { MaybeUninit::uninit() }; MAX_LEVEL_LIMIT],
-            len: 0,
-        };
-        for handle in raw {
-            let handle = handle.expect("every level was resolved by the search");
-            // SAFETY: forwarded from this function's contract; `len` tracks
-            // initialization so a panic drops exactly the written prefix.
-            out.slots[out.len].write(unsafe { handle.upgrade() });
-            out.len += 1;
-        }
-        out
-    }
-}
-
-impl<K, V> Deref for LevelNodes<K, V> {
-    type Target = [NodeRef<K, V>];
-
-    fn deref(&self) -> &[NodeRef<K, V>] {
-        // SAFETY: the first `len` slots are always initialized.
-        unsafe { &*(std::ptr::from_ref(&self.slots[..self.len]) as *const [NodeRef<K, V>]) }
-    }
-}
-
-impl<K, V> DerefMut for LevelNodes<K, V> {
-    fn deref_mut(&mut self) -> &mut [NodeRef<K, V>] {
-        // SAFETY: as `deref`, plus exclusivity from `&mut self`.
-        unsafe { &mut *(std::ptr::from_mut(&mut self.slots[..self.len]) as *mut [NodeRef<K, V>]) }
-    }
-}
-
-impl<K, V> Drop for LevelNodes<K, V> {
-    fn drop(&mut self) {
-        for slot in &mut self.slots[..self.len] {
-            // SAFETY: the live prefix is initialized and dropped exactly once.
-            unsafe { slot.assume_init_drop() };
-        }
-    }
-}
-
-impl<K, V> fmt::Debug for LevelNodes<K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LevelNodes")
-            .field("len", &self.len)
-            .finish()
-    }
-}
+/// One borrowed handle per level, indexed by level: what
+/// [`SkipList::find_position`] fills in below the new tower's height.  A
+/// fixed-capacity stack array, so locating an insert position allocates
+/// nothing, and borrowed, so it costs no reference-count traffic either.
+type LevelNodes<K, V> = [RawNode<K, V>; MAX_LEVEL_LIMIT];
 
 /// A doubly linked skip list whose nodes map keys to values.
 ///
@@ -159,27 +93,25 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
         height
     }
 
-    /// Find, at every level, the last node whose key is strictly less than
-    /// `key` (the "predecessor") and its successor at that level.
+    /// Find, at every level below `height`, the last node whose key is
+    /// strictly less than `key` (the "predecessor") and its successor at
+    /// that level.
     ///
-    /// Returned scratches are indexed by level and have `max_level` entries.
-    pub fn find_position(
+    /// The handles are borrowed: valid within the attempt `tx` (the
+    /// [`RawNode`] validity contract).  Only entries below `height` are
+    /// meaningful — the descent passes through the taller levels without
+    /// recording them, because an insert stitches only its own tower.
+    fn find_position(
         &self,
         tx: &mut Txn<'_>,
         key: &K,
+        height: usize,
     ) -> TxResult<(LevelNodes<K, V>, LevelNodes<K, V>)> {
-        // Hop with borrowed handles: a search crosses dozens of links, and
-        // cloning a counted handle per hop (increment now, decrement next
-        // hop) made refcount traffic the dominant traversal cost.  Links are
-        // read through `read_with` (no payload clone) into `RawNode`s, and
-        // only the two per-level results are upgraded to counted handles.
-        //
-        // SAFETY (for every `node()` and the final `from_raw`): each handle
-        // was read through a cell inside this same attempt `tx`, whose epoch
-        // guard stays pinned for the whole function — the RawNode validity
-        // contract.
-        let mut raw_preds: [Option<RawNode<K, V>>; MAX_LEVEL_LIMIT] = [None; MAX_LEVEL_LIMIT];
-        let mut raw_succs: [Option<RawNode<K, V>>; MAX_LEVEL_LIMIT] = [None; MAX_LEVEL_LIMIT];
+        // SAFETY (for every `node()` below): each handle was read through a
+        // link cell inside this same attempt `tx`, whose epoch guard stays
+        // pinned for the whole function — the RawNode validity contract.
+        let mut preds = [RawNode::from_ref(&self.head); MAX_LEVEL_LIMIT];
+        let mut succs = [RawNode::from_ref(&self.tail); MAX_LEVEL_LIMIT];
 
         let mut pred = RawNode::from_ref(&self.head);
         for level in (0..self.max_level).rev() {
@@ -199,16 +131,12 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
                     .read_with(tx, RawNode::from_link)?
                     .expect("levels are always terminated by the tail sentinel");
             }
-            raw_preds[level] = Some(pred);
-            raw_succs[level] = Some(curr);
+            if level < height {
+                preds[level] = pred;
+                succs[level] = curr;
+            }
         }
-        // SAFETY: as above — the attempt is still running.
-        unsafe {
-            Ok((
-                LevelNodes::from_raw(&raw_preds[..self.max_level]),
-                LevelNodes::from_raw(&raw_succs[..self.max_level]),
-            ))
-        }
+        Ok((preds, succs))
     }
 
     /// First node (logically present *or* deleted) whose key is `>= key`,
@@ -397,21 +325,34 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
         i_time: u64,
     ) -> TxResult<NodeRef<K, V>> {
         debug_assert!(height >= 1 && height <= self.max_level);
-        let (mut preds, mut succs) = self.find_position(tx, &key)?;
+        // Everything below works on borrowed handles: of the positions the
+        // search finds, an insert keeps only `2 * height` — the counts its
+        // own links take — so that is all it pays for.  (Upgrading every
+        // level's pair to a counted handle was ~80 atomic RMWs per insert,
+        // on the header lines of the tallest towers, which every other
+        // thread's descent reads.)
+        //
+        // SAFETY (for every `node()` and `upgrade()` below): each handle was
+        // read through a link cell inside this same attempt `tx`, whose
+        // epoch guard stays pinned for the whole function — the RawNode
+        // validity contract.
+        let (mut preds, mut succs) = self.find_position(tx, &key, height)?;
 
         // Advance past any logically deleted nodes that share the key so the
         // new node lands after them.
         for level in 0..height {
             loop {
-                if succs[level].is_tail() || succs[level].bound.cmp_key(&key) != Ordering::Equal {
+                // SAFETY: handle read under this attempt; guard pinned (blanket note above).
+                let succ = unsafe { succs[level].node() };
+                if succ.is_tail() || succ.bound.cmp_key(&key) != Ordering::Equal {
                     break;
                 }
-                let next = succs[level]
+                preds[level] = succs[level];
+                succs[level] = succ
                     .level(level)
                     .succ
-                    .read(tx)?
+                    .read_with(tx, RawNode::from_link)?
                     .expect("levels are always terminated by the tail sentinel");
-                preds[level] = std::mem::replace(&mut succs[level], next);
             }
         }
 
@@ -437,22 +378,16 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
             // is what publishes the node.  This also keeps snapshot custody
             // from preserving the `None` placeholders transactional writes
             // would displace on every insert.
-            node.level(level)
-                .pred
-                .store_atomic(Some(preds[level].clone()));
-            node.level(level)
-                .succ
-                .store_atomic(Some(succs[level].clone()));
+            // SAFETY: same contract — read under this attempt.
+            let (pred, succ) = unsafe { (preds[level].upgrade(), succs[level].upgrade()) };
+            node.level(level).pred.store_atomic(Some(pred));
+            node.level(level).succ.store_atomic(Some(succ));
         }
         for level in 0..height {
-            preds[level]
-                .level(level)
-                .succ
-                .write(tx, Some(node.clone()))?;
-            succs[level]
-                .level(level)
-                .pred
-                .write(tx, Some(node.clone()))?;
+            // SAFETY: same contract — read under this attempt.
+            let (pred, succ) = unsafe { (preds[level].node(), succs[level].node()) };
+            pred.level(level).succ.write(tx, Some(node.clone()))?;
+            succ.level(level).pred.write(tx, Some(node.clone()))?;
         }
         Ok(node)
     }
@@ -753,7 +688,7 @@ mod tests {
         // Logically delete 20 without unstitching it.
         stm.run(|tx| {
             let n = list.ceil_raw(tx, &20)?;
-            n.r_time.write(tx, Some(1))
+            n.mark_removed(tx, 1)
         });
         let ceil20 = stm.run(|tx| {
             let n = list.ceil_present(tx, &20)?;
@@ -771,7 +706,7 @@ mod tests {
         let list: SkipList<u64, u64> = SkipList::new(8);
         let old = stm.run(|tx| list.insert_after_logical_deletes(tx, 5, 50, 3, 0));
         // Logically delete the old node, then insert a fresh node for key 5.
-        stm.run(|tx| old.r_time.write(tx, Some(1)));
+        stm.run(|tx| old.mark_removed(tx, 1));
         let fresh = stm.run(|tx| list.insert_after_logical_deletes(tx, 5, 55, 2, 1));
         // Level-0 order: old (deleted) comes before fresh.
         let order = stm.run(|tx| {
@@ -812,7 +747,7 @@ mod tests {
         for k in [7u64, 15, 1] {
             stm.run(|tx| {
                 let n = list.ceil_raw(tx, &k)?;
-                n.r_time.write(tx, Some(1))
+                n.mark_removed(tx, 1)
             });
             present.remove(&k);
         }

@@ -38,11 +38,13 @@
 //! validity argument is different from the transactional one — it rests on
 //! the pin's custody:
 //!
-//! * A link payload visible at `p` is either still current or preserved in
-//!   the history table; either way it is not freed while this pin is live
+//! * A link value visible at `p` is either still in its cell or preserved in
+//!   the history table; either way it is not dropped while this pin is live
 //!   (displacing commits see the pin — published before the traversal began
-//!   — and route the payload into history instead of the reclamation queue).
-//! * Link payloads hold **strong** [`NodeRef`](crate::node::NodeRef)s, so
+//!   — and move the displaced link into history instead of the reclamation
+//!   queue).
+//! * A link is a **strong** [`NodeRef`](crate::node::NodeRef) wherever it
+//!   sits — the cell's data word or a history entry owns one count — so
 //!   every node reachable at
 //!   `p` keeps a positive reference count for the snapshot's whole lifetime;
 //!   the node arena cannot recycle it.
@@ -132,9 +134,9 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
     ///
     /// # Safety
     ///
-    /// The returned handle is valid while `self` is alive: the link payload
-    /// it was read from is custody-protected by `self.pin` (see the module
-    /// docs), and that payload holds a strong `NodeRef` keeping the node
+    /// The returned handle is valid while `self` is alive: the link it was
+    /// copied from is custody-protected by `self.pin` (see the module
+    /// docs), and that link is a strong `NodeRef` keeping the node
     /// allocated.
     fn hop(&self, node: RawNode<K, V>, level: usize) -> RawNode<K, V> {
         // SAFETY: `node` obeys this snapshot's validity contract (it is the

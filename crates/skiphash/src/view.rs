@@ -150,7 +150,7 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
         self.inner.index.remove(self.tx, key)?;
         let value = node.read_value(self.tx)?;
         let r_time = self.inner.rqc.on_update(self.tx)?;
-        node.r_time.write(self.tx, Some(r_time))?;
+        node.mark_removed(self.tx, r_time)?;
         self.inner.tx_population.bump(self.tx, -1)?;
         let deferred = self.inner.after_remove(self.tx, node)?;
         let inner = Arc::clone(self.inner);

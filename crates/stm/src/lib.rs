@@ -15,9 +15,10 @@
 //! * **Allocation-free steady state** — transaction scratch (read set, write
 //!   log, retirement bag, post-commit queue) is pooled per thread, the write
 //!   log is a flat array of monomorphic records rather than boxed trait
-//!   objects, and cell payloads are carved from a recycling size-classed
-//!   slab; after warmup, a read-modify-write transaction touches the global
-//!   allocator zero times (see `docs/PERF.md`).
+//!   objects, word-sized values live in their cells and wider payloads are
+//!   carved from a recycling size-classed slab; after warmup, a
+//!   read-modify-write transaction touches the global allocator zero times
+//!   (see `docs/PERF.md`).
 //! * **Eager acquisition with undo logging** — writers acquire the orec on
 //!   first write and publish the new value immediately; an abort restores the
 //!   previous value.
@@ -34,12 +35,16 @@
 //! The paper's STM (exoTM) performs in-place writes on raw words and relies
 //! on undo logs to repair them after an abort.  Optimistic readers may
 //! observe a torn, uncommitted value and discard it after validation.  In
-//! Rust that pattern is undefined behaviour for arbitrary `T`, so [`TCell`]
-//! stores its value behind an epoch-managed pointer: a transactional write
-//! installs a freshly allocated value and logs the previous pointer as the
-//! undo entry.  The orec protocol, conflict windows, clock interactions, and
-//! abort behaviour — the properties the paper's evaluation depends on — are
-//! unchanged; only the granularity of the copy differs.
+//! Rust that pattern is undefined behaviour for arbitrary `T`, so a
+//! [`TCell`] keeps one atomically swapped **data word** beside its orec.  A
+//! value that fits the word — a link, a version stamp, a counter, which is
+//! what the paper's structures are made of — is the word, read in place
+//! exactly as in the C++; a wider value lives behind it, in an epoch-managed
+//! payload a write replaces wholesale.  Either way a transactional write
+//! swaps the word and logs the displaced one as the undo entry.  The orec
+//! protocol, conflict windows, clock interactions, and abort behaviour — the
+//! properties the paper's evaluation depends on — are unchanged; only the
+//! granularity of the copy differs, and only for wide values.
 //!
 //! # Writing transactions: the `TxResult` contract
 //!

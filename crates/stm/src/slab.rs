@@ -1,16 +1,20 @@
-//! Size-classed slab recycling for [`crate::TCell`] value payloads.
+//! Size-classed slab recycling for the [`crate::TCell`] payloads that live
+//! behind a pointer.
 //!
-//! Every transactional write installs a freshly allocated value and retires
-//! the displaced one through the epoch.  Before this module existed, both
-//! ends of that exchange hit the global allocator — one `Box::new` per write
-//! and one `Box::from_raw` drop per reclamation — which made the allocator
-//! the hottest shared resource in update-heavy workloads (the skip hash's
-//! `Link` towers churn several cells per insert/remove).
+//! A cell whose value is wider than a machine word keeps it in a separately
+//! allocated payload: every transactional write installs a fresh payload and
+//! retires the displaced one through the epoch.  Payloads are carved from
+//! size-classed blocks, and reclamation returns the *block* to a free list
+//! instead of the operating system, so a steady-state workload recycles the
+//! same handful of blocks forever and neither end of the exchange reaches
+//! the global allocator (the skip hash's `Option<V>` value cells and bucket
+//! chains are the main clients).
 //!
-//! The slab breaks that round trip: payloads are carved from size-classed
-//! blocks, and reclamation returns the *block* to a free list instead of the
-//! operating system, so a steady-state workload recycles the same handful of
-//! blocks forever.
+//! A value that fits the cell's data word never comes here: [`inline`]
+//! decides that, per type, and such a cell has no payload to allocate,
+//! recycle or retire.  The one exception is snapshot custody — a displaced
+//! word that a live pin still needs is moved into a slab payload at
+//! preservation time, so history entries are always pointers.
 //!
 //! # Design
 //!
@@ -74,6 +78,41 @@ const MINT_BATCH: usize = 8;
 pub(crate) const fn eligible<T>() -> bool {
     let size = std::mem::size_of::<T>();
     size >= 1 && size <= CLASS_SIZES[NUM_CLASSES - 1] && std::mem::align_of::<T>() <= BLOCK_ALIGN
+}
+
+/// True when a `TCell<T>` stores its value **in** the data word instead of
+/// behind it.  Like [`eligible`], a compile-time function of the type, so
+/// every site that touches a cell's data word agrees on what the word means.
+///
+/// # The rule
+///
+/// `T` is stored inline when `size_of::<T>()` is a power of two no larger
+/// than a pointer and `align_of::<T>()` equals that size.  The cell moves
+/// the value's bytes through an integer-typed atomic, and reading an
+/// uninitialised byte (padding, or the unused payload of a tag-carrying
+/// `enum`) as an integer is undefined behaviour — so the rule has to admit
+/// only types whose every byte is initialised in every value.  Size equal to
+/// alignment is what proves it: such a type has a field as aligned as the
+/// whole, and that field, being at least as large as its alignment, fills
+/// the whole — down to a scalar (integer, `bool`, `char`, float, pointer) or
+/// a niche-encoded `enum` over one (`Option<NonZeroU64>`, `Option<Box<_>>`,
+/// `Option<Arc<_>>`, a link's `Option<NodeRef>`), which have no spare byte.
+/// Anything with compiler-inserted padding or a separate tag is wider than
+/// it is aligned — `(u32, u8)` and `Option<u32>` are 8 bytes aligned to 4 —
+/// and stays behind a pointer, as does everything wider than a word
+/// (`Option<u64>`, 16 bytes).
+///
+/// The constructs that can hold an uninitialised byte and still pass are the
+/// ones that ask for it by name: a `union` (`MaybeUninit<u64>`), and a type
+/// that raises its alignment without filling it — `#[repr(align(N))]` over a
+/// smaller field, or a zero-length array of a more-aligned type beside one.
+/// No type in this workspace puts any of them in a cell; Miri flags the
+/// integer read if one ever does.
+pub(crate) const fn inline<T>() -> bool {
+    let size = std::mem::size_of::<T>();
+    size.is_power_of_two()
+        && size <= std::mem::size_of::<*mut ()>()
+        && std::mem::align_of::<T>() == size
 }
 
 const fn class_of_size(size: usize) -> usize {
@@ -270,6 +309,28 @@ mod tests {
         #[repr(align(64))]
         struct Overaligned(#[allow(dead_code)] u8);
         assert!(!eligible::<Overaligned>(), "over-aligned values are boxed");
+    }
+
+    #[test]
+    fn inline_rule_admits_only_fully_initialised_words() {
+        use std::num::NonZeroU64;
+        use std::sync::Arc;
+        assert!(inline::<u64>());
+        assert!(inline::<i64>());
+        assert!(inline::<u8>());
+        assert!(inline::<bool>());
+        assert!(inline::<char>());
+        assert!(inline::<Option<NonZeroU64>>());
+        assert!(inline::<Option<Box<u32>>>());
+        assert!(inline::<Option<Arc<u32>>>());
+        assert!(inline::<*mut ()>());
+        assert!(!inline::<(u32, u8)>(), "three bytes of padding");
+        assert!(!inline::<Option<u32>>(), "`None` leaves the u32 unwritten");
+        assert!(!inline::<Option<u64>>(), "two words");
+        assert!(!inline::<[u64; 2]>(), "two words");
+        assert!(!inline::<[u8; 3]>(), "not a power of two");
+        assert!(!inline::<String>());
+        assert!(!inline::<()>(), "nothing to store");
     }
 
     #[test]

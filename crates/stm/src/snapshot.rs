@@ -41,21 +41,26 @@
 //!
 //! History entries are freed on three paths:
 //!
-//! * **Drop-trim** — dropping a pin re-collects the surviving pins and frees
-//!   every entry whose resolution window no remaining pin intersects.  Frees
-//!   are routed through the epoch (`defer_with`): an epoch-pinned reader on
-//!   the *current-value* path may still hold a payload that a concurrent
-//!   commit just moved into history.
+//! * **Drop-trim** — dropping a pin samples the clock (the sweep's
+//!   *horizon*), re-collects the surviving pins and frees every entry whose
+//!   validity window `[start, end)` ends at or below the horizon and holds
+//!   no surviving pin.  The horizon stands for the pins the collect cannot
+//!   see: one registered after it has a version at or above the horizon, and
+//!   the sweep — which takes a while — must not free what a commit preserves
+//!   for such a pin in the meantime.  Frees are routed through the epoch
+//!   (`defer_with`): an epoch-pinned reader on the *current-value* path may
+//!   still hold a payload that a concurrent commit just moved into history.
 //! * **Cell teardown** — [`TCell`](crate::TCell)'s destructor purges its own chain
 //!   immediately (the cell is provably unreachable), which also protects the
 //!   table against address reuse.
-//! * **Full drain** — when the last pin of a runtime drops, every chain
-//!   tagged with that runtime is freed wholesale.
+//! * **Full drain** — when the last pin of a runtime drops, its drop-trim
+//!   has no survivor to keep anything for, so every chain tagged with that
+//!   runtime is freed wholesale.
 //!
 //! A commit that collected a pin may push its entry *after* a concurrent
-//! drop-trim ran; such an entry is retained transiently and reclaimed by the
-//! next trim or by cell teardown — bounded by the number of in-flight
-//! commits at drop time.
+//! drop-trim ran, or tick past the trim's horizon while it runs; such an
+//! entry is retained transiently and reclaimed by the next trim or by cell
+//! teardown — bounded by the number of in-flight commits at drop time.
 //!
 //! Chains are keyed by cell address, so custody requires cells to be
 //! **address-stable** between a preserving commit and their teardown.  This
@@ -198,10 +203,11 @@ impl CommitCtx<'_> {
 // (orec-version > p) history branch.
 // ---------------------------------------------------------------------------
 
-/// One preserved payload: valid from `start` until the start of the next
-/// newer entry (or the cell's current orec version).
+/// One preserved payload and its validity window `[start, end)`: installed
+/// by the commit at `start`, displaced by the commit at `end`.
 struct HistoryEntry {
     start: u64,
+    end: u64,
     data: *mut (),
     drop_fn: unsafe fn(*mut ()),
 }
@@ -281,14 +287,15 @@ pub(crate) fn any_history() -> bool {
     LIVE_ENTRIES.load(Ordering::Relaxed) > 0
 }
 
-/// Preserve `data` (displaced at commit version `wv`, valid since `start`)
+/// Preserve `data` (displaced at commit version `end`, valid since `start`)
 /// for the cell at `cell`.  Called by the commit glue *before* the orec is
-/// released at `wv`, so any reader that observes the new version finds the
+/// released at `end`, so any reader that observes the new version finds the
 /// entry.
 pub(crate) fn push_history(
     cell: usize,
     tag: usize,
     start: u64,
+    end: u64,
     data: *mut (),
     drop_fn: unsafe fn(*mut ()),
 ) {
@@ -309,6 +316,7 @@ pub(crate) fn push_history(
         0,
         HistoryEntry {
             start,
+            end,
             data,
             drop_fn,
         },
@@ -336,6 +344,15 @@ pub(crate) unsafe fn read_history<T, R>(cell: usize, p: u64, f: impl FnOnce(&T) 
     Some(f(unsafe { &*(entry.data as *const T) }))
 }
 
+/// Entry count and oldest `start` of the history chain of the cell at `cell`
+/// (what a failed [`read_history`] reports, to tell a chain trimmed too far
+/// from one that never existed).
+pub(crate) fn history_shape(cell: usize) -> (usize, Option<u64>) {
+    let chains = lock_shard(shard_for(cell));
+    let entries = chains.get(&cell).map_or(&[][..], |chain| &chain.entries);
+    (entries.len(), entries.last().map(|entry| entry.start))
+}
+
 /// Free every history entry belonging to the cell at `cell` immediately.
 /// Called from `TCell::drop`: exclusive access means no pinned reader can
 /// reach the cell, so its history is dead regardless of live pins — and the
@@ -354,12 +371,14 @@ pub(crate) fn purge_cell(cell: usize) {
     }
 }
 
-/// Trim the history chains tagged `tag`, keeping only entries some pin in
-/// `pins` still resolves through.  `pending` keeps everything (a pin of
-/// unknown version is mid-registration).  Frees ride the epoch: a pinned
+/// Trim the history chains tagged `tag`, keeping only entries that some pin
+/// in `pins` resolves through or that outlive `horizon` — the clock reading
+/// taken before `pins` was collected, at or below the version of every pin
+/// the collect could not see.  `pending` keeps everything (a pin of unknown
+/// version is mid-registration).  Frees ride the epoch: a pinned
 /// current-path reader may hold a payload that just transitioned into
 /// history.
-fn trim_tagged(tag: usize, pins: &[u64], pending: bool) {
+fn trim_tagged(tag: usize, pins: &[u64], pending: bool, horizon: u64) {
     if pending {
         return;
     }
@@ -371,15 +390,9 @@ fn trim_tagged(tag: usize, pins: &[u64], pending: bool) {
             if chain.tag != tag {
                 return true;
             }
-            // Entries are newest-first with strictly decreasing starts; the
-            // entry at `i` resolves pins in `[start_i, start_{i-1})` (the
-            // newest entry's window is additionally bounded by the cell's
-            // current version, unknown here — kept conservatively whenever
-            // any pin reaches it).
-            let mut previous_start = u64::MAX;
             chain.entries.retain(|entry| {
-                let needed = pins.iter().any(|&p| p >= entry.start && p < previous_start);
-                previous_start = entry.start;
+                let needed =
+                    entry.end > horizon || pins.iter().any(|&p| p >= entry.start && p < entry.end);
                 if !needed {
                     freed += 1;
                     // SAFETY: no live pin resolves through this entry, and
@@ -465,9 +478,13 @@ impl Drop for SnapshotPin {
         registry.slots[self.slot].store(FREE, Ordering::SeqCst);
         registry.live.fetch_sub(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
+        // Sampled before the collect: a pin the collect misses claims its
+        // slot after the collect's load of it, and samples its version after
+        // that — at or above this reading.
+        let horizon = self.stm.clock_now();
         let mut pins = Vec::new();
         let pending = registry.collect_into(&mut pins);
-        trim_tagged(Arc::as_ptr(&self.stm) as usize, &pins, pending);
+        trim_tagged(Arc::as_ptr(&self.stm) as usize, &pins, pending, horizon);
     }
 }
 
@@ -574,6 +591,25 @@ mod tests {
         // p2's entry must survive p1's trim.
         assert_eq!(cell.read_pinned_with(&p2, |v| *v), 20);
         drop(p2);
+    }
+
+    #[test]
+    fn a_sweep_spares_what_was_preserved_for_a_pin_it_never_saw() {
+        // A dropping pin collects its survivors, then sweeps the table —
+        // and the sweep takes a while.  A pin registered in between, and a
+        // commit preserving a value for it, must not lose that value to the
+        // sweep's out-of-date survivor list.
+        let _serial = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let stm = Arc::new(Stm::new());
+        let cell = Box::new(TCell::new(1u64));
+        // The dropper's collect: nobody else is pinned.
+        let horizon = stm.clock_now();
+        let late = stm.pin_snapshot();
+        stm.run(|tx| cell.write(tx, 2));
+        // The dropper's sweep arrives at the cell's shard only now.
+        trim_tagged(Arc::as_ptr(&stm) as usize, &[], false, horizon);
+        assert_eq!(cell.read_pinned_with(&late, |v| *v), 1);
+        drop(late);
     }
 
     #[test]

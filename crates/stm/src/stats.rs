@@ -272,7 +272,8 @@ pub struct StatsSnapshot {
     /// read set (re-reads of already-validated cells).
     pub read_dedup_hits: u64,
     /// Transactional writes whose payload came from a recycled slab block
-    /// rather than the global allocator.
+    /// rather than the global allocator.  Writes of a word-sized value have
+    /// no payload (the value is the cell's data word) and are not counted.
     pub slab_recycle_hits: u64,
     /// Skip-hash node blocks served from recycled arena memory rather than
     /// the global allocator (process-wide, relative to this instance's

@@ -22,8 +22,9 @@
 //! a model task parks while holding a real lock another task needs.  The
 //! ordering protocols the model checker targets (orec, clock, snapshot,
 //! epoch) never span those modules.  `AtomicPtr` is likewise re-exported
-//! from std unconditionally — pointer-valued state is exercised through the
-//! epoch-shim transcription in `crates/model-tests` instead.
+//! from std unconditionally — pointer-valued state (a `TCell`'s data word
+//! included) is exercised through the epoch-shim transcription in
+//! `crates/model-tests` instead.
 
 #[cfg(not(feature = "model"))]
 pub use std::sync::atomic::{
@@ -47,11 +48,12 @@ pub use std::sync::atomic::AtomicPtr;
 // the std type, like `AtomicPtr`.
 pub use std::sync::atomic::AtomicIsize;
 
-/// Detector shadow for a copy-on-write payload slot (a `TCell`'s boxed
-/// value).  In model builds this is `skiphash_model::cell::ShadowSlot` and
-/// feeds the FastTrack race detector: `on_write` marks the install of a
-/// fresh payload, `on_read_confirmed` marks a read that *passed* the orec
-/// recheck.  Neither is a schedule point, so replay tokens are unaffected.
+/// Detector shadow for a swap-on-write data slot (a `TCell`'s data word:
+/// the value itself, or the pointer to its payload).  In model builds this
+/// is `skiphash_model::cell::ShadowSlot` and feeds the FastTrack race
+/// detector: `on_write` marks the install of a fresh value,
+/// `on_read_confirmed` marks a read that *passed* the orec recheck.
+/// Neither is a schedule point, so replay tokens are unaffected.
 #[cfg(feature = "model")]
 pub use skiphash_model::cell::ShadowSlot;
 

@@ -1,9 +1,12 @@
 //! Transactional memory cells.
 
-use crate::sync::{Ordering, ShadowSlot};
+use crate::sync::{AtomicPtr, Ordering, ShadowSlot};
 use std::fmt;
+use std::marker::PhantomData;
+use std::mem::{needs_drop, ManuallyDrop};
+use std::ptr;
 
-use crossbeam_epoch::{self as epoch, Atomic, Shared};
+use crossbeam_epoch as epoch;
 
 use crate::error::TxResult;
 use crate::orec::{Orec, OrecState};
@@ -13,17 +16,29 @@ use crate::txn::Txn;
 
 /// A transactionally managed memory location holding a value of type `T`.
 ///
-/// Each cell carries its own ownership record (orec), following the paper's
-/// guidance that orecs be co-located with the data they protect.  The value
-/// itself lives behind an epoch-managed pointer so that optimistic readers
-/// can never observe a torn value: writers install a freshly allocated value
-/// and retire the previous one through epoch-based reclamation.
+/// Each cell is two words: its own ownership record (orec), following the
+/// paper's guidance that orecs be co-located with the data they protect, and
+/// one **data word** that readers load and writers swap atomically, so an
+/// optimistic reader can never observe a torn value.
 ///
-/// Value storage comes from the size-classed slab (see `docs/PERF.md`):
-/// small payloads are carved from recycled blocks rather than the global
-/// allocator, so steady-state write churn — the `Link` towers of the skip
-/// hash above all — performs no heap allocation.  Types that are too large
-/// or over-aligned fall back to plain `Box`es transparently.
+/// What the data word holds is a compile-time function of `T`:
+///
+/// * A value that fits a machine word — an integer, a `bool`, an
+///   `Option<NonZeroU64>`, an `Option<Box<_>>` / `Option<Arc<_>>` or any other
+///   niche-encoded handle — is stored **in** the word.  A read is the orec
+///   sample, one load and the orec re-check; a write allocates nothing.  When
+///   such a value owns something (a handle's reference count), a displaced
+///   word is dropped through epoch-based reclamation, because a concurrent
+///   reader may still be looking through its copy of the word.
+/// * Every other value lives behind the word, in a payload the word points
+///   at: a write installs a freshly allocated payload and retires the
+///   displaced one through the epoch.  Payloads come from the size-classed
+///   slab (see `docs/PERF.md`), so steady-state write churn performs no heap
+///   allocation; types too large or over-aligned for the slab fall back to
+///   plain `Box`es transparently.
+///
+/// Neither the protocol nor the API differs between the two; the exact rule
+/// is documented on `slab::inline`.
 ///
 /// Cells are accessed inside transactions via [`TCell::read`] and
 /// [`TCell::write`].  Outside of transactions, [`TCell::load_atomic`]
@@ -46,12 +61,105 @@ use crate::txn::Txn;
 /// ```
 pub struct TCell<T> {
     pub(crate) orec: Orec,
-    pub(crate) data: Atomic<T>,
-    /// Race-detector shadow for the payload slot; zero-sized no-op outside
+    /// The data word: the value itself when `slab::inline::<T>()`, otherwise
+    /// a never-null pointer to the payload `slab::alloc_value::<T>` made.
+    /// A std atomic outside the `sync` facade on purpose — the model checker
+    /// schedules the orec protocol around it, not the word itself.
+    data: AtomicPtr<()>,
+    /// Race-detector shadow for the data word; zero-sized no-op outside
     /// model builds.  Writers mark installs, readers mark *validated* reads
     /// (after the orec recheck), and the model checker verifies each kept
     /// read is happens-after the install that produced its value.
     pub(crate) shadow: ShadowSlot,
+    /// The cell owns a `T` and hands out `T`s: invariant, like the
+    /// `AtomicPtr<T>` it stands for.
+    _value: PhantomData<fn(T) -> T>,
+}
+
+/// Move `value` into a data word.
+///
+/// # Safety
+///
+/// `slab::inline::<T>()` must hold.
+#[inline]
+unsafe fn word_of<T>(value: T) -> *mut () {
+    let mut word: *mut () = ptr::null_mut();
+    // SAFETY: by the inline rule `T` is no larger and no more aligned than
+    // the word, so the word's storage takes a `T`.  The bytes `T` does not
+    // cover keep their zero, and by the same rule `T` has no uninitialised
+    // byte of its own, so `word` reads back fully initialised.  A `T` that
+    // is a pointer keeps its provenance (pointer bytes read as a pointer).
+    unsafe { ptr::addr_of_mut!(word).cast::<T>().write(value) };
+    word
+}
+
+/// A bitwise copy of the `T` a data word holds.
+///
+/// # Safety
+///
+/// `word` must have come from [`word_of::<T>`].  The result aliases whatever
+/// the word owns: the caller either owns the word (and the word is not used
+/// again) or wraps the result in `ManuallyDrop` and only lends it out.
+#[inline]
+unsafe fn value_of<T>(word: *mut ()) -> T {
+    // SAFETY: `word_of::<T>` wrote a `T` at the start of the word.
+    unsafe { ptr::addr_of!(word).cast::<T>().read() }
+}
+
+/// Wrap `value` as a data word: the value itself, or a pointer to a fresh
+/// payload.  The flag reports a recycled slab block.
+#[inline]
+fn to_word<T>(value: T) -> (*mut (), bool) {
+    if slab::inline::<T>() {
+        // SAFETY: `T` is inline, checked on the line above.
+        (unsafe { word_of(value) }, false)
+    } else {
+        let (ptr, recycled) = slab::alloc_value(value);
+        (ptr.cast(), recycled)
+    }
+}
+
+// SAFETY: contract — `word` is an inline `T`'s data word that no cell holds
+// any more, and no thread can still be reading through a copy of it; called
+// exactly once.
+unsafe fn drop_word<T>(word: *mut ()) {
+    // SAFETY: per the contract this is the word's one owner.
+    drop(unsafe { value_of::<T>(word) });
+}
+
+/// Reclamation glue in the shape the epoch shim's `defer_with` takes.
+type ReclaimGlue = unsafe fn(*mut ());
+
+/// The glue that reclaims a displaced data word of a `TCell<T>` once no
+/// pinned thread can still be reading through it, matching the
+/// representation [`to_word::<T>`] chose.  `None` when there is nothing to
+/// reclaim: an inline word that owns nothing.  (A word that does own
+/// something is handed to its glue whatever its bits — all-zero is a value
+/// like any other, `None` or `0`, never "no payload".)
+#[inline]
+fn reclaim_glue<T>() -> Option<ReclaimGlue> {
+    if !slab::inline::<T>() {
+        Some(slab::drop_glue::<T>())
+    } else if needs_drop::<T>() {
+        Some(drop_word::<T>)
+    } else {
+        None
+    }
+}
+
+/// Park a displaced data word in `retired` until it can be reclaimed.
+///
+/// # Safety
+///
+/// `word` must be a data word of a `TCell<T>` that a swap has just removed
+/// from the cell, and `retired` must be flushed through a guard that was
+/// pinned when the swap happened.
+#[inline]
+pub(crate) unsafe fn retire<T>(word: *mut (), retired: &mut epoch::Bag) {
+    if let Some(glue) = reclaim_glue::<T>() {
+        // SAFETY: forwarded from this function's contract.
+        unsafe { retired.defer_with(word, glue) };
+    }
 }
 
 impl<T> TCell<T> {
@@ -83,14 +191,54 @@ impl<T> TCell<T> {
     /// ahead of the clock conflicts with every transaction until the clock
     /// catches up.
     pub fn new_at(value: T, version: u64) -> Self {
-        let (ptr, _) = slab::alloc_value(value);
-        let data = Atomic::null();
-        data.store(Shared::from(ptr as *const T), Ordering::Relaxed);
         Self {
             orec: Orec::new(version),
-            data,
+            data: AtomicPtr::new(to_word(value).0),
             shadow: ShadowSlot::new("tcell.payload"),
+            _value: PhantomData,
         }
+    }
+
+    /// Load the data word and map the value it designates through `f`.
+    ///
+    /// This is the middle step of every optimistic read: the caller samples
+    /// the orec before, re-checks it after, and discards the result when the
+    /// two differ, so `f` may run on a value that was displaced meanwhile.
+    /// It is never torn (the word is loaded whole) and it is alive for the
+    /// duration of `f` per the contract below.
+    ///
+    /// # Safety
+    ///
+    /// `guard` must have been pinned before this call and stay pinned until
+    /// it returns (an unprotected guard stands for exclusive access): that
+    /// is what keeps a displaced payload, or whatever a displaced inline
+    /// word owns, from being reclaimed under `f`.
+    #[inline]
+    pub(crate) unsafe fn peek<R>(&self, _guard: &epoch::Guard, f: impl FnOnce(&T) -> R) -> R {
+        let word = self.data.load(Ordering::Acquire);
+        if slab::inline::<T>() {
+            // SAFETY: every word this cell holds came from `word_of::<T>`;
+            // the copy is only lent to `f`, never dropped, and what it owns
+            // outlives the guard's pin.
+            let value = ManuallyDrop::new(unsafe { value_of::<T>(word) });
+            f(&value)
+        } else {
+            // SAFETY: a boxed cell's word always points at a payload, which
+            // is reclaimed no earlier than the guard unpins.
+            f(unsafe { &*word.cast::<T>() })
+        }
+    }
+
+    /// Swap `value` into the data word, returning the displaced word and
+    /// whether a recycled slab block carries the new payload.  The caller
+    /// holds the orec and owes the displaced word a [`retire`] (or a place
+    /// in the undo log).
+    #[inline]
+    pub(crate) fn install(&self, value: T) -> (*mut (), bool) {
+        let (word, recycled) = to_word(value);
+        let old = self.data.swap(word, Ordering::AcqRel);
+        self.shadow.on_write();
+        (old, recycled)
     }
 }
 
@@ -153,8 +301,8 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
     /// teardown (e.g. severing links in destructors); concurrent algorithms
     /// should use transactions.
     ///
-    /// The store is atomic per location (an epoch-protected pointer swap —
-    /// no reader ever observes a torn value), but it is *not* a committed
+    /// The store is atomic per location (one swap of the data word — no
+    /// reader ever observes a torn value), but it is *not* a committed
     /// transactional write: the version does not change, so a concurrent
     /// transaction's snapshot validation cannot order itself against it.
     /// The version deliberately must not be bumped here — orec versions are
@@ -174,15 +322,13 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
                 // they can never collide with it in practice.
                 const STORE_OWNER: u64 = (1 << 62) - 1;
                 if self.orec.try_acquire(version, STORE_OWNER) {
-                    let (ptr, _) = slab::alloc_value(value);
                     let guard = epoch::pin();
-                    let old =
-                        self.data
-                            .swap(Shared::from(ptr as *const T), Ordering::AcqRel, &guard);
-                    self.shadow.on_write();
-                    // SAFETY: `old` is unreachable once swapped out; the glue
-                    // matches this cell's allocation path.
-                    unsafe { guard.defer_with(old.as_raw() as *mut (), slab::drop_glue::<T>()) };
+                    let (old, _) = self.install(value);
+                    if let Some(glue) = reclaim_glue::<T>() {
+                        // SAFETY: `old` is unreachable once swapped out, and
+                        // the swap happened under `guard`.
+                        unsafe { guard.defer_with(old, glue) };
+                    }
                     self.orec.release(version);
                     return;
                 }
@@ -195,8 +341,8 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
     /// value through `f` by reference.
     ///
     /// Returns exactly the value that was committed at the pin's version:
-    /// the current payload when the cell has not been written since the pin,
-    /// otherwise the payload preserved for the pin by the displacing commit
+    /// the current value when the cell has not been written since the pin,
+    /// otherwise the value preserved for the pin by the displacing commit
     /// (see the `snapshot` module docs for the custody protocol).  Never
     /// aborts and never conflicts with writers — at worst it spins briefly
     /// while the location is locked by an in-flight commit.
@@ -207,10 +353,13 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `pin` was created by a different [`crate::Stm`] runtime
-    /// than the one whose transactions version this cell — clock domains are
-    /// incomparable, and the history the pin relies on was never preserved.
-    /// (This is detectable only indirectly, as a missing history entry.)
+    /// Panics when the cell was written after the pin and the history table
+    /// holds no entry old enough for it — custody was broken, or `pin`
+    /// belongs to a different [`crate::Stm`] runtime than the one whose
+    /// transactions version this cell (clock domains are incomparable, and
+    /// nothing was ever preserved for a foreign pin).  The message carries
+    /// what is needed to tell which: the cell's address, both versions, and
+    /// the shape of the cell's history chain.
     pub fn read_pinned_with<R>(&self, pin: &SnapshotPin, f: impl Fn(&T) -> R) -> R {
         let p = pin.version();
         let backoff = crossbeam_utils::Backoff::new();
@@ -218,38 +367,38 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
             let o1 = self.orec.raw();
             match Orec::decode_raw(o1) {
                 OrecState::Unlocked { version } if version <= p => {
-                    // Not written since the pin: the current payload *is* the
-                    // payload at version `p`.  Same validated optimistic read
+                    // Not written since the pin: the current value *is* the
+                    // value at version `p`.  Same validated optimistic read
                     // as `load_atomic`, minus the clone.
                     let guard = epoch::pin();
-                    let shared = self.data.load(Ordering::Acquire, &guard);
-                    // SAFETY: protected by the pinned guard; a concurrent
-                    // replacement defers reclamation past it, and the re-check
-                    // below discards the result.
-                    let result = f(unsafe { shared.deref() });
+                    // SAFETY: `guard` is pinned across the call; a result
+                    // computed from a displaced value fails the re-check
+                    // below and is discarded.
+                    let result = unsafe { self.peek(&guard, &f) };
                     if self.orec.raw() == o1 {
                         self.shadow.on_read_confirmed();
                         return result;
                     }
                 }
-                OrecState::Unlocked { .. } => {
-                    // Written after the pin: the payload at `p` was displaced
+                OrecState::Unlocked { version } => {
+                    // Written after the pin: the value at `p` was displaced
                     // and — because the displacing commit either collected
                     // this pin or its stamp precedes it — preserved in the
                     // history table (push precedes the orec release we just
                     // observed, so the entry is visible).
+                    let cell = self as *const Self as usize;
                     // SAFETY: `self` is a live `TCell<T>`, so every history
                     // entry keyed on its address holds a `T`.
-                    let resolved = unsafe {
-                        snapshot::read_history::<T, R>(self as *const Self as usize, p, &f)
-                    };
-                    match resolved {
+                    match unsafe { snapshot::read_history::<T, R>(cell, p, &f) } {
                         Some(result) => return result,
-                        None => panic!(
-                            "snapshot pin at version {p} found no history for a cell at \
-                             version {:?}; was the pin created by a different Stm runtime?",
-                            Orec::decode_raw(o1)
-                        ),
+                        None => {
+                            let (entries, oldest) = snapshot::history_shape(cell);
+                            panic!(
+                                "snapshot pin at version {p} found no history for cell \
+                                 {cell:#x} at version {version}: its chain holds {entries} \
+                                 entries, oldest start {oldest:?}"
+                            )
+                        }
                     }
                 }
                 OrecState::Locked { .. } => {}
@@ -271,11 +420,9 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
             let guard = epoch::pin();
             let o1 = self.orec.raw();
             if let OrecState::Unlocked { .. } = Orec::decode_raw(o1) {
-                let shared = self.data.load(Ordering::Acquire, &guard);
-                // SAFETY: the pointer was installed by `new` or a
-                // transactional write and cannot be reclaimed while `guard`
-                // is pinned.
-                let value = unsafe { shared.deref() }.clone();
+                // SAFETY: `guard` is pinned across the call; a clone of a
+                // displaced value fails the re-check below and is dropped.
+                let value = unsafe { self.peek(&guard, T::clone) };
                 if self.orec.raw() == o1 {
                     self.shadow.on_read_confirmed();
                     return value;
@@ -295,14 +442,15 @@ impl<T> Drop for TCell<T> {
         if snapshot::any_history() {
             snapshot::purge_cell(self as *const Self as usize);
         }
-        // We have exclusive access; reclaim the current value immediately
-        // (returning its block to the slab).
-        // SAFETY: `&mut self` guarantees no concurrent access, and the
-        // pointer is either null or owned by this cell.
+        let word = *self.data.get_mut();
+        // SAFETY: `&mut self` guarantees no concurrent access, and the cell
+        // is the one owner of its current word: drop an inline value in
+        // place, hand a payload (value and block) back to the slab.
         unsafe {
-            let shared = self.data.load(Ordering::Relaxed, epoch::unprotected());
-            if !shared.is_null() {
-                slab::free_value_now(shared.as_raw() as *mut T);
+            if slab::inline::<T>() {
+                drop_word::<T>(word);
+            } else {
+                slab::free_value_now(word.cast::<T>());
             }
         }
     }
@@ -323,27 +471,29 @@ impl<T: Clone + Send + Sync + Default + 'static> Default for TCell<T> {
 }
 
 // SAFETY: all shared-state mutation goes through the orec protocol plus
-// atomic pointer swaps; values are only dropped through epoch-based
-// reclamation or with exclusive access.
+// atomic swaps of the data word; values are only dropped through epoch-based
+// reclamation or with exclusive access.  Values cross threads both ways
+// (written by one, read, cloned and eventually dropped by another), hence
+// both bounds on both impls.
 unsafe impl<T: Send + Sync> Send for TCell<T> {}
 unsafe impl<T: Send + Sync> Sync for TCell<T> {}
 
 /// One undo-log entry: a pending transactional write, type-erased through
 /// monomorphic function pointers instead of a `Box<dyn ...>` object.
 ///
-/// The previous design heap-allocated a trait object per write; this record
-/// is plain data that lives in the pooled write log, so logging a write costs
-/// a `Vec` push.  Displaced values are not retired through the epoch one at
-/// a time either: they are collected into the transaction's
+/// The record is plain data that lives in the pooled write log, so logging a
+/// write costs a `Vec` push.  Displaced values are not retired through the
+/// epoch one at a time either: they are collected into the transaction's
 /// [`epoch::Bag`] and flushed in a single thread-local access when the
 /// transaction finishes, so a commit with `k` writes pins once and flushes
 /// once.
 pub(crate) struct WriteEntry {
     cell: *const (),
     old_version: u64,
-    old_data: *const (),
-    commit_fn: unsafe fn(*const (), *const (), u64, &mut epoch::Bag, u64, &CommitCtx<'_>),
-    abort_fn: unsafe fn(*const (), *const (), u64, &epoch::Guard, &mut epoch::Bag),
+    /// The data word this transaction's first write displaced.
+    old_data: *mut (),
+    commit_fn: unsafe fn(*const (), *mut (), u64, &mut epoch::Bag, u64, &CommitCtx<'_>),
+    abort_fn: unsafe fn(*const (), *mut (), u64, &mut epoch::Bag),
 }
 
 // SAFETY: contract — `cell` must point at the live `TCell<T>` recorded by
@@ -351,7 +501,7 @@ pub(crate) struct WriteEntry {
 // once per entry, from the committing transaction, with its guard pinned.
 unsafe fn commit_write<T: Send + Sync + 'static>(
     cell: *const (),
-    old_data: *const (),
+    old_data: *mut (),
     old_version: u64,
     retired: &mut epoch::Bag,
     version: u64,
@@ -361,23 +511,29 @@ unsafe fn commit_write<T: Send + Sync + 'static>(
     // displaced by this transaction's own write and is unreachable to new
     // readers.
     unsafe {
-        if !old_data.is_null() {
-            if ctx.covers(old_version, version) {
-                // A live snapshot pin resolves inside this payload's validity
-                // window `[old_version, version)`: preserve it in the history
-                // table instead of retiring it.  The push must precede the
-                // orec release below — a pinned reader that observes the new
-                // version must find the entry.
-                snapshot::push_history(
-                    cell as usize,
-                    ctx.tag,
-                    old_version,
-                    old_data as *mut (),
-                    slab::drop_glue::<T>(),
-                );
+        if ctx.covers(old_version, version) {
+            // A live snapshot pin resolves inside this value's validity
+            // window `[old_version, version)`: preserve it in the history
+            // table instead of retiring it.  History entries are pointers to
+            // a `T`, so an inline word moves into a payload here — the only
+            // time one is ever boxed.  The push must precede the orec
+            // release below — a pinned reader that observes the new version
+            // must find the entry.
+            let preserved = if slab::inline::<T>() {
+                slab::alloc_value(value_of::<T>(old_data)).0.cast::<()>()
             } else {
-                retired.defer_with(old_data as *mut (), slab::drop_glue::<T>());
-            }
+                old_data
+            };
+            snapshot::push_history(
+                cell as usize,
+                ctx.tag,
+                old_version,
+                version,
+                preserved,
+                slab::drop_glue::<T>(),
+            );
+        } else {
+            retire::<T>(old_data, retired);
         }
         (*(cell as *const TCell<T>)).orec.release(version);
     }
@@ -387,21 +543,19 @@ unsafe fn commit_write<T: Send + Sync + 'static>(
 // while it still owns the orec.
 unsafe fn abort_write<T: Send + Sync + 'static>(
     cell: *const (),
-    old_data: *const (),
+    old_data: *mut (),
     old_version: u64,
-    guard: &epoch::Guard,
     retired: &mut epoch::Bag,
 ) {
     // SAFETY: forwarded from `WriteEntry::abort`'s contract; the transaction
-    // owns the orec, so nobody else can swap the data pointer concurrently.
+    // owns the orec, so nobody else can swap the data word concurrently.
+    // The word it takes back out is its own uncommitted write, which doomed
+    // readers may have glimpsed — retired, not dropped in place.
     unsafe {
         let cell = &*(cell as *const TCell<T>);
-        let old = Shared::from(old_data as *const T);
-        let current = cell.data.swap(old, Ordering::AcqRel, guard);
+        let current = cell.data.swap(old_data, Ordering::AcqRel);
         cell.shadow.on_write();
-        if !current.is_null() {
-            retired.defer_with(current.as_raw() as *mut (), slab::drop_glue::<T>());
-        }
+        retire::<T>(current, retired);
         cell.orec.release(old_version);
     }
 }
@@ -410,12 +564,12 @@ impl WriteEntry {
     pub(crate) fn new<T: Send + Sync + 'static>(
         cell: *const TCell<T>,
         old_version: u64,
-        old_data: *const T,
+        old_data: *mut (),
     ) -> Self {
         Self {
             cell: cell as *const (),
             old_version,
-            old_data: old_data as *const (),
+            old_data,
             commit_fn: commit_write::<T>,
             abort_fn: abort_write::<T>,
         }
@@ -455,9 +609,9 @@ impl WriteEntry {
     /// # Safety
     ///
     /// Same contract as [`WriteEntry::commit`].
-    pub(crate) unsafe fn abort(&self, guard: &epoch::Guard, retired: &mut epoch::Bag) {
+    pub(crate) unsafe fn abort(&self, retired: &mut epoch::Bag) {
         // SAFETY: forwarded to the monomorphic glue under the same contract.
-        unsafe { (self.abort_fn)(self.cell, self.old_data, self.old_version, guard, retired) }
+        unsafe { (self.abort_fn)(self.cell, self.old_data, self.old_version, retired) }
     }
 }
 
@@ -554,5 +708,244 @@ mod tests {
             stm.run(|tx| cell.write(tx, format!("value-{i}")));
         }
         assert_eq!(cell.load_atomic(), format!("value-{}", rounds - 1));
+    }
+
+    // ---- Word-sized values: stored in the data word --------------------
+
+    use crate::sync::AtomicUsize;
+    use std::num::NonZeroU64;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// Every way a value enters and leaves a cell, for one type: `new`,
+    /// `load_atomic`, a committed write, read-after-write, two writes in one
+    /// transaction, an aborted write, and `store_atomic`.
+    fn round_trip<T>(a: T, b: T, c: T)
+    where
+        T: Clone + PartialEq + fmt::Debug + Send + Sync + 'static,
+    {
+        let stm = Stm::new();
+        let cell = TCell::new(a.clone());
+        assert_eq!(cell.load_atomic(), a);
+        let seen = stm.run(|tx| {
+            let before = cell.read(tx)?;
+            cell.write(tx, b.clone())?;
+            Ok((before, cell.read(tx)?))
+        });
+        assert_eq!(seen, (a.clone(), b.clone()));
+        assert_eq!(cell.load_atomic(), b);
+        stm.run(|tx| {
+            cell.write(tx, c.clone())?;
+            cell.write(tx, a.clone())
+        });
+        assert_eq!(cell.load_atomic(), a);
+        let aborted = stm.try_once(|tx| -> TxResult<()> {
+            cell.write(tx, b.clone())?;
+            cell.write(tx, c.clone())?;
+            Err(crate::TxAbort::Explicit)
+        });
+        assert!(aborted.is_err());
+        assert_eq!(cell.load_atomic(), a, "undo must restore the old value");
+        cell.store_atomic(c.clone());
+        assert_eq!(cell.load_atomic(), c);
+        assert!(stm.run(|tx| cell.read_with(tx, |v| v == &c)));
+    }
+
+    #[test]
+    fn values_round_trip_in_either_representation() {
+        // Inline by the rule (asserted in `slab::tests`)...
+        round_trip(0u64, u64::MAX, 7);
+        round_trip(-1i64, 0, i64::MIN);
+        round_trip(0u8, 255, 1);
+        round_trip(false, true, false);
+        round_trip(None, NonZeroU64::new(1), NonZeroU64::new(u64::MAX));
+        round_trip(None, Some(Box::new(5u32)), Some(Box::new(6u32)));
+        round_trip(None, Some(Arc::new(5u32)), Some(Arc::new(6u32)));
+        // ...and behind a pointer: padding, a separate tag, two words.
+        round_trip((0u32, 0u8), (u32::MAX, 255u8), (1, 1));
+        round_trip(None, Some(0u32), Some(u32::MAX));
+        round_trip(None, Some(0u64), Some(u64::MAX));
+    }
+
+    #[test]
+    fn the_all_zero_word_is_a_value() {
+        // `None` and `0` are all-zero data words.  A pin that covers one
+        // must get it back from history, not a "no payload" shortcut.
+        let stm = Arc::new(Stm::new());
+        let mark: Box<TCell<Option<NonZeroU64>>> = Box::new(TCell::new(None));
+        let count = Box::new(TCell::new(0u64));
+        let pin = stm.pin_snapshot();
+        stm.run(|tx| {
+            mark.write(tx, NonZeroU64::new(9))?;
+            count.write(tx, 9)
+        });
+        assert_eq!(mark.read_pinned_with(&pin, |v| *v), None);
+        assert_eq!(count.read_pinned_with(&pin, |v| *v), 0);
+        drop(pin);
+        assert_eq!(mark.load_atomic(), NonZeroU64::new(9));
+        assert_eq!(count.load_atomic(), 9);
+    }
+
+    /// An owned thing that counts its drops, for cells whose inline word
+    /// owns something: `TCell<Option<Arc<Counted>>>` is the shape of a skip
+    /// list link (`Option<NodeRef>`).
+    struct Counted {
+        id: u64,
+        drops: Arc<AtomicUsize>,
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.drops.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    type Handle = Option<Arc<Counted>>;
+
+    fn handle(id: u64, drops: &Arc<AtomicUsize>) -> Handle {
+        Some(Arc::new(Counted {
+            id,
+            drops: Arc::clone(drops),
+        }))
+    }
+
+    /// Drive the epoch until `drops` reaches `expected` (displaced words
+    /// are dropped by the collector), then some more: it must stop there.
+    fn assert_settles_at(drops: &AtomicUsize, expected: usize) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while drops.load(Ordering::Relaxed) < expected && Instant::now() < deadline {
+            drop(epoch::pin());
+        }
+        for _ in 0..512 {
+            drop(epoch::pin());
+        }
+        assert_eq!(drops.load(Ordering::Relaxed), expected);
+    }
+
+    #[test]
+    fn inline_handles_drop_exactly_once_on_every_path() {
+        assert!(slab::inline::<Handle>() && needs_drop::<Handle>());
+        let stm = Stm::new();
+        let drops = Arc::new(AtomicUsize::new(0));
+        let cell = TCell::new(handle(0, &drops));
+
+        // Commit: the displaced handle goes, the installed one stays.
+        stm.run(|tx| cell.write(tx, handle(1, &drops)));
+        assert_settles_at(&drops, 1);
+
+        // Abort: the attempt's own handle goes, the old one is back.
+        let aborted = stm.try_once(|tx| -> TxResult<()> {
+            cell.write(tx, handle(2, &drops))?;
+            Err(crate::TxAbort::Explicit)
+        });
+        assert!(aborted.is_err());
+        assert_settles_at(&drops, 2);
+        assert_eq!(cell.load_atomic().map(|c| c.id), Some(1));
+
+        // Two writes in one transaction: the intermediate handle goes too.
+        stm.run(|tx| {
+            cell.write(tx, handle(3, &drops))?;
+            cell.write(tx, handle(4, &drops))
+        });
+        assert_settles_at(&drops, 4);
+
+        // The same, aborted: both of the attempt's handles go.
+        let aborted = stm.try_once(|tx| -> TxResult<()> {
+            cell.write(tx, handle(5, &drops))?;
+            cell.write(tx, handle(6, &drops))?;
+            Err(crate::TxAbort::Explicit)
+        });
+        assert!(aborted.is_err());
+        assert_settles_at(&drops, 6);
+        assert_eq!(cell.load_atomic().map(|c| c.id), Some(4));
+
+        // `store_atomic`, to `None` and back.
+        cell.store_atomic(None);
+        assert_settles_at(&drops, 7);
+        cell.store_atomic(handle(7, &drops));
+        assert_settles_at(&drops, 7);
+
+        // Dropping the cell drops what it holds, at once.
+        drop(cell);
+        assert_eq!(drops.load(Ordering::Relaxed), 8);
+        assert_settles_at(&drops, 8);
+    }
+
+    #[test]
+    fn inline_handle_displaced_under_a_pin_lives_until_the_pin_drops() {
+        let stm = Arc::new(Stm::new());
+        let drops = Arc::new(AtomicUsize::new(0));
+        // Boxed: history is keyed by the cell's address.
+        let cell = Box::new(TCell::new(handle(0, &drops)));
+        let pin = stm.pin_snapshot();
+        let overwrites = 5;
+        for id in 1..=overwrites {
+            stm.run(|tx| cell.write(tx, handle(id, &drops)));
+            let pinned = cell.read_pinned_with(&pin, |v| v.as_ref().map(|c| c.id));
+            assert_eq!(pinned, Some(0), "the pin reads the value it covers");
+        }
+        // Handles 1..overwrites-1 are gone; 0 is in custody, the last in
+        // the cell.
+        assert_settles_at(&drops, overwrites as usize - 1);
+        assert_eq!(cell.load_atomic().map(|c| c.id), Some(overwrites));
+        drop(pin);
+        assert_settles_at(&drops, overwrites as usize);
+        drop(cell);
+        assert_settles_at(&drops, overwrites as usize + 1);
+    }
+
+    #[test]
+    fn inline_handle_churn_balances() {
+        // Two writers replace the handle while two readers clone it out of
+        // whatever word they load — which may already be displaced.  Every
+        // handle ever made must be dropped exactly once: one short and a
+        // count leaked, one over and this is a double free.
+        let stm = Stm::new();
+        let drops = Arc::new(AtomicUsize::new(0));
+        let cell = TCell::new(handle(0, &drops));
+        let rounds: u64 = if cfg!(miri) { 20 } else { 5_000 };
+        // Counted where they are made: a retried attempt makes another.
+        let made = AtomicUsize::new(1);
+        let writers_left = AtomicUsize::new(2);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for writer in 0..2u64 {
+                let (stm, cell, drops, made) = (&stm, &cell, &drops, &made);
+                let (start, writers_left) = (&start, &writers_left);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 1..=rounds {
+                        let id = writer * rounds + round;
+                        if round % 7 == 0 {
+                            stm.run(|tx| cell.write(tx, None));
+                        } else {
+                            stm.run(|tx| {
+                                made.fetch_add(1, Ordering::Relaxed);
+                                cell.write(tx, handle(id, drops))
+                            });
+                        }
+                    }
+                    writers_left.fetch_sub(1, Ordering::Relaxed);
+                });
+            }
+            for _ in 0..2 {
+                let (stm, cell) = (&stm, &cell);
+                let (start, writers_left) = (&start, &writers_left);
+                scope.spawn(move || {
+                    start.wait();
+                    while writers_left.load(Ordering::Relaxed) > 0 {
+                        let seen: Handle = stm.run(|tx| cell.read(tx));
+                        if let Some(counted) = seen {
+                            assert!(counted.id <= 2 * rounds);
+                        }
+                    }
+                });
+            }
+        });
+        let made = made.into_inner();
+        let held = usize::from(cell.load_atomic().is_some());
+        assert_settles_at(&drops, made - held);
+        drop(cell);
+        assert_settles_at(&drops, made);
     }
 }

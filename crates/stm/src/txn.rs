@@ -3,17 +3,16 @@
 use crate::sync::{fence, AtomicU64, Ordering};
 use std::fmt;
 
-use crossbeam_epoch::{self as epoch, Guard, Shared};
+use crossbeam_epoch::{self as epoch, Guard};
 use crossbeam_utils::Backoff;
 
 use crate::clock::{ClockKind, ClockSource};
 use crate::error::{SingleAttemptFailed, TxAbort, TxResult};
 use crate::orec::{Orec, OrecState};
 use crate::scratch::{self, PostCommit, ReadEntry, ScratchLease, TxnScratch};
-use crate::slab;
 use crate::snapshot::{CommitCtx, SnapshotPin, SnapshotRegistry};
 use crate::stats::{StatsSnapshot, StmStats};
-use crate::tcell::{TCell, WriteEntry};
+use crate::tcell::{self, TCell, WriteEntry};
 
 /// Builder for [`Stm`] instances.
 ///
@@ -288,7 +287,8 @@ pub struct Txn<'stm> {
     scratch: ScratchLease,
     /// Reads served from the dedup filter instead of growing the read set.
     dedup_hits: u32,
-    /// Writes whose payload came from a recycled slab block.
+    /// Writes whose payload came from a recycled slab block (writes of a
+    /// word-sized value have no payload and never count).
     slab_hits: u32,
     /// The version this attempt committed at (writers: the clock tick's
     /// `wv`; read-only commits: the read version, at which every read is
@@ -483,9 +483,8 @@ impl<'stm> Txn<'stm> {
         if Orec::raw_is_owned_by(o1, self.id) {
             // Read-after-write: we own the location, so the current value is
             // our own uncommitted write.
-            let shared = cell.data.load(Ordering::Acquire, self.guard());
-            // SAFETY: the pointer is protected by our pinned guard.
-            return Ok(f(unsafe { shared.deref() }));
+            // SAFETY: our guard is pinned for the whole attempt.
+            return Ok(unsafe { cell.peek(self.guard(), f) });
         }
         match Orec::decode_raw(o1) {
             OrecState::Locked { .. } => return Err(TxAbort::ReadConflict),
@@ -495,11 +494,11 @@ impl<'stm> Txn<'stm> {
                 }
             }
         }
-        let shared = cell.data.load(Ordering::Acquire, self.guard());
-        // SAFETY: the pointer is protected by our pinned guard; even if a
-        // concurrent writer replaces it, reclamation is deferred past our
-        // guard, and the post-read orec check below rejects the result.
-        let result = f(unsafe { shared.deref() });
+        // SAFETY: our guard is pinned for the whole attempt; even if a
+        // concurrent writer displaces the value, reclamation is deferred
+        // past our guard, and the post-read orec check below rejects the
+        // result.
+        let result = unsafe { cell.peek(self.guard(), f) };
         if cell.orec.raw() != o1 {
             return Err(TxAbort::ReadConflict);
         }
@@ -532,24 +531,11 @@ impl<'stm> Txn<'stm> {
             // we previously installed.  The intermediate value may have been
             // glimpsed by concurrent (doomed) readers, so retire it through
             // the epoch rather than dropping in place.
-            let (ptr, recycled) = slab::alloc_value(value);
+            let (old, recycled) = cell.install(value);
             self.slab_hits += u32::from(recycled);
-            let old = cell
-                .data
-                .swap(
-                    Shared::from(ptr as *const T),
-                    Ordering::AcqRel,
-                    self.guard(),
-                )
-                .as_raw();
-            cell.shadow.on_write();
             // SAFETY: `old` is no longer reachable once swapped out; the bag
             // is flushed before our guard unpins.
-            unsafe {
-                self.scratch
-                    .retired
-                    .defer_with(old as *mut (), slab::drop_glue::<T>())
-            };
+            unsafe { tcell::retire::<T>(old, &mut self.scratch.retired) };
             return Ok(());
         }
         let old_version = match Orec::decode_raw(o1) {
@@ -567,17 +553,8 @@ impl<'stm> Txn<'stm> {
         if !cell.orec.try_acquire(old_version, self.id) {
             return Err(TxAbort::WriteConflict);
         }
-        let (ptr, recycled) = slab::alloc_value(value);
+        let (old, recycled) = cell.install(value);
         self.slab_hits += u32::from(recycled);
-        let old = cell
-            .data
-            .swap(
-                Shared::from(ptr as *const T),
-                Ordering::AcqRel,
-                self.guard(),
-            )
-            .as_raw();
-        cell.shadow.on_write();
         self.scratch
             .writes
             .push(WriteEntry::new(cell as *const TCell<T>, old_version, old));
@@ -692,7 +669,7 @@ impl<'stm> Txn<'stm> {
         for write in scratch.writes.drain(..).rev() {
             // SAFETY: we are the owning transaction and call abort exactly
             // once per entry, with our guard pinned.
-            unsafe { write.abort(guard, &mut scratch.retired) };
+            unsafe { write.abort(&mut scratch.retired) };
         }
         guard.flush_batch(&mut scratch.retired);
         // The remaining buffers — read set, dedup filter, unrun post-commit
@@ -960,15 +937,31 @@ mod tests {
     #[test]
     fn slab_recycle_hits_accumulate_under_write_churn() {
         let stm = Stm::new();
-        let cell = TCell::new(0u64);
+        // Wider than a word, so the value lives in a slab payload.
+        let cell = TCell::new([0u64; 2]);
         // Enough commits to cycle retired payloads through the epoch and
         // back into the slab magazines.
         for i in 0..2_000u64 {
-            stm.run(|tx| cell.write(tx, i));
+            stm.run(|tx| cell.write(tx, [i; 2]));
         }
         assert!(
             stm.stats().slab_recycle_hits > 0,
             "steady-state write churn must reuse slab blocks"
+        );
+    }
+
+    #[test]
+    fn word_sized_writes_never_reach_the_slab() {
+        let stm = Stm::new();
+        let cell = TCell::new(0u64);
+        for i in 0..2_000u64 {
+            stm.run(|tx| cell.write(tx, i));
+        }
+        assert_eq!(cell.load_atomic(), 1_999);
+        assert_eq!(
+            stm.stats().slab_recycle_hits,
+            0,
+            "a word-sized value is stored in the cell: no payload, no slab"
         );
     }
 
