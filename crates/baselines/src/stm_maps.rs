@@ -8,12 +8,14 @@
 //! unordered structure achieves.
 
 use std::fmt;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use skiphash::hashmap::TxHashMap;
+use skiphash::node::NodeRef;
 use skiphash::skiplist::SkipList;
 use skiphash::{MapKey, MapValue};
-use skiphash_stm::Stm;
+use skiphash_stm::{Stm, TxResult, Txn};
 
 /// An STM-backed hash map without range-query support ("Hash Map (STM)" in
 /// the paper's figures).
@@ -91,15 +93,18 @@ impl<K: MapKey, V: MapValue> StmSkipListMap<K, V> {
         }
     }
 
-    /// Look up `key` by skip list traversal (`O(log n)`).
+    /// The logically present node carrying `key`, if any, by skip list
+    /// traversal (`O(log n)`).
+    fn find(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<Option<NodeRef<K, V>>> {
+        let node = self.list.first_present(tx, Bound::Included(key))?;
+        Ok((!node.is_tail() && node.key() == key).then_some(node))
+    }
+
+    /// Look up `key`.
     pub fn get(&self, key: &K) -> Option<V> {
-        self.stm.run(|tx| {
-            let node = self.list.ceil_present(tx, key)?;
-            if !node.is_tail() && node.key() == key {
-                Ok(Some(node.read_value(tx)?))
-            } else {
-                Ok(None)
-            }
+        self.stm.run(|tx| match self.find(tx, key)? {
+            Some(node) => Ok(Some(node.read_value(tx)?)),
+            None => Ok(None),
         })
     }
 
@@ -110,8 +115,7 @@ impl<K: MapKey, V: MapValue> StmSkipListMap<K, V> {
             self.list.random_height(&mut rng)
         };
         self.stm.run(|tx| {
-            let existing = self.list.ceil_present(tx, &key)?;
-            if !existing.is_tail() && existing.key() == &key {
+            if self.find(tx, &key)?.is_some() {
                 return Ok(false);
             }
             self.list
@@ -123,10 +127,9 @@ impl<K: MapKey, V: MapValue> StmSkipListMap<K, V> {
     /// Remove `key`; returns `true` if it was present.
     pub fn remove(&self, key: &K) -> bool {
         self.stm.run(|tx| {
-            let node = self.list.ceil_present(tx, key)?;
-            if node.is_tail() || node.key() != key {
+            let Some(node) = self.find(tx, key)? else {
                 return Ok(false);
-            }
+            };
             self.list.unstitch(tx, &node)?;
             Ok(true)
         })

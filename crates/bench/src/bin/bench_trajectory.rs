@@ -104,7 +104,7 @@ fn traversal_points(reps: usize, points: &mut Vec<TrajectoryPoint>) {
     points.push(TrajectoryPoint::ns(
         "traversal/level0_scan/skiphash",
         median_ns(reps, || {
-            std::hint::black_box(map.to_vec_copied().len());
+            std::hint::black_box(map.to_vec().len());
         }),
     ));
 
@@ -134,7 +134,7 @@ fn traversal_points(reps: usize, points: &mut Vec<TrajectoryPoint>) {
         "traversal/range_collect/fast",
         median_ns(reps, || {
             let low = rng.gen_range(0..UNIVERSE - RANGE_LEN);
-            std::hint::black_box(map.range_copied(low..low + RANGE_LEN).count());
+            std::hint::black_box(map.range(low..low + RANGE_LEN).count());
         }),
     ));
 
@@ -144,7 +144,7 @@ fn traversal_points(reps: usize, points: &mut Vec<TrajectoryPoint>) {
         "traversal/range_collect/slow",
         median_ns(reps, || {
             let low = rng.gen_range(0..UNIVERSE - RANGE_LEN);
-            std::hint::black_box(slow.range_copied(low..low + RANGE_LEN).count());
+            std::hint::black_box(slow.range(low..low + RANGE_LEN).count());
         }),
     ));
 

@@ -228,7 +228,7 @@ impl BenchMap for SkipHashAdapter {
     }
     fn range(&self, bounds: KeyBounds, buffer: &mut Vec<(u64, u64)>) -> Option<usize> {
         buffer.clear();
-        buffer.extend(self.map.range_copied(bounds));
+        buffer.extend(self.map.range(bounds));
         Some(buffer.len())
     }
     fn fast_path_aborts_per_success(&self) -> Option<f64> {

@@ -81,6 +81,7 @@ pub mod rqc;
 pub mod skiplist;
 pub mod snapshot;
 pub mod thread_slots;
+mod traverse;
 pub mod view;
 
 pub use config::{Config, RangePolicy, RemovalPolicy, SkipHashBuilder};

@@ -6,8 +6,9 @@
 //! `stm.run(|tx| self.view(tx).op(..))`, so the sealed and composable tiers
 //! can never drift apart.
 
-use skiphash_stm::sync::{AtomicI64, AtomicU64, Ordering};
+use skiphash_stm::sync::{AtomicU64, Ordering};
 use std::fmt;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
@@ -16,6 +17,7 @@ use skiphash_stm::{StatsSnapshot, Stm, TCell, Txn};
 use crate::config::{Config, RemovalPolicy, SkipHashBuilder};
 use crate::hashmap::TxHashMap;
 use crate::node::NodeRef;
+use crate::range;
 use crate::rqc::{DeferralBuffer, Rqc};
 use crate::skiplist::SkipList;
 use crate::snapshot::Snapshot;
@@ -69,69 +71,29 @@ impl RangeCounters {
     }
 }
 
-/// A sharded population counter: one cache-line-padded signed counter per
-/// thread slot, bumped *after* an insert or removal commits.
+/// The sharded population counter behind every `len`.
 ///
-/// Sharding keeps the counter off the transactional hot path entirely — no
-/// shared cache line is written by two threads, and no transaction carries
-/// the counter in its read or write set (a single shared `TCell` counter
-/// would conflict every pair of updates).  Individual shards may go negative
-/// (a thread can decrement a different shard than the one incremented), so
-/// shards are signed and only the sum is meaningful.
-pub(crate) struct PopulationCounter {
-    shards: Box<[CachePadded<AtomicI64>]>,
-}
-
-impl PopulationCounter {
-    fn new() -> Self {
-        Self {
-            shards: (0..thread_slots::slot_table_size())
-                .map(|_| CachePadded::new(AtomicI64::new(0)))
-                .collect(),
-        }
-    }
-
-    fn shard(&self) -> &AtomicI64 {
-        &self.shards[thread_slots::current_slot() & (self.shards.len() - 1)]
-    }
-
-    pub(crate) fn record_insert(&self) {
-        self.shard().fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_remove(&self) {
-        self.shard().fetch_sub(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn total(&self) -> usize {
-        let sum: i64 = self.shards.iter().map(|s| s.load(Ordering::Relaxed)).sum();
-        debug_assert!(sum >= 0, "population counter went negative: {sum}");
-        sum.max(0) as usize
-    }
-}
-
-/// The *transactional* sharded population counter backing
-/// [`crate::TxView::len`].
-///
-/// Same sharding idea as [`PopulationCounter`], but the shards are
-/// [`TCell`]s bumped *inside* the inserting/removing transaction, so a
-/// caller-owned transaction can read a linearizable count in `O(shards)`
-/// instead of walking level 0 in `O(n)`.  The costs, by design:
+/// One cache-line-padded [`TCell`] per thread slot, bumped *inside* the
+/// inserting or removing transaction, so a transaction reads a linearizable
+/// count in `O(shards)` instead of walking level 0 in `O(n)`, and a snapshot
+/// reads the count at its pinned version.  Sharding keeps updates apart — a
+/// single shared counter cell would conflict every pair of them.  The costs,
+/// by design:
 ///
 /// * every update carries one extra read + write (its own thread's shard) in
 ///   its sets — two live threads conflict only if the slot table folds them
 ///   onto one shard;
-/// * a transactional `len` reads every shard, so it conflicts with any
-///   concurrent update — inherent to a linearizable count.
+/// * a `len` reads every shard, so it conflicts with any concurrent update —
+///   inherent to a linearizable count.
 ///
 /// Shards may individually go negative (a thread can remove keys another
 /// thread inserted); only the transactionally consistent sum is meaningful,
 /// and that sum is always the true population.
-pub(crate) struct TxPopulation {
+pub(crate) struct Population {
     shards: Box<[CachePadded<TCell<i64>>]>,
 }
 
-impl TxPopulation {
+impl Population {
     fn new() -> Self {
         Self {
             shards: (0..thread_slots::slot_table_size())
@@ -181,8 +143,7 @@ pub(crate) struct Inner<K: MapKey, V: MapValue> {
     pub(crate) buffer: DeferralBuffer<K, V>,
     pub(crate) config: Config,
     pub(crate) range_counters: RangeCounters,
-    pub(crate) population: PopulationCounter,
-    pub(crate) tx_population: TxPopulation,
+    pub(crate) population: Population,
 }
 
 impl<K: MapKey, V: MapValue> Inner<K, V> {
@@ -336,8 +297,7 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
                 buffer: DeferralBuffer::new(buffer_capacity),
                 config,
                 range_counters: RangeCounters::new(),
-                population: PopulationCounter::new(),
-                tx_population: TxPopulation::new(),
+                population: Population::new(),
             }),
         }
     }
@@ -596,47 +556,12 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
         self.transact(|v| v.pred(key))
     }
 
-    /// Number of keys currently present.
+    /// Number of keys currently present, as of one linearization point.
     ///
-    /// `O(shards)`: sums the sharded population counter, which is bumped
-    /// outside the transactional hot path after each committed insert or
-    /// removal (a single shared counter cell would serialize every update;
-    /// the seed walked level 0 of the skip list instead, paying `O(n)` on
-    /// every benchmark pre-fill verification).  Under concurrent updates the
-    /// value is a linearizable-ish snapshot like any concurrent size; in
-    /// debug builds a quiescent caller also pays the `O(n)` walk, which must
-    /// agree with the counter.
+    /// `O(shards)`: sums the sharded population counter the insert and remove
+    /// paths bump inside their own transactions (see [`TxView::len`]).
     pub fn len(&self) -> usize {
-        let total = self.inner.population.total();
-        #[cfg(debug_assertions)]
-        {
-            // A caller racing updaters can observe the walk and the counter
-            // mid-divergence (the counter is bumped just after the
-            // transaction commits), so only a *persistent* mismatch is a
-            // bug.  Re-sample a few times before declaring one.
-            let mut walked = self
-                .inner
-                .stm
-                .run(|tx| self.inner.skiplist.count_present(tx));
-            let mut counted = self.inner.population.total();
-            for _ in 0..3 {
-                if walked == counted {
-                    break;
-                }
-                skiphash_stm::sync::yield_now();
-                walked = self
-                    .inner
-                    .stm
-                    .run(|tx| self.inner.skiplist.count_present(tx));
-                counted = self.inner.population.total();
-            }
-            debug_assert_eq!(
-                walked, counted,
-                "sharded population counter persistently diverged from the \
-                 level-0 walk"
-            );
-        }
-        total
+        self.transact(|v| v.len())
     }
 
     /// True when the map holds no keys.
@@ -644,29 +569,24 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
         self.transact(|v| v.is_empty())
     }
 
-    /// Snapshot every `(key, value)` pair in ascending key order, as one
-    /// atomic (fast-path style) transaction.
+    /// Every `(key, value)` pair in ascending key order, as of a single
+    /// linearization point: [`SkipHash::range`] over `..`, so the configured
+    /// [`RangePolicy`](crate::RangePolicy) applies — under `TwoPath` a scan
+    /// that keeps losing to writers falls back to the slow path instead of
+    /// retrying a whole-map transaction forever.
     pub fn to_vec(&self) -> Vec<(K, V)> {
-        self.inner
-            .stm
-            .run(|tx| self.inner.skiplist.collect_present(tx))
+        self.range_pairs(Bound::Unbounded, Bound::Unbounded)
     }
 
     /// Remove every key.  Runs as a sequence of individual removals (there is
     /// no `O(1)` bulk clear in the paper's interface).
     pub fn clear(&self) {
         loop {
-            let keys: Vec<K> = self
-                .inner
-                .stm
-                .run(|tx| self.inner.skiplist.collect_present(tx))
-                .into_iter()
-                .map(|(k, _)| k)
-                .collect();
-            if keys.is_empty() {
+            let pairs = self.to_vec();
+            if pairs.is_empty() {
                 return;
             }
-            for key in keys {
+            for (key, _) in pairs {
                 self.take(&key);
             }
         }
@@ -675,20 +595,19 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
     /// Validate internal invariants (test/debug helper): the hash map and the
     /// skip list agree on the set of present keys, the skip list's structure
     /// is well formed, and the sharded population counter matches the number
-    /// of present keys.
+    /// of present keys — all read in one transaction.
     pub fn check_invariants(&self) -> Result<(), String> {
         let inner = &self.inner;
-        let present = inner.stm.run(|tx| {
+        inner.stm.run(|tx| {
             let structural = inner.skiplist.check_invariants(tx)?;
             if let Err(e) = structural {
                 return Ok(Err(e));
             }
-            let mut from_list: Vec<K> = inner
-                .skiplist
-                .collect_present(tx)?
-                .into_iter()
-                .map(|(k, _)| k)
-                .collect();
+            let mut from_list: Vec<K> =
+                range::collect(tx, &inner.skiplist, Bound::Unbounded, Bound::Unbounded)?
+                    .into_iter()
+                    .map(|(k, _)| k)
+                    .collect();
             let mut from_map: Vec<K> = inner.index.keys(tx)?.into_iter().collect();
             from_list.sort();
             from_map.sort();
@@ -699,37 +618,15 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
                     from_list.len()
                 )));
             }
-            // The transactional sharded counter is read in the same
-            // transaction as the walk, so the two must agree exactly.
-            let tx_counted = inner.tx_population.sum(tx)?;
-            if tx_counted < 0 || tx_counted as usize != from_list.len() {
+            let counted = inner.population.sum(tx)?;
+            if counted < 0 || counted as usize != from_list.len() {
                 return Ok(Err(format!(
-                    "transactional population counter reports {tx_counted} keys \
-                     but {} are present",
+                    "population counter reports {counted} keys but {} are present",
                     from_list.len()
                 )));
             }
-            Ok(Ok(from_list.len()))
-        })?;
-        // The counter is bumped just *after* an update's transaction commits,
-        // so a caller racing updaters can catch it mid-divergence; re-sample
-        // and only report a mismatch that persists.
-        let mut walked = present;
-        let mut counted = inner.population.total();
-        for _ in 0..3 {
-            if walked == counted {
-                return Ok(());
-            }
-            skiphash_stm::sync::yield_now();
-            walked = inner.stm.run(|tx| inner.skiplist.count_present(tx));
-            counted = inner.population.total();
-        }
-        if walked != counted {
-            return Err(format!(
-                "population counter persistently reports {counted} keys but {walked} are present"
-            ));
-        }
-        Ok(())
+            Ok(Ok(()))
+        })
     }
 }
 

@@ -8,14 +8,13 @@
 //!
 //! # The node block
 //!
-//! Until PR 5 a node was an `Arc<Node>` whose tower was a separately boxed
-//! `Box<[Level]>`: two global-allocator round trips per insert, two frees per
-//! reclamation, and the frees usually landed on a *different* thread than the
-//! allocations (epoch collection runs wherever pinning happens), which is the
-//! worst case for every general-purpose allocator.  Now the whole node —
-//! reference count, header, and the tower *inline* as a trailing array of
-//! exactly `height` levels — lives in one block carved from
-//! [`skiphash_stm::arena`]'s size-classed pools:
+//! The whole node — reference count, header, and the tower *inline* as a
+//! trailing array of exactly `height` levels — lives in one block carved from
+//! [`skiphash_stm::arena`]'s size-classed pools.  One block means one
+//! allocation per insert and one free per reclamation, and the pools absorb
+//! the fact that the free usually lands on a *different* thread than the
+//! allocation (epoch collection runs wherever pinning happens), which is the
+//! worst case for every general-purpose allocator:
 //!
 //! ```text
 //! NodeBlock { refs: AtomicUsize, node: Node { bound, r_time, value,
@@ -43,8 +42,8 @@
 //!   `NodeRef` (ending the transaction body) *before* the rollback walks the
 //!   undo log and restores the node's own cells.  Because the zero-count
 //!   retirement happens under the attempt's pin, the block provably outlives
-//!   the rollback — this is why the insert path needs no explicit
-//!   `Txn::keep_alive` registration (see
+//!   the rollback — this is why the insert path registers nothing with the
+//!   transaction to keep its fresh node alive (see
 //!   [`crate::skiplist::SkipList::insert_after_logical_deletes`]).
 //!
 //! The count itself cannot resurrect: references are only ever cloned from
@@ -120,11 +119,11 @@ const _: () = assert!(std::mem::size_of::<Link<(), ()>>() == std::mem::size_of::
 
 /// Predecessor/successor links for one level of a node's tower.
 ///
-/// `repr(C)` with `succ` first: forward traversal (descent and level-0
-/// scans) touches only successor links, so keeping `succ` at offset 0 means
-/// the tower-line prefetch issued one hop ahead (`RawNode::prefetch`)
-/// covers the next hop's link without also paying for the predecessor cell
-/// (see docs/PERF.md, Mechanism 6).
+/// `repr(C)` with `succ` first: the descent and the level-0 walk touch
+/// only successor links, so keeping `succ` at offset 0 means the tower-line
+/// prefetch issued one hop ahead (`RawNode::prefetch`) covers the next hop's
+/// link without also paying for the predecessor cell (see docs/PERF.md,
+/// Mechanism 6).
 #[repr(C)]
 pub struct Level<K, V> {
     /// Link to the next node at this level.
@@ -333,15 +332,18 @@ where
 ///
 /// # Validity
 ///
-/// A `RawNode` is valid only **inside the transaction attempt that read
-/// it** (equivalently: while the epoch guard it was read under stays
-/// pinned).  The argument mirrors the read-set orec rule in the module
+/// A `RawNode` read inside a transaction attempt is valid only **inside
+/// that attempt** (equivalently: while the epoch guard it was read under
+/// stays pinned).  The argument mirrors the read-set orec rule in the module
 /// docs: any node reachable through a link word read under a pin keeps
 /// `refs >= 1` until that pin is released — the word the handle was copied
 /// from either is still installed or was swapped out *during* the pin, and
 /// either way the drop that gives its count back is deferred past the
 /// unpin.  For the same reason [`RawNode::upgrade`] (count increment) can
-/// never resurrect a dead block when called within the attempt.
+/// never resurrect a dead block when called within the attempt.  One read
+/// at a snapshot's pinned version is valid while the snapshot lives, by the
+/// pin's custody instead of the epoch; both arguments are stated where the
+/// handles are produced, in `crate::traverse`.
 pub(crate) struct RawNode<K, V> {
     block: NonNull<NodeBlock<K, V>>,
 }
@@ -368,13 +370,14 @@ impl<K, V> RawNode<K, V> {
     ///
     /// # Safety
     ///
-    /// The transaction attempt under which this handle was obtained must
-    /// still be running (see the type docs).  The returned lifetime is
-    /// caller-chosen; it must not outlive that attempt.
+    /// What this handle was obtained under — the transaction attempt, the
+    /// snapshot pin, or the counted handle it borrows — must still be in
+    /// force (see the type docs).  The returned lifetime is caller-chosen; it
+    /// must not outlive that protection.
     #[inline]
     pub(crate) unsafe fn node<'any>(&self) -> &'any Node<K, V> {
-        // SAFETY: per the contract, the block is alive while the attempt's
-        // guard is pinned.
+        // SAFETY: per the contract, the block is alive while the protection
+        // lasts.
         unsafe { &(*self.block.as_ptr()).node }
     }
 
@@ -399,10 +402,10 @@ impl<K, V> RawNode<K, V> {
     ///
     /// # Safety
     ///
-    /// Same contract as [`RawNode::node`]: within the attempt the count is
-    /// provably at least one (a payload still holds a reference), so the
-    /// increment cannot revive a block whose retirement was already
-    /// scheduled.
+    /// Same contract as [`RawNode::node`]: under that protection the count
+    /// is provably at least one (a link word or a history entry still holds
+    /// a reference), so the increment cannot revive a block whose retirement
+    /// was already scheduled.
     #[inline]
     pub(crate) unsafe fn upgrade(&self) -> NodeRef<K, V> {
         // SAFETY: `refs >= 1` per the contract; this is exactly a clone.
@@ -483,8 +486,7 @@ impl<K: MapKey, V: MapValue> Node<K, V> {
     ///
     /// Safe to call inside a transaction body with no further registration:
     /// the handle's epoch-deferred release keeps the block alive through a
-    /// potential rollback (see the module docs), which is what
-    /// `Txn::keep_alive` had to guarantee by hand for `Arc` nodes.
+    /// potential rollback (see the module docs).
     /// `born` stamps every cell's initial ownership-record version; pass the
     /// creating attempt's [`read version`](skiphash_stm::Txn::read_version)
     /// so MVCC snapshots pinned *before* the node existed never mistake its

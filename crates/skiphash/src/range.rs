@@ -5,7 +5,10 @@
 //! registers with the [range query coordinator](crate::rqc::Rqc), acquires a
 //! version number, and walks the range in many small transactions, pausing
 //! only on *safe nodes* — nodes guaranteed not to be unstitched before the
-//! query finishes.
+//! query finishes.  Both paths, and the pinned reads of
+//! [`Snapshot`](crate::Snapshot), are the same descent and the same level-0
+//! walk (the crate's `traverse` module); a path is a choice of reader and of
+//! what to do at each node.
 //!
 //! [`SkipHash::range`] accepts any `RangeBounds<K>` (`1..=5`, `..`, `3..`,
 //! `(Bound::Excluded(a), Bound::Included(b))`, …) and returns an owned
@@ -15,34 +18,30 @@
 //! into a crash.
 
 use skiphash_stm::sync::Ordering;
-use std::cmp::Ordering as CmpOrdering;
 use std::fmt;
 use std::iter::FusedIterator;
 use std::ops::Bound as StdBound;
+use std::ops::ControlFlow;
 use std::ops::RangeBounds;
 
 use skiphash_stm::{TxResult, Txn};
 
 use crate::config::RangePolicy;
-use crate::map::{Inner, SkipHash};
-use crate::node::{Bound as NodeBound, NodeRef, RawNode};
+use crate::map::SkipHash;
+use crate::node::{Bound as NodeBound, Node, NodeRef, RawNode};
+use crate::skiplist::SkipList;
+use crate::traverse::{self, Reader};
 use crate::{MapKey, MapValue};
 
-/// Collection vectors are pre-sized from the sharded population estimate,
-/// clamped to this many pairs so a huge map does not turn a short range
-/// query into a huge allocation.  The estimate only sizes the first
-/// allocation; results longer than the clamp simply grow normally.
-const RANGE_PRESIZE_CAP: usize = 1_024;
-
-/// An owned iterator over one linearizable range-query snapshot, in key
+/// An owned iterator over one linearizable range-query result, in key
 /// order — ascending from [`SkipHash::range`], descending from
 /// [`SkipHash::range_rev`].
 ///
 /// Returned by [`SkipHash::range`], [`SkipHash::range_rev`],
-/// [`SkipHash::range_attempt_fast`], and
-/// [`TxView::range`](crate::TxView::range).  The snapshot is materialized at
-/// the query's linearization point; iterating it performs no further
-/// synchronization.
+/// [`SkipHash::range_attempt_fast`], [`TxView::range`](crate::TxView::range)
+/// and [`Snapshot::range`](crate::Snapshot::range).  The pairs are
+/// materialized at the query's linearization point; iterating them performs
+/// no further synchronization.
 #[derive(Clone)]
 pub struct Range<K, V> {
     pairs: std::vec::IntoIter<(K, V)>,
@@ -55,7 +54,7 @@ impl<K, V> Range<K, V> {
         }
     }
 
-    /// The pairs not yet yielded, as a slice (in ascending key order).
+    /// The pairs not yet yielded, as a slice (in iteration order).
     pub fn as_slice(&self) -> &[(K, V)] {
         self.pairs.as_slice()
     }
@@ -90,24 +89,6 @@ impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for Range<K, V> {
     }
 }
 
-/// `Bound<&K> -> Bound<K>` (we hold owned bounds so retry loops can re-borrow
-/// them without lifetime gymnastics; `Bound::cloned` needs K: Clone anyway).
-pub(crate) fn clone_bound<K: Clone>(bound: StdBound<&K>) -> StdBound<K> {
-    match bound {
-        StdBound::Included(k) => StdBound::Included(k.clone()),
-        StdBound::Excluded(k) => StdBound::Excluded(k.clone()),
-        StdBound::Unbounded => StdBound::Unbounded,
-    }
-}
-
-pub(crate) fn bound_as_ref<K>(bound: &StdBound<K>) -> StdBound<&K> {
-    match bound {
-        StdBound::Included(k) => StdBound::Included(k),
-        StdBound::Excluded(k) => StdBound::Excluded(k),
-        StdBound::Unbounded => StdBound::Unbounded,
-    }
-}
-
 /// True when no key can satisfy the pair of bounds (start above end).
 /// `BTreeMap::range` panics here; a concurrent map yields emptiness instead.
 pub(crate) fn range_is_empty<K: Ord>(start: &StdBound<K>, end: &StdBound<K>) -> bool {
@@ -129,181 +110,32 @@ pub(crate) fn end_allows<K: Ord>(position: &NodeBound<K>, end: StdBound<&K>) -> 
     }
 }
 
-/// True when a node at `position` still lies at or above the start bound
-/// (the back-walk's mirror of [`end_allows`]).
-pub(crate) fn start_allows<K: Ord>(position: &NodeBound<K>, start: StdBound<&K>) -> bool {
-    match start {
-        StdBound::Unbounded => true,
-        StdBound::Included(l) => !position.is_before(l),
-        StdBound::Excluded(l) => position.cmp_key(l) == CmpOrdering::Greater,
+/// Every logically present `(key, value)` pair within the bounds, in
+/// ascending key order, as `reader` sees the list: one descent to the lower
+/// bound, one level-0 walk to the upper.  This is the whole range query of
+/// the fast path and [`TxView::range`](crate::TxView::range) (`reader` a
+/// transaction) and of [`Snapshot::range`](crate::Snapshot::range) (`reader`
+/// a pin).
+pub(crate) fn collect<K: MapKey, V: MapValue, R: Reader<K, V>>(
+    reader: &mut R,
+    list: &SkipList<K, V>,
+    start: StdBound<&K>,
+    end: StdBound<&K>,
+) -> Result<Vec<(K, V)>, R::Abort> {
+    let mut out = Vec::new();
+    if range_is_empty(&start, &end) {
+        return Ok(out);
     }
-}
-
-impl<K: MapKey, V: MapValue> Inner<K, V> {
-    /// How many pairs to reserve before a collection walk: the sharded
-    /// population estimate, clamped (see [`RANGE_PRESIZE_CAP`]).
-    fn collect_capacity(&self) -> usize {
-        self.population.total().min(RANGE_PRESIZE_CAP)
-    }
-
-    /// Walk the range inside `tx` (fast-path style: one transaction sees the
-    /// whole snapshot).  Shared by the fast path and by
-    /// [`TxView::range`](crate::TxView::range).
-    pub(crate) fn collect_range(
-        &self,
-        tx: &mut Txn<'_>,
-        start: StdBound<&K>,
-        end: StdBound<&K>,
-    ) -> TxResult<Vec<(K, V)>> {
-        self.collect_range_with(tx, start, end, &K::clone)
-    }
-
-    /// [`Inner::collect_range`] with a caller-chosen key extractor (`|k| *k`
-    /// for `Copy` keys, `K::clone` otherwise), hopping on borrowed
-    /// [`RawNode`] handles: zero refcount traffic per link, one software
-    /// prefetch of the successor per element (docs/PERF.md, Mechanism 6).
-    pub(crate) fn collect_range_with(
-        &self,
-        tx: &mut Txn<'_>,
-        start: StdBound<&K>,
-        end: StdBound<&K>,
-        extract: &impl Fn(&K) -> K,
-    ) -> TxResult<Vec<(K, V)>> {
-        let mut out = Vec::new();
-        if range_is_empty(&start, &end) {
-            return Ok(out);
+    traverse::scan(reader, list, start, |reader, _, node| {
+        if !end_allows(&node.bound, end) {
+            return Ok(ControlFlow::Break(()));
         }
-        out.reserve(self.collect_capacity());
-        // SAFETY (for every `node()` below): each handle was read through a
-        // link cell inside this same attempt `tx`, whose epoch guard stays
-        // pinned for the whole call — the RawNode validity contract.
-        let head = RawNode::from_ref(self.skiplist.head());
-        let mut node = match start {
-            // SAFETY: head handle; the attempt's guard is pinned (note above).
-            StdBound::Unbounded => unsafe { head.node() }
-                .level(0)
-                .succ
-                .read_with(tx, RawNode::from_link)?
-                .expect("levels are always terminated by the tail sentinel"),
-            StdBound::Included(low) => self.skiplist.ceil_raw_borrowed(tx, low)?,
-            StdBound::Excluded(low) => {
-                // Skip *every* node carrying the excluded key, including
-                // logically deleted duplicates lingering before the live one.
-                let mut node = self.skiplist.ceil_raw_borrowed(tx, low)?;
-                while {
-                    // SAFETY: same contract — read under this attempt.
-                    let n = unsafe { node.node() };
-                    !n.is_tail() && n.bound.cmp_key(low) == CmpOrdering::Equal
-                } {
-                    // SAFETY: same contract — read under this attempt.
-                    node = unsafe { node.node() }
-                        .level(0)
-                        .succ
-                        .read_with(tx, RawNode::from_link)?
-                        .expect("levels are always terminated by the tail sentinel");
-                }
-                node
-            }
-        };
-        loop {
-            // SAFETY: same contract — read under this attempt.
-            let n = unsafe { node.node() };
-            if n.is_tail() || !end_allows(&n.bound, end) {
-                break;
-            }
-            let next = n
-                .level(0)
-                .succ
-                .read_with(tx, RawNode::from_link)?
-                .expect("levels are always terminated by the tail sentinel");
-            // Overlap the successor's cache miss with this element's
-            // mark/value reads — the level-0 scan's dominant stall.
-            next.prefetch();
-            if !n.r_time.read_with(tx, Option::is_some)? {
-                let value = n
-                    .value
-                    .read_with(tx, Option::clone)?
-                    .expect("regular nodes always carry a value");
-                out.push((extract(n.key()), value));
-            }
-            node = next;
+        if !reader.removed(node)? {
+            out.push((node.key().clone(), reader.value(node)?));
         }
-        Ok(out)
-    }
-
-    /// Walk the range *backwards* inside `tx` via the predecessor links,
-    /// yielding pairs in descending key order — the borrowed back-walk
-    /// behind [`SkipHash::range_rev`].
-    pub(crate) fn collect_range_rev_with(
-        &self,
-        tx: &mut Txn<'_>,
-        start: StdBound<&K>,
-        end: StdBound<&K>,
-        extract: &impl Fn(&K) -> K,
-    ) -> TxResult<Vec<(K, V)>> {
-        let mut out = Vec::new();
-        if range_is_empty(&start, &end) {
-            return Ok(out);
-        }
-        out.reserve(self.collect_capacity());
-        // SAFETY (for every `node()` below): each handle was read through a
-        // link cell inside this same attempt `tx`, whose epoch guard stays
-        // pinned for the whole call — the RawNode validity contract.
-        //
-        // Position on the first node strictly *beyond* the end bound (the
-        // tail for an unbounded end), then step back once: its level-0
-        // predecessor is the last node the end bound allows.
-        let after_end = match end {
-            StdBound::Unbounded => RawNode::from_ref(self.skiplist.tail()),
-            StdBound::Excluded(high) => self.skiplist.ceil_raw_borrowed(tx, high)?,
-            StdBound::Included(high) => {
-                let mut node = self.skiplist.ceil_raw_borrowed(tx, high)?;
-                while {
-                    // SAFETY: same contract — read under this attempt.
-                    let n = unsafe { node.node() };
-                    !n.is_tail() && n.bound.cmp_key(high) == CmpOrdering::Equal
-                } {
-                    // SAFETY: same contract — read under this attempt.
-                    node = unsafe { node.node() }
-                        .level(0)
-                        .succ
-                        .read_with(tx, RawNode::from_link)?
-                        .expect("levels are always terminated by the tail sentinel");
-                }
-                node
-            }
-        };
-        // SAFETY: same contract — read under this attempt.
-        let mut node = unsafe { after_end.node() }
-            .level(0)
-            .pred
-            .read_with(tx, RawNode::from_link)?
-            .expect("interior nodes always have a level-0 predecessor");
-        loop {
-            // SAFETY: same contract — read under this attempt.
-            let n = unsafe { node.node() };
-            if n.is_head() || !start_allows(&n.bound, start) {
-                break;
-            }
-            let prev = n
-                .level(0)
-                .pred
-                .read_with(tx, RawNode::from_link)?
-                .expect("interior nodes always have a level-0 predecessor");
-            // Overlap the predecessor's cache miss with this element's
-            // mark/value reads, mirroring the forward scan.
-            prev.prefetch();
-            if !n.r_time.read_with(tx, Option::is_some)? {
-                let value = n
-                    .value
-                    .read_with(tx, Option::clone)?
-                    .expect("regular nodes always carry a value");
-                out.push((extract(n.key()), value));
-            }
-            node = prev;
-        }
-        Ok(out)
-    }
+        Ok(ControlFlow::Continue(()))
+    })?;
+    Ok(out)
 }
 
 impl<K: MapKey, V: MapValue> SkipHash<K, V> {
@@ -328,52 +160,11 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
     /// The execution strategy (fast path, slow path, or fast-then-slow) is
     /// chosen by the configured [`RangePolicy`].
     pub fn range<R: RangeBounds<K>>(&self, range: R) -> Range<K, V> {
-        self.range_with(range, &K::clone)
+        Range::new(self.range_pairs(range.start_bound(), range.end_bound()))
     }
 
-    /// Policy dispatch shared by [`SkipHash::range`] (keys cloned out) and
-    /// [`SkipHash::range_copied`] (keys copied out).
-    fn range_with<R: RangeBounds<K>>(&self, range: R, extract: &impl Fn(&K) -> K) -> Range<K, V> {
-        let start = clone_bound(range.start_bound());
-        let end = clone_bound(range.end_bound());
-        if range_is_empty(&start, &end) {
-            return Range::new(Vec::new());
-        }
-        let pairs = match self.inner.config.range_policy {
-            RangePolicy::FastOnly => loop {
-                if let Some(result) =
-                    self.range_fast_with(bound_as_ref(&start), bound_as_ref(&end), extract)
-                {
-                    break result;
-                }
-            },
-            RangePolicy::SlowOnly => {
-                self.range_slow_with(bound_as_ref(&start), bound_as_ref(&end), extract)
-            }
-            RangePolicy::TwoPath { tries } => 'outer: {
-                for _ in 0..tries.max(1) {
-                    if let Some(result) =
-                        self.range_fast_with(bound_as_ref(&start), bound_as_ref(&end), extract)
-                    {
-                        break 'outer result;
-                    }
-                }
-                self.range_slow_with(bound_as_ref(&start), bound_as_ref(&end), extract)
-            }
-        };
-        Range::new(pairs)
-    }
-
-    /// Collect every `(key, value)` pair whose key lies in `range`, in
-    /// **descending** key order, as one atomic (fast-path style)
-    /// transaction.
-    ///
-    /// The walk itself runs backwards over the predecessor links (this is
-    /// where the doubly linked tower pays off for reverse iteration): no
-    /// forward pass plus reverse, just one borrowed back-walk from the end
-    /// bound.  Unlike [`SkipHash::range`] this always uses the coherent
-    /// full-transaction path — the RQC slow path's safe-node argument is
-    /// forward-oriented and does not apply to a backwards traversal.
+    /// [`SkipHash::range`] in **descending** key order: the same query (same
+    /// policy, same linearization guarantee), reversed in place.
     ///
     /// ```
     /// use skiphash::SkipHash;
@@ -386,24 +177,41 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
     /// assert_eq!(map.range_rev(5..2).count(), 0, "inverted ranges are empty, not a panic");
     /// ```
     pub fn range_rev<R: RangeBounds<K>>(&self, range: R) -> Range<K, V> {
-        self.range_rev_with(range, &K::clone)
+        let mut pairs = self.range_pairs(range.start_bound(), range.end_bound());
+        pairs.reverse();
+        Range::new(pairs)
     }
 
-    fn range_rev_with<R: RangeBounds<K>>(
-        &self,
-        range: R,
-        extract: &impl Fn(&K) -> K,
-    ) -> Range<K, V> {
-        let start = clone_bound(range.start_bound());
-        let end = clone_bound(range.end_bound());
+    /// The query behind [`SkipHash::range`], [`SkipHash::range_rev`] and
+    /// [`SkipHash::to_vec`]: as many fast-path attempts as the policy allows,
+    /// then the slow path.
+    pub(crate) fn range_pairs(&self, start: StdBound<&K>, end: StdBound<&K>) -> Vec<(K, V)> {
         if range_is_empty(&start, &end) {
-            return Range::new(Vec::new());
+            return Vec::new();
         }
-        let pairs = self.inner.stm.run(|tx| {
-            self.inner
-                .collect_range_rev_with(tx, bound_as_ref(&start), bound_as_ref(&end), extract)
-        });
-        Range::new(pairs)
+        let fast_tries = match self.inner.config.range_policy {
+            RangePolicy::FastOnly => usize::MAX, // i.e. until one commits
+            RangePolicy::SlowOnly => 0,
+            RangePolicy::TwoPath { tries } => tries.max(1),
+        };
+        (0..fast_tries)
+            .find_map(|_| self.range_fast(start, end))
+            .unwrap_or_else(|| self.range_slow(start, end))
+    }
+
+    /// [`SkipHash::range`] under its historical name for `Copy` keys; kept
+    /// because the frozen repo benchmark calls it.  After monomorphisation a
+    /// `Copy` key's `clone` *is* the copy, so there is nothing to specialise.
+    #[inline]
+    pub fn range_copied<R: RangeBounds<K>>(&self, range: R) -> Range<K, V> {
+        self.range(range)
+    }
+
+    /// [`SkipHash::to_vec`](crate::SkipHash::to_vec) under its historical
+    /// name for `Copy` keys (see [`SkipHash::range_copied`]).
+    #[inline]
+    pub fn to_vec_copied(&self) -> Vec<(K, V)> {
+        self.to_vec()
     }
 
     /// Perform exactly one fast-path attempt of a range query, returning
@@ -413,8 +221,7 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
     /// (and the Table 1 benchmark) can implement custom fallback policies or
     /// measure abort behaviour directly.
     pub fn range_attempt_fast<R: RangeBounds<K>>(&self, range: R) -> Option<Range<K, V>> {
-        let start = range.start_bound();
-        let end = range.end_bound();
+        let (start, end) = (range.start_bound(), range.end_bound());
         if range_is_empty(&start, &end) {
             return Some(Range::new(Vec::new()));
         }
@@ -423,101 +230,68 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
 
     /// One fast-path attempt: the entire query as a single transaction that
     /// does not retry on conflict.  Returns `None` if the attempt aborted.
-    pub(crate) fn range_fast(&self, start: StdBound<&K>, end: StdBound<&K>) -> Option<Vec<(K, V)>> {
-        self.range_fast_with(start, end, &K::clone)
-    }
-
-    /// [`SkipHash::range_fast`] with a caller-chosen key extractor.
-    fn range_fast_with(
-        &self,
-        start: StdBound<&K>,
-        end: StdBound<&K>,
-        extract: &impl Fn(&K) -> K,
-    ) -> Option<Vec<(K, V)>> {
-        let attempt = self
-            .inner
+    fn range_fast(&self, start: StdBound<&K>, end: StdBound<&K>) -> Option<Vec<(K, V)>> {
+        let inner = &self.inner;
+        let attempt = inner
             .stm
-            .try_once(|tx| self.inner.collect_range_with(tx, start, end, extract));
-        match attempt {
-            Ok(result) => {
-                self.inner
-                    .range_counters
-                    .fast_success
-                    .fetch_add(1, Ordering::Relaxed);
-                Some(result)
-            }
-            Err(_) => {
-                self.inner
-                    .range_counters
-                    .fast_abort
-                    .fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+            .try_once(|tx| collect(tx, &inner.skiplist, start, end));
+        let counter = match attempt {
+            Ok(_) => &inner.range_counters.fast_success,
+            Err(_) => &inner.range_counters.fast_abort,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        attempt.ok()
     }
 
     /// The slow path: register with the RQC, then gather the range across
-    /// several transactions, pausing only on safe nodes.  `extract` is the
-    /// key extractor ([`Clone::clone`] or a copy-out for `Copy` keys).
-    fn range_slow_with(
-        &self,
-        start: StdBound<&K>,
-        end: StdBound<&K>,
-        extract: &impl Fn(&K) -> K,
-    ) -> Vec<(K, V)> {
+    /// several transactions, pausing only on safe nodes.
+    fn range_slow(&self, start: StdBound<&K>, end: StdBound<&K>) -> Vec<(K, V)> {
         let inner = &self.inner;
-        // Unsatisfiable bounds never register with the RQC or descend the
-        // tower (defense in depth: public entry points guard too).
-        if range_is_empty(&start, &end) {
-            return Vec::new();
-        }
         // Setup transaction: find the starting node and acquire a version
         // number atomically, so the start node is a safe node for this query.
         // This commit is the query's linearization point.
         let (start_node, version) = inner.stm.run(|tx| {
-            let start_node = match start {
-                StdBound::Unbounded => inner.skiplist.first_present(tx)?,
-                StdBound::Included(low) => inner.skiplist.ceil_present(tx, low)?,
-                StdBound::Excluded(low) => inner.skiplist.succ_present(tx, low)?,
-            };
-            let version = inner.rqc.on_range(tx)?;
-            Ok((start_node, version))
+            let start_node = inner.skiplist.first_present(tx, start)?;
+            Ok((start_node, inner.rqc.on_range(tx)?))
         });
 
-        // Collection phase.  `collected` and `node` are plain locals captured
-        // by the closure (`no_local_undo`): when an attempt aborts, all pairs
-        // gathered so far and the current safe node are retained, so the next
-        // attempt resumes exactly where the previous one stopped.
+        // Collection phase.  `collected` and `cursor` are plain locals
+        // captured by the closure (`no_local_undo`): when an attempt aborts,
+        // all pairs gathered so far and the safe node the walk last paused
+        // on are retained, so the next attempt resumes exactly there.
         //
-        // Inside one attempt the walk hops on borrowed handles; the counted
-        // local is only written back at each element boundary (the custody
-        // handoff point — the node the next attempt must resume from), so
-        // the safe-node search between elements pays no refcount traffic.
-        let mut collected: Vec<(K, V)> = Vec::with_capacity(inner.collect_capacity());
-        let mut node: NodeRef<K, V> = start_node;
+        // `cursor` is the query's only counted reference and always a safe
+        // node not yet collected (or the node the walk ended on).  It moves —
+        // and the element read at the previous safe node joins `collected` —
+        // only once the next safe node has been fully read, in two
+        // statements that cannot abort: an abort never records a partially
+        // read element, and never records one twice.
+        let mut collected: Vec<(K, V)> = Vec::new();
+        let mut cursor: NodeRef<K, V> = start_node;
         inner.stm.run(|tx| {
-            loop {
-                let raw = RawNode::from_ref(&node);
-                // SAFETY: (this and every `node()` below) the handle is
-                // rooted in the counted local `node` or was read through a
-                // link cell inside this same attempt, whose epoch guard
-                // stays pinned — the RawNode validity contract.
-                let n = unsafe { raw.node() };
-                if n.is_tail() || !end_allows(&n.bound, end) {
-                    break;
+            let mut pending: Option<(K, V)> = None;
+            let resume = RawNode::from_ref(&cursor);
+            let visit = |tx: &mut Txn<'_>, at: RawNode<K, V>, node: &Node<K, V>| {
+                if !end_allows(&node.bound, end) {
+                    return Ok(ControlFlow::Break(()));
                 }
-                let value = n
-                    .value
-                    .read_with(tx, Option::clone)?
-                    .expect("regular nodes always carry a value");
-                let next = self.next_safe(tx, raw, version)?;
-                // Only update the locals once everything read for this node
-                // is known to be consistent, so an abort never records a
-                // partially processed node (and never records it twice).
-                collected.push((extract(n.key()), value));
-                // SAFETY: obtained under the still-running attempt `tx`.
-                node = unsafe { next.upgrade() };
-            }
+                if Self::is_safe(tx, node, version)? {
+                    let value = tx.value(node)?;
+                    collected.extend(pending.replace((node.key().clone(), value)));
+                    // SAFETY: `at` is the node `cursor` counts or was read
+                    // through the still-running attempt `tx`.
+                    cursor = unsafe { at.upgrade() };
+                }
+                Ok(ControlFlow::Continue(()))
+            };
+            // SAFETY: `resume` is rooted in `cursor`, which keeps counting
+            // that node until the walk has moved it to a later one.
+            let stop = unsafe { traverse::walk(tx, resume, visit) }?;
+            collected.extend(pending);
+            // SAFETY: `stop` was reached through the still-running attempt.
+            // Parking on the end of the walk makes a re-run of this body a
+            // no-op.
+            cursor = unsafe { stop.upgrade() };
             Ok(())
         });
 
@@ -534,83 +308,17 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
         collected
     }
 
-    /// Find the next safe node after `node` for a query with version
-    /// `version` by walking the bottom level on borrowed handles.  The tail
-    /// sentinel is always safe, so this always terminates.
-    fn next_safe(
-        &self,
-        tx: &mut Txn<'_>,
-        node: RawNode<K, V>,
-        version: u64,
-    ) -> TxResult<RawNode<K, V>> {
-        // SAFETY: (every `node()` below) each handle was read through a
-        // link cell inside this same attempt, whose epoch guard stays pinned
-        // for the whole call.
-        let mut candidate = unsafe { node.node() }
-            .level(0)
-            .succ
-            .read_with(tx, RawNode::from_link)?
-            .expect("levels are always terminated by the tail sentinel");
-        // Warm the candidate's header line ahead of the safety test's
-        // timestamp reads.
-        candidate.prefetch();
-        while !Self::is_safe(tx, candidate, version)? {
-            // SAFETY: same contract — read under this attempt.
-            candidate = unsafe { candidate.node() }
-                .level(0)
-                .succ
-                .read_with(tx, RawNode::from_link)?
-                .expect("levels are always terminated by the tail sentinel");
-            candidate.prefetch();
-        }
-        Ok(candidate)
-    }
-
-    /// §4.3's safety test: sentinels are always safe; a node is safe for a
-    /// query with version `version` iff it was inserted before the query
-    /// began and was not logically deleted before the query began.
-    fn is_safe(tx: &mut Txn<'_>, node: RawNode<K, V>, version: u64) -> TxResult<bool> {
-        // SAFETY: the handle was obtained inside this same attempt, whose
-        // epoch guard stays pinned — the RawNode validity contract.
-        let n = unsafe { node.node() };
-        if n.is_sentinel() {
-            return Ok(true);
-        }
-        if n.i_time.read_with(tx, |t| *t)? >= version {
+    /// §4.3's safety test: a node is safe for a query with version `version`
+    /// iff it was inserted before the query began and was not logically
+    /// deleted before the query began.  (The tail sentinel, always safe, is
+    /// where the walk ends.)
+    fn is_safe(tx: &mut Txn<'_>, node: &Node<K, V>, version: u64) -> TxResult<bool> {
+        if node.i_time.read_with(tx, |t| *t)? >= version {
             return Ok(false);
         }
-        Ok(match n.removed_at(tx)? {
-            None => true,
-            Some(removed_at) => removed_at >= version,
-        })
-    }
-}
-
-impl<K: MapKey + Copy, V: MapValue> SkipHash<K, V> {
-    /// [`SkipHash::range`] for `Copy` keys: keys are copied out of the node
-    /// instead of cloned.
-    ///
-    /// Rust has no specialization, so the generic path must call `K::clone`
-    /// even when `K` is a plain integer; this method (same policy dispatch,
-    /// same linearization guarantees) is the explicit opt-in the benchmark
-    /// adapters use.  For `Copy` keys the compiler reduces the copy-out to a
-    /// load, where the clone call was an opaque per-element function edge.
-    pub fn range_copied<R: RangeBounds<K>>(&self, range: R) -> Range<K, V> {
-        self.range_with(range, &|k: &K| *k)
-    }
-
-    /// [`SkipHash::range_rev`] for `Copy` keys (see
-    /// [`SkipHash::range_copied`]).
-    pub fn range_rev_copied<R: RangeBounds<K>>(&self, range: R) -> Range<K, V> {
-        self.range_rev_with(range, &|k: &K| *k)
-    }
-
-    /// [`SkipHash::to_vec`](crate::SkipHash::to_vec) for `Copy` keys (see
-    /// [`SkipHash::range_copied`]).
-    pub fn to_vec_copied(&self) -> Vec<(K, V)> {
-        self.inner
-            .stm
-            .run(|tx| self.inner.skiplist.collect_present_with(tx, &|k: &K| *k))
+        Ok(node
+            .removed_at(tx)?
+            .is_none_or(|removed_at| removed_at >= version))
     }
 }
 
@@ -813,23 +521,5 @@ mod tests {
         assert_eq!(collect(&map, 1..=3), vec![(1, 10), (2, 2222), (3, 30)]);
         assert_eq!(map.get(&2), Some(2222));
         assert!(map.check_invariants().is_ok());
-    }
-
-    #[test]
-    fn excluded_start_skips_deleted_duplicates() {
-        // A logically deleted node for key 5 lingers before the live one;
-        // `Excluded(5)` must skip both.
-        let map = map_with_policy(RangePolicy::FastOnly);
-        fill(&map, [4, 5, 6]);
-        assert!(map.remove(&5));
-        assert!(map.insert(5, 5555));
-        assert_eq!(
-            collect(&map, (StdBound::Excluded(5), StdBound::Unbounded)),
-            vec![(6, 60)]
-        );
-        assert_eq!(
-            collect(&map, (StdBound::Included(5), StdBound::Unbounded)),
-            vec![(5, 5555), (6, 60)]
-        );
     }
 }

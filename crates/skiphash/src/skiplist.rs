@@ -11,22 +11,19 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Bound as StdBound;
+use std::ops::ControlFlow;
 
 use rand::Rng;
 use skiphash_stm::{TxResult, Txn};
 
 use crate::node::{Bound, Node, NodeRef, RawNode};
+use crate::traverse::{self, Reader};
 use crate::{MapKey, MapValue};
 
 /// Upper bound on tower heights ([`crate::SkipHashBuilder::max_level`]
 /// rejects anything above it).
 pub const MAX_LEVEL_LIMIT: usize = 64;
-
-/// One borrowed handle per level, indexed by level: what
-/// [`SkipList::find_position`] fills in below the new tower's height.  A
-/// fixed-capacity stack array, so locating an insert position allocates
-/// nothing, and borrowed, so it costs no reference-count traffic either.
-type LevelNodes<K, V> = [RawNode<K, V>; MAX_LEVEL_LIMIT];
 
 /// A doubly linked skip list whose nodes map keys to values.
 ///
@@ -73,11 +70,6 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
         &self.head
     }
 
-    /// The tail sentinel.
-    pub fn tail(&self) -> &NodeRef<K, V> {
-        &self.tail
-    }
-
     /// Number of levels.
     pub fn max_level(&self) -> usize {
         self.max_level
@@ -93,220 +85,49 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
         height
     }
 
-    /// Find, at every level below `height`, the last node whose key is
-    /// strictly less than `key` (the "predecessor") and its successor at
-    /// that level.
-    ///
-    /// The handles are borrowed: valid within the attempt `tx` (the
-    /// [`RawNode`] validity contract).  Only entries below `height` are
-    /// meaningful — the descent passes through the taller levels without
-    /// recording them, because an insert stitches only its own tower.
-    fn find_position(
-        &self,
-        tx: &mut Txn<'_>,
-        key: &K,
-        height: usize,
-    ) -> TxResult<(LevelNodes<K, V>, LevelNodes<K, V>)> {
-        // SAFETY (for every `node()` below): each handle was read through a
-        // link cell inside this same attempt `tx`, whose epoch guard stays
-        // pinned for the whole function — the RawNode validity contract.
-        let mut preds = [RawNode::from_ref(&self.head); MAX_LEVEL_LIMIT];
-        let mut succs = [RawNode::from_ref(&self.tail); MAX_LEVEL_LIMIT];
-
-        let mut pred = RawNode::from_ref(&self.head);
-        for level in (0..self.max_level).rev() {
-            // SAFETY: handle read under this attempt; guard pinned (blanket note above).
-            let mut curr = unsafe { pred.node() }
-                .level(level)
-                .succ
-                .read_with(tx, RawNode::from_link)?
-                .expect("levels are always terminated by the tail sentinel");
-            // SAFETY: same contract — read under this attempt.
-            while unsafe { curr.node() }.bound.is_before(key) {
-                pred = curr;
-                // SAFETY: same contract — read under this attempt.
-                curr = unsafe { curr.node() }
-                    .level(level)
-                    .succ
-                    .read_with(tx, RawNode::from_link)?
-                    .expect("levels are always terminated by the tail sentinel");
-            }
-            if level < height {
-                preds[level] = pred;
-                succs[level] = curr;
-            }
-        }
-        Ok((preds, succs))
-    }
-
-    /// First node (logically present *or* deleted) whose key is `>= key`,
-    /// possibly the tail sentinel.
-    pub fn ceil_raw(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<NodeRef<K, V>> {
-        let raw = self.ceil_raw_borrowed(tx, key)?;
-        // SAFETY: obtained under the still-running attempt `tx`.
-        Ok(unsafe { raw.upgrade() })
-    }
-
-    /// Borrowed-handle tower descent: the first node at level 0 whose key is
-    /// `>= key` (possibly the tail sentinel), with zero refcount traffic —
-    /// the point-query sibling of [`SkipList::find_position`]'s hop recipe.
-    ///
-    /// The returned handle obeys the [`RawNode`] validity contract (valid
-    /// within the attempt `tx`).
-    pub(crate) fn ceil_raw_borrowed(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<RawNode<K, V>> {
-        // SAFETY (for every `node()` below): each handle was read through a
-        // link cell inside this same attempt, whose epoch guard stays pinned
-        // for the whole call.
-        let mut pred = RawNode::from_ref(&self.head);
-        for level in (1..self.max_level).rev() {
-            loop {
-                // SAFETY: handle read under this attempt; guard pinned (blanket note above).
-                let next = unsafe { pred.node() }
-                    .level(level)
-                    .succ
-                    .read_with(tx, RawNode::from_link)?
-                    .expect("levels are always terminated by the tail sentinel");
-                // Warm the candidate's header and tower lines while the
-                // bound comparison below resolves (docs/PERF.md, Mechanism
-                // 6: the tower line is the next dependent load on the
-                // continue-at-this-level path).
-                next.prefetch();
-                // SAFETY: same contract — read under this attempt.
-                if unsafe { next.node() }.bound.is_before(key) {
-                    pred = next;
-                } else {
-                    break;
-                }
-            }
-        }
-        // SAFETY: same contract — read under this attempt.
-        let mut curr = unsafe { pred.node() }
-            .level(0)
-            .succ
-            .read_with(tx, RawNode::from_link)?
-            .expect("levels are always terminated by the tail sentinel");
-        // SAFETY: same contract — read under this attempt.
-        while unsafe { curr.node() }.bound.is_before(key) {
-            // SAFETY: same contract — read under this attempt.
-            curr = unsafe { curr.node() }
-                .level(0)
-                .succ
-                .read_with(tx, RawNode::from_link)?
-                .expect("levels are always terminated by the tail sentinel");
-            curr.prefetch();
-        }
-        Ok(curr)
-    }
-
-    /// Hop forward (level 0) over logically deleted nodes, borrowed.
-    pub(crate) fn skip_deleted_forward(
-        &self,
-        tx: &mut Txn<'_>,
-        mut node: RawNode<K, V>,
-    ) -> TxResult<RawNode<K, V>> {
-        // SAFETY: as in `ceil_raw_borrowed` — same attempt, guard pinned.
-        while !unsafe { node.node() }.is_tail()
-            && unsafe { node.node() }
-                .r_time
-                .read_with(tx, Option::is_some)?
-        {
-            // SAFETY: same contract — read under this attempt.
-            node = unsafe { node.node() }
-                .level(0)
-                .succ
-                .read_with(tx, RawNode::from_link)?
-                .expect("levels are always terminated by the tail sentinel");
-        }
-        Ok(node)
-    }
-
-    /// First *logically present* node whose key is `>= key`, possibly the
-    /// tail sentinel.
-    pub fn ceil_present(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<NodeRef<K, V>> {
-        let raw = self.ceil_raw_borrowed(tx, key)?;
-        let node = self.skip_deleted_forward(tx, raw)?;
-        // SAFETY: obtained under the still-running attempt `tx`.
-        Ok(unsafe { node.upgrade() })
-    }
-
-    /// First logically present node whose key is strictly `> key`, possibly
-    /// the tail sentinel.
-    pub fn succ_present(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<NodeRef<K, V>> {
-        let mut node = self.ceil_raw_borrowed(tx, key)?;
-        // SAFETY: as in `ceil_raw_borrowed` — same attempt, guard pinned.
-        while !unsafe { node.node() }.is_tail()
-            && (unsafe { node.node() }
-                .r_time
-                .read_with(tx, Option::is_some)?
-                // SAFETY: same contract — read under this attempt.
-                || unsafe { node.node() }.bound.cmp_key(key) == Ordering::Equal)
-        {
-            // SAFETY: same contract — read under this attempt.
-            node = unsafe { node.node() }
-                .level(0)
-                .succ
-                .read_with(tx, RawNode::from_link)?
-                .expect("levels are always terminated by the tail sentinel");
-        }
-        // SAFETY: obtained under the still-running attempt `tx`.
+    /// First *logically present* node satisfying the lower bound `start`,
+    /// possibly the tail sentinel: `Included(k)` is the ceiling of `k`,
+    /// `Excluded(k)` its strict successor, `Unbounded` the first node.
+    pub fn first_present(&self, tx: &mut Txn<'_>, start: StdBound<&K>) -> TxResult<NodeRef<K, V>> {
+        let node = traverse::first_present(tx, self, start)?;
+        // SAFETY: read through the still-running attempt `tx`.
         Ok(unsafe { node.upgrade() })
     }
 
     /// Last logically present node whose key is `<= key`, possibly the head
-    /// sentinel.  Uses the predecessor links (this is where double linking
-    /// pays off for `floor`/`pred` point queries).
+    /// sentinel.
     pub fn floor_present(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<NodeRef<K, V>> {
-        // A logically present node with this exact key may sit *after*
-        // logically deleted nodes with the same key, so resolve equality via
-        // `ceil_present` before falling back to the strict predecessor.
-        let node = self.ceil_present(tx, key)?;
-        if !node.is_tail() && node.bound.cmp_key(key) == Ordering::Equal {
-            return Ok(node);
-        }
-        self.pred_present(tx, key)
+        self.last_present_below(tx, StdBound::Excluded(key))
     }
 
     /// Last logically present node whose key is strictly `< key`, possibly
     /// the head sentinel.
     pub fn pred_present(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<NodeRef<K, V>> {
-        let raw = self.ceil_raw_borrowed(tx, key)?;
-        // SAFETY: as in `ceil_raw_borrowed` — same attempt, guard pinned.
-        let mut node = unsafe { raw.node() }
-            .level(0)
-            .pred
-            .read_with(tx, RawNode::from_link)?
-            .expect("interior nodes always have a level-0 predecessor");
-        // SAFETY: handle read under this attempt; guard pinned (note above).
-        while !unsafe { node.node() }.is_head()
-            // SAFETY: same contract — read under this attempt.
-            && unsafe { node.node() }
-                .r_time
-                .read_with(tx, Option::is_some)?
-        {
-            // SAFETY: same contract — read under this attempt.
-            node = unsafe { node.node() }
-                .level(0)
-                .pred
-                .read_with(tx, RawNode::from_link)?
-                .expect("interior nodes always have a level-0 predecessor");
-        }
-        // SAFETY: obtained under the still-running attempt `tx`.
-        Ok(unsafe { node.upgrade() })
+        self.last_present_below(tx, StdBound::Included(key))
     }
 
-    /// First logically present node in the list (possibly the tail sentinel).
-    pub fn first_present(&self, tx: &mut Txn<'_>) -> TxResult<NodeRef<K, V>> {
-        // SAFETY: as in `ceil_raw_borrowed` — same attempt, guard pinned.
-        let raw = RawNode::from_ref(&self.head);
-        // SAFETY: head handle; the attempt's guard is pinned (note above).
-        let first = unsafe { raw.node() }
-            .level(0)
-            .succ
-            .read_with(tx, RawNode::from_link)?
-            .expect("levels are always terminated by the tail sentinel");
-        let node = self.skip_deleted_forward(tx, first)?;
-        // SAFETY: obtained under the still-running attempt `tx`.
-        Ok(unsafe { node.upgrade() })
+    /// Last logically present node in front of the first node satisfying the
+    /// lower bound `rest`: the descent reports that node's level-0
+    /// predecessor, and the predecessor links lead back over whatever
+    /// logically deleted nodes linger there (this is where double linking
+    /// pays off for point queries).  The live node of a key sits after its
+    /// deleted duplicates, so it is the first one the back-walk meets.
+    fn last_present_below(&self, tx: &mut Txn<'_>, rest: StdBound<&K>) -> TxResult<NodeRef<K, V>> {
+        let mut at = RawNode::from_ref(&self.head);
+        traverse::descend(tx, self, rest, |level, pred, _| {
+            if level == 0 {
+                at = pred;
+            }
+        })?;
+        loop {
+            // SAFETY: read through the still-running attempt `tx`.
+            let node = unsafe { at.node() };
+            if node.is_head() || !tx.removed(node)? {
+                // SAFETY: as above.
+                return Ok(unsafe { at.upgrade() });
+            }
+            at = tx.link(&node.level(0).pred)?;
+        }
     }
 
     /// Insert a new node for `key`.
@@ -325,51 +146,39 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
         i_time: u64,
     ) -> TxResult<NodeRef<K, V>> {
         debug_assert!(height >= 1 && height <= self.max_level);
-        // Everything below works on borrowed handles: of the positions the
-        // search finds, an insert keeps only `2 * height` — the counts its
-        // own links take — so that is all it pays for.  (Upgrading every
-        // level's pair to a counted handle was ~80 atomic RMWs per insert,
-        // on the header lines of the tallest towers, which every other
-        // thread's descent reads.)
-        //
-        // SAFETY (for every `node()` and `upgrade()` below): each handle was
-        // read through a link cell inside this same attempt `tx`, whose
-        // epoch guard stays pinned for the whole function — the RawNode
-        // validity contract.
-        let (mut preds, mut succs) = self.find_position(tx, &key, height)?;
-
-        // Advance past any logically deleted nodes that share the key so the
-        // new node lands after them.
-        for level in 0..height {
-            loop {
-                // SAFETY: handle read under this attempt; guard pinned (blanket note above).
-                let succ = unsafe { succs[level].node() };
-                if succ.is_tail() || succ.bound.cmp_key(&key) != Ordering::Equal {
-                    break;
-                }
-                preds[level] = succs[level];
-                succs[level] = succ
-                    .level(level)
-                    .succ
-                    .read_with(tx, RawNode::from_link)?
-                    .expect("levels are always terminated by the tail sentinel");
+        // `Excluded`: the new node lands after every (logically deleted)
+        // node still carrying the key.  Only the positions below `height`
+        // are kept — an insert stitches only its own tower — and they stay
+        // borrowed: of everything the search finds, the counts taken are the
+        // `2 * height` this node's own links hold.  (Upgrading every level's
+        // pair was ~80 atomic RMWs per insert, on the header lines of the
+        // tallest towers, which every other thread's descent reads.)
+        let mut preds = [RawNode::from_ref(&self.head); MAX_LEVEL_LIMIT];
+        let mut succs = [RawNode::from_ref(&self.tail); MAX_LEVEL_LIMIT];
+        traverse::descend(tx, self, StdBound::Excluded(&key), |level, pred, succ| {
+            if level < height {
+                preds[level] = pred;
+                succs[level] = succ;
             }
-        }
+        })?;
 
-        // The node's own cells are written below while nothing else
-        // references it.  No `Txn::keep_alive` registration is needed (the
-        // `Arc` design required one): if this attempt aborts after the link
-        // writes, the handle dropped at the end of the body retires the
-        // block through the epoch *under this attempt's pin*, so the block
-        // provably outlives the rollback that restores these cells — see the
-        // lifetime rules in `crate::node`.
         // Born at this attempt's read version: cells stamped 0 would look
         // older than every pinned snapshot, so the first overwrite of each
         // would be preserved forever-growing custody; stamped at `rv`, a
         // node born after a pin is provably outside its window.
+        //
+        // If this attempt aborts after the link writes, the handle dropped
+        // at the end of the body retires the block through the epoch *under
+        // this attempt's pin*, so the block outlives the rollback that
+        // restores these cells — see the lifetime rules in `crate::node`.
         let node = Node::new(key, value, height, i_time, tx.read_version());
         for level in 0..height {
-            // The fresh node is unreachable until the neighbour writes below
+            // SAFETY: both handles were read through the still-running
+            // attempt `tx` (the traversal module's borrowed-handle contract).
+            let (pred, succ) = unsafe { (preds[level].upgrade(), succs[level].upgrade()) };
+            pred.level(level).succ.write(tx, Some(node.clone()))?;
+            succ.level(level).pred.write(tx, Some(node.clone()))?;
+            // The fresh node is unreachable until the neighbour writes above
             // commit, so its own links need no transactional instrumentation:
             // `store_atomic` installs them at the birth version, outside the
             // write set and undo log (an abort simply drops the node).
@@ -378,16 +187,8 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
             // is what publishes the node.  This also keeps snapshot custody
             // from preserving the `None` placeholders transactional writes
             // would displace on every insert.
-            // SAFETY: same contract — read under this attempt.
-            let (pred, succ) = unsafe { (preds[level].upgrade(), succs[level].upgrade()) };
             node.level(level).pred.store_atomic(Some(pred));
             node.level(level).succ.store_atomic(Some(succ));
-        }
-        for level in 0..height {
-            // SAFETY: same contract — read under this attempt.
-            let (pred, succ) = unsafe { (preds[level].node(), succs[level].node()) };
-            pred.level(level).succ.write(tx, Some(node.clone()))?;
-            succ.level(level).pred.write(tx, Some(node.clone()))?;
         }
         Ok(node)
     }
@@ -416,85 +217,14 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
         Ok(())
     }
 
-    /// Count logically present nodes by walking level 0 with borrowed hops.
+    /// Count logically present nodes by walking level 0.
     pub fn count_present(&self, tx: &mut Txn<'_>) -> TxResult<usize> {
-        // SAFETY (for every `node()` below): each handle was read through a
-        // link cell inside this same attempt, whose epoch guard stays pinned
-        // for the whole call.
         let mut count = 0;
-        let head = RawNode::from_ref(&self.head);
-        // SAFETY: head handle; the attempt's guard is pinned (note above).
-        let mut node = unsafe { head.node() }
-            .level(0)
-            .succ
-            .read_with(tx, RawNode::from_link)?
-            .expect("levels are always terminated by the tail sentinel");
-        // SAFETY: same contract — read under this attempt.
-        while !unsafe { node.node() }.is_tail() {
-            // SAFETY: same contract — read under this attempt.
-            let n = unsafe { node.node() };
-            let next = n
-                .level(0)
-                .succ
-                .read_with(tx, RawNode::from_link)?
-                .expect("levels are always terminated by the tail sentinel");
-            // Overlap the successor's cache miss with this node's mark read.
-            next.prefetch();
-            if !n.r_time.read_with(tx, Option::is_some)? {
-                count += 1;
-            }
-            node = next;
-        }
+        traverse::scan(tx, self, StdBound::Unbounded, |tx, _, node| {
+            count += usize::from(!tx.removed(node)?);
+            Ok(ControlFlow::Continue(()))
+        })?;
         Ok(count)
-    }
-
-    /// Collect every logically present `(key, value)` pair in order by
-    /// walking level 0 (borrowed hops; keys copied out via `K::clone`).
-    pub fn collect_present(&self, tx: &mut Txn<'_>) -> TxResult<Vec<(K, V)>> {
-        self.collect_present_with(tx, &K::clone)
-    }
-
-    /// [`SkipList::collect_present`] with a caller-chosen key extractor, so
-    /// `Copy` keys can be copied out of the node instead of cloned (the
-    /// `*_copied` fast paths; see docs/PERF.md, Mechanism 6).
-    pub(crate) fn collect_present_with(
-        &self,
-        tx: &mut Txn<'_>,
-        extract: &impl Fn(&K) -> K,
-    ) -> TxResult<Vec<(K, V)>> {
-        // SAFETY (for every `node()` below): each handle was read through a
-        // link cell inside this same attempt, whose epoch guard stays pinned
-        // for the whole call.
-        let mut out = Vec::new();
-        let head = RawNode::from_ref(&self.head);
-        // SAFETY: head handle; the attempt's guard is pinned (note above).
-        let mut node = unsafe { head.node() }
-            .level(0)
-            .succ
-            .read_with(tx, RawNode::from_link)?
-            .expect("levels are always terminated by the tail sentinel");
-        // SAFETY: same contract — read under this attempt.
-        while !unsafe { node.node() }.is_tail() {
-            // SAFETY: same contract — read under this attempt.
-            let n = unsafe { node.node() };
-            let next = n
-                .level(0)
-                .succ
-                .read_with(tx, RawNode::from_link)?
-                .expect("levels are always terminated by the tail sentinel");
-            // Overlap the successor's cache miss with this element's
-            // mark/value reads (the scan loop's dominant stall).
-            next.prefetch();
-            if !n.r_time.read_with(tx, Option::is_some)? {
-                let value = n
-                    .value
-                    .read_with(tx, Option::clone)?
-                    .expect("regular nodes always carry a value");
-                out.push((extract(n.key()), value));
-            }
-            node = next;
-        }
-        Ok(out)
     }
 
     /// Validate the structural invariants of the list (test helper):
@@ -590,6 +320,21 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
 mod tests {
     use super::*;
     use skiphash_stm::Stm;
+    use std::ops::Bound::{Excluded, Included, Unbounded};
+
+    /// Every logically present pair, in level-0 order.
+    fn present_pairs(stm: &Stm, list: &SkipList<u64, u64>) -> Vec<(u64, u64)> {
+        stm.run(|tx| crate::range::collect(tx, list, Unbounded, Unbounded))
+    }
+
+    /// Logically delete the live node of `key` without unstitching it.
+    fn mark_removed(stm: &Stm, list: &SkipList<u64, u64>, key: u64) {
+        stm.run(|tx| {
+            let node = list.first_present(tx, Included(&key))?;
+            assert_eq!(*node.key(), key);
+            node.mark_removed(tx, 1)
+        });
+    }
 
     fn list_with(stm: &Stm, keys: &[u64]) -> SkipList<u64, u64> {
         let list = SkipList::new(8);
@@ -618,7 +363,7 @@ mod tests {
     fn inserted_keys_come_back_in_order() {
         let stm = Stm::new();
         let list = list_with(&stm, &[5, 1, 9, 3, 7]);
-        let pairs = stm.run(|tx| list.collect_present(tx));
+        let pairs = present_pairs(&stm, &list);
         assert_eq!(pairs, vec![(1, 10), (3, 30), (5, 50), (7, 70), (9, 90)]);
         assert_eq!(stm.run(|tx| list.check_invariants(tx)), Ok(()));
     }
@@ -628,21 +373,21 @@ mod tests {
         let stm = Stm::new();
         let list = list_with(&stm, &[10, 20, 30]);
         let ceil20 = stm.run(|tx| {
-            let n = list.ceil_present(tx, &20)?;
+            let n = list.first_present(tx, Included(&20))?;
             Ok(*n.key())
         });
         assert_eq!(ceil20, 20);
         let succ20 = stm.run(|tx| {
-            let n = list.succ_present(tx, &20)?;
+            let n = list.first_present(tx, Excluded(&20))?;
             Ok(*n.key())
         });
         assert_eq!(succ20, 30);
         let ceil15 = stm.run(|tx| {
-            let n = list.ceil_present(tx, &15)?;
+            let n = list.first_present(tx, Included(&15))?;
             Ok(*n.key())
         });
         assert_eq!(ceil15, 20);
-        let past_end = stm.run(|tx| Ok(list.ceil_present(tx, &31)?.is_tail()));
+        let past_end = stm.run(|tx| Ok(list.first_present(tx, Included(&31))?.is_tail()));
         assert!(past_end);
     }
 
@@ -685,18 +430,14 @@ mod tests {
     fn logically_deleted_nodes_are_skipped_by_present_queries() {
         let stm = Stm::new();
         let list = list_with(&stm, &[10, 20, 30]);
-        // Logically delete 20 without unstitching it.
-        stm.run(|tx| {
-            let n = list.ceil_raw(tx, &20)?;
-            n.mark_removed(tx, 1)
-        });
+        mark_removed(&stm, &list, 20);
         let ceil20 = stm.run(|tx| {
-            let n = list.ceil_present(tx, &20)?;
+            let n = list.first_present(tx, Included(&20))?;
             Ok(*n.key())
         });
         assert_eq!(ceil20, 30, "deleted node must be skipped");
         assert_eq!(stm.run(|tx| list.count_present(tx)), 2);
-        let pairs = stm.run(|tx| list.collect_present(tx));
+        let pairs = present_pairs(&stm, &list);
         assert_eq!(pairs, vec![(10, 100), (30, 300)]);
     }
 
@@ -719,81 +460,8 @@ mod tests {
         });
         assert_eq!(order, (true, true));
         // Present view only sees the fresh value.
-        let pairs = stm.run(|tx| list.collect_present(tx));
+        let pairs = present_pairs(&stm, &list);
         assert_eq!(pairs, vec![(5, 55)]);
-        assert_eq!(stm.run(|tx| list.check_invariants(tx)), Ok(()));
-    }
-
-    #[test]
-    fn borrowed_point_queries_match_slow_reference() {
-        // Regression for the borrowed-hop rewrite of the point queries:
-        // ceil/succ/floor/pred/first must agree with the reference answers
-        // computed from the full present-key set, including around lingering
-        // logically deleted nodes and re-inserted duplicates.
-        use std::collections::BTreeSet;
-        let stm = Stm::new();
-        let list: SkipList<u64, u64> = SkipList::new(8);
-        let mut rng = rand::thread_rng();
-        let mut present: BTreeSet<u64> = BTreeSet::new();
-        for k in [10u64, 3, 7, 15, 12, 9, 1, 20, 5, 17] {
-            let h = list.random_height(&mut rng);
-            stm.run(|tx| {
-                list.insert_after_logical_deletes(tx, k, k, h, 0)
-                    .map(|_| ())
-            });
-            present.insert(k);
-        }
-        // Logically delete a few nodes without unstitching them.
-        for k in [7u64, 15, 1] {
-            stm.run(|tx| {
-                let n = list.ceil_raw(tx, &k)?;
-                n.mark_removed(tx, 1)
-            });
-            present.remove(&k);
-        }
-        // Re-insert one key so a deleted duplicate precedes a present node.
-        let h = list.random_height(&mut rng);
-        stm.run(|tx| {
-            list.insert_after_logical_deletes(tx, 7, 70, h, 1)
-                .map(|_| ())
-        });
-        present.insert(7);
-
-        let key_of = |n: &NodeRef<u64, u64>| {
-            if n.is_sentinel() {
-                None
-            } else {
-                Some(*n.key())
-            }
-        };
-        for probe in 0..=22u64 {
-            let ceil = stm.run(|tx| Ok(key_of(&list.ceil_present(tx, &probe)?)));
-            assert_eq!(
-                ceil,
-                present.range(probe..).next().copied(),
-                "ceil({probe})"
-            );
-            let succ = stm.run(|tx| Ok(key_of(&list.succ_present(tx, &probe)?)));
-            assert_eq!(
-                succ,
-                present.range(probe + 1..).next().copied(),
-                "succ({probe})"
-            );
-            let floor = stm.run(|tx| Ok(key_of(&list.floor_present(tx, &probe)?)));
-            assert_eq!(
-                floor,
-                present.range(..=probe).next_back().copied(),
-                "floor({probe})"
-            );
-            let pred = stm.run(|tx| Ok(key_of(&list.pred_present(tx, &probe)?)));
-            assert_eq!(
-                pred,
-                present.range(..probe).next_back().copied(),
-                "pred({probe})"
-            );
-        }
-        let first = stm.run(|tx| Ok(key_of(&list.first_present(tx)?)));
-        assert_eq!(first, present.iter().next().copied());
         assert_eq!(stm.run(|tx| list.check_invariants(tx)), Ok(()));
     }
 
@@ -809,10 +477,11 @@ mod tests {
 
     #[test]
     fn aborted_insert_rolls_back_without_keepalive() {
-        // The rollback-through-freed-cells hazard the Arc design guarded
-        // against with `Txn::keep_alive`: abort an insert *after* its link
-        // writes and make sure the undo walk (which touches the dead node's
-        // own cells) is sound and the list is unchanged.
+        // The rollback-through-freed-cells hazard: abort an insert *after*
+        // its link writes, with the body's only handle already dropped, and
+        // make sure the rollback (which restores the neighbours' links and
+        // gives back the counts they held on the dead node) is sound and the
+        // list is unchanged.
         let stm = Stm::new();
         let list: SkipList<u64, u64> = SkipList::new(8);
         stm.run(|tx| {
@@ -830,7 +499,7 @@ mod tests {
             }
             Ok(())
         });
-        let pairs = stm.run(|tx| list.collect_present(tx));
+        let pairs = present_pairs(&stm, &list);
         assert_eq!(pairs, vec![(10, 100), (20, 200)]);
         assert_eq!(stm.run(|tx| list.check_invariants(tx)), Ok(()));
     }

@@ -30,24 +30,16 @@
 //! stitch), nodes unstitched later are still reachable (the pre-unstitch
 //! links are preserved in history).
 //!
-//! # Why borrowed hops stay valid
+//! # One traversal, another reader
 //!
-//! The traversal reuses the borrowed-`RawNode` recipe of the transactional
-//! fast paths: links are read in place and only final results are upgraded
-//! to counted handles.  Between hops nothing pins an epoch guard, so the
-//! validity argument is different from the transactional one — it rests on
-//! the pin's custody:
-//!
-//! * A link value visible at `p` is either still in its cell or preserved in
-//!   the history table; either way it is not dropped while this pin is live
-//!   (displacing commits see the pin — published before the traversal began
-//!   — and move the displaced link into history instead of the reclamation
-//!   queue).
-//! * A link is a **strong** [`NodeRef`](crate::node::NodeRef) wherever it
-//!   sits — the cell's data word or a history entry owns one count — so
-//!   every node reachable at
-//!   `p` keeps a positive reference count for the snapshot's whole lifetime;
-//!   the node arena cannot recycle it.
+//! A snapshot read runs the very descent and level-0 walk the transactional
+//! paths run (the crate's `traverse` module), with `&`[`SnapshotPin`] as the reader:
+//! links, marks and values resolve at `p`, nothing can abort, and the
+//! borrowed handles the traversal hops on stay valid because of the pin's
+//! custody — a link visible at `p` is either still in its cell or preserved
+//! in the history table, and wherever it sits it is a **strong**
+//! [`NodeRef`](crate::node::NodeRef), so every node reachable at `p` keeps a
+//! positive reference count for the snapshot's whole lifetime.
 //!
 //! Dropping the [`Snapshot`] releases the pin; the history entries it alone
 //! kept alive are trimmed and their node references dropped, so retention is
@@ -83,8 +75,9 @@ use std::sync::Arc;
 use skiphash_stm::SnapshotPin;
 
 use crate::map::Inner;
-use crate::node::RawNode;
-use crate::range::{bound_as_ref, clone_bound, end_allows, range_is_empty, Range};
+use crate::node::Node;
+use crate::range::{self, Range};
+use crate::traverse::{self, Reader};
 use crate::{MapKey, MapValue};
 
 /// A read-only view of a [`SkipHash`](crate::SkipHash) frozen at one clock
@@ -129,93 +122,39 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
         self.pin.version()
     }
 
-    /// Read `cell`'s successor link at the pinned version, as a borrowed
-    /// handle.
-    ///
-    /// # Safety
-    ///
-    /// The returned handle is valid while `self` is alive: the link it was
-    /// copied from is custody-protected by `self.pin` (see the module
-    /// docs), and that link is a strong `NodeRef` keeping the node
-    /// allocated.
-    fn hop(&self, node: RawNode<K, V>, level: usize) -> RawNode<K, V> {
-        // SAFETY: `node` obeys this snapshot's validity contract (it is the
-        // head sentinel or came out of a previous `hop`).
-        unsafe { node.node() }
-            .level(level)
-            .succ
-            .read_pinned_with(&self.pin, RawNode::from_link)
-            .expect("levels are always terminated by the tail sentinel")
-    }
-
-    /// True when `node` was logically present at the pinned version.
-    fn present_at(&self, node: RawNode<K, V>) -> bool {
-        // SAFETY: as in `hop`.
-        unsafe { node.node() }
-            .r_time
-            .read_pinned_with(&self.pin, Option::is_none)
-    }
-
-    /// Clone `node`'s value as of the pinned version.
-    fn value_at(&self, node: RawNode<K, V>) -> V {
-        // SAFETY: as in `hop`.
-        unsafe { node.node() }
-            .value
-            .read_pinned_with(&self.pin, Clone::clone)
-            .expect("a non-sentinel node always carries a value")
-    }
-
-    /// Borrowed tower descent at the pinned version: the first node at level
-    /// 0 (possibly the tail sentinel) whose key is `>= key`, exactly as the
-    /// list was linked at `version()`.
-    fn ceil_at(&self, key: &K) -> RawNode<K, V> {
+    /// The first node at or after `key` that was logically present at the
+    /// pinned version, if any.
+    fn ceil_node(&self, key: &K) -> Option<&Node<K, V>> {
         let list = &self.inner.skiplist;
-        let mut pred = RawNode::from_ref(list.head());
-        for level in (1..list.max_level()).rev() {
-            loop {
-                let next = self.hop(pred, level);
-                // SAFETY: as in `hop`.
-                if unsafe { next.node() }.bound.is_before(key) {
-                    pred = next;
-                } else {
-                    break;
-                }
-            }
-        }
-        let mut curr = self.hop(pred, 0);
-        // SAFETY: as in `hop`.
-        while unsafe { curr.node() }.bound.is_before(key) {
-            curr = self.hop(curr, 0);
-        }
-        curr
+        let Ok(found) = traverse::first_present(&mut &self.pin, list, StdBound::Included(key));
+        // SAFETY: read through `self.pin`, whose custody keeps every node
+        // reachable at its version allocated while `self` is alive (the
+        // traversal module's borrowed-handle contract).
+        let node = unsafe { found.node() };
+        (!node.is_tail()).then_some(node)
     }
 
     /// The value under `key` at the pinned version, if the key was present.
     ///
-    /// `O(log n)` — a borrowed tower descent resolved at the snapshot's
-    /// version; no transaction, no retry, no allocation beyond the returned
-    /// clone.
+    /// `O(log n)` — a tower descent resolved at the snapshot's version; no
+    /// transaction, no retry, no allocation beyond the returned clone.
+    /// Logically deleted duplicates of `key` may linger in front of the node
+    /// that was live at the pin (a remove + reinsert whose unstitching was
+    /// deferred); the walk passes over them.
     pub fn get(&self, key: &K) -> Option<V> {
-        let mut node = self.ceil_at(key);
-        // Logically deleted duplicates of `key` may linger before the live
-        // node (a remove + reinsert where the old node's unstitching was
-        // deferred); scan every equal-key node for the one present at `p`.
-        loop {
-            // SAFETY: `node` obeys this snapshot's validity contract.
-            let n = unsafe { node.node() };
-            if n.is_tail() || n.bound.cmp_key(key) != std::cmp::Ordering::Equal {
-                return None;
-            }
-            if self.present_at(node) {
-                return Some(self.value_at(node));
-            }
-            node = self.hop(node, 0);
-        }
+        let node = self.ceil_node(key).filter(|node| node.key() == key)?;
+        let Ok(value) = (&self.pin).value(node);
+        Some(value)
     }
 
     /// True if `key` was present at the pinned version.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
+        self.ceil_node(key).is_some_and(|node| node.key() == key)
+    }
+
+    /// Smallest present key `>= key` at the pinned version, if any.
+    pub fn ceil_key(&self, key: &K) -> Option<K> {
+        self.ceil_node(key).map(|node| node.key().clone())
     }
 
     /// Every `(key, value)` pair whose key lies in `range`, in ascending key
@@ -227,69 +166,38 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
     /// split and no abort accounting — a pinned walk cannot conflict with
     /// anything.
     pub fn range<R: RangeBounds<K>>(&self, range: R) -> Range<K, V> {
-        self.range_with(range, &K::clone)
+        Range::new(self.pairs(range.start_bound(), range.end_bound()))
     }
 
-    /// Collection walk shared by [`Snapshot::range`] (keys cloned out) and
-    /// [`Snapshot::range_copied`] (keys copied out), hopping on borrowed
-    /// handles with the same successor prefetch as the live-map scan.
-    fn range_with<R: RangeBounds<K>>(&self, range: R, extract: &impl Fn(&K) -> K) -> Range<K, V> {
-        let start = clone_bound(range.start_bound());
-        let end = clone_bound(range.end_bound());
-        if range_is_empty(&start, &end) {
-            return Range::new(Vec::new());
-        }
-        let mut node = match bound_as_ref(&start) {
-            StdBound::Unbounded => self.hop(RawNode::from_ref(self.inner.skiplist.head()), 0),
-            StdBound::Included(low) => self.ceil_at(low),
-            StdBound::Excluded(low) => {
-                // Skip every node carrying the excluded key, including
-                // logically deleted duplicates lingering before the live one.
-                let mut node = self.ceil_at(low);
-                // SAFETY: as in `hop`.
-                while !unsafe { node.node() }.is_tail()
-                    && unsafe { node.node() }.bound.cmp_key(low) == std::cmp::Ordering::Equal
-                {
-                    node = self.hop(node, 0);
-                }
-                node
-            }
-        };
-        let mut out = Vec::new();
-        loop {
-            // SAFETY: as in `hop`.
-            let n = unsafe { node.node() };
-            if n.is_tail() || !end_allows(&n.bound, bound_as_ref(&end)) {
-                break;
-            }
-            let next = self.hop(node, 0);
-            // Overlap the successor's cache miss with this element's
-            // mark/value reads, exactly as in the transactional scan
-            // (docs/PERF.md, Mechanism 6).
-            next.prefetch();
-            if self.present_at(node) {
-                out.push((extract(n.key()), self.value_at(node)));
-            }
-            node = next;
-        }
-        Range::new(out)
+    /// The pairs within the bounds at the pinned version.
+    fn pairs(&self, start: StdBound<&K>, end: StdBound<&K>) -> Vec<(K, V)> {
+        let Ok(pairs) = range::collect(&mut &self.pin, &self.inner.skiplist, start, end);
+        pairs
+    }
+
+    /// [`Snapshot::range`] under its historical name for `Copy` keys; kept
+    /// because the frozen repo benchmark calls it (see
+    /// [`SkipHash::range_copied`](crate::SkipHash::range_copied)).
+    #[inline]
+    pub fn range_copied<R: RangeBounds<K>>(&self, range: R) -> Range<K, V> {
+        self.range(range)
     }
 
     /// Every `(key, value)` pair at the pinned version, in ascending key
     /// order.
     pub fn to_vec(&self) -> Vec<(K, V)> {
-        self.range(..).collect()
+        self.pairs(StdBound::Unbounded, StdBound::Unbounded)
     }
 
     /// Number of keys present at the pinned version.
     ///
-    /// `O(shards)`: sums the transactional sharded population counter at the
-    /// pinned version.  Per-cell resolution at one version is exact and a
-    /// commit stamps all its writes with one timestamp, so the sum is the
-    /// true population at `version()` — it always equals
-    /// `self.to_vec().len()` without walking the list.
+    /// `O(shards)`: sums the sharded population counter at the pinned
+    /// version.  Per-cell resolution at one version is exact and a commit
+    /// stamps all its writes with one timestamp, so the sum is the true
+    /// population at `version()` — it always equals `self.to_vec().len()`
+    /// without walking the list.
     pub fn len(&self) -> usize {
-        let total = self.inner.tx_population.sum_pinned(&self.pin);
+        let total = self.inner.population.sum_pinned(&self.pin);
         debug_assert!(total >= 0, "pinned population sum went negative: {total}");
         total.max(0) as usize
     }
@@ -298,62 +206,13 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Smallest present key `>= key` at the pinned version, if any.
-    pub fn ceil_key(&self, key: &K) -> Option<K> {
-        let mut node = self.ceil_at(key);
-        loop {
-            // SAFETY: as in `hop`.
-            let n = unsafe { node.node() };
-            if n.is_tail() {
-                return None;
-            }
-            if self.present_at(node) {
-                return Some(n.key().clone());
-            }
-            node = self.hop(node, 0);
-        }
-    }
-
-    /// Upgrade the first present node at or after `key` to a counted handle
-    /// (test support: lets assertions hold a node across snapshot drops).
-    #[cfg(test)]
-    fn ceil_node(&self, key: &K) -> Option<crate::node::NodeRef<K, V>> {
-        let mut node = self.ceil_at(key);
-        loop {
-            // SAFETY: as in `hop`; upgrading inside the snapshot's lifetime.
-            let n = unsafe { node.node() };
-            if n.is_tail() {
-                return None;
-            }
-            if self.present_at(node) {
-                // SAFETY: handle read under the pinned guard of this scan.
-                return Some(unsafe { node.upgrade() });
-            }
-            node = self.hop(node, 0);
-        }
-    }
-}
-
-impl<K: MapKey + Copy, V: MapValue> Snapshot<K, V> {
-    /// [`Snapshot::range`] for `Copy` keys: keys are copied out of the node
-    /// instead of cloned (see
-    /// [`SkipHash::range_copied`](crate::SkipHash::range_copied) for why
-    /// this is a separate method).
-    pub fn range_copied<R: RangeBounds<K>>(&self, range: R) -> Range<K, V> {
-        self.range_with(range, &|k: &K| *k)
-    }
-
-    /// [`Snapshot::to_vec`] for `Copy` keys (see [`Snapshot::range_copied`]).
-    pub fn to_vec_copied(&self) -> Vec<(K, V)> {
-        self.range_copied(..).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::config::{RemovalPolicy, SkipHashBuilder};
-    use crate::SkipHash;
+    use crate::{traverse, SkipHash};
+    use std::ops::Bound::Included;
 
     fn map() -> SkipHash<u64, u64> {
         SkipHashBuilder::new().buckets(64).max_level(8).build()
@@ -467,7 +326,9 @@ mod tests {
         assert!(map.insert(7, 70));
         let snap = map.snapshot();
         assert!(map.remove(&7));
-        let node = snap.ceil_node(&7).expect("present at the pin");
+        let Ok(found) = traverse::first_present(&mut &snap.pin, &snap.inner.skiplist, Included(&7));
+        // SAFETY: read through the pin of the still-live `snap`.
+        let node = unsafe { found.upgrade() };
         drop(snap);
         // The counted handle keeps the node alive past the pin's custody.
         assert_eq!(*node.key(), 7);

@@ -32,18 +32,20 @@
 //!
 //! Every operation returns a [`TxResult`]; propagate aborts with `?` so the
 //! enclosing [`Stm::run`](skiphash_stm::Stm::run) retries the whole
-//! composition.  Side effects the map needs per *commit* (population
-//! counters, deferred physical unstitching) are registered on the
+//! composition.  The one side effect the map needs per *commit* (buffering
+//! a removed node whose physical unstitching must wait) is registered on the
 //! transaction via [`Txn::on_commit`](skiphash_stm::Txn::on_commit), so an
-//! aborted attempt leaves no trace of them.
+//! aborted attempt leaves no trace of it.
 
+use std::ops::Bound;
 use std::ops::RangeBounds;
 use std::sync::Arc;
 
 use skiphash_stm::{TxResult, Txn};
 
 use crate::map::Inner;
-use crate::range::Range;
+use crate::node::NodeRef;
+use crate::range::{self, Range};
 use crate::{MapKey, MapValue};
 
 /// The verdict a [`TxView::compute`] closure passes back: what should happen
@@ -151,15 +153,11 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
         let value = node.read_value(self.tx)?;
         let r_time = self.inner.rqc.on_update(self.tx)?;
         node.mark_removed(self.tx, r_time)?;
-        self.inner.tx_population.bump(self.tx, -1)?;
-        let deferred = self.inner.after_remove(self.tx, node)?;
-        let inner = Arc::clone(self.inner);
-        self.tx.on_commit(move || {
-            inner.population.record_remove();
-            if let Some(node) = deferred {
-                inner.buffer_deferred_node(node);
-            }
-        });
+        self.inner.population.bump(self.tx, -1)?;
+        if let Some(node) = self.inner.after_remove(self.tx, node)? {
+            let inner = Arc::clone(self.inner);
+            self.tx.on_commit(move || inner.buffer_deferred_node(node));
+        }
         Ok(Some(value))
     }
 
@@ -233,23 +231,21 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
         if self.inner.index.contains(self.tx, key)? {
             return Ok(Some(key.clone()));
         }
-        let node = self.inner.skiplist.ceil_present(self.tx, key)?;
-        Ok(if node.is_tail() {
-            None
-        } else {
-            Some(node.key().clone())
-        })
+        let node = self
+            .inner
+            .skiplist
+            .first_present(self.tx, Bound::Included(key))?;
+        Ok(key_of(&node))
     }
 
     /// Smallest key strictly `> key`, if any.
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn succ(&mut self, key: &K) -> TxResult<Option<K>> {
-        let node = self.inner.skiplist.succ_present(self.tx, key)?;
-        Ok(if node.is_tail() {
-            None
-        } else {
-            Some(node.key().clone())
-        })
+        let node = self
+            .inner
+            .skiplist
+            .first_present(self.tx, Bound::Excluded(key))?;
+        Ok(key_of(&node))
     }
 
     /// Largest key `<= key`, if any.
@@ -258,23 +254,13 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
         if self.inner.index.contains(self.tx, key)? {
             return Ok(Some(key.clone()));
         }
-        let node = self.inner.skiplist.floor_present(self.tx, key)?;
-        Ok(if node.is_head() {
-            None
-        } else {
-            Some(node.key().clone())
-        })
+        Ok(key_of(&self.inner.skiplist.floor_present(self.tx, key)?))
     }
 
     /// Largest key strictly `< key`, if any.
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn pred(&mut self, key: &K) -> TxResult<Option<K>> {
-        let node = self.inner.skiplist.pred_present(self.tx, key)?;
-        Ok(if node.is_head() {
-            None
-        } else {
-            Some(node.key().clone())
-        })
+        Ok(key_of(&self.inner.skiplist.pred_present(self.tx, key)?))
     }
 
     /// Collect every pair whose key lies in `range`, in ascending key order,
@@ -287,36 +273,31 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     /// short under contention).
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn range<R: RangeBounds<K>>(&mut self, range: R) -> TxResult<Range<K, V>> {
-        let pairs = self
-            .inner
-            .collect_range(self.tx, range.start_bound(), range.end_bound())?;
-        Ok(Range::new(pairs))
+        let list = &self.inner.skiplist;
+        range::collect(self.tx, list, range.start_bound(), range.end_bound()).map(Range::new)
     }
 
     /// Number of keys currently present.
     ///
-    /// `O(shards)`: sums the transactional sharded population counter that
-    /// the insert and remove paths bump inside their own transactions, so
-    /// the count is linearizable with everything else this transaction does
-    /// without walking level 0 in `O(n)`.  (The sealed
-    /// [`SkipHash::len`](crate::SkipHash::len) uses a cheaper non-
-    /// transactional counter maintained by post-commit actions.)  Reading
-    /// every shard conflicts with concurrent updates — inherent to a
-    /// linearizable count; debug builds additionally cross-check the level-0
-    /// walk.
+    /// `O(shards)`: sums the sharded population counter that the insert and
+    /// remove paths bump inside their own transactions, so the count is
+    /// linearizable with everything else this transaction does without
+    /// walking level 0 in `O(n)`.  Reading every shard conflicts with
+    /// concurrent updates — inherent to a linearizable count; debug builds
+    /// additionally cross-check the level-0 walk.
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn len(&mut self) -> TxResult<usize> {
-        let total = self.inner.tx_population.sum(self.tx)?;
+        let total = self.inner.population.sum(self.tx)?;
         #[cfg(debug_assertions)]
         {
             let walked = self.inner.skiplist.count_present(self.tx)?;
             debug_assert_eq!(
                 walked,
                 total.max(0) as usize,
-                "transactional population counter diverged from the level-0 walk"
+                "population counter diverged from the level-0 walk"
             );
         }
-        debug_assert!(total >= 0, "transactional population went negative");
+        debug_assert!(total >= 0, "population counter went negative");
         Ok(total.max(0) as usize)
     }
 
@@ -328,8 +309,7 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     }
 
     /// Shared insert path for a key known to be absent: stitch a fresh node
-    /// into the skip list, index it, and schedule the population bump for
-    /// commit time.
+    /// into the skip list, index it, and count it.
     fn insert_fresh(&mut self, key: K, value: V) -> TxResult<()> {
         let height = {
             let mut rng = rand::thread_rng();
@@ -345,11 +325,14 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
         )?;
         let was_new = self.inner.index.insert(self.tx, key, node)?;
         debug_assert!(was_new, "insert_fresh called with a present key");
-        self.inner.tx_population.bump(self.tx, 1)?;
-        let inner = Arc::clone(self.inner);
-        self.tx.on_commit(move || inner.population.record_insert());
-        Ok(())
+        self.inner.population.bump(self.tx, 1)
     }
+}
+
+/// The key of a node a point query landed on; `None` for a sentinel (nothing
+/// on that side of the probe).
+fn key_of<K: MapKey, V: MapValue>(node: &NodeRef<K, V>) -> Option<K> {
+    (!node.is_sentinel()).then(|| node.key().clone())
 }
 
 impl<K: MapKey, V: MapValue> std::fmt::Debug for TxView<'_, '_, K, V> {

@@ -292,8 +292,8 @@ pub struct Txn<'stm> {
     slab_hits: u32,
     /// The version this attempt committed at (writers: the clock tick's
     /// `wv`; read-only commits: the read version, at which every read is
-    /// consistent).  Zero until [`Txn::commit`] succeeds; handed to
-    /// post-commit actions registered with [`Txn::on_commit_with_stamp`].
+    /// consistent).  Zero until [`Txn::commit`] succeeds; handed to the
+    /// actions registered with [`Txn::on_commit_sequenced`].
     commit_stamp: u64,
     finished: bool,
 }
@@ -367,32 +367,14 @@ impl<'stm> Txn<'stm> {
     }
 
     /// Like [`Txn::on_commit`], but the action receives the attempt's
-    /// **commit stamp**: for a writer commit, the write version `wv` the
+    /// **commit stamp** — for a writer commit, the write version `wv` the
     /// clock issued at commit (the version stamped on every orec this
     /// transaction released); for a read-only commit, the attempt's read
-    /// version (the version at which all of its reads are consistent).
-    ///
-    /// This is the hook a write-ahead log rides: the stamp gives log records
-    /// the clock's total commit order without re-reading the clock (which
-    /// would race with later commits and could disagree with the order the
-    /// orecs actually published).  The same inline-storage rule as
-    /// [`Txn::on_commit`] applies: closures up to three words are stored in
-    /// the pooled action queue without boxing.
-    ///
-    /// Exactly-once semantics are identical to [`Txn::on_commit`]: aborted
-    /// attempts drop the action unrun, and the committing attempt runs it
-    /// once, after its epoch guard is released.
-    pub fn on_commit_with_stamp<F: FnOnce(u64) + 'static>(&mut self, action: F) {
-        self.scratch
-            .post_commit
-            .push(PostCommit::new_stamped(action));
-    }
-
-    /// Like [`Txn::on_commit_with_stamp`], but the action runs at the
-    /// commit's **serialization point**: after the attempt has passed its
-    /// last abort point (stamp minted, validation passed — the commit is
-    /// certain), yet *before* any of its writes are published to other
-    /// transactions.
+    /// version (the version at which all of its reads are consistent) — and
+    /// runs at the commit's **serialization point**: after the attempt has
+    /// passed its last abort point (stamp minted, validation passed — the
+    /// commit is certain), yet *before* any of its writes are published to
+    /// other transactions.
     ///
     /// This ordering is what a write-ahead log needs for its durability
     /// barrier: a record enqueued here is registered with the log **before**
@@ -413,42 +395,26 @@ impl<'stm> Txn<'stm> {
     /// contending on this commit's cells wait exactly as long.
     ///
     /// Exactly-once semantics match [`Txn::on_commit`]: aborted attempts
-    /// drop the action unrun; the committing attempt runs it once, with the
-    /// same stamp [`Txn::on_commit_with_stamp`] would see (writers: the
-    /// ticked `wv`; read-only commits: the read version).  Sequenced
-    /// actions run before every post-commit action, in registration order.
+    /// drop the action unrun; the committing attempt runs it once.
+    /// Sequenced actions run before every post-commit action, in
+    /// registration order.
     /// The same inline-storage rule applies: closures up to three words are
     /// stored in the pooled action queue without boxing.
     pub fn on_commit_sequenced<F: FnOnce(u64) + 'static>(&mut self, action: F) {
         self.scratch.sequenced.push(PostCommit::new_stamped(action));
     }
 
-    /// Pin `value` so it outlives this transaction attempt, including the
-    /// rollback that follows an abort.
+    /// Allocate `value` on the heap and register the allocation with this
+    /// transaction attempt, returning the shared handle.
     ///
     /// Any heap object allocated *inside* a transaction body whose [`TCell`]s
-    /// are written in that same transaction MUST be registered here.  The undo
-    /// log refers to written cells by raw pointer, and the body's own
-    /// reference to a freshly allocated object is dropped when the closure
-    /// returns — *before* the rollback runs.  Without a keep-alive
-    /// registration, an aborted attempt would roll back through freed memory.
-    ///
-    /// Prefer [`Txn::alloc`], which performs the allocation and the
-    /// registration in one step and cannot be forgotten.
-    pub fn keep_alive<T: Send + Sync + 'static>(&mut self, value: std::sync::Arc<T>) {
-        self.scratch.keepalive.push(value);
-    }
-
-    /// Allocate `value` on the heap and register the allocation with this
-    /// transaction attempt in one step, returning the shared handle.
-    ///
-    /// This is the structural replacement for the [`Txn::keep_alive`]
-    /// convention: an object whose [`TCell`]s will be written inside the
-    /// transaction body *must* outlive a potential rollback, and `alloc`
-    /// makes forgetting the registration impossible — the only handle the
-    /// caller ever sees is already registered.  Prefer this over
-    /// `Arc::new` + `keep_alive` for any object allocated inside a
-    /// transaction body.
+    /// are written in that same transaction must outlive a potential
+    /// rollback: the undo log refers to written cells by raw pointer, and
+    /// the body's own handle to a freshly allocated object is dropped when
+    /// the closure returns — *before* the rollback runs.  `alloc` makes
+    /// forgetting that impossible: the only handle the caller ever sees is
+    /// already registered with the attempt, which keeps the object alive
+    /// until the attempt (commit or rollback) is over.
     pub fn alloc<T: Send + Sync + 'static>(&mut self, value: T) -> std::sync::Arc<T> {
         let arc = std::sync::Arc::new(value);
         self.scratch
@@ -473,7 +439,12 @@ impl<'stm> Txn<'stm> {
     /// result and aborts.  `f` must therefore be a pure function of its
     /// argument — it can observe a value whose read subsequently fails
     /// validation.
-    #[inline]
+    ///
+    /// `inline(always)`: this is the body of every traversal loop built on
+    /// the STM.  As a call it costs a skip-list hop ~10% (three reads per
+    /// level-0 element, one per descent hop), and whether the inliner takes
+    /// it depended on how the caller's loops happened to be nested.
+    #[inline(always)]
     pub(crate) fn read_cell_with<T: Send + Sync + 'static, R>(
         &mut self,
         cell: &TCell<T>,
@@ -1059,76 +1030,6 @@ mod tests {
     }
 
     #[test]
-    fn on_commit_with_stamp_fires_once_with_the_commit_stamp() {
-        use std::cell::Cell;
-        use std::rc::Rc;
-        let stm = Stm::new();
-        let cell = TCell::new(0u64);
-        let stamps = Rc::new(Cell::new((0u32, 0u64)));
-        let mut attempts = 0;
-        stm.run(|tx| {
-            attempts += 1;
-            let stamps = Rc::clone(&stamps);
-            tx.on_commit_with_stamp(move |wv| {
-                let (count, _) = stamps.get();
-                stamps.set((count + 1, wv));
-            });
-            if attempts < 3 {
-                // Aborted attempts must drop their stamped actions unrun.
-                return Err(TxAbort::Explicit);
-            }
-            cell.write(tx, attempts)
-        });
-        let (count, stamp) = stamps.get();
-        assert_eq!(count, 1, "only the committing attempt may fire");
-        // A fresh counter clock starts at 0; the first writer commit ticks
-        // it to 1 and that write version is the stamp handed to the action.
-        assert_eq!(stamp, 1);
-        assert_eq!(stm.clock_now(), stamp);
-    }
-
-    #[test]
-    fn on_commit_with_stamp_stamps_advance_per_writer_commit() {
-        use std::cell::Cell;
-        use std::rc::Rc;
-        let stm = Stm::new();
-        let cell = TCell::new(0u64);
-        let seen = Rc::new(Cell::new(0u64));
-        for expected in 1..=3u64 {
-            let seen = Rc::clone(&seen);
-            stm.run(|tx| {
-                let seen = Rc::clone(&seen);
-                tx.on_commit_with_stamp(move |wv| seen.set(wv));
-                let v = cell.read(tx)?;
-                cell.write(tx, v + 1)
-            });
-            assert_eq!(seen.get(), expected);
-        }
-    }
-
-    #[test]
-    fn on_commit_with_stamp_read_only_sees_its_read_version() {
-        use std::cell::Cell;
-        use std::rc::Rc;
-        let stm = Stm::new();
-        let cell = TCell::new(5u64);
-        // One writer commit so the clock is at a known non-zero value.
-        stm.run(|tx| cell.write(tx, 6));
-        let rv_now = stm.clock_now();
-        let seen = Rc::new(Cell::new(u64::MAX));
-        let seen_in = Rc::clone(&seen);
-        stm.run(|tx| {
-            let seen = Rc::clone(&seen_in);
-            tx.on_commit_with_stamp(move |wv| seen.set(wv));
-            cell.read(tx)
-        });
-        // A read-only commit does not tick the clock; its stamp is the
-        // snapshot version the reads validated against.
-        assert_eq!(seen.get(), rv_now);
-        assert_eq!(stm.clock_now(), rv_now);
-    }
-
-    #[test]
     fn on_commit_sequenced_fires_once_with_the_commit_stamp() {
         use std::cell::Cell;
         use std::rc::Rc;
@@ -1156,6 +1057,24 @@ mod tests {
     }
 
     #[test]
+    fn on_commit_sequenced_stamps_advance_per_writer_commit() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        let stm = Stm::new();
+        let cell = TCell::new(0u64);
+        let seen = Rc::new(Cell::new(0u64));
+        for expected in 1..=3u64 {
+            stm.run(|tx| {
+                let seen = Rc::clone(&seen);
+                tx.on_commit_sequenced(move |wv| seen.set(wv));
+                let v = cell.read(tx)?;
+                cell.write(tx, v + 1)
+            });
+            assert_eq!(seen.get(), expected);
+        }
+    }
+
+    #[test]
     fn on_commit_sequenced_runs_before_post_commit_actions() {
         use std::cell::RefCell;
         use std::rc::Rc;
@@ -1165,13 +1084,13 @@ mod tests {
         stm.run(|tx| {
             let a = Rc::clone(&order);
             // Registered first, but post-commit: must still run last.
-            tx.on_commit_with_stamp(move |wv| a.borrow_mut().push(("post", wv)));
+            tx.on_commit(move || a.borrow_mut().push("post"));
             let b = Rc::clone(&order);
-            tx.on_commit_sequenced(move |wv| b.borrow_mut().push(("sequenced", wv)));
+            tx.on_commit_sequenced(move |_| b.borrow_mut().push("sequenced"));
             cell.write(tx, 1)
         });
         let order = order.borrow();
-        assert_eq!(&*order, &[("sequenced", 1), ("post", 1)]);
+        assert_eq!(&*order, &["sequenced", "post"]);
     }
 
     #[test]
@@ -1263,7 +1182,7 @@ mod tests {
         let seen_in = Rc::clone(&seen);
         stm.run(|tx| {
             let seen = Rc::clone(&seen_in);
-            tx.on_commit_with_stamp(move |wv| seen.set(wv));
+            tx.on_commit_sequenced(move |wv| seen.set(wv));
             cell.write(tx, 1)
         });
         assert!(

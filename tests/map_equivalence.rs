@@ -26,10 +26,11 @@ enum Op {
     Remove(u16),
     Get(u16),
     Range(u16, u16),
-    /// `range_rev` (descending borrowed back-walk) plus the `Copy`-key
-    /// copy-out variants of both scan directions over the same bounds.
+    /// `range_rev` (the forward query, reversed) plus `range_copied`, the
+    /// forward kept for the repo benchmark, over the same bounds.
     RangeRev(u16, u16),
-    /// Full scans: `to_vec` and `to_vec_copied` against the whole model.
+    /// Full scans: `to_vec` and its `to_vec_copied` forward against the
+    /// whole model.
     ToVec,
     Ceil(u16),
     Floor(u16),
@@ -142,13 +143,6 @@ fn check_skiphash_against_btreemap(policy: RangePolicy, ops: &[Op]) {
                     map.range_rev(low..=high).collect::<Vec<_>>(),
                     expected_rev,
                     "range_rev({low},{high})"
-                );
-                // The copy-out specializations must agree with the cloning
-                // paths in both directions (u64 is Copy).
-                assert_eq!(
-                    map.range_rev_copied(low..=high).collect::<Vec<_>>(),
-                    expected_rev,
-                    "range_rev_copied({low},{high})"
                 );
                 let expected_fwd: Vec<(u64, u64)> =
                     reference.range(low..=high).map(|(k, v)| (*k, *v)).collect();
@@ -300,15 +294,16 @@ fn skiphash_slow_only_matches_btreemap() {
     });
 }
 
-/// The borrowed-hop scan loops (forward fast path, RQC custody slow path,
-/// the `range_rev` back-walk, full `to_vec` scans, and the `Copy`-key
-/// copy-out variants) under concurrent insert/remove churn.
+/// Every scan entry point — `range` under each policy (fast path, RQC
+/// custody slow path), its `range_rev` mirror, full `to_vec` scans, a
+/// caller-owned `TxView::range`, and `Snapshot::range` at a pin taken
+/// mid-churn — under concurrent insert/remove churn.
 ///
 /// Under churn there is no single reference sequence, but every scan runs
-/// at one consistent version (fast path: one transaction; slow path: one
-/// RQC-registered version), so three invariants must hold for every result:
-/// strict key ordering (ascending forward, descending reverse), the value
-/// law `v == k * 10` that every writer maintains, and the presence of every
+/// at one consistent version (one transaction, one RQC-registered version,
+/// or one pin), so three invariants must hold for every result: strict key
+/// ordering (ascending forward, descending reverse), the value law
+/// `v == k * 10` that every writer maintains, and the presence of every
 /// never-touched "stable" key inside the bounds.  After the writers join,
 /// all paths must agree exactly.
 #[test]
@@ -384,22 +379,15 @@ fn scan_paths_stay_coherent_under_concurrent_churn() {
         for _ in 0..scans {
             check(&map.range(LOW..HIGH).collect::<Vec<_>>(), false, "range");
             check(
-                &map.range_copied(LOW..HIGH).collect::<Vec<_>>(),
-                false,
-                "range_copied",
-            );
-            check(
                 &map.range_rev(LOW..HIGH).collect::<Vec<_>>(),
                 true,
                 "range_rev",
             );
-            check(
-                &map.range_rev_copied(LOW..HIGH).collect::<Vec<_>>(),
-                true,
-                "range_rev_copied",
-            );
             check(&map.to_vec(), false, "to_vec");
-            check(&map.to_vec_copied(), false, "to_vec_copied");
+            let in_txn = map.transact(|v| v.range(LOW..HIGH));
+            check(&in_txn.collect::<Vec<_>>(), false, "TxView::range");
+            let pinned = map.snapshot().range(LOW..HIGH);
+            check(&pinned.collect::<Vec<_>>(), false, "Snapshot::range");
         }
         stop.store(true, Ordering::Relaxed);
         for writer in writers {
@@ -407,12 +395,15 @@ fn scan_paths_stay_coherent_under_concurrent_churn() {
         }
         // Quiescent: every path agrees exactly.
         let fwd: Vec<(u64, u64)> = map.range(LOW..HIGH).collect();
-        assert_eq!(map.range_copied(LOW..HIGH).collect::<Vec<_>>(), fwd);
         let mut rev: Vec<(u64, u64)> = map.range_rev(LOW..HIGH).collect();
-        assert_eq!(map.range_rev_copied(LOW..HIGH).collect::<Vec<_>>(), rev);
         rev.reverse();
-        assert_eq!(rev, fwd, "reverse walk is the exact mirror");
-        assert_eq!(map.to_vec(), map.to_vec_copied());
+        assert_eq!(rev, fwd, "the reverse query is the exact mirror");
+        let in_txn = map.transact(|v| v.range(LOW..HIGH));
+        assert_eq!(in_txn.collect::<Vec<_>>(), fwd);
+        assert_eq!(map.snapshot().range(LOW..HIGH).collect::<Vec<_>>(), fwd);
+        let all = map.to_vec();
+        let within = all.iter().filter(|(k, _)| (LOW..HIGH).contains(k));
+        assert_eq!(within.copied().collect::<Vec<_>>(), fwd);
         map.check_invariants().expect("internal invariants");
     }
 }
