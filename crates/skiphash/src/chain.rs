@@ -1,31 +1,29 @@
-//! Arena-recycled buffers for the transactional hash map's bucket chains.
+//! Recycled buffers for the transactional hash map's bucket chains.
 //!
-//! The hash map's buckets are copy-on-write: every transactional read of a
-//! bucket clones its chain, and every update writes a modified clone back.
-//! With `Vec<(K, T)>` chains each of those clones bought a buffer from the
-//! global allocator and the displaced chain's buffer went back to it through
-//! the epoch — two allocator round trips per map operation, on top of the
-//! node block the skip list used to allocate.  [`Chain`] is the `Vec`
-//! replacement whose buffer comes from [`skiphash_stm::arena`]'s size-classed
-//! pools instead, so steady-state map operations recycle the same handful of
-//! blocks.
+//! The hash map's buckets are copy-on-write: every update clones the
+//! bucket's chain, modifies the clone and writes it back, and the displaced
+//! chain is dropped through the epoch.  [`Chain`] is a `Vec<(K, T)>`
+//! replacement whose buffer is a block of [`skiphash_stm::arena`], the
+//! size-classed recycler, so steady-state map operations cycle the same
+//! handful of blocks instead of making two global-allocator round trips per
+//! update.
 //!
-//! Capacity is negotiated with the arena up front
-//! ([`arena::recommended_size`]) and remembered, so the alloc/free pair is
-//! trivially consistent and a chain always owns its class's full capacity.
+//! Capacity is negotiated with the arena up front ([`arena::class_size`])
+//! and remembered, so the alloc/free pair is trivially consistent and a
+//! chain always owns its class's full capacity.
 //! Clones allocate the same number of bytes as their source; per-bucket
 //! capacity therefore stabilizes at the chain's historical maximum, which is
 //! exactly what keeps clone→retire→clone cycles inside one class's pool.
 //!
-//! Pairs whose alignment exceeds the arena's block alignment transparently
-//! fall back to the global allocator (the arena makes that call); zero-sized
-//! pairs never allocate at all.
+//! Pairs aligned beyond what the arena pools transparently fall back to the
+//! global allocator (the arena makes that call); zero-sized pairs never
+//! allocate at all.
 
 use std::fmt;
 use std::mem;
 use std::ptr::{self, NonNull};
 
-use skiphash_stm::arena;
+use skiphash_stm::arena::{self, BlockKind};
 
 /// A fixed-capacity-by-class growable buffer of `(K, T)` pairs — the bucket
 /// chain representation of [`crate::TxHashMap`].
@@ -95,12 +93,9 @@ impl<K, T> Chain<K, T> {
     }
 
     /// Allocate a buffer of exactly `bytes` (a value previously produced by
-    /// [`arena::recommended_size`], or any size for the fallback paths).
+    /// [`arena::class_size`], or any size for the fallback paths).
     fn buffer_for(bytes: usize) -> NonNull<(K, T)> {
-        let (raw, recycled) = arena::alloc_raw(bytes, Self::ALIGN);
-        if recycled {
-            arena::note_chain_recycle();
-        }
+        let raw = arena::alloc_raw(bytes, Self::ALIGN, BlockKind::Chain);
         // SAFETY: the arena never returns null (it aborts on OOM).
         unsafe { NonNull::new_unchecked(raw.cast()) }
     }
@@ -110,13 +105,11 @@ impl<K, T> Chain<K, T> {
         debug_assert!(Self::ELEM > 0, "ZST chains never grow");
         let needed = Self::ELEM * (self.len + 1);
         // From one class the next request lands in a strictly larger class;
-        // beyond the largest class the arena leaves sizes unchanged, so fall
-        // back to doubling for geometric growth.
+        // beyond the largest class, fall back to doubling for geometric
+        // growth.
         let min_bytes = needed.max(self.alloc_bytes.saturating_add(1));
-        let mut new_bytes = arena::recommended_size(min_bytes, Self::ALIGN);
-        if !arena::pooled(new_bytes, Self::ALIGN) {
-            new_bytes = needed.max(self.alloc_bytes.saturating_mul(2));
-        }
+        let new_bytes = arena::class_size(min_bytes, Self::ALIGN)
+            .unwrap_or_else(|| needed.max(self.alloc_bytes.saturating_mul(2)));
         let new_ptr = Self::buffer_for(new_bytes);
         if self.alloc_bytes > 0 {
             // SAFETY: both buffers are live and disjoint; the first `len`
@@ -287,7 +280,7 @@ mod tests {
 
     #[test]
     fn buffers_are_recycled_through_the_arena() {
-        let before = arena::chain_recycle_hits();
+        let before = arena::recycle_hits(BlockKind::Chain);
         for _ in 0..64 {
             let mut chain: Chain<u64, u64> = Chain::new();
             chain.push((1, 1));
@@ -296,7 +289,7 @@ mod tests {
             drop(copy);
         }
         assert!(
-            arena::chain_recycle_hits() > before,
+            arena::recycle_hits(BlockKind::Chain) > before,
             "chain churn must recycle arena blocks"
         );
     }

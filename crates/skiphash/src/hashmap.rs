@@ -12,11 +12,10 @@
 //! to the same bucket.
 //!
 //! Chains are `Chain`s (see the private `chain` module), not `Vec`s: the
-//! copy-on-write
-//! discipline clones a chain on every read and retires the displaced one on
+//! copy-on-write discipline clones a chain and retires the displaced one on
 //! every update, and with `Vec` buffers each of those paid the global
-//! allocator.  `Chain` buffers come from the structure arena's size-classed
-//! pools, so steady-state map operations recycle the same blocks instead
+//! allocator.  `Chain` buffers are blocks of the STM's size-classed
+//! recycler, so steady-state map operations recycle the same blocks instead
 //! (`chain_recycle_hits` in `Stm::stats()` shows the effect).
 
 use std::collections::hash_map::RandomState;

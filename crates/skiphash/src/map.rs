@@ -321,9 +321,9 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
     /// the hot-path counters — `validation_skipped_commits` (writer commits
     /// whose clock proved quiescence), `read_dedup_hits` (re-reads absorbed
     /// by the read-set filter; skip-list traversals generate many), and
-    /// `slab_recycle_hits` (payloads of wider-than-a-word cells — values,
-    /// bucket chains — served from recycled slab blocks).
-    /// See `docs/PERF.md`.
+    /// `slab_` / `node_` / `chain_recycle_hits` (payloads of
+    /// wider-than-a-word cells, node blocks and chain buffers served from
+    /// recycled memory; process-wide).  See `docs/PERF.md`.
     pub fn stm_stats(&self) -> StatsSnapshot {
         self.inner.stm.stats()
     }

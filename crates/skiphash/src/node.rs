@@ -1,4 +1,4 @@
-//! Skip list nodes, allocated from the recycling structure arena.
+//! Skip list nodes, allocated from the block recycler.
 //!
 //! A node stores its key and tower height as plain immutable fields (the
 //! paper's `const` optimization: immutable data needs no STM
@@ -30,7 +30,7 @@
 //! through the epoch shim's `defer_with`, and the reclamation glue — run only
 //! after every thread pinned at retirement time has unpinned — drops the
 //! node's fields and returns the block to the arena.  Two hazards force this
-//! (both shared with the payload slab, see `docs/PERF.md`):
+//! (see `docs/PERF.md`):
 //!
 //! * **Read-set orecs.**  A transaction records raw pointers to the orecs of
 //!   every cell it read — including cells of nodes it no longer holds a
@@ -73,7 +73,8 @@ use std::ops::Deref;
 use std::ptr::{self, addr_of_mut, NonNull};
 
 use crossbeam_epoch as epoch;
-use skiphash_stm::{arena, TCell, TxResult, Txn};
+use skiphash_stm::arena::{self, BlockKind};
+use skiphash_stm::{TCell, TxResult, Txn};
 
 use crate::{MapKey, MapValue};
 
@@ -160,10 +161,16 @@ struct NodeBlock<K, V> {
 /// the tower array.  A pure function of the type and the height, so the
 /// allocation and reclamation sides always agree (the glue re-derives it from
 /// the height stored in the header).
+///
+/// The block asks for a cache line's alignment: the "scan-hot fields first"
+/// order of [`Node`] puts them in one line only if offset 0 is a line
+/// boundary.
 fn block_layout<K, V>(height: usize) -> (Layout, usize) {
+    const LINE_BYTES: usize = 64;
     let header = Layout::new::<NodeBlock<K, V>>();
     let tower = Layout::array::<Level<K, V>>(height).expect("tower layout");
     let (layout, offset) = header.extend(tower).expect("block layout");
+    let layout = layout.align_to(LINE_BYTES).expect("block layout");
     (layout.pad_to_align(), offset)
 }
 
@@ -176,7 +183,7 @@ fn block_layout<K, V>(height: usize) -> (Layout, usize) {
 /// element, the key (`bound`), the deletion mark (`r_time`), and the value
 /// cell — so those lead the header and, for small keys, land in the block's
 /// first cache line together with `refs` (blocks are cache-line aligned,
-/// see `stm::arena::BLOCK_ALIGN`).  The descent-only and immutable-cold
+/// see `block_layout`).  The descent-only and immutable-cold
 /// fields (`i_time`, `height`, `tower`) trail.  Layout rules are documented
 /// in docs/PERF.md, Mechanism 6.
 #[repr(C)]
@@ -452,10 +459,7 @@ fn alloc_node<K: MapKey, V: MapValue>(
 ) -> NodeRef<K, V> {
     assert!(height >= 1, "node height must be at least 1");
     let (layout, tower_offset) = block_layout::<K, V>(height);
-    let (raw, recycled) = arena::alloc_raw(layout.size(), layout.align());
-    if recycled {
-        arena::note_node_recycle();
-    }
+    let raw = arena::alloc_raw(layout.size(), layout.align(), BlockKind::Node);
     // SAFETY: the block is exclusively ours, large and aligned enough for
     // the layout just computed; every field is written before the handle
     // escapes.
@@ -671,17 +675,38 @@ mod tests {
     }
 
     #[test]
+    fn blocks_are_line_aligned_with_the_scan_hot_fields_in_the_first_line() {
+        // The layout rule of docs/PERF.md, for the benchmarked map type at
+        // every tower height the default `max_level` can sample.
+        fn in_first_line<T>(block: usize, field: &T) -> bool {
+            let at = ptr::from_ref(field) as usize;
+            at >= block && at + size_of_val(field) <= block + 64
+        }
+        let nodes: Vec<_> = (1..=20)
+            .map(|height| Node::<u64, u64>::new(7, 7, height, 0, 0))
+            .collect();
+        for node in &nodes {
+            let block = node.block.as_ptr() as usize;
+            assert_eq!(block % 64, 0, "height {}", node.height);
+            assert!(in_first_line(block, node.refs()));
+            assert!(in_first_line(block, &node.bound));
+            assert!(in_first_line(block, &node.r_time));
+            assert!(in_first_line(block, &node.value));
+        }
+    }
+
+    #[test]
     fn released_blocks_are_recycled_through_the_epoch() {
         // Dropping nodes and driving collection must eventually serve a new
         // node from a recycled block (same height class).
-        let before = arena::node_recycle_hits();
+        let before = arena::recycle_hits(BlockKind::Node);
         for _ in 0..2_000u64 {
             let n = Node::<u64, u64>::new(1, 1, 4, 0, 0);
             drop(n);
             drop(epoch::pin());
         }
         assert!(
-            arena::node_recycle_hits() > before,
+            arena::recycle_hits(BlockKind::Node) > before,
             "node churn must recycle arena blocks"
         );
     }

@@ -7,18 +7,18 @@
 //! atomics; they are for reporting only and never synchronize anything.
 //!
 //! Deliberately *not* routed through the `crate::sync` facade: these
-//! counters synchronize nothing, and some updates are conditional on
-//! process-global allocator state (e.g. `record_hot_path` skips the RMW
-//! when no slab block was recycled).  Instrumenting them would make the
-//! model checker's schedule-point sequence depend on cross-execution slab /
-//! epoch state, breaking replay-token determinism.
+//! counters synchronize nothing, and instrumenting them would put
+//! reporting-only operations into the model checker's schedule-point
+//! sequence — the recycle counters, folded in by `crate::arena` at moments
+//! that depend on process-global allocator state, would make that sequence
+//! differ between an exploring run and its replay.
 
 use std::fmt;
 // FACADE-EXEMPT: reporting-only counters; see the module docs above for why
 // instrumenting them would break replay-token determinism.
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::arena;
+use crate::arena::{self, BlockKind};
 use crate::error::TxAbort;
 use crate::snapshot;
 
@@ -26,7 +26,7 @@ use crate::snapshot;
 ///
 /// The durability layer (WAL writer, checkpointer, recovery) lives in a
 /// separate crate and its writer thread is not tied to any one `Stm`
-/// instance, so — like the arena and snapshot-custody counters — the live
+/// instance, so — like the recycle and snapshot-custody counters — the live
 /// totals are process-global and each [`StmStats`] keeps only a baseline.
 /// The durability crate batches its updates (one RMW per flushed batch /
 /// replay pass, not one per record) to keep the log hot path off these
@@ -89,16 +89,16 @@ pub fn checkpoints_written_total() -> u64 {
 
 /// Shared, concurrently updated statistics for one [`crate::Stm`] instance.
 ///
-/// The two arena counters (`node_recycle_hits` / `chain_recycle_hits`) are
-/// special: the structure arena is process-global (blocks are recycled by
-/// whichever thread drives epoch collection, regardless of which `Stm` the
-/// structure belonged to), so the live counters live in [`crate::arena`] and
-/// this struct only keeps the *baseline* captured at construction / reset,
-/// letting [`StmStats::snapshot`] report per-trial deltas like every other
-/// counter.  The snapshot-custody counters (`snapshot_preserved` /
-/// `snapshot_freed`) follow the same scheme: the history side table is
-/// process-global, so the live totals live in [`crate::snapshot`] and only
-/// the baselines are per-instance.
+/// The three recycle counters (`slab_` / `node_` / `chain_recycle_hits`) are
+/// special: the block recycler is process-global (a block is recycled by
+/// whichever thread drives epoch collection and reused by whichever thread
+/// allocates next, regardless of which `Stm` it served), so the live totals
+/// live in [`crate::arena`] and this struct only keeps the *baseline*
+/// captured at construction / reset, letting [`StmStats::snapshot`] report
+/// per-trial deltas like every other counter.  The snapshot-custody counters
+/// (`snapshot_preserved` / `snapshot_freed`) follow the same scheme: the
+/// history side table is process-global, so the live totals live in
+/// [`crate::snapshot`] and only the baselines are per-instance.
 #[derive(Debug, Default)]
 pub struct StmStats {
     commits: AtomicU64,
@@ -109,9 +109,8 @@ pub struct StmStats {
     aborts_explicit: AtomicU64,
     validation_skipped_commits: AtomicU64,
     read_dedup_hits: AtomicU64,
-    slab_recycle_hits: AtomicU64,
-    node_recycle_baseline: AtomicU64,
-    chain_recycle_baseline: AtomicU64,
+    /// Indexed by `BlockKind as usize`.
+    recycle_baseline: [AtomicU64; BlockKind::ALL.len()],
     snapshot_preserved_baseline: AtomicU64,
     snapshot_freed_baseline: AtomicU64,
     wal_appended_baseline: AtomicU64,
@@ -123,29 +122,26 @@ pub struct StmStats {
 impl StmStats {
     /// Create zeroed statistics.
     ///
-    /// The arena baselines are captured *now*, so a fresh instance reports
-    /// only recycling that happens after its construction (the process-global
-    /// counters may already be far along).
+    /// The baselines of the process-global counters are captured *now*, so a
+    /// fresh instance reports only what happens after its construction (the
+    /// totals may already be far along).
     pub fn new() -> Self {
         let stats = Self::default();
-        stats
-            .node_recycle_baseline
-            .store(arena::node_recycle_hits(), Ordering::Relaxed);
-        stats
-            .chain_recycle_baseline
-            .store(arena::chain_recycle_hits(), Ordering::Relaxed);
-        stats
-            .snapshot_preserved_baseline
-            .store(snapshot::preserved_total(), Ordering::Relaxed);
-        stats
-            .snapshot_freed_baseline
-            .store(snapshot::freed_total(), Ordering::Relaxed);
-        stats.rebase_durability();
+        stats.rebase();
         stats
     }
 
-    /// Re-capture the durability baselines at the current global totals.
-    fn rebase_durability(&self) {
+    /// Capture the current process-global totals as this instance's
+    /// baselines.
+    fn rebase(&self) {
+        for kind in BlockKind::ALL {
+            self.recycle_baseline[kind as usize]
+                .store(arena::recycle_hits(kind), Ordering::Relaxed);
+        }
+        self.snapshot_preserved_baseline
+            .store(snapshot::preserved_total(), Ordering::Relaxed);
+        self.snapshot_freed_baseline
+            .store(snapshot::freed_total(), Ordering::Relaxed);
         self.wal_appended_baseline
             .store(wal_records_appended_total(), Ordering::Relaxed);
         self.group_flush_baseline
@@ -168,17 +164,13 @@ impl StmStats {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Fold one attempt's locally accumulated hot-path counters in (the
-    /// transaction batches these so the shared cache line is touched once
-    /// per attempt, not once per read or write).
-    pub(crate) fn record_hot_path(&self, dedup_hits: u32, slab_hits: u32) {
+    /// Fold one attempt's locally accumulated dedup hits in (the transaction
+    /// batches them so the shared cache line is touched once per attempt,
+    /// not once per read).
+    pub(crate) fn record_hot_path(&self, dedup_hits: u32) {
         if dedup_hits > 0 {
             self.read_dedup_hits
                 .fetch_add(u64::from(dedup_hits), Ordering::Relaxed);
-        }
-        if slab_hits > 0 {
-            self.slab_recycle_hits
-                .fetch_add(u64::from(slab_hits), Ordering::Relaxed);
         }
     }
 
@@ -194,6 +186,10 @@ impl StmStats {
 
     /// Take a point-in-time copy of the counters.
     pub fn snapshot(&self) -> StatsSnapshot {
+        let recycled = |kind: BlockKind| {
+            arena::recycle_hits(kind)
+                .saturating_sub(self.recycle_baseline[kind as usize].load(Ordering::Relaxed))
+        };
         StatsSnapshot {
             commits: self.commits.load(Ordering::Relaxed),
             read_only_commits: self.read_only_commits.load(Ordering::Relaxed),
@@ -203,11 +199,9 @@ impl StmStats {
             aborts_explicit: self.aborts_explicit.load(Ordering::Relaxed),
             validation_skipped_commits: self.validation_skipped_commits.load(Ordering::Relaxed),
             read_dedup_hits: self.read_dedup_hits.load(Ordering::Relaxed),
-            slab_recycle_hits: self.slab_recycle_hits.load(Ordering::Relaxed),
-            node_recycle_hits: arena::node_recycle_hits()
-                .saturating_sub(self.node_recycle_baseline.load(Ordering::Relaxed)),
-            chain_recycle_hits: arena::chain_recycle_hits()
-                .saturating_sub(self.chain_recycle_baseline.load(Ordering::Relaxed)),
+            slab_recycle_hits: recycled(BlockKind::Payload),
+            node_recycle_hits: recycled(BlockKind::Node),
+            chain_recycle_hits: recycled(BlockKind::Chain),
             snapshot_preserved: snapshot::preserved_total()
                 .saturating_sub(self.snapshot_preserved_baseline.load(Ordering::Relaxed)),
             snapshot_freed: snapshot::freed_total()
@@ -225,9 +219,9 @@ impl StmStats {
 
     /// Reset all counters to zero (used between benchmark trials).
     ///
-    /// The process-global arena counters cannot be zeroed (other runtimes may
-    /// be mid-trial); instead the current totals become this instance's new
-    /// baseline, so subsequent snapshots report the delta.
+    /// The process-global counters cannot be zeroed (other runtimes may be
+    /// mid-trial); instead the current totals become this instance's new
+    /// baselines, so subsequent snapshots report the delta.
     pub fn reset(&self) {
         self.commits.store(0, Ordering::Relaxed);
         self.read_only_commits.store(0, Ordering::Relaxed);
@@ -237,16 +231,7 @@ impl StmStats {
         self.aborts_explicit.store(0, Ordering::Relaxed);
         self.validation_skipped_commits.store(0, Ordering::Relaxed);
         self.read_dedup_hits.store(0, Ordering::Relaxed);
-        self.slab_recycle_hits.store(0, Ordering::Relaxed);
-        self.node_recycle_baseline
-            .store(arena::node_recycle_hits(), Ordering::Relaxed);
-        self.chain_recycle_baseline
-            .store(arena::chain_recycle_hits(), Ordering::Relaxed);
-        self.snapshot_preserved_baseline
-            .store(snapshot::preserved_total(), Ordering::Relaxed);
-        self.snapshot_freed_baseline
-            .store(snapshot::freed_total(), Ordering::Relaxed);
-        self.rebase_durability();
+        self.rebase();
     }
 }
 
@@ -271,16 +256,18 @@ pub struct StatsSnapshot {
     /// Reads answered by the read-set dedup filter instead of growing the
     /// read set (re-reads of already-validated cells).
     pub read_dedup_hits: u64,
-    /// Transactional writes whose payload came from a recycled slab block
-    /// rather than the global allocator.  Writes of a word-sized value have
-    /// no payload (the value is the cell's data word) and are not counted.
+    /// Payload blocks — the storage behind a [`crate::TCell`] whose value is
+    /// wider than a word — served from recycled memory rather than a fresh
+    /// chunk, by any path: a transactional write, `TCell::new`,
+    /// `store_atomic`, or a commit preserving a displaced value for a
+    /// snapshot pin.  A word-sized value has no payload (it is the cell's
+    /// data word) and never counts.  Process-wide, relative to this
+    /// instance's construction/reset baseline — see [`StmStats`].
     pub slab_recycle_hits: u64,
-    /// Skip-hash node blocks served from recycled arena memory rather than
-    /// the global allocator (process-wide, relative to this instance's
-    /// construction/reset baseline — see [`StmStats`]).
+    /// Skip-hash node blocks served from recycled memory (same process-wide
+    /// baseline semantics as `slab_recycle_hits`).
     pub node_recycle_hits: u64,
-    /// Hash-chain buffers served from recycled arena memory rather than the
-    /// global allocator (same baseline semantics as `node_recycle_hits`).
+    /// Hash-chain buffers served from recycled memory (same semantics).
     pub chain_recycle_hits: u64,
     /// Displaced values preserved for live snapshot pins instead of being
     /// retired (process-wide, relative to this instance's baseline — see
@@ -319,28 +306,29 @@ impl StatsSnapshot {
         }
     }
 
-    /// Pointwise difference `self - earlier`, for per-trial deltas.
+    /// Pointwise difference `self - earlier`, for per-trial deltas.  A field
+    /// that went *down* — [`StmStats::reset`] ran between the two snapshots —
+    /// reads zero rather than wrapping.
     pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+        let delta = |field: fn(&StatsSnapshot) -> u64| field(self).saturating_sub(field(earlier));
         StatsSnapshot {
-            commits: self.commits - earlier.commits,
-            read_only_commits: self.read_only_commits - earlier.read_only_commits,
-            aborts_read_conflict: self.aborts_read_conflict - earlier.aborts_read_conflict,
-            aborts_write_conflict: self.aborts_write_conflict - earlier.aborts_write_conflict,
-            aborts_validation: self.aborts_validation - earlier.aborts_validation,
-            aborts_explicit: self.aborts_explicit - earlier.aborts_explicit,
-            validation_skipped_commits: self.validation_skipped_commits
-                - earlier.validation_skipped_commits,
-            read_dedup_hits: self.read_dedup_hits - earlier.read_dedup_hits,
-            slab_recycle_hits: self.slab_recycle_hits - earlier.slab_recycle_hits,
-            node_recycle_hits: self.node_recycle_hits - earlier.node_recycle_hits,
-            chain_recycle_hits: self.chain_recycle_hits - earlier.chain_recycle_hits,
-            snapshot_preserved: self.snapshot_preserved - earlier.snapshot_preserved,
-            snapshot_freed: self.snapshot_freed - earlier.snapshot_freed,
-            wal_records_appended: self.wal_records_appended - earlier.wal_records_appended,
-            group_commit_flushes: self.group_commit_flushes - earlier.group_commit_flushes,
-            recovery_records_replayed: self.recovery_records_replayed
-                - earlier.recovery_records_replayed,
-            checkpoints_written: self.checkpoints_written - earlier.checkpoints_written,
+            commits: delta(|s| s.commits),
+            read_only_commits: delta(|s| s.read_only_commits),
+            aborts_read_conflict: delta(|s| s.aborts_read_conflict),
+            aborts_write_conflict: delta(|s| s.aborts_write_conflict),
+            aborts_validation: delta(|s| s.aborts_validation),
+            aborts_explicit: delta(|s| s.aborts_explicit),
+            validation_skipped_commits: delta(|s| s.validation_skipped_commits),
+            read_dedup_hits: delta(|s| s.read_dedup_hits),
+            slab_recycle_hits: delta(|s| s.slab_recycle_hits),
+            node_recycle_hits: delta(|s| s.node_recycle_hits),
+            chain_recycle_hits: delta(|s| s.chain_recycle_hits),
+            snapshot_preserved: delta(|s| s.snapshot_preserved),
+            snapshot_freed: delta(|s| s.snapshot_freed),
+            wal_records_appended: delta(|s| s.wal_records_appended),
+            group_commit_flushes: delta(|s| s.group_commit_flushes),
+            recovery_records_replayed: delta(|s| s.recovery_records_replayed),
+            checkpoints_written: delta(|s| s.checkpoints_written),
         }
     }
 }
@@ -394,11 +382,12 @@ mod tests {
         assert!((snap.abort_rate() - 1.5).abs() < 1e-9);
     }
 
-    /// Zero the process-global fields (arena and snapshot custody):
-    /// concurrently running tests may recycle blocks or move history entries
-    /// between a `reset` and the `snapshot` under assertion, and those
-    /// deltas are legitimate.
+    /// Zero the process-global fields (block recycling, snapshot custody,
+    /// durability): concurrently running tests may recycle blocks or move
+    /// history entries between a `reset` and the `snapshot` under assertion,
+    /// and those deltas are legitimate.
     fn without_arena_counters(mut snap: StatsSnapshot) -> StatsSnapshot {
+        snap.slab_recycle_hits = 0;
         snap.node_recycle_hits = 0;
         snap.chain_recycle_hits = 0;
         snap.snapshot_preserved = 0;
@@ -436,19 +425,32 @@ mod tests {
     }
 
     #[test]
+    fn since_across_a_reset_saturates_at_zero() {
+        // The documented per-trial idiom, used together: every field of the
+        // later snapshot is below the earlier one's.
+        let stats = StmStats::new();
+        stats.record_commit(true);
+        stats.record_abort(TxAbort::Explicit);
+        stats.record_hot_path(5);
+        let before = stats.snapshot();
+        stats.reset();
+        let delta = stats.snapshot().since(&before);
+        assert_eq!(without_arena_counters(delta), StatsSnapshot::default());
+    }
+
+    #[test]
     fn hot_path_counters_accumulate_and_reset() {
         let stats = StmStats::new();
         stats.record_validation_skipped();
-        stats.record_hot_path(3, 2);
-        stats.record_hot_path(0, 0); // zero batches must not touch the lines
+        stats.record_hot_path(3);
+        stats.record_hot_path(0); // a zero batch must not touch the line
         let snap = stats.snapshot();
         assert_eq!(snap.validation_skipped_commits, 1);
         assert_eq!(snap.read_dedup_hits, 3);
-        assert_eq!(snap.slab_recycle_hits, 2);
         let display = snap.to_string();
         assert!(display.contains("noval=1"));
         assert!(display.contains("dedup=3"));
-        assert!(display.contains("slab=2"));
+        assert!(display.contains("slab="));
         stats.reset();
         assert_eq!(
             without_arena_counters(stats.snapshot()),
@@ -458,18 +460,27 @@ mod tests {
 
     #[test]
     fn arena_counters_report_deltas_from_the_baseline() {
+        /// One block of `kind` served from this thread's magazine.
+        fn recycle_one(kind: BlockKind) {
+            for _ in 0..2 {
+                let block = arena::alloc_raw(40, 8, kind);
+                // SAFETY: `block` came from `alloc_raw` with the same size/align and is not used again.
+                unsafe { arena::free_raw(block, 40, 8) };
+            }
+        }
         let stats = StmStats::new();
         let before = stats.snapshot();
-        arena::note_node_recycle();
-        arena::note_chain_recycle();
+        BlockKind::ALL.into_iter().for_each(recycle_one);
+        // A snapshot folds the calling thread's unfolded hits in first.
         let after = stats.snapshot();
+        assert!(after.slab_recycle_hits > before.slab_recycle_hits);
         assert!(after.node_recycle_hits > before.node_recycle_hits);
         assert!(after.chain_recycle_hits > before.chain_recycle_hits);
         // A freshly constructed instance baselines at the current totals and
         // reports only recycling from here on.
         let fresh = StmStats::new();
         let fresh_before = fresh.snapshot().node_recycle_hits;
-        arena::note_node_recycle();
+        recycle_one(BlockKind::Node);
         assert!(fresh.snapshot().node_recycle_hits > fresh_before);
     }
 

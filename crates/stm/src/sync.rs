@@ -14,8 +14,8 @@
 //!   model execution the instrumented types forward to std, so ordinary
 //!   code keeps working even in model builds.
 //!
-//! Deliberately **not** routed through the facade: `stm::slab`,
-//! `stm::arena`, and `stm::scratch`.  Their atomics guard allocator
+//! Deliberately **not** routed through the facade: `stm::arena` and
+//! `stm::scratch`.  Their atomics guard allocator
 //! internals that run *inside* real `Mutex` critical sections and epoch
 //! callbacks; instrumenting them would (a) blow up the schedule space with
 //! uninteresting allocator interleavings and (b) risk scheduler deadlock if

@@ -32,10 +32,10 @@ use crate::txn::Txn;
 ///   reader may still be looking through its copy of the word.
 /// * Every other value lives behind the word, in a payload the word points
 ///   at: a write installs a freshly allocated payload and retires the
-///   displaced one through the epoch.  Payloads come from the size-classed
-///   slab (see `docs/PERF.md`), so steady-state write churn performs no heap
-///   allocation; types too large or over-aligned for the slab fall back to
-///   plain `Box`es transparently.
+///   displaced one through the epoch.  Payloads are blocks of the size-classed
+///   recycler (`crate::arena`, see `docs/PERF.md`), so steady-state write
+///   churn performs no heap allocation; types too large or over-aligned for
+///   its classes fall back to the global allocator transparently.
 ///
 /// Neither the protocol nor the API differs between the two; the exact rule
 /// is documented on `slab::inline`.
@@ -107,15 +107,14 @@ unsafe fn value_of<T>(word: *mut ()) -> T {
 }
 
 /// Wrap `value` as a data word: the value itself, or a pointer to a fresh
-/// payload.  The flag reports a recycled slab block.
+/// payload.
 #[inline]
-fn to_word<T>(value: T) -> (*mut (), bool) {
+fn to_word<T>(value: T) -> *mut () {
     if slab::inline::<T>() {
         // SAFETY: `T` is inline, checked on the line above.
-        (unsafe { word_of(value) }, false)
+        unsafe { word_of(value) }
     } else {
-        let (ptr, recycled) = slab::alloc_value(value);
-        (ptr.cast(), recycled)
+        slab::alloc_value(value).cast()
     }
 }
 
@@ -193,7 +192,7 @@ impl<T> TCell<T> {
     pub fn new_at(value: T, version: u64) -> Self {
         Self {
             orec: Orec::new(version),
-            data: AtomicPtr::new(to_word(value).0),
+            data: AtomicPtr::new(to_word(value)),
             shadow: ShadowSlot::new("tcell.payload"),
             _value: PhantomData,
         }
@@ -229,16 +228,14 @@ impl<T> TCell<T> {
         }
     }
 
-    /// Swap `value` into the data word, returning the displaced word and
-    /// whether a recycled slab block carries the new payload.  The caller
-    /// holds the orec and owes the displaced word a [`retire`] (or a place
-    /// in the undo log).
+    /// Swap `value` into the data word, returning the displaced word.  The
+    /// caller holds the orec and owes the displaced word a [`retire`] (or a
+    /// place in the undo log).
     #[inline]
-    pub(crate) fn install(&self, value: T) -> (*mut (), bool) {
-        let (word, recycled) = to_word(value);
-        let old = self.data.swap(word, Ordering::AcqRel);
+    pub(crate) fn install(&self, value: T) -> *mut () {
+        let old = self.data.swap(to_word(value), Ordering::AcqRel);
         self.shadow.on_write();
-        (old, recycled)
+        old
     }
 }
 
@@ -323,7 +320,7 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
                 const STORE_OWNER: u64 = (1 << 62) - 1;
                 if self.orec.try_acquire(version, STORE_OWNER) {
                     let guard = epoch::pin();
-                    let (old, _) = self.install(value);
+                    let old = self.install(value);
                     if let Some(glue) = reclaim_glue::<T>() {
                         // SAFETY: `old` is unreachable once swapped out, and
                         // the swap happened under `guard`.
@@ -445,7 +442,7 @@ impl<T> Drop for TCell<T> {
         let word = *self.data.get_mut();
         // SAFETY: `&mut self` guarantees no concurrent access, and the cell
         // is the one owner of its current word: drop an inline value in
-        // place, hand a payload (value and block) back to the slab.
+        // place, hand a payload (value and block) back to the recycler.
         unsafe {
             if slab::inline::<T>() {
                 drop_word::<T>(word);
@@ -520,7 +517,7 @@ unsafe fn commit_write<T: Send + Sync + 'static>(
             // release below — a pinned reader that observes the new version
             // must find the entry.
             let preserved = if slab::inline::<T>() {
-                slab::alloc_value(value_of::<T>(old_data)).0.cast::<()>()
+                slab::alloc_value(value_of::<T>(old_data)).cast::<()>()
             } else {
                 old_data
             };
@@ -682,16 +679,17 @@ mod tests {
 
     #[test]
     fn slab_ineligible_values_still_round_trip() {
-        // 1 KiB payloads exceed every slab class, exercising the Box
-        // fallback across write, overwrite, and store_atomic.
+        // 8 KiB payloads exceed every block class, exercising the
+        // global-allocator fallback across write, overwrite, and
+        // store_atomic.
         let stm = Stm::new();
-        let cell = TCell::new([1u8; 1024]);
+        let cell = TCell::new([1u8; 8192]);
         stm.run(|tx| {
-            cell.write(tx, [2u8; 1024])?;
-            cell.write(tx, [3u8; 1024])
+            cell.write(tx, [2u8; 8192])?;
+            cell.write(tx, [3u8; 8192])
         });
         assert_eq!(cell.load_atomic()[0], 3);
-        cell.store_atomic([4u8; 1024]);
+        cell.store_atomic([4u8; 8192]);
         assert_eq!(cell.load_atomic()[0], 4);
     }
 

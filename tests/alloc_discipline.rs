@@ -2,11 +2,13 @@
 //!
 //! The STM's steady-state commit path is supposed to be allocation-free:
 //! transaction scratch is pooled per thread, the write log is unboxed,
-//! word-sized values live in their cells and wider payloads come from the
-//! recycling slab, and the epoch shim recycles its sealed bags.  These tests
-//! install a counting global allocator and prove
-//! it, so a future change that sneaks a `Box` or a fresh `Vec` back onto the
-//! hot path fails CI instead of quietly regressing throughput.
+//! word-sized values live in their cells and wider payloads, node blocks and
+//! chain buffers come from the block recycler (`stm::arena`), and the epoch
+//! shim recycles its sealed bags.  These tests install a counting global
+//! allocator and prove it, so a future change that sneaks a `Box` or a fresh
+//! `Vec` back onto the hot path fails CI instead of quietly regressing
+//! throughput.  The last section bounds what a *cold* recycler may ask of the
+//! allocator: fresh blocks are carved from chunks, never minted one by one.
 //!
 //! Everything runs in ONE `#[test]` so no concurrent test thread can
 //! attribute its allocations to the measured windows.
@@ -60,7 +62,7 @@ fn count_allocs(body: impl FnOnce()) -> u64 {
 /// One window may be dirty because the counter is process-wide and some
 /// costs are once-ever rather than per-operation: the epoch returns retired
 /// blocks in batches, so a window is phase-sensitive; a rare tall tower's
-/// size class may see its first block minted; the test harness's own thread
+/// size class may see its first chunk minted; the test harness's own thread
 /// allocates while it waits.  A per-operation allocation dirties all three.
 fn assert_steady_state_is_allocation_free(what: &str, mut window: impl FnMut() -> u64) {
     let measured: Vec<u64> = (0..3).map(|_| window()).collect();
@@ -73,7 +75,7 @@ fn assert_steady_state_is_allocation_free(what: &str, mut window: impl FnMut() -
 
 #[test]
 fn steady_state_hot_paths_do_not_touch_the_global_allocator() {
-    // ---- 0. Word-sized values: ZERO allocations, and no slab either.
+    // ---- 0. Word-sized values: ZERO allocations, and no payload either.
     //
     // A `u64` is the cell's data word: a write swaps the word, and there is
     // no payload to allocate, recycle or retire — so nothing to warm beyond
@@ -101,15 +103,16 @@ fn steady_state_hot_paths_do_not_touch_the_global_allocator() {
     assert_eq!(
         word_stm.stats().slab_recycle_hits,
         0,
-        "a word-sized value never reaches the slab"
+        "a word-sized value never reaches the recycler"
     );
 
     // ---- 1. The canonical read-modify-write transaction: ZERO allocations.
     //
     // The value is wider than a word, so every write installs a payload:
-    // after warmup the scratch pool holds the transaction buffers, the slab
-    // magazines hold enough payload blocks to cover the epoch's in-flight
-    // window, and the epoch's bag pool covers the seal/collect cycle.
+    // after warmup the scratch pool holds the transaction buffers, the
+    // recycler's magazines hold enough payload blocks to cover the epoch's
+    // in-flight window, and the epoch's bag pool covers the seal/collect
+    // cycle.
     let stm = Stm::new();
     let cell = TCell::new([0u64; 2]);
     let rmw = |stm: &Stm, cell: &TCell<[u64; 2]>| {
@@ -130,7 +133,7 @@ fn steady_state_hot_paths_do_not_touch_the_global_allocator() {
     });
     assert!(
         stm.stats().slab_recycle_hits > 0,
-        "the slab must be serving the write path"
+        "the recycler must be serving the write path"
     );
     assert!(
         stm.stats().validation_skipped_commits > 0,
@@ -160,10 +163,7 @@ fn steady_state_hot_paths_do_not_touch_the_global_allocator() {
 
     // ---- 3. End-to-end skip hash insert/remove churn: ZERO allocations.
     //
-    // Until the structure arena existed, a fresh key inherently allocated its
-    // node structure (an `Arc<Node>`, a boxed tower slice, hash-chain `Vec`
-    // clones) and this section could only bound the damage (≤16 hits/pair).
-    // Now node blocks — refcount, header, and the tower inline — are
+    // Node blocks — refcount, header, and the tower inline — are
     // height-classed arena blocks recycled through the epoch, and the hash
     // map's copy-on-write chains clone through pooled buffers, so a
     // steady-state insert/remove pair must not touch the global allocator at
@@ -171,20 +171,20 @@ fn steady_state_hot_paths_do_not_touch_the_global_allocator() {
     //
     // Windows are assessed like the RMW section: tower heights are sampled
     // geometrically, so a rare tall-tower *size class* may see its very first
-    // allocation inside a measured window (a once-ever event per class, not a
-    // leak).  Requiring 2 of 3 windows to be exactly zero admits that one-off
-    // while still failing on any per-pair allocation that grows back.
+    // chunk minted inside a measured window (a once-ever event per class, not
+    // a leak).  Requiring 2 of 3 windows to be exactly zero admits that
+    // one-off while still failing on any per-pair allocation that grows back.
     // Steady state is defined by warm pools, so warm them deterministically
     // (a production service does the same at startup):
     //
     // * tower heights are sampled geometrically at run time, so cycle blocks
     //   of every height class through the epoch once — otherwise a rare tall
-    //   tower's *first-ever* block can legitimately mint mid-measurement;
-    // * the value-cell payload class (the slab's smallest: an `Option<u64>`
-    //   is two words; links, stamps and counters are one and live in their
-    //   cells) carries a standing in-flight population of retired blocks, so
-    //   give it headroom up front instead of letting the high-water mark be
-    //   discovered by minting.
+    //   tower's *first-ever* chunk can legitimately mint mid-measurement;
+    // * the value-cell payload class (the smallest: an `Option<u64>` is two
+    //   words; links, stamps and counters are one and live in their cells)
+    //   carries a standing in-flight population of retired blocks, so give
+    //   it headroom up front instead of letting the high-water mark be
+    //   discovered by carving.
     for height in 1..=20 {
         let nodes: Vec<_> = (0..32)
             .map(|i| skiphash::node::Node::<u64, u64>::new(i, 0, height, 0, 0))
@@ -259,4 +259,23 @@ fn steady_state_hot_paths_do_not_touch_the_global_allocator() {
         allocs
     });
     drop(snap);
+
+    // ---- 5. A cold recycler mints by the chunk, not by the block.
+    //
+    // Fresh keys need fresh memory: per key a node block, a value payload,
+    // and for a bucket's first key a chain buffer and its header.  The
+    // recycler carves them from 32 KiB chunks, so the populate reaches the
+    // global allocator a few hundred times for 50,000 keys (Vec growth in
+    // the magazines and pools included; 579 in a cold process), where one
+    // `alloc` per block made 2.2 calls per key (110,087).
+    let fresh: SkipHash<u64, u64> = SkipHash::new();
+    let populate = count_allocs(|| {
+        for key in 0..50_000u64 {
+            fresh.insert(key, key);
+        }
+    });
+    assert!(
+        populate < 5_000,
+        "50,000 fresh keys must not cost an allocator call per block ({populate} calls)"
+    );
 }
