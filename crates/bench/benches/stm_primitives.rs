@@ -212,20 +212,16 @@ fn bench_commit_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// The structure arena's own latencies, the third CI-gated group: node
-/// blocks (inline tower, embedded refcount) and copy-on-write hash-chain
-/// buffers cycling through the size-classed pools.
+/// The structure arena's own latency, the third CI-gated group: node blocks
+/// (inline tower, embedded refcount, hash link) cycling through the
+/// size-classed pools.
 ///
 /// * `node_alloc_retire` — allocate a height-4 node and drop its only
 ///   handle: the arena pop, block initialization (header + tower cells),
 ///   and the epoch `defer_with` retirement enqueue.  Steady state serves
 ///   every block from a recycled magazine.
-/// * `chain_update_cycle` — one `TxHashMap` insert + remove pair: two
-///   copy-on-write chain clones plus retirement per operation, the path
-///   that used to buy every buffer from the global allocator.
 fn bench_arena(c: &mut Criterion) {
     use skiphash::node::Node;
-    use skiphash::TxHashMap;
 
     let mut group = c.benchmark_group("arena");
     group
@@ -235,18 +231,6 @@ fn bench_arena(c: &mut Criterion) {
 
     group.bench_function("node_alloc_retire", |b| {
         b.iter(|| criterion::black_box(Node::<u64, u64>::new(1, 1, 4, 0, 0)))
-    });
-
-    let stm = Stm::new();
-    let map: TxHashMap<u64, u64> = TxHashMap::new(64);
-    for key in 0..128u64 {
-        stm.run(|tx| map.insert(tx, key, key).map(|_| ()));
-    }
-    group.bench_function("chain_update_cycle", |b| {
-        b.iter(|| {
-            stm.run(|tx| map.insert(tx, 4096, 1).map(|_| ()));
-            stm.run(|tx| map.remove(tx, &4096).map(|_| ()))
-        })
     });
     group.finish();
 }

@@ -427,7 +427,7 @@ pub fn rqc_handoff_body(handoff_ok: bool) -> impl Fn() + Send + Sync + 'static {
             model::thread::spawn(move || {
                 // Unlink the node; defer to the latest active query, or
                 // free immediately when no query can reach it (the
-                // `can_unstitch_now` / `defer_to_latest` pair).
+                // `can_unstitch_now` / `defer_batch_to_latest` pair).
                 // SC: each protocol step is one atomic transaction.
                 let _ = state.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |s| {
                     let q1 = rqc_field(s, RQC_Q1);

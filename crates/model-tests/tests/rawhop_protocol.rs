@@ -1,7 +1,8 @@
 //! Model checks for the borrowed-hop dereference window.
 //!
-//! The raw scan loops in `skiphash::range` hop tower links through
-//! `RawNode` handles: a link is loaded once and the resulting pointer is
+//! The traversal core (`skiphash::traverse`) hops tower links, and the hash
+//! index (`skiphash::hashmap`) hops bucket words and `hash_next` links,
+//! through `RawNode` handles: a link is loaded once and the resulting pointer is
 //! dereferenced *later*, with nothing revalidated in between.  The only
 //! thing standing between that dereference and a concurrent unstitch +
 //! reclamation is the attempt's pinned epoch guard — exactly the contract

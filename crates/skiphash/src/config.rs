@@ -20,8 +20,10 @@ pub const DEFAULT_MAX_LEVEL: usize = 20;
 /// the slow path (the paper sets `FAST_PATH_TRIES` to 3).
 pub const DEFAULT_FAST_PATH_TRIES: usize = 3;
 
-/// Default capacity of the per-thread deferred-removal buffer (the paper uses
-/// 32).
+/// Capacity of the per-thread deferred-removal buffer of §4.5 (the paper
+/// uses 32): a removal whose unstitching must wait for an in-flight slow-path
+/// range query parks its node there, and a full buffer hands its batch to the
+/// range query coordinator in one transaction.
 pub const DEFAULT_REMOVAL_BUFFER: usize = 32;
 
 /// Strategy used by [`crate::SkipHash::range`].
@@ -49,24 +51,6 @@ impl Default for RangePolicy {
     }
 }
 
-/// How removals hand logically deleted nodes to the range query coordinator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RemovalPolicy {
-    /// Figure 4's `after_remove`: defer directly onto the most recent range
-    /// query's list inside the removing transaction.
-    Immediate,
-    /// §4.5's refinement: park deferred nodes in a per-thread buffer of the
-    /// given capacity and hand them over in batches, reducing contention on
-    /// the RQC.
-    Buffered(usize),
-}
-
-impl Default for RemovalPolicy {
-    fn default() -> Self {
-        RemovalPolicy::Buffered(DEFAULT_REMOVAL_BUFFER)
-    }
-}
-
 /// Complete configuration of a [`crate::SkipHash`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
@@ -76,8 +60,6 @@ pub struct Config {
     pub max_level: usize,
     /// Range query strategy.
     pub range_policy: RangePolicy,
-    /// Deferred removal strategy.
-    pub removal_policy: RemovalPolicy,
     /// Global clock used by the underlying STM.
     pub clock: ClockKind,
 }
@@ -88,7 +70,6 @@ impl Default for Config {
             bucket_count: DEFAULT_BUCKET_COUNT,
             max_level: DEFAULT_MAX_LEVEL,
             range_policy: RangePolicy::default(),
-            removal_policy: RemovalPolicy::default(),
             // The sampled (gv5-style) clock is the library default: its
             // quiescence proof lets uncontended writer commits skip read-set
             // validation entirely (the paper's §5.1 ablation), which a
@@ -173,12 +154,6 @@ impl SkipHashBuilder {
         self
     }
 
-    /// Set the deferred removal strategy.
-    pub fn removal_policy(mut self, policy: RemovalPolicy) -> Self {
-        self.config.removal_policy = policy;
-        self
-    }
-
     /// Set the STM clock.
     ///
     /// Ignored when [`SkipHashBuilder::stm`] supplies a shared runtime — the
@@ -249,7 +224,7 @@ mod tests {
                 tries: DEFAULT_FAST_PATH_TRIES
             }
         );
-        assert_eq!(c.removal_policy, RemovalPolicy::Buffered(32));
+        assert_eq!(DEFAULT_REMOVAL_BUFFER, 32);
         assert_eq!(c.clock, ClockKind::Sampled, "sampled clock is the default");
     }
 
@@ -277,13 +252,11 @@ mod tests {
             .buckets(77)
             .max_level(9)
             .range_policy(RangePolicy::SlowOnly)
-            .removal_policy(RemovalPolicy::Immediate)
             .clock(ClockKind::Counter);
         let c = b.config();
         assert_eq!(c.bucket_count, 77);
         assert_eq!(c.max_level, 9);
         assert_eq!(c.range_policy, RangePolicy::SlowOnly);
-        assert_eq!(c.removal_policy, RemovalPolicy::Immediate);
         assert_eq!(c.clock, ClockKind::Counter);
     }
 

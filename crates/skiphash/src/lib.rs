@@ -71,7 +71,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-mod chain;
 pub mod config;
 pub mod hashmap;
 pub mod map;
@@ -84,7 +83,7 @@ pub mod thread_slots;
 mod traverse;
 pub mod view;
 
-pub use config::{Config, RangePolicy, RemovalPolicy, SkipHashBuilder};
+pub use config::{Config, RangePolicy, SkipHashBuilder};
 pub use hashmap::TxHashMap;
 pub use map::{RangeStats, SkipHash};
 pub use range::Range;

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use crossbeam_utils::CachePadded;
 use skiphash_stm::{StatsSnapshot, Stm, TCell, Txn};
 
-use crate::config::{Config, RemovalPolicy, SkipHashBuilder};
+use crate::config::{Config, SkipHashBuilder, DEFAULT_REMOVAL_BUFFER};
 use crate::hashmap::TxHashMap;
 use crate::node::NodeRef;
 use crate::range;
@@ -138,7 +138,7 @@ impl Population {
 pub(crate) struct Inner<K: MapKey, V: MapValue> {
     pub(crate) stm: Arc<Stm>,
     pub(crate) skiplist: SkipList<K, V>,
-    pub(crate) index: TxHashMap<K, NodeRef<K, V>>,
+    pub(crate) index: TxHashMap<K, V>,
     pub(crate) rqc: Rqc<K, V>,
     pub(crate) buffer: DeferralBuffer<K, V>,
     pub(crate) config: Config,
@@ -148,9 +148,9 @@ pub(crate) struct Inner<K: MapKey, V: MapValue> {
 
 impl<K: MapKey, V: MapValue> Inner<K, V> {
     /// `after_remove` from Figure 4: either unstitch immediately (inside the
-    /// removing transaction) or arrange for deferral.  Under the buffered
-    /// policy the deferral itself happens after the transaction commits, via
-    /// the per-thread buffer, so this returns the node to be buffered.
+    /// removing transaction) or arrange for deferral.  The deferral itself is
+    /// §4.5's: it happens after the transaction commits, via the per-thread
+    /// buffer, so this returns the node to be buffered.
     pub(crate) fn after_remove(
         &self,
         tx: &mut Txn<'_>,
@@ -160,13 +160,7 @@ impl<K: MapKey, V: MapValue> Inner<K, V> {
             self.skiplist.unstitch(tx, &node)?;
             return Ok(None);
         }
-        match self.config.removal_policy {
-            RemovalPolicy::Immediate => {
-                self.rqc.defer_to_latest(tx, node)?;
-                Ok(None)
-            }
-            RemovalPolicy::Buffered(_) => Ok(Some(node)),
-        }
+        Ok(Some(node))
     }
 
     /// Push a node whose unstitching must be deferred into the calling
@@ -284,17 +278,13 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
     /// actual clock so the recorded configuration never lies.
     pub(crate) fn with_config_and_stm(mut config: Config, stm: Arc<Stm>) -> Self {
         config.clock = stm.clock_kind();
-        let buffer_capacity = match config.removal_policy {
-            RemovalPolicy::Immediate => 1,
-            RemovalPolicy::Buffered(n) => n.max(1),
-        };
         Self {
             inner: Arc::new(Inner {
                 stm,
                 skiplist: SkipList::new(config.max_level),
                 index: TxHashMap::new(config.bucket_count),
                 rqc: Rqc::new(),
-                buffer: DeferralBuffer::new(buffer_capacity),
+                buffer: DeferralBuffer::new(DEFAULT_REMOVAL_BUFFER),
                 config,
                 range_counters: RangeCounters::new(),
                 population: Population::new(),
@@ -321,9 +311,9 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
     /// the hot-path counters — `validation_skipped_commits` (writer commits
     /// whose clock proved quiescence), `read_dedup_hits` (re-reads absorbed
     /// by the read-set filter; skip-list traversals generate many), and
-    /// `slab_` / `node_` / `chain_recycle_hits` (payloads of
-    /// wider-than-a-word cells, node blocks and chain buffers served from
-    /// recycled memory; process-wide).  See `docs/PERF.md`.
+    /// `slab_` / `node_recycle_hits` (payloads of wider-than-a-word cells
+    /// and node blocks served from recycled memory; process-wide).  See
+    /// `docs/PERF.md`.
     pub fn stm_stats(&self) -> StatsSnapshot {
         self.inner.stm.stats()
     }

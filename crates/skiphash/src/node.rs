@@ -3,8 +3,8 @@
 //! A node stores its key and tower height as plain immutable fields (the
 //! paper's `const` optimization: immutable data needs no STM
 //! instrumentation), and everything mutable — the value, the range-query
-//! timestamps, and the predecessor/successor links at every level — in
-//! [`TCell`]s.
+//! timestamps, the hash-chain link and the predecessor/successor links at
+//! every level — in [`TCell`]s.
 //!
 //! # The node block
 //!
@@ -18,8 +18,22 @@
 //!
 //! ```text
 //! NodeBlock { refs: AtomicUsize, node: Node { bound, r_time, value,
-//!             i_time, height, tower: ↓ }, [Level; height] ← points here }
+//!             i_time, hash_next, height } } [Level; height]
 //! ```
+//!
+//! The tower starts at the same offset for every height (the header is
+//! fixed-size), so a handle finds it from its block pointer alone and the
+//! header stores no pointer to it.  `hash_next` is the node's link in its
+//! hash bucket's chain (see [`crate::hashmap`]): the index is intrusive, a
+//! bucket is one link word, and a lookup hops from node to node through the
+//! same kind of link cell the tower holds, under the borrowed-handle contract
+//! of `crate::traverse`.  Hash links only point from a newer node to an older
+//! one, and only from a node still in its chain (unlinking clears a removed
+//! node's `hash_next`), so they close no cycle with the tower links a removed
+//! node keeps: teardown severs the doubly linked tower and nothing else (the
+//! argument is in [`crate::hashmap`]).  The header is 96 bytes for
+//! `Node<u64, u64>`, so a block of every tower height is a whole number of
+//! cache lines in the same arena class it would take without `hash_next`.
 //!
 //! [`NodeRef`] is the `Arc` replacement: a pointer-sized handle whose
 //! reference count lives inside the block.
@@ -149,8 +163,8 @@ impl<K, V> fmt::Debug for Level<K, V> {
 }
 
 /// The arena block backing one node: the reference count, the node header,
-/// and (immediately after, in the same allocation) the `[Level; height]`
-/// tower the header's `tower` pointer designates.
+/// and (immediately after, in the same allocation, at [`tower_offset`]) the
+/// `[Level; height]` tower.
 #[repr(C)]
 struct NodeBlock<K, V> {
     refs: AtomicUsize,
@@ -174,6 +188,12 @@ fn block_layout<K, V>(height: usize) -> (Layout, usize) {
     (layout.pad_to_align(), offset)
 }
 
+/// Where the tower starts inside a block: the same for every height, because
+/// `Layout::extend` pads the fixed-size header to the tower's alignment.
+fn tower_offset<K, V>() -> usize {
+    block_layout::<K, V>(1).1
+}
+
 /// A node of the doubly linked skip list.
 ///
 /// Obtained by dereferencing a [`NodeRef`]; never exists outside a node
@@ -183,9 +203,10 @@ fn block_layout<K, V>(height: usize) -> (Layout, usize) {
 /// element, the key (`bound`), the deletion mark (`r_time`), and the value
 /// cell — so those lead the header and, for small keys, land in the block's
 /// first cache line together with `refs` (blocks are cache-line aligned,
-/// see `block_layout`).  The descent-only and immutable-cold
-/// fields (`i_time`, `height`, `tower`) trail.  Layout rules are documented
-/// in docs/PERF.md, Mechanism 6.
+/// see `block_layout`).  The colder fields (`i_time`, `hash_next`, `height`)
+/// trail; for small keys `hash_next` and `height` share the second line with
+/// the tower's level 0, which is the line `RawNode::prefetch` fetches.
+/// Layout rules are documented in docs/PERF.md, Mechanism 6.
 #[repr(C)]
 pub struct Node<K, V> {
     /// The node's position on the key axis (immutable).
@@ -202,28 +223,11 @@ pub struct Node<K, V> {
     /// Version of the most recent slow-path range query that began before
     /// this node was inserted.
     pub i_time: TCell<u64>,
+    /// The next older node in this node's hash bucket (see
+    /// [`crate::hashmap`]); `None` at the end of the chain.
+    pub hash_next: TCell<Link<K, V>>,
     /// Tower height (immutable, at least 1).
     pub height: usize,
-    /// The inline tower: points at the `[Level; height]` array stored in the
-    /// same arena block, immediately after this header.  Stable for the
-    /// block's lifetime (blocks never move).
-    tower: NonNull<Level<K, V>>,
-}
-
-impl<K, V> Node<K, V> {
-    /// The tower as a slice, one [`Level`] per level in `0..height`.
-    #[inline]
-    pub fn tower(&self) -> &[Level<K, V>] {
-        // SAFETY: `tower` points at `height` initialized levels in the same
-        // live block as `self` (established at construction, immutable).
-        unsafe { std::slice::from_raw_parts(self.tower.as_ptr(), self.height) }
-    }
-
-    /// The links at `level` (must be `< height`).
-    #[inline]
-    pub fn level(&self, level: usize) -> &Level<K, V> {
-        &self.tower()[level]
-    }
 }
 
 impl<K, V> fmt::Debug for Node<K, V>
@@ -274,6 +278,42 @@ impl<K, V> NodeRef<K, V> {
     #[cfg(test)]
     pub(crate) fn ref_count(&self) -> usize {
         self.refs().load(AtomicOrdering::Relaxed)
+    }
+
+    /// The tower as a slice, one [`Level`] per level in `0..height`.
+    #[inline]
+    pub fn tower(&self) -> &[Level<K, V>] {
+        // SAFETY: this handle's count keeps the block alive while `self` is
+        // borrowed.
+        unsafe { RawNode::from_ref(self).tower() }
+    }
+
+    /// The links at `level` (must be `< height`).
+    #[inline]
+    pub fn level(&self, level: usize) -> &Level<K, V> {
+        &self.tower()[level]
+    }
+}
+
+impl<K: MapKey, V: MapValue> NodeRef<K, V> {
+    /// Transactionally read the level-0 successor, which must exist (only the
+    /// tail sentinel has none, and callers never walk past the tail).
+    pub fn succ0(&self, tx: &mut Txn<'_>) -> TxResult<NodeRef<K, V>> {
+        Ok(self
+            .level(0)
+            .succ
+            .read(tx)?
+            .expect("interior nodes always have a level-0 successor"))
+    }
+
+    /// Sever all of this node's tower links (used only during teardown,
+    /// outside of any transaction, to break the doubly linked list's
+    /// reference cycles).
+    pub fn sever_links(&self) {
+        for level in self.tower() {
+            level.pred.store_atomic(None);
+            level.succ.store_atomic(None);
+        }
     }
 }
 
@@ -388,21 +428,35 @@ impl<K, V> RawNode<K, V> {
         unsafe { &(*self.block.as_ptr()).node }
     }
 
-    /// Hint the prefetcher at this node's header line and its tower's first
-    /// line (level 0), without dereferencing anything.
+    /// The node's tower, found from the block pointer at [`tower_offset`].
     ///
-    /// The tower array sits at a *height-independent* offset inside the
-    /// block (`Layout::extend` pads the fixed-size header to the tower's
-    /// alignment), so both lines are computable from the bare block pointer
-    /// — which is what makes it safe to issue this one hop *ahead* of
-    /// validation: a prefetch never faults, and the worst a stale pointer
-    /// costs is a wasted cache fill.
+    /// # Safety
+    ///
+    /// Same contract as [`RawNode::node`].
+    #[inline]
+    pub(crate) unsafe fn tower<'any>(&self) -> &'any [Level<K, V>] {
+        // SAFETY: per the contract the block is alive, and it holds `height`
+        // initialized levels at `tower_offset` (written by `alloc_node`); the
+        // block pointer carries the whole allocation's provenance.
+        unsafe {
+            let levels = self.block.as_ptr().cast::<u8>().add(tower_offset::<K, V>());
+            std::slice::from_raw_parts(levels.cast(), (*self.block.as_ptr()).node.height)
+        }
+    }
+
+    /// Hint the prefetcher at this node's header line and its tower's first
+    /// line (level 0, and for small keys `hash_next`), without dereferencing
+    /// anything.
+    ///
+    /// Both lines are computable from the bare block pointer (the tower sits
+    /// at a height-independent offset), which is what makes it safe to issue
+    /// this one hop *ahead* of validation: a prefetch never faults, and the
+    /// worst a stale pointer costs is a wasted cache fill.
     #[inline]
     pub(crate) fn prefetch(&self) {
         let base = self.block.as_ptr().cast::<u8>();
         skiphash_stm::sync::prefetch_read(base);
-        let (_, tower_offset) = block_layout::<K, V>(1);
-        skiphash_stm::sync::prefetch_read(base.wrapping_add(tower_offset));
+        skiphash_stm::sync::prefetch_read(base.wrapping_add(tower_offset::<K, V>()));
     }
 
     /// Promote to a counted [`NodeRef`].
@@ -440,9 +494,9 @@ unsafe fn retire_node_block<K, V>(ptr: *mut ()) {
         let height = (*block).node.height;
         let (layout, tower_offset) = block_layout::<K, V>(height);
         let tower = ptr.cast::<u8>().add(tower_offset).cast::<Level<K, V>>();
-        // Dropping the tower's link cells may release the last reference to
-        // a neighbour, which re-enters the collector (re-entrancy is part of
-        // the shim's contract; see the module docs).
+        // Dropping the tower's and the hash chain's link cells may release
+        // the last reference to a neighbour, which re-enters the collector
+        // (re-entrancy is part of the shim's contract; see the module docs).
         ptr::drop_in_place(ptr::slice_from_raw_parts_mut(tower, height));
         ptr::drop_in_place(addr_of_mut!((*block).node));
         arena::free_raw(ptr.cast::<u8>(), layout.size(), layout.align());
@@ -475,8 +529,8 @@ fn alloc_node<K: MapKey, V: MapValue>(
             r_time: TCell::new_at(None, born),
             value: TCell::new_at(value, born),
             i_time: TCell::new_at(i_time, born),
+            hash_next: TCell::new_at(None, born),
             height,
-            tower: NonNull::new_unchecked(tower),
         });
         NodeRef {
             block: NonNull::new_unchecked(block),
@@ -545,26 +599,6 @@ impl<K: MapKey, V: MapValue> Node<K, V> {
             .expect("regular nodes always carry a value"))
     }
 
-    /// Transactionally read the successor link at `level`.
-    pub fn succ(&self, tx: &mut Txn<'_>, level: usize) -> TxResult<Link<K, V>> {
-        self.level(level).succ.read(tx)
-    }
-
-    /// Transactionally read the predecessor link at `level`.
-    pub fn pred(&self, tx: &mut Txn<'_>, level: usize) -> TxResult<Link<K, V>> {
-        self.level(level).pred.read(tx)
-    }
-
-    /// Transactionally read the level-0 successor, which must exist (only the
-    /// tail sentinel has none, and callers never walk past the tail).
-    pub fn succ0(&self, tx: &mut Txn<'_>) -> TxResult<NodeRef<K, V>> {
-        Ok(self
-            .level(0)
-            .succ
-            .read(tx)?
-            .expect("interior nodes always have a level-0 successor"))
-    }
-
     /// True if the node is logically deleted (its `r_time` is set).
     pub fn is_logically_deleted(&self, tx: &mut Txn<'_>) -> TxResult<bool> {
         self.r_time.read_with(tx, Option::is_some)
@@ -582,15 +616,6 @@ impl<K: MapKey, V: MapValue> Node<K, V> {
     pub fn removed_at(&self, tx: &mut Txn<'_>) -> TxResult<Option<u64>> {
         self.r_time
             .read_with(tx, |mark| mark.map(|stamp| stamp.get() - 1))
-    }
-
-    /// Sever all of this node's links (used only during teardown, outside of
-    /// any transaction, to break reference cycles).
-    pub fn sever_links(&self) {
-        for level in self.tower() {
-            level.pred.store_atomic(None);
-            level.succ.store_atomic(None);
-        }
     }
 }
 
@@ -692,6 +717,25 @@ mod tests {
             assert!(in_first_line(block, &node.bound));
             assert!(in_first_line(block, &node.r_time));
             assert!(in_first_line(block, &node.value));
+        }
+    }
+
+    #[test]
+    fn hash_link_keeps_every_height_in_its_block_class() {
+        // `hash_next` took the place of the tower pointer: the header may
+        // grow to 96 bytes and no further, so each block stays the whole
+        // number of lines it was with the 88-byte header (and with it in the
+        // same arena class).  104 bytes would move height 1 — half of all
+        // nodes — from 128 to 192.
+        assert!(tower_offset::<u64, u64>() <= 96);
+        let level = size_of::<Level<u64, u64>>();
+        for height in 1..=20 {
+            let (layout, _) = block_layout::<u64, u64>(height);
+            assert_eq!(
+                layout.size(),
+                (88 + level * height).next_multiple_of(64),
+                "height {height}"
+            );
         }
     }
 

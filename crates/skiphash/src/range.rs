@@ -325,7 +325,7 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{RemovalPolicy, SkipHashBuilder};
+    use crate::config::SkipHashBuilder;
 
     fn map_with_policy(policy: RangePolicy) -> SkipHash<u64, u64> {
         SkipHashBuilder::new()
@@ -484,13 +484,9 @@ mod tests {
 
     #[test]
     fn deferred_nodes_are_unstitched_after_the_query() {
-        // Use the Immediate removal policy so deferral goes straight to the
-        // RQC (no per-thread buffer), making the effect observable from a
-        // single thread.
         let map: SkipHash<u64, u64> = SkipHashBuilder::new()
             .buckets(256)
             .range_policy(RangePolicy::SlowOnly)
-            .removal_policy(RemovalPolicy::Immediate)
             .build();
         fill(&map, 0..50);
 
@@ -502,7 +498,10 @@ mod tests {
         // The node is logically gone immediately...
         assert_eq!(map.get(&25), None);
         assert_eq!(map.len(), 49);
-        // ...but physically deferred while the query is active.
+        // ...but physically deferred while the query is active: parked in
+        // this thread's buffer, whose flush hands it to the query.
+        assert_eq!(inner.buffer.len(), 1);
+        inner.flush_deferred_batch(inner.buffer.drain_all());
         assert_eq!(inner.rqc.active_queries(), 1);
         let removals = inner.stm.run(|tx| inner.rqc.after_range(tx, version));
         assert_eq!(removals.len(), 1, "removal must have been deferred");

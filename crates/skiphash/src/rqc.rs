@@ -123,19 +123,6 @@ impl<K: MapKey, V: MapValue> Rqc<K, V> {
         self.range_ops.read_with(tx, |ops| ops.last().cloned())
     }
 
-    /// Hand `node` to the most recent in-flight range query (`after_remove`'s
-    /// deferral branch).  The caller must have established, in this same
-    /// transaction, that immediate unstitching is not allowed.
-    pub fn defer_to_latest(&self, tx: &mut Txn<'_>, node: NodeRef<K, V>) -> TxResult<()> {
-        let latest = self
-            .latest(tx)?
-            .expect("defer_to_latest requires an in-flight range query");
-        let mut deferred = latest.deferred.read(tx)?;
-        deferred.push(node);
-        latest.deferred.write(tx, deferred)?;
-        Ok(())
-    }
-
     /// Hand an entire batch of nodes to the most recent in-flight range query
     /// (the per-thread buffer transfer from §4.5).  Returns `false` — leaving
     /// the batch untouched — when no query is in flight, in which case the
@@ -326,7 +313,7 @@ mod tests {
         let rqc: Rqc<u64, u64> = Rqc::new();
         let ver = stm.run(|tx| rqc.on_range(tx));
         let n = node(1, 0);
-        stm.run(|tx| rqc.defer_to_latest(tx, n.clone()));
+        assert!(stm.run(|tx| rqc.defer_batch_to_latest(tx, std::slice::from_ref(&n))));
         let removals = stm.run(|tx| rqc.after_range(tx, ver));
         assert_eq!(removals.len(), 1);
         assert!(NodeRef::ptr_eq(&removals[0], &n));
@@ -340,7 +327,7 @@ mod tests {
         let v1 = stm.run(|tx| rqc.on_range(tx));
         let v2 = stm.run(|tx| rqc.on_range(tx));
         let n = node(1, 0);
-        stm.run(|tx| rqc.defer_to_latest(tx, n.clone()));
+        assert!(stm.run(|tx| rqc.defer_batch_to_latest(tx, std::slice::from_ref(&n))));
         // Finishing the newer query must not release the node...
         let removals = stm.run(|tx| rqc.after_range(tx, v2));
         assert!(removals.is_empty());

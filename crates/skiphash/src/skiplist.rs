@@ -121,12 +121,12 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
         })?;
         loop {
             // SAFETY: read through the still-running attempt `tx`.
-            let node = unsafe { at.node() };
+            let (node, tower) = unsafe { (at.node(), at.tower()) };
             if node.is_head() || !tx.removed(node)? {
                 // SAFETY: as above.
                 return Ok(unsafe { at.upgrade() });
             }
-            at = tx.link(&node.level(0).pred)?;
+            at = tx.link(&tower[0].pred)?;
         }
     }
 

@@ -210,7 +210,7 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
 
 #[cfg(test)]
 mod tests {
-    use crate::config::{RemovalPolicy, SkipHashBuilder};
+    use crate::config::SkipHashBuilder;
     use crate::{traverse, SkipHash};
     use std::ops::Bound::Included;
 
@@ -298,11 +298,7 @@ mod tests {
     fn snapshot_survives_unstitch_deferral_policies() {
         // Buffered removal defers unstitching, so deleted duplicates linger
         // at level 0 — the snapshot walk must skip them at its version.
-        let map: SkipHash<u64, u64> = SkipHashBuilder::new()
-            .buckets(64)
-            .max_level(8)
-            .removal_policy(RemovalPolicy::Buffered(16))
-            .build();
+        let map = map();
         for k in 0..32u64 {
             assert!(map.insert(k, k));
         }

@@ -156,7 +156,7 @@ pub(crate) fn descend<K: MapKey, V: MapValue, R: Reader<K, V>>(
         loop {
             // SAFETY: `pred` is the head sentinel (owned by `list`) or was
             // read through `reader` — the module's borrowed-handle contract.
-            curr = reader.link(&unsafe { pred.node() }.level(level).succ)?;
+            curr = reader.link(&unsafe { pred.tower() }[level].succ)?;
             curr.prefetch();
             // SAFETY: `curr` was just read through `reader` (same contract).
             if !precedes(&unsafe { curr.node() }.bound, start) {
@@ -191,11 +191,11 @@ pub(crate) unsafe fn walk<K: MapKey, V: MapValue, R: Reader<K, V>>(
     loop {
         // SAFETY: `at` is `from` (the caller's obligation) or was read
         // through `reader` below — the module's borrowed-handle contract.
-        let node = unsafe { at.node() };
+        let (node, tower) = unsafe { (at.node(), at.tower()) };
         if node.is_tail() {
             return Ok(at);
         }
-        let next = reader.link(&node.level(0).succ)?;
+        let next = reader.link(&tower[0].succ)?;
         next.prefetch();
         if visit(reader, at, node)?.is_break() {
             return Ok(at);

@@ -44,7 +44,7 @@ use std::sync::Arc;
 use skiphash_stm::{TxResult, Txn};
 
 use crate::map::Inner;
-use crate::node::NodeRef;
+use crate::node::{Node, NodeRef};
 use crate::range::{self, Range};
 use crate::{MapKey, MapValue};
 
@@ -91,7 +91,7 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     /// Look up `key`, returning a clone of its value.
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn get(&mut self, key: &K) -> TxResult<Option<V>> {
-        match self.inner.index.get(self.tx, key)? {
+        match self.node(key)? {
             None => Ok(None),
             Some(node) => Ok(Some(node.read_value(self.tx)?)),
         }
@@ -100,7 +100,7 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     /// True if `key` is present.
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn contains_key(&mut self, key: &K) -> TxResult<bool> {
-        self.inner.index.contains(self.tx, key)
+        Ok(self.inner.index.find(self.tx, key)?.is_some())
     }
 
     /// Insert `key -> value` **only if `key` is absent**, returning whether
@@ -115,7 +115,7 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     /// [`TxView::compute`] (decide) when that is not what you want.
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn insert(&mut self, key: K, value: V) -> TxResult<bool> {
-        if self.inner.index.contains(self.tx, &key)? {
+        if self.contains_key(&key)? {
             return Ok(false);
         }
         self.insert_fresh(key, value)?;
@@ -127,7 +127,7 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     /// [`TxView::insert`]).
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn upsert(&mut self, key: K, value: V) -> TxResult<Option<V>> {
-        if let Some(node) = self.inner.index.get(self.tx, &key)? {
+        if let Some(node) = self.node(&key)? {
             let previous = node.read_value(self.tx)?;
             node.value.write(self.tx, Some(value))?;
             return Ok(Some(previous));
@@ -145,11 +145,9 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     /// Remove `key` and return its value if it was present.
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn take(&mut self, key: &K) -> TxResult<Option<V>> {
-        let node = match self.inner.index.get(self.tx, key)? {
-            None => return Ok(None),
-            Some(node) => node,
+        let Some(node) = self.inner.index.unlink(self.tx, key)? else {
+            return Ok(None);
         };
-        self.inner.index.remove(self.tx, key)?;
         let value = node.read_value(self.tx)?;
         let r_time = self.inner.rqc.on_update(self.tx)?;
         node.mark_removed(self.tx, r_time)?;
@@ -168,7 +166,7 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     where
         F: FnOnce(&V) -> V,
     {
-        match self.inner.index.get(self.tx, key)? {
+        match self.node(key)? {
             None => Ok(None),
             Some(node) => {
                 let current = node.read_value(self.tx)?;
@@ -186,7 +184,7 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     where
         F: FnOnce() -> V,
     {
-        if let Some(node) = self.inner.index.get(self.tx, &key)? {
+        if let Some(node) = self.node(&key)? {
             return node.read_value(self.tx);
         }
         let value = f();
@@ -202,8 +200,8 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     where
         F: FnOnce(Option<&V>) -> Compute<V>,
     {
-        let node = self.inner.index.get(self.tx, &key)?;
-        let current = match &node {
+        let node = self.node(&key)?;
+        let current = match node {
             None => None,
             Some(node) => Some(node.read_value(self.tx)?),
         };
@@ -228,7 +226,7 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     /// Smallest key `>= key`, if any.
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn ceil(&mut self, key: &K) -> TxResult<Option<K>> {
-        if self.inner.index.contains(self.tx, key)? {
+        if self.contains_key(key)? {
             return Ok(Some(key.clone()));
         }
         let node = self
@@ -251,7 +249,7 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     /// Largest key `<= key`, if any.
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn floor(&mut self, key: &K) -> TxResult<Option<K>> {
-        if self.inner.index.contains(self.tx, key)? {
+        if self.contains_key(key)? {
             return Ok(Some(key.clone()));
         }
         Ok(key_of(&self.inner.skiplist.floor_present(self.tx, key)?))
@@ -308,6 +306,16 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
         Ok(self.len()? == 0)
     }
 
+    /// `key`'s node, borrowed for as long as this view: a point operation
+    /// takes no reference count.
+    fn node(&mut self, key: &K) -> TxResult<Option<&'a Node<K, V>>> {
+        let found = self.inner.index.find(self.tx, key)?;
+        // SAFETY: read through `self.tx`, which this view borrows mutably
+        // for `'a`, so the attempt cannot commit, roll back or unpin within
+        // `'a` (the borrowed-handle contract of `crate::traverse`).
+        Ok(found.map(|raw| unsafe { raw.node() }))
+    }
+
     /// Shared insert path for a key known to be absent: stitch a fresh node
     /// into the skip list, index it, and count it.
     fn insert_fresh(&mut self, key: K, value: V) -> TxResult<()> {
@@ -316,15 +324,11 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
             self.inner.skiplist.random_height(&mut rng)
         };
         let i_time = self.inner.rqc.on_update(self.tx)?;
-        let node = self.inner.skiplist.insert_after_logical_deletes(
-            self.tx,
-            key.clone(),
-            value,
-            height,
-            i_time,
-        )?;
-        let was_new = self.inner.index.insert(self.tx, key, node)?;
-        debug_assert!(was_new, "insert_fresh called with a present key");
+        let node = self
+            .inner
+            .skiplist
+            .insert_after_logical_deletes(self.tx, key, value, height, i_time)?;
+        self.inner.index.link(self.tx, &node)?;
         self.inner.population.bump(self.tx, 1)
     }
 }

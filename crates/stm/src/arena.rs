@@ -1,13 +1,12 @@
 //! The block recycler: every block the STM and the structures built on it
 //! allocate per operation — a wide [`crate::TCell`] payload, a skip-hash node
-//! block, a hash-chain buffer — comes from here, and none of them reaches
-//! the global allocator in steady state.
+//! block — comes from here, and none of them reaches the global allocator in
+//! steady state.
 //!
 //! Callers describe a block by `(size, align)` and get back anonymous memory
 //! of the smallest size class that fits both.  The module knows nothing about
 //! *what* lives in a block; the typed glue (payloads in the private `slab`
-//! module, node and chain layout in the `skiphash` crate) lives with the
-//! client.
+//! module, node layout in the `skiphash` crate) lives with the client.
 //!
 //! # Where a block comes from
 //!
@@ -33,14 +32,11 @@
 //!
 //! # Contract
 //!
-//! * [`alloc_raw`] and [`free_raw`] must be called with the **same**
-//!   `(size, align)` pair for a given block.  The class — or the
-//!   global-allocator fallback for oversized, over-aligned and zero-sized
-//!   requests — is a pure function of that pair, so both sides always agree
-//!   about a pointer's provenance and blocks never need a header.
-//! * Callers whose block size is *negotiable* (the hash chains) should round
-//!   it up front with [`class_size`] and remember the rounded value: that
-//!   fills the whole class instead of stranding its tail.
+//! [`alloc_raw`] and [`free_raw`] must be called with the **same**
+//! `(size, align)` pair for a given block.  The class — or the
+//! global-allocator fallback for oversized, over-aligned and zero-sized
+//! requests — is a pure function of that pair, so both sides always agree
+//! about a pointer's provenance and blocks never need a header.
 //!
 //! # Lifetime rule
 //!
@@ -55,7 +51,7 @@
 //! # Recycle counters
 //!
 //! A block popped from a magazine counts as a recycle hit of the caller's
-//! [`BlockKind`]; [`crate::StatsSnapshot`] reports the three process-wide
+//! [`BlockKind`]; [`crate::StatsSnapshot`] reports the two process-wide
 //! totals.  A hit is counted in the thread-local the allocation already
 //! holds and folded into the totals in batches — after `HIT_BATCH` hits,
 //! whenever the thread takes a pool lock anyway, at thread exit, and for the
@@ -94,20 +90,18 @@ const CHUNK_BYTES: usize = 32 * 1024;
 /// Recycle hits a thread may hold back before folding them into the totals.
 const HIT_BATCH: u64 = 64;
 
-/// What a block is for — which of the three recycle counters a hit moves.
+/// What a block is for — which of the two recycle counters a hit moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockKind {
     /// The payload of a [`crate::TCell`] whose value is wider than a word.
     Payload,
     /// A skip-hash node block.
     Node,
-    /// A hash-chain buffer.
-    Chain,
 }
 
 impl BlockKind {
     /// Every kind, in counter-index order (`kind as usize`).
-    pub const ALL: [BlockKind; 3] = [BlockKind::Payload, BlockKind::Node, BlockKind::Chain];
+    pub const ALL: [BlockKind; 2] = [BlockKind::Payload, BlockKind::Node];
 }
 
 /// One counter per [`BlockKind`], indexed by `kind as usize`.
@@ -130,7 +124,7 @@ const fn class_align(class: usize) -> usize {
 /// or `None` when it must use the global allocator (zero-sized, oversized or
 /// over-aligned).  A pure function of the pair, so alloc and free always
 /// agree.
-const fn class_of(size: usize, align: usize) -> Option<usize> {
+pub(crate) const fn class_of(size: usize, align: usize) -> Option<usize> {
     let mut class = 0;
     while size > 0 && class < NUM_CLASSES {
         if size <= CLASS_SIZES[class] && align <= class_align(class) {
@@ -139,19 +133,6 @@ const fn class_of(size: usize, align: usize) -> Option<usize> {
         class += 1;
     }
     None
-}
-
-/// The full size of the class that serves `(size, align)`, or `None` when the
-/// pools do not serve it.
-///
-/// A caller whose block size is negotiable rounds up to this, so the block's
-/// tail capacity is usable instead of stranded, and passes the rounded size
-/// to both [`alloc_raw`] and [`free_raw`] (it maps to the same class).
-pub const fn class_size(size: usize, align: usize) -> Option<usize> {
-    match class_of(size, align) {
-        Some(class) => Some(CLASS_SIZES[class]),
-        None => None,
-    }
 }
 
 /// Global overflow pools, one per class; block addresses stored as `usize`
@@ -363,7 +344,7 @@ pub unsafe fn free_raw(ptr: *mut u8, size: usize, align: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use BlockKind::{Chain, Node};
+    use BlockKind::{Node, Payload};
 
     /// The tests below assert on what a global pool holds; they take turns.
     /// (Tests of other modules allocate too, but none uses a class this
@@ -400,22 +381,15 @@ mod tests {
 
     #[test]
     fn classes_cover_sizes_and_reject_extremes() {
-        assert_eq!(class_size(1, 1), Some(16));
-        assert_eq!(class_size(4096, 64), Some(4096));
-        assert_eq!(class_size(48, 16), Some(48));
-        assert_eq!(
-            class_size(48, 64),
-            Some(64),
-            "a 48-byte block is 16-aligned"
-        );
-        assert_eq!(
-            class_size(96, 64),
-            Some(128),
-            "a 96-byte block is 32-aligned"
-        );
-        assert_eq!(class_size(4097, 8), None, "oversized blocks fall back");
-        assert_eq!(class_size(0, 8), None, "zero-size requests fall back");
-        assert_eq!(class_size(64, 128), None, "over-aligned blocks fall back");
+        let served = |size, align| class_of(size, align).map(|class| CLASS_SIZES[class]);
+        assert_eq!(served(1, 1), Some(16));
+        assert_eq!(served(4096, 64), Some(4096));
+        assert_eq!(served(48, 16), Some(48));
+        assert_eq!(served(48, 64), Some(64), "a 48-byte block is 16-aligned");
+        assert_eq!(served(96, 64), Some(128), "a 96-byte block is 32-aligned");
+        assert_eq!(served(4097, 8), None, "oversized blocks fall back");
+        assert_eq!(served(0, 8), None, "zero-size requests fall back");
+        assert_eq!(served(64, 128), None, "over-aligned blocks fall back");
         for (size, align) in requests() {
             let class = class_of(size, align).expect("covered");
             assert!(CLASS_SIZES[class] >= size && class_align(class) >= align);
@@ -434,17 +408,6 @@ mod tests {
                 CHUNK_BYTES / size >= 8,
                 "a chunk of class {class} is 8+ blocks"
             );
-        }
-    }
-
-    #[test]
-    fn class_size_fills_the_class() {
-        // What chains rely on: a rounded size maps to the class whose full
-        // size it is, so alloc and free agree whichever of the two they pass.
-        for (size, align) in requests() {
-            let rounded = class_size(size, align).expect("covered");
-            assert_eq!(class_of(rounded, align), class_of(size, align));
-            assert_eq!(class_size(rounded, align), Some(rounded));
         }
     }
 
@@ -469,13 +432,13 @@ mod tests {
     fn freed_blocks_are_recycled_lifo() {
         let _serial = serial();
         for (_, _, size, align) in classes() {
-            let first = alloc_raw(size, align, Chain);
+            let first = alloc_raw(size, align, Payload);
             // SAFETY: `first` came from `alloc_raw` with the same size/align and is not used again.
             unsafe { free_raw(first, size, align) };
-            let before = thread_recycle_hits(Chain);
-            let second = alloc_raw(size, align, Chain);
+            let before = thread_recycle_hits(Payload);
+            let second = alloc_raw(size, align, Payload);
             assert_eq!(first, second, "LIFO magazine returns the same block");
-            assert_eq!(thread_recycle_hits(Chain), before + 1, "and counts it");
+            assert_eq!(thread_recycle_hits(Payload), before + 1, "and counts it");
             // SAFETY: `second` came from `alloc_raw` with the same size/align and is not used again.
             unsafe { free_raw(second, size, align) };
         }

@@ -105,72 +105,15 @@ pub enum ClockKind {
     /// logical clock on targets without a TSC.  Never quiescent: timestamps
     /// are not consecutive, so every writer commit validates its read set.
     Hardware,
-    /// Pick between [`ClockKind::Sampled`] and [`ClockKind::Hardware`] from
-    /// [`std::thread::available_parallelism`] when the [`crate::Stm`] is
-    /// constructed.
-    ///
-    /// The trade-off (see the module docs): `Sampled` lets uncontended
-    /// writers skip read-set validation, but every writer commit CASes one
-    /// shared cache line — exactly the line the paper's `rdtscp` clock exists
-    /// to avoid on large machines.  Below
-    /// [`ClockKind::AUTO_HARDWARE_THRESHOLD`] hardware threads the shared
-    /// line is cheap and the validation skip wins; at or above it the
-    /// machine is big enough that the contention-free timestamp wins.
-    /// Override the threshold with
-    /// [`StmBuilder::auto_threshold`](crate::StmBuilder::auto_threshold).
-    ///
-    /// `Auto` is resolved once, at construction:
-    /// [`Stm::clock_kind`](crate::Stm::clock_kind) always reports the
-    /// concrete clock that was chosen, never `Auto` itself.
-    Auto,
 }
 
 impl ClockKind {
-    /// Hardware-thread count at which [`ClockKind::Auto`] switches from
-    /// `Sampled` to `Hardware`.
-    ///
-    /// Conservative placeholder for the crossover the paper observes
-    /// qualitatively ("the shared clock line becomes the bottleneck on large
-    /// machines"): below 32 hardware threads the sampled clock's
-    /// validation-skip fast path dominates the cost of its shared line.
-    /// Measure on your machine and override with
-    /// [`StmBuilder::auto_threshold`](crate::StmBuilder::auto_threshold) if
-    /// your crossover differs.
-    pub const AUTO_HARDWARE_THRESHOLD: usize = 32;
-
-    /// Resolve `Auto` to a concrete clock using `threshold` as the
-    /// hardware-thread count at which `Hardware` wins; other kinds resolve
-    /// to themselves.
-    pub fn resolve_with(self, threshold: usize) -> ClockKind {
-        match self {
-            ClockKind::Auto => {
-                let parallelism = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                if parallelism >= threshold {
-                    ClockKind::Hardware
-                } else {
-                    ClockKind::Sampled
-                }
-            }
-            concrete => concrete,
-        }
-    }
-
-    /// Resolve `Auto` with the default
-    /// [`ClockKind::AUTO_HARDWARE_THRESHOLD`].
-    pub fn resolve(self) -> ClockKind {
-        self.resolve_with(Self::AUTO_HARDWARE_THRESHOLD)
-    }
-
-    /// Instantiate the clock (`Auto` resolves with the default threshold
-    /// first).
+    /// Instantiate the clock.
     pub fn build(self) -> Box<dyn ClockSource> {
-        match self.resolve() {
+        match self {
             ClockKind::Counter => Box::new(CounterClock::new()),
             ClockKind::Sampled => Box::new(SampledClock::new()),
             ClockKind::Hardware => Box::new(HardwareClock::new()),
-            ClockKind::Auto => unreachable!("resolve never returns Auto"),
         }
     }
 }
@@ -181,7 +124,6 @@ impl fmt::Display for ClockKind {
             ClockKind::Counter => "gv1-counter",
             ClockKind::Sampled => "gv5-sampled",
             ClockKind::Hardware => "hardware-tsc",
-            ClockKind::Auto => "auto",
         };
         f.write_str(s)
     }
@@ -464,23 +406,6 @@ mod tests {
         assert_eq!(ClockKind::Sampled.build().name(), "gv5-sampled");
         assert_eq!(ClockKind::Hardware.build().name(), "hardware-tsc");
         assert_eq!(ClockKind::Hardware.to_string(), "hardware-tsc");
-        assert_eq!(ClockKind::Auto.to_string(), "auto");
-    }
-
-    #[test]
-    fn auto_resolves_to_a_concrete_kind_by_threshold() {
-        // Threshold 1: every machine has at least one hardware thread.
-        assert_eq!(ClockKind::Auto.resolve_with(1), ClockKind::Hardware);
-        // An unreachable threshold keeps the sampled clock.
-        assert_eq!(ClockKind::Auto.resolve_with(usize::MAX), ClockKind::Sampled);
-        // The default resolution is one of the two, never Auto itself.
-        assert_ne!(ClockKind::Auto.resolve(), ClockKind::Auto);
-        // Concrete kinds resolve to themselves regardless of threshold.
-        assert_eq!(ClockKind::Counter.resolve_with(1), ClockKind::Counter);
-        assert_eq!(
-            ClockKind::Hardware.resolve_with(usize::MAX),
-            ClockKind::Hardware
-        );
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub use error::{TxAbort, TxResult};
 pub use snapshot::SnapshotPin;
 pub use stats::{StatsSnapshot, StmStats};
 pub use tcell::TCell;
-pub use txn::{atomically, Stm, StmBuilder, Txn};
+pub use txn::{atomically, Stm, Txn};
 
 #[cfg(test)]
 mod tests {

@@ -105,7 +105,7 @@ mod tests {
     #[test]
     fn eligibility_matches_size_and_alignment() {
         fn pooled<T>() -> bool {
-            arena::class_size(size_of::<T>(), align_of::<T>()).is_some()
+            arena::class_of(size_of::<T>(), align_of::<T>()).is_some()
         }
         assert!(pooled::<u64>());
         assert!(pooled::<[u8; 4096]>());

@@ -14,70 +14,6 @@ use crate::snapshot::{CommitCtx, SnapshotPin, SnapshotRegistry};
 use crate::stats::{StatsSnapshot, StmStats};
 use crate::tcell::{self, TCell, WriteEntry};
 
-/// Builder for [`Stm`] instances.
-///
-/// ```
-/// use skiphash_stm::{ClockKind, StmBuilder};
-///
-/// let stm = StmBuilder::new().clock(ClockKind::Counter).build();
-/// assert_eq!(stm.clock_name(), "gv1-counter");
-/// ```
-#[derive(Debug)]
-pub struct StmBuilder {
-    clock: ClockKind,
-    auto_threshold: usize,
-}
-
-impl Default for StmBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StmBuilder {
-    /// Start building with the default ([`ClockKind::Sampled`]) clock, whose
-    /// quiescence fast path lets uncontended writer commits skip read-set
-    /// validation (see the `clock` module docs).  Use
-    /// [`StmBuilder::clock`] for the `gv1` counter, the hardware TSC, or the
-    /// parallelism-based [`ClockKind::Auto`] selection.
-    pub fn new() -> Self {
-        Self {
-            clock: ClockKind::Sampled,
-            auto_threshold: ClockKind::AUTO_HARDWARE_THRESHOLD,
-        }
-    }
-
-    /// Select the global version clock implementation.
-    pub fn clock(mut self, kind: ClockKind) -> Self {
-        self.clock = kind;
-        self
-    }
-
-    /// Override the hardware-thread count at which [`ClockKind::Auto`]
-    /// chooses `Hardware` over `Sampled` (default:
-    /// [`ClockKind::AUTO_HARDWARE_THRESHOLD`]).  Has no effect on concrete
-    /// clock kinds.
-    pub fn auto_threshold(mut self, threshold: usize) -> Self {
-        self.auto_threshold = threshold;
-        self
-    }
-
-    /// Construct the [`Stm`].
-    ///
-    /// [`ClockKind::Auto`] is resolved here, once; the built runtime reports
-    /// the concrete choice from [`Stm::clock_kind`].
-    pub fn build(self) -> Stm {
-        let kind = self.clock.resolve_with(self.auto_threshold);
-        Stm {
-            clock: kind.build(),
-            clock_kind: kind,
-            stats: StmStats::new(),
-            attempt_ids: AtomicU64::new(1),
-            snapshots: SnapshotRegistry::new(),
-        }
-    }
-}
-
 /// A software transactional memory runtime.
 ///
 /// All [`TCell`]s accessed by transactions of one logical data structure
@@ -108,14 +44,30 @@ impl Default for Stm {
 }
 
 impl Stm {
-    /// Create an STM runtime with the default ([`ClockKind::Sampled`]) clock.
+    /// Create an STM runtime with the default ([`ClockKind::Sampled`]) clock,
+    /// whose quiescence fast path lets uncontended writer commits skip
+    /// read-set validation (see the `clock` module docs).
     pub fn new() -> Self {
-        StmBuilder::new().build()
+        Self::with_clock(ClockKind::Sampled)
     }
 
-    /// Create an STM runtime with the given clock.
+    /// Create an STM runtime with the given clock: the `gv1` counter, the
+    /// sampled `gv5`-style clock, or the hardware TSC.
+    ///
+    /// ```
+    /// use skiphash_stm::{ClockKind, Stm};
+    ///
+    /// let stm = Stm::with_clock(ClockKind::Counter);
+    /// assert_eq!(stm.clock_name(), "gv1-counter");
+    /// ```
     pub fn with_clock(kind: ClockKind) -> Self {
-        StmBuilder::new().clock(kind).build()
+        Stm {
+            clock: kind.build(),
+            clock_kind: kind,
+            stats: StmStats::new(),
+            attempt_ids: AtomicU64::new(1),
+            snapshots: SnapshotRegistry::new(),
+        }
     }
 
     /// Name of the configured clock source.
@@ -709,31 +661,6 @@ mod tests {
         let stm = Stm::new();
         assert_eq!(stm.clock_name(), "gv5-sampled");
         assert_eq!(stm.clock_kind(), ClockKind::Sampled);
-    }
-
-    #[test]
-    fn auto_clock_is_resolved_at_construction() {
-        // Whatever the machine, the built runtime must report a concrete
-        // kind, and the override threshold must steer the choice.
-        let auto = StmBuilder::new().clock(ClockKind::Auto).build();
-        assert_ne!(auto.clock_kind(), ClockKind::Auto);
-        let big_box = StmBuilder::new()
-            .clock(ClockKind::Auto)
-            .auto_threshold(1)
-            .build();
-        assert_eq!(big_box.clock_kind(), ClockKind::Hardware);
-        let small_box = StmBuilder::new()
-            .clock(ClockKind::Auto)
-            .auto_threshold(usize::MAX)
-            .build();
-        assert_eq!(small_box.clock_kind(), ClockKind::Sampled);
-        // The resolved runtime behaves like its concrete kind end to end.
-        let cell = TCell::new(0u64);
-        small_box.run(|tx| {
-            let v = cell.read(tx)?;
-            cell.write(tx, v + 1)
-        });
-        assert_eq!(small_box.stats().validation_skipped_commits, 1);
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! The STM's steady-state commit path is supposed to be allocation-free:
 //! transaction scratch is pooled per thread, the write log is unboxed,
-//! word-sized values live in their cells and wider payloads, node blocks and
-//! chain buffers come from the block recycler (`stm::arena`), and the epoch
-//! shim recycles its sealed bags.  These tests install a counting global
+//! word-sized values live in their cells and wider payloads and node blocks
+//! come from the block recycler (`stm::arena`), and the epoch shim recycles
+//! its sealed bags.  These tests install a counting global
 //! allocator and prove it, so a future change that sneaks a `Box` or a fresh
 //! `Vec` back onto the hot path fails CI instead of quietly regressing
-//! throughput.  The last section bounds what a *cold* recycler may ask of the
-//! allocator: fresh blocks are carved from chunks, never minted one by one.
+//! throughput.  The last two sections bound what a *cold* recycler and an
+//! empty hash index may ask of the allocator: fresh blocks are carved from
+//! chunks, never minted one by one, and buckets cost nothing apiece.
 //!
 //! Everything runs in ONE `#[test]` so no concurrent test thread can
 //! attribute its allocations to the measured windows.
@@ -17,7 +18,7 @@ use skiphash_stm::sync::{AtomicU64, Ordering};
 use std::alloc::{GlobalAlloc, Layout, System};
 
 use crossbeam_epoch as epoch;
-use skiphash::SkipHash;
+use skiphash::{SkipHash, TxHashMap};
 use skiphash_stm::{Stm, TCell};
 
 struct CountingAllocator;
@@ -165,9 +166,8 @@ fn steady_state_hot_paths_do_not_touch_the_global_allocator() {
     //
     // Node blocks — refcount, header, and the tower inline — are
     // height-classed arena blocks recycled through the epoch, and the hash
-    // map's copy-on-write chains clone through pooled buffers, so a
-    // steady-state insert/remove pair must not touch the global allocator at
-    // all.
+    // index is link words in the buckets and the nodes, so a steady-state
+    // insert/remove pair must not touch the global allocator at all.
     //
     // Windows are assessed like the RMW section: tower heights are sampled
     // geometrically, so a rare tall-tower *size class* may see its very first
@@ -220,10 +220,6 @@ fn steady_state_hot_paths_do_not_touch_the_global_allocator() {
         stats.node_recycle_hits > 0,
         "the arena must be serving node blocks from recycled memory"
     );
-    assert!(
-        stats.chain_recycle_hits > 0,
-        "the arena must be serving hash-chain buffers from recycled memory"
-    );
 
     // ---- 4. Pinned snapshot reads: ZERO allocations.
     //
@@ -262,12 +258,11 @@ fn steady_state_hot_paths_do_not_touch_the_global_allocator() {
 
     // ---- 5. A cold recycler mints by the chunk, not by the block.
     //
-    // Fresh keys need fresh memory: per key a node block, a value payload,
-    // and for a bucket's first key a chain buffer and its header.  The
-    // recycler carves them from 32 KiB chunks, so the populate reaches the
-    // global allocator a few hundred times for 50,000 keys (Vec growth in
-    // the magazines and pools included; 579 in a cold process), where one
-    // `alloc` per block made 2.2 calls per key (110,087).
+    // Fresh keys need fresh memory: per key a node block and a value
+    // payload.  The recycler carves them from 32 KiB chunks, so the populate
+    // reaches the global allocator a few hundred times for 50,000 keys (Vec
+    // growth in the magazines and pools included), where one `alloc` per
+    // block made 2.2 calls per key (110,087).
     let fresh: SkipHash<u64, u64> = SkipHash::new();
     let populate = count_allocs(|| {
         for key in 0..50_000u64 {
@@ -277,5 +272,13 @@ fn steady_state_hot_paths_do_not_touch_the_global_allocator() {
     assert!(
         populate < 5_000,
         "50,000 fresh keys must not cost an allocator call per block ({populate} calls)"
+    );
+
+    // ---- 6. An empty hash index is its bucket array and nothing else: a
+    // bucket is one link word in its cell.
+    let buckets = count_allocs(|| drop(TxHashMap::<u64, u64>::new(65_536)));
+    assert!(
+        buckets <= 1,
+        "65,536 buckets must not cost an allocator call per bucket ({buckets} calls)"
     );
 }

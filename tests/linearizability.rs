@@ -8,25 +8,24 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use skiphash_repro::skiphash::{RemovalPolicy, SkipHashBuilder};
+use skiphash_repro::skiphash::SkipHashBuilder;
 use skiphash_repro::{RangePolicy, SkipHash};
 
-fn build(policy: RangePolicy, removal: RemovalPolicy) -> Arc<SkipHash<u64, u64>> {
+fn build(policy: RangePolicy) -> Arc<SkipHash<u64, u64>> {
     Arc::new(
         SkipHashBuilder::new()
             .buckets(4_099)
             .max_level(14)
             .range_policy(policy)
-            .removal_policy(removal)
             .build(),
     )
 }
 
 /// Writers toggle odd keys while even keys stay untouched; every range query
 /// must observe *all* even keys exactly once and never a duplicate key.
-fn stable_evens_scenario(policy: RangePolicy, removal: RemovalPolicy) {
+fn stable_evens_scenario(policy: RangePolicy) {
     const UNIVERSE: u64 = 2_000;
-    let map = build(policy, removal);
+    let map = build(policy);
     for key in (0..UNIVERSE).step_by(2) {
         assert!(map.insert(key, key));
     }
@@ -73,34 +72,25 @@ fn stable_evens_scenario(policy: RangePolicy, removal: RemovalPolicy) {
 
 #[test]
 fn two_path_ranges_are_linearizable_under_updates() {
-    stable_evens_scenario(
-        RangePolicy::TwoPath { tries: 3 },
-        RemovalPolicy::Buffered(32),
-    );
+    stable_evens_scenario(RangePolicy::TwoPath { tries: 3 });
 }
 
 #[test]
 fn fast_only_ranges_are_linearizable_under_updates() {
-    stable_evens_scenario(RangePolicy::FastOnly, RemovalPolicy::Buffered(32));
+    stable_evens_scenario(RangePolicy::FastOnly);
 }
 
+/// The slow path is where removals park nodes in the per-thread buffers and
+/// hand them to in-flight queries (§4.5).
 #[test]
 fn slow_only_ranges_are_linearizable_under_updates() {
-    stable_evens_scenario(RangePolicy::SlowOnly, RemovalPolicy::Immediate);
-}
-
-#[test]
-fn slow_only_with_buffered_removals_is_linearizable() {
-    stable_evens_scenario(RangePolicy::SlowOnly, RemovalPolicy::Buffered(8));
+    stable_evens_scenario(RangePolicy::SlowOnly);
 }
 
 /// A value moved between two keys must never be observed in both or neither.
 #[test]
 fn atomic_key_migration_is_never_partially_visible() {
-    let map = build(
-        RangePolicy::TwoPath { tries: 3 },
-        RemovalPolicy::Buffered(32),
-    );
+    let map = build(RangePolicy::TwoPath { tries: 3 });
     const TOKEN: u64 = 4242;
     assert!(map.insert(0, TOKEN));
     let stop = Arc::new(AtomicBool::new(false));
@@ -140,7 +130,7 @@ fn disjoint_concurrent_inserts_land_exactly_once() {
         RangePolicy::SlowOnly,
         RangePolicy::TwoPath { tries: 3 },
     ] {
-        let map = build(policy, RemovalPolicy::Buffered(32));
+        let map = build(policy);
         let mut handles = Vec::new();
         for t in 0..4u64 {
             let map = Arc::clone(&map);
@@ -177,10 +167,7 @@ fn snapshots_equal_the_reference_model_replayed_to_their_version() {
     const STORM_BASE: u64 = 1_000_000; // writers churn STORM_BASE..
     const BATCHES: usize = 40;
 
-    let map = build(
-        RangePolicy::TwoPath { tries: 3 },
-        RemovalPolicy::Buffered(32),
-    );
+    let map = build(RangePolicy::TwoPath { tries: 3 });
     let stop = Arc::new(AtomicBool::new(false));
     let mut writers = Vec::new();
     for w in 0..4u64 {
@@ -262,10 +249,7 @@ fn snapshot_reads_never_tear_under_atomic_transfers() {
     const ACCOUNTS: u64 = 64;
     const INITIAL: u64 = 1_000;
 
-    let map = build(
-        RangePolicy::TwoPath { tries: 3 },
-        RemovalPolicy::Buffered(32),
-    );
+    let map = build(RangePolicy::TwoPath { tries: 3 });
     for key in 0..ACCOUNTS {
         assert!(map.insert(key, INITIAL));
     }
@@ -331,10 +315,7 @@ fn snapshot_reads_never_tear_under_atomic_transfers() {
 /// hash-map invariant).
 #[test]
 fn lookups_never_resurrect_removed_keys() {
-    let map = build(
-        RangePolicy::TwoPath { tries: 3 },
-        RemovalPolicy::Buffered(4),
-    );
+    let map = build(RangePolicy::TwoPath { tries: 3 });
     for key in 0..1_000u64 {
         map.insert(key, key);
     }

@@ -9,12 +9,12 @@
 //! the designated targets for the AddressSanitizer CI job.
 
 use skiphash_stm::sync::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crossbeam_epoch::{self as epoch, Atomic, Owned};
-use skiphash::{RangePolicy, RemovalPolicy, SkipHash};
+use skiphash::{RangePolicy, SkipHash, SkipHashBuilder};
 use skiphash_stm::{Stm, TCell, TxAbort, TxResult};
 
 /// A payload whose drop is observable and must happen exactly once.
@@ -364,7 +364,7 @@ fn slab_recycling_balances_drops_under_cross_thread_churn() {
 }
 
 /// End-to-end churn through the skip hash: inserts and removals retire nodes
-/// and hash-chain vectors through the batched transaction bags while range
+/// and displaced link words through the batched transaction bags while range
 /// queries hold pins; the map must stay consistent throughout.  (Memory
 /// errors here are the ASan job's concern.)
 #[test]
@@ -372,7 +372,6 @@ fn skiphash_churn_under_concurrent_range_queries() {
     let map: Arc<SkipHash<u64, u64>> = Arc::new(
         SkipHash::<u64, u64>::builder()
             .range_policy(RangePolicy::TwoPath { tries: 3 })
-            .removal_policy(RemovalPolicy::Buffered(8))
             .build(),
     );
     for key in 0..512u64 {
@@ -414,7 +413,7 @@ fn skiphash_churn_under_concurrent_range_queries() {
 /// per cell per pin window — so the backlog must *plateau* well below the
 /// number of displacements the churn performs — and dropping the last
 /// snapshot must drain it entirely, rebalance every drop counter, and let
-/// the node/chain arenas resume recycling.  A designated ASan target: the
+/// the node arena resume recycling.  A designated ASan target: the
 /// snapshot reads resolve payloads out of the history table while the
 /// writers that displaced them keep committing.
 #[test]
@@ -500,8 +499,8 @@ fn snapshot_custody_plateaus_and_drains_after_last_drop() {
         "history backlog must drain when the last snapshot drops"
     );
 
-    // With custody released, continued churn recycles node and chain blocks
-    // again (the freed history payloads returned their node references).
+    // With custody released, continued churn recycles node blocks again (the
+    // freed history payloads returned their node references).
     let stats_mid = map.stm_stats();
     let handles: Vec<_> = (0..WRITERS)
         .map(|t| {
@@ -525,10 +524,6 @@ fn snapshot_custody_plateaus_and_drains_after_last_drop() {
         resumed.node_recycle_hits > 0,
         "node recycling must resume once custody is released (saw {resumed})"
     );
-    assert!(
-        resumed.chain_recycle_hits > 0,
-        "chain recycling must resume once custody is released (saw {resumed})"
-    );
 
     map.check_invariants()
         .expect("invariants after custody churn");
@@ -549,8 +544,8 @@ fn snapshot_custody_plateaus_and_drains_after_last_drop() {
     );
 }
 
-/// Cross-thread structural churn through the node/chain arena: every node
-/// block, inline tower, and hash-chain buffer retired by one thread may be
+/// Cross-thread structural churn through the node arena: every node block
+/// (header, hash link and inline tower) retired by one thread may be
 /// recycled by another (whoever drives epoch collection).  Drop-counting
 /// values prove the arena's reclamation glue runs exactly once per node —
 /// a leak or double free shows up as a nonzero live count — and the recycle
@@ -596,11 +591,6 @@ fn node_arena_balances_drops_under_cross_thread_churn() {
         "cross-thread churn must serve node blocks from recycled arena memory \
          (saw {stats})"
     );
-    assert!(
-        stats.chain_recycle_hits > 0,
-        "cross-thread churn must serve chain buffers from recycled arena memory \
-         (saw {stats})"
-    );
 
     // Tear the map down and drive collection until every Balanced the test
     // ever created has been dropped exactly once: node blocks hold values in
@@ -616,4 +606,184 @@ fn node_arena_balances_drops_under_cross_thread_churn() {
         0,
         "every value must be dropped exactly once after arena reclamation"
     );
+}
+
+/// The intrusive hash index under churn: with three buckets every key shares
+/// a chain with a third of the others, so two writers inserting and removing
+/// the same colliding keys unlink heads, middles and tails of chains that
+/// readers are walking to keys that are never removed.  The readers must
+/// always find those keys; afterwards the map must be consistent, and once
+/// it drops every value must have been dropped exactly once — a cycle in the
+/// hash links would leak the nodes on it, an unlink that gave a count back
+/// twice would free one early.  `String` keys and values put heap memory
+/// behind every node for the ASan job.
+#[test]
+fn hash_chains_stay_walkable_under_colliding_churn() {
+    const STABLE: u64 = 24;
+    const CHURNED: u64 = 48;
+    const OPS_PER_WRITER: u64 = 4_000;
+
+    let live = Arc::new(AtomicIsize::new(0));
+    let map: Arc<SkipHash<String, (String, Balanced)>> =
+        Arc::new(SkipHashBuilder::new().buckets(3).build());
+    let value = |i: u64| (format!("value-{i}"), Balanced::new(&live, i));
+    for i in 0..STABLE {
+        assert!(map.insert(format!("stable-{i}"), value(i)));
+    }
+
+    let writers_done = Arc::new(AtomicUsize::new(0));
+    let writers: Vec<_> = (0..2u64)
+        .map(|w| {
+            let map = Arc::clone(&map);
+            let live = Arc::clone(&live);
+            let writers_done = Arc::clone(&writers_done);
+            thread::spawn(move || {
+                for i in 0..OPS_PER_WRITER {
+                    let key = format!("churned-{}", (i * 7 + w * 13) % CHURNED);
+                    let value = (format!("value-{i}"), Balanced::new(&live, i));
+                    if !map.insert(key.clone(), value) {
+                        map.remove(&key);
+                    }
+                }
+                // SC: completion flag read by the readers' loop condition.
+                writers_done.fetch_add(1, Ordering::SeqCst);
+            })
+        })
+        .collect();
+    let readers: Vec<_> = (0..2u64)
+        .map(|r| {
+            let map = Arc::clone(&map);
+            let writers_done = Arc::clone(&writers_done);
+            thread::spawn(move || {
+                let mut lookups = 0u64;
+                // SC: see the writers' completion flag.
+                while writers_done.load(Ordering::SeqCst) < 2 || lookups < STABLE {
+                    let i = (lookups + r) % STABLE;
+                    let key = format!("stable-{i}");
+                    let (label, balanced) = map.get(&key).expect("stable keys are never removed");
+                    assert_eq!(
+                        (label.as_str(), balanced.value),
+                        (format!("value-{i}").as_str(), i)
+                    );
+                    assert!(map.contains_key(&key));
+                    lookups += 1;
+                }
+            })
+        })
+        .collect();
+    for handle in writers.into_iter().chain(readers) {
+        handle.join().unwrap();
+    }
+
+    map.check_invariants()
+        .expect("invariants after colliding churn");
+    drop(map);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    // SC: poll the live count in the same total order the tallies use.
+    while live.load(Ordering::SeqCst) != 0 && Instant::now() < deadline {
+        drop(epoch::pin());
+    }
+    assert_eq!(
+        live.load(Ordering::SeqCst),
+        0,
+        "drop imbalance after hash-chain churn (positive = leak, negative = double free)"
+    );
+}
+
+/// Parks the first thread to clone a [`Gated`] value after [`Gate::arm`]
+/// until the test releases it.  A slow-path range query clones the values
+/// it collects, so parking one holds the query in flight: the window in
+/// which a removal is deferred (left stitched, in the remover's buffer)
+/// instead of unstitched.
+struct Gate {
+    armed: AtomicBool,
+    entered: Barrier,
+    released: Barrier,
+}
+
+impl Gate {
+    fn arm(&self) {
+        // SC: handed to whichever thread clones next.
+        self.armed.store(true, Ordering::SeqCst);
+    }
+}
+
+struct Gated {
+    balanced: Balanced,
+    gate: Arc<Gate>,
+}
+
+impl Clone for Gated {
+    fn clone(&self) -> Self {
+        // SC: exactly one clone per `arm` may park.
+        if self.gate.armed.swap(false, Ordering::SeqCst) {
+            self.gate.entered.wait();
+            self.gate.released.wait();
+        }
+        Self {
+            balanced: self.balanced.clone(),
+            gate: Arc::clone(&self.gate),
+        }
+    }
+}
+
+/// Two removed nodes of one hash chain must not keep each other alive.  Two
+/// adjacent keys share the only bucket; one is removed while a slow-path
+/// range query is in flight (deferred, so it stays stitched), the other
+/// after the query ends (unstitched at once, so its tower keeps pointing at
+/// the deferred neighbour).  If an unlinked node kept its hash link, the
+/// newer node's link to the older and the older's tower link back would
+/// form a cycle that outlives the map.  All four orders of insertion and
+/// removal run; after each map drops, every value must have been dropped.
+#[test]
+fn deferred_removals_in_one_chain_leave_no_cycle() {
+    let live = Arc::new(AtomicIsize::new(0));
+    let gate = Arc::new(Gate {
+        armed: AtomicBool::new(false),
+        entered: Barrier::new(2),
+        released: Barrier::new(2),
+    });
+    for (older, newer) in [(1u64, 2u64), (2, 1)] {
+        for deferred in [older, newer] {
+            let map: Arc<SkipHash<u64, Gated>> = Arc::new(
+                SkipHashBuilder::new()
+                    .buckets(1)
+                    .range_policy(RangePolicy::SlowOnly)
+                    .build(),
+            );
+            for key in [0, older, newer] {
+                let value = Gated {
+                    balanced: Balanced::new(&live, key),
+                    gate: Arc::clone(&gate),
+                };
+                assert!(map.insert(key, value));
+            }
+
+            gate.arm();
+            let query = {
+                let map = Arc::clone(&map);
+                thread::spawn(move || map.range(0..=0).count())
+            };
+            gate.entered.wait();
+            assert!(map.remove(&deferred));
+            gate.released.wait();
+            assert_eq!(query.join().unwrap(), 1);
+            assert!(map.remove(&(older + newer - deferred)));
+            map.check_invariants()
+                .expect("invariants after deferred removal");
+
+            drop(map);
+            let deadline = Instant::now() + Duration::from_secs(60);
+            // SC: poll the live count in the same total order the tallies use.
+            while live.load(Ordering::SeqCst) != 0 && Instant::now() < deadline {
+                drop(epoch::pin());
+            }
+            assert_eq!(
+                live.load(Ordering::SeqCst),
+                0,
+                "inserted {older} then {newer}, deferred {deferred}: removed \
+                 nodes leaked (positive) or were freed twice (negative)"
+            );
+        }
+    }
 }
