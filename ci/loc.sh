@@ -33,7 +33,7 @@ count() { # <file> -> "<code lines> <unsafe sites>"
 }
 
 printf '%-12s %10s %8s\n' crate code_lines unsafe
-for crate in skiphash stm durability harness bench baselines model model-tests; do
+for crate in skiphash stm durability bench baselines model model-tests; do
     code=0 sites=0
     while IFS= read -r file; do
         read -r c s < <(count "$file")

@@ -19,7 +19,7 @@
 //! timestamp, and a pluggable timestamp source (shared counter vs. hardware
 //! TSC) — while synchronizing structural updates with fine-grained per-node
 //! locks (the classic "lazy" optimistic scheme) instead of multi-word CAS
-//! helping protocols.  DESIGN.md §2 records this substitution; the shapes the
+//! helping protocols.  This section records that substitution; the shapes the
 //! paper's figures depend on (who is traversal-bound, who scans snapshots at
 //! a timestamp) are preserved.
 

@@ -4,9 +4,9 @@
 //! These measure the cost of the capability no baseline offers — a single
 //! transaction spanning two maps, and `update`/`compute` entries that fold a
 //! caller's read-modify-write retry loop into one committed transaction.
-//! Alongside `elemental` (sealed single ops) they put the overhead of
-//! composition on the perf trajectory: a transfer should cost roughly one
-//! `take` plus one `insert` plus one commit, not more.
+//! They put the overhead of composition on the perf trajectory: a transfer
+//! should cost roughly one `take` plus one `insert` plus one commit, not
+//! more.
 
 use std::sync::Arc;
 use std::thread;
@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use skiphash::SkipHash;
-use skiphash_harness::transfer::TransferPair;
+use skiphash_bench::transfer::TransferPair;
 
 const UNIVERSE: u64 = 20_000;
 

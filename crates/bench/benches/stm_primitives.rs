@@ -248,13 +248,17 @@ fn bench_arena(c: &mut Criterion) {
 ///   snapshot read path from both sides.
 /// * `scans_vs_writers` — one iteration = one snapshot scan audited for the
 ///   transfer-conservation invariant while two writer threads commit
-///   transfers continuously: the end-to-end number the harness's
-///   `snapshot_scan` trial reports over longer horizons.
+///   transfers continuously (the `snapshot_scan` scenario's writer step):
+///   the end-to-end number its trial reports over longer horizons.
 /// * `scans_vs_writers_bundle` — the baseline arm: the bundled skip list's
 ///   timestamped range scan under equivalent single-key writer churn.
 fn bench_snapshot(c: &mut Criterion) {
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
     use skiphash::SkipHash;
-    use skiphash_harness::prefill_accounts;
+    use skiphash_baselines::{BundledSkipList, TimestampMode};
+    use skiphash_bench::snapshot_scan::{churn_key, prefill_accounts, transfer_unit};
+    use skiphash_bench::trial::{self, Stop};
 
     let mut group = c.benchmark_group("snapshot");
     group
@@ -283,91 +287,49 @@ fn bench_snapshot(c: &mut Criterion) {
     });
     drop(snap);
 
-    let shared: std::sync::Arc<SkipHash<u64, u64>> = std::sync::Arc::new(SkipHash::new());
     const ACCOUNTS: u64 = 1024;
     const INITIAL: u64 = 100;
+    let shared: SkipHash<u64, u64> = SkipHash::new();
     prefill_accounts(&shared, ACCOUNTS, INITIAL);
-    let stop = std::sync::Arc::new(skiphash_stm::sync::AtomicBool::new(false));
-    let writers: Vec<_> = (0..2)
-        .map(|t| {
-            let map = std::sync::Arc::clone(&shared);
-            let stop = std::sync::Arc::clone(&stop);
-            thread::spawn(move || {
-                use rand::rngs::SmallRng;
-                use rand::{Rng, SeedableRng};
-                let mut rng = SmallRng::seed_from_u64(0xBE4C ^ t);
-                while !stop.load(Ordering::Relaxed) {
-                    let from = rng.gen_range(0..ACCOUNTS);
-                    let to = rng.gen_range(0..ACCOUNTS);
-                    if from == to {
-                        continue;
-                    }
-                    map.transact(|v| {
-                        let balance = v.get(&from)?.unwrap_or(0);
-                        if balance == 0 {
-                            return Ok(());
-                        }
-                        let other = v.get(&to)?.unwrap_or(0);
-                        v.upsert(from, balance - 1)?;
-                        v.upsert(to, other + 1)?;
-                        Ok(())
-                    });
-                }
+    let transfers = |t: usize, stop: &Stop| {
+        let mut rng = SmallRng::seed_from_u64(0xBE4C ^ t as u64);
+        while !stop.requested() {
+            transfer_unit(&shared, ACCOUNTS, &mut rng);
+        }
+    };
+    trial::run(2, transfers, || {
+        group.bench_function("scans_vs_writers", |b| {
+            b.iter(|| {
+                let snap = shared.snapshot();
+                let pairs = snap.to_vec();
+                let total: u64 = pairs.iter().map(|(_, v)| v).sum();
+                assert_eq!(pairs.len() as u64, ACCOUNTS, "pinned scan lost a key");
+                assert_eq!(total, ACCOUNTS * INITIAL, "pinned scan tore a transfer");
+                criterion::black_box(total)
             })
-        })
-        .collect();
-    group.bench_function("scans_vs_writers", |b| {
-        b.iter(|| {
-            let snap = shared.snapshot();
-            let pairs = snap.to_vec();
-            let total: u64 = pairs.iter().map(|(_, v)| v).sum();
-            assert_eq!(pairs.len() as u64, ACCOUNTS, "pinned scan lost a key");
-            assert_eq!(total, ACCOUNTS * INITIAL, "pinned scan tore a transfer");
-            criterion::black_box(total)
-        })
+        });
     });
-    stop.store(true, Ordering::Relaxed);
-    for handle in writers {
-        handle.join().unwrap();
-    }
 
     // The baseline arm: the bundled skip list's timestamped range scan under
     // the same writer pressure (single-key remove + reinsert churn — the
     // strongest update the baseline can express; it has no multi-key
     // transactions to tear in the first place).
-    let bundle: std::sync::Arc<skiphash_baselines::BundledSkipList<u64, u64>> = std::sync::Arc::new(
-        skiphash_baselines::BundledSkipList::new(16, skiphash_baselines::TimestampMode::Rdtscp),
-    );
+    let bundle = BundledSkipList::new(16, TimestampMode::Rdtscp);
     for key in 0..ACCOUNTS {
         bundle.insert(key, INITIAL);
     }
-    let stop = std::sync::Arc::new(skiphash_stm::sync::AtomicBool::new(false));
-    let writers: Vec<_> = (0..2)
-        .map(|t| {
-            let list = std::sync::Arc::clone(&bundle);
-            let stop = std::sync::Arc::clone(&stop);
-            thread::spawn(move || {
-                use rand::rngs::SmallRng;
-                use rand::{Rng, SeedableRng};
-                let mut rng = SmallRng::seed_from_u64(0xD15C ^ t);
-                let mut version = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let key = rng.gen_range(0..ACCOUNTS);
-                    if list.remove(&key) {
-                        list.insert(key, version);
-                        version += 1;
-                    }
-                }
-            })
-        })
-        .collect();
-    group.bench_function("scans_vs_writers_bundle", |b| {
-        b.iter(|| criterion::black_box(bundle.range(&0, &(ACCOUNTS - 1)).len()))
+    let churn = |t: usize, stop: &Stop| {
+        let mut rng = SmallRng::seed_from_u64(0xD15C ^ t as u64);
+        let mut version = 0;
+        while !stop.requested() {
+            version += u64::from(churn_key(&bundle, ACCOUNTS, version, &mut rng));
+        }
+    };
+    trial::run(2, churn, || {
+        group.bench_function("scans_vs_writers_bundle", |b| {
+            b.iter(|| criterion::black_box(bundle.range(&0, &(ACCOUNTS - 1)).len()))
+        });
     });
-    stop.store(true, Ordering::Relaxed);
-    for handle in writers {
-        handle.join().unwrap();
-    }
     group.finish();
 }
 

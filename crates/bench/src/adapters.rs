@@ -49,11 +49,6 @@ pub trait BenchMap: Send + Sync {
     fn supports_range(&self) -> bool {
         true
     }
-    /// Aborted fast-path attempts per successful fast-path range query, when
-    /// the map tracks it (skip hash only).
-    fn fast_path_aborts_per_success(&self) -> Option<f64> {
-        None
-    }
     /// Number of keys currently present (used to verify pre-fill).
     fn population(&self) -> usize;
 }
@@ -124,24 +119,12 @@ impl MapKind {
     /// Construct the map, sized for a key universe of `key_universe` keys of
     /// which roughly half will be present.
     pub fn build(&self, key_universe: u64) -> Arc<dyn BenchMap> {
-        let buckets = bucket_count_for(key_universe);
+        let skiphash = |policy| Arc::new(SkipHashAdapter(skiphash_for(key_universe, policy)));
         let levels = level_count_for(key_universe);
         match self {
-            MapKind::SkipHashFastOnly => Arc::new(SkipHashAdapter::new(skiphash_with(
-                buckets,
-                levels,
-                RangePolicy::FastOnly,
-            ))),
-            MapKind::SkipHashSlowOnly => Arc::new(SkipHashAdapter::new(skiphash_with(
-                buckets,
-                levels,
-                RangePolicy::SlowOnly,
-            ))),
-            MapKind::SkipHashTwoPath => Arc::new(SkipHashAdapter::new(skiphash_with(
-                buckets,
-                levels,
-                RangePolicy::TwoPath { tries: 3 },
-            ))),
+            MapKind::SkipHashFastOnly => skiphash(RangePolicy::FastOnly),
+            MapKind::SkipHashSlowOnly => skiphash(RangePolicy::SlowOnly),
+            MapKind::SkipHashTwoPath => skiphash(RangePolicy::TwoPath { tries: 3 }),
             MapKind::VcasBst => Arc::new(VcasBstAdapter(VcasBst::new(TimestampMode::Rdtscp))),
             MapKind::VcasSkipList => Arc::new(VcasSkipListAdapter(VcasSkipList::new(
                 levels,
@@ -152,7 +135,9 @@ impl MapKind {
                 TimestampMode::Rdtscp,
             ))),
             MapKind::StmSkipList => Arc::new(StmSkipListAdapter(StmSkipListMap::new(levels))),
-            MapKind::StmHashMap => Arc::new(StmHashMapAdapter(StmHashMap::new(buckets))),
+            MapKind::StmHashMap => Arc::new(StmHashMapAdapter(StmHashMap::new(bucket_count_for(
+                key_universe,
+            )))),
         }
     }
 }
@@ -165,12 +150,14 @@ impl fmt::Display for MapKind {
 
 /// The paper sizes the hash table as the smallest prime keeping utilization
 /// at or below 70% for the expected population (half the universe).
-fn bucket_count_for(key_universe: u64) -> usize {
+pub fn bucket_count_for(key_universe: u64) -> usize {
     let target = ((key_universe / 2) as f64 / 0.7).ceil() as usize;
     smallest_prime_at_least(target.max(16))
 }
 
-fn level_count_for(key_universe: u64) -> usize {
+/// Skip-list levels for a key universe: enough that `2^levels` covers it
+/// (between 4 and 30).
+pub fn level_count_for(key_universe: u64) -> usize {
     let mut levels = 1;
     while (1u64 << levels) < key_universe && levels < 30 {
         levels += 1;
@@ -178,7 +165,7 @@ fn level_count_for(key_universe: u64) -> usize {
     levels.max(4)
 }
 
-pub(crate) fn smallest_prime_at_least(mut n: usize) -> usize {
+fn smallest_prime_at_least(mut n: usize) -> usize {
     fn is_prime(n: usize) -> bool {
         if n < 2 {
             return false;
@@ -198,51 +185,20 @@ pub(crate) fn smallest_prime_at_least(mut n: usize) -> usize {
     n
 }
 
-fn skiphash_with(buckets: usize, levels: usize, policy: RangePolicy) -> SkipHash<u64, u64> {
+/// A skip hash sized for `key_universe` by [`bucket_count_for`] and
+/// [`level_count_for`], with the given range policy.
+pub fn skiphash_for(key_universe: u64, policy: RangePolicy) -> SkipHash<u64, u64> {
     SkipHashBuilder::new()
-        .buckets(buckets)
-        .max_level(levels)
+        .buckets(bucket_count_for(key_universe))
+        .max_level(level_count_for(key_universe))
         .range_policy(policy)
         .build()
 }
 
-struct SkipHashAdapter {
-    map: SkipHash<u64, u64>,
-}
-
-impl SkipHashAdapter {
-    fn new(map: SkipHash<u64, u64>) -> Self {
-        Self { map }
-    }
-}
+struct SkipHashAdapter(SkipHash<u64, u64>);
 
 impl BenchMap for SkipHashAdapter {
     fn get(&self, key: u64) -> Option<u64> {
-        self.map.get(&key)
-    }
-    fn insert(&self, key: u64, value: u64) -> bool {
-        self.map.insert(key, value)
-    }
-    fn remove(&self, key: u64) -> bool {
-        self.map.remove(&key)
-    }
-    fn range(&self, bounds: KeyBounds, buffer: &mut Vec<(u64, u64)>) -> Option<usize> {
-        buffer.clear();
-        buffer.extend(self.map.range(bounds));
-        Some(buffer.len())
-    }
-    fn fast_path_aborts_per_success(&self) -> Option<f64> {
-        Some(self.map.range_stats().aborts_per_success())
-    }
-    fn population(&self) -> usize {
-        self.map.len()
-    }
-}
-
-struct VcasBstAdapter(VcasBst<u64, u64>);
-
-impl BenchMap for VcasBstAdapter {
-    fn get(&self, key: u64) -> Option<u64> {
         self.0.get(&key)
     }
     fn insert(&self, key: u64, value: u64) -> bool {
@@ -253,109 +209,61 @@ impl BenchMap for VcasBstAdapter {
     }
     fn range(&self, bounds: KeyBounds, buffer: &mut Vec<(u64, u64)>) -> Option<usize> {
         buffer.clear();
-        if let Some((low, high)) = bounds_to_inclusive(bounds) {
-            buffer.extend(self.0.range(&low, &high));
+        buffer.extend(self.0.range(bounds));
+        Some(buffer.len())
+    }
+    fn population(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// A [`BenchMap`] adapter over a baseline's own `get` / `insert` / `remove`
+/// / `len`.  A `ranged` baseline collects through its inclusive
+/// `range(&low, &high)`; an `unranged` one has no range query.
+macro_rules! baseline_adapter {
+    ($adapter:ident($map:ty), $kind:ident) => {
+        struct $adapter($map);
+
+        impl BenchMap for $adapter {
+            fn get(&self, key: u64) -> Option<u64> {
+                self.0.get(&key)
+            }
+            fn insert(&self, key: u64, value: u64) -> bool {
+                self.0.insert(key, value)
+            }
+            fn remove(&self, key: u64) -> bool {
+                self.0.remove(&key)
+            }
+            fn population(&self) -> usize {
+                self.0.len()
+            }
+            baseline_adapter!(@$kind);
         }
-        Some(buffer.len())
-    }
-    fn population(&self) -> usize {
-        self.0.len()
-    }
-}
-
-struct VcasSkipListAdapter(VcasSkipList<u64, u64>);
-
-impl BenchMap for VcasSkipListAdapter {
-    fn get(&self, key: u64) -> Option<u64> {
-        self.0.get(&key)
-    }
-    fn insert(&self, key: u64, value: u64) -> bool {
-        self.0.insert(key, value)
-    }
-    fn remove(&self, key: u64) -> bool {
-        self.0.remove(&key)
-    }
-    fn range(&self, bounds: KeyBounds, buffer: &mut Vec<(u64, u64)>) -> Option<usize> {
-        buffer.clear();
-        if let Some((low, high)) = bounds_to_inclusive(bounds) {
-            buffer.extend(self.0.range(&low, &high));
+    };
+    (@ranged) => {
+        fn range(&self, bounds: KeyBounds, buffer: &mut Vec<(u64, u64)>) -> Option<usize> {
+            buffer.clear();
+            if let Some((low, high)) = bounds_to_inclusive(bounds) {
+                buffer.extend(self.0.range(&low, &high));
+            }
+            Some(buffer.len())
         }
-        Some(buffer.len())
-    }
-    fn population(&self) -> usize {
-        self.0.len()
-    }
-}
-
-struct BundledSkipListAdapter(BundledSkipList<u64, u64>);
-
-impl BenchMap for BundledSkipListAdapter {
-    fn get(&self, key: u64) -> Option<u64> {
-        self.0.get(&key)
-    }
-    fn insert(&self, key: u64, value: u64) -> bool {
-        self.0.insert(key, value)
-    }
-    fn remove(&self, key: u64) -> bool {
-        self.0.remove(&key)
-    }
-    fn range(&self, bounds: KeyBounds, buffer: &mut Vec<(u64, u64)>) -> Option<usize> {
-        buffer.clear();
-        if let Some((low, high)) = bounds_to_inclusive(bounds) {
-            buffer.extend(self.0.range(&low, &high));
+    };
+    (@unranged) => {
+        fn range(&self, _bounds: KeyBounds, _buffer: &mut Vec<(u64, u64)>) -> Option<usize> {
+            None
         }
-        Some(buffer.len())
-    }
-    fn population(&self) -> usize {
-        self.0.len()
-    }
+        fn supports_range(&self) -> bool {
+            false
+        }
+    };
 }
 
-struct StmSkipListAdapter(StmSkipListMap<u64, u64>);
-
-impl BenchMap for StmSkipListAdapter {
-    fn get(&self, key: u64) -> Option<u64> {
-        self.0.get(&key)
-    }
-    fn insert(&self, key: u64, value: u64) -> bool {
-        self.0.insert(key, value)
-    }
-    fn remove(&self, key: u64) -> bool {
-        self.0.remove(&key)
-    }
-    fn range(&self, _bounds: KeyBounds, _buffer: &mut Vec<(u64, u64)>) -> Option<usize> {
-        None
-    }
-    fn supports_range(&self) -> bool {
-        false
-    }
-    fn population(&self) -> usize {
-        self.0.len()
-    }
-}
-
-struct StmHashMapAdapter(StmHashMap<u64, u64>);
-
-impl BenchMap for StmHashMapAdapter {
-    fn get(&self, key: u64) -> Option<u64> {
-        self.0.get(&key)
-    }
-    fn insert(&self, key: u64, value: u64) -> bool {
-        self.0.insert(key, value)
-    }
-    fn remove(&self, key: u64) -> bool {
-        self.0.remove(&key)
-    }
-    fn range(&self, _bounds: KeyBounds, _buffer: &mut Vec<(u64, u64)>) -> Option<usize> {
-        None
-    }
-    fn supports_range(&self) -> bool {
-        false
-    }
-    fn population(&self) -> usize {
-        self.0.len()
-    }
-}
+baseline_adapter!(VcasBstAdapter(VcasBst<u64, u64>), ranged);
+baseline_adapter!(VcasSkipListAdapter(VcasSkipList<u64, u64>), ranged);
+baseline_adapter!(BundledSkipListAdapter(BundledSkipList<u64, u64>), ranged);
+baseline_adapter!(StmSkipListAdapter(StmSkipListMap<u64, u64>), unranged);
+baseline_adapter!(StmHashMapAdapter(StmHashMap<u64, u64>), unranged);
 
 #[cfg(test)]
 mod tests {

@@ -2,9 +2,9 @@
 //!
 //! Reads two JSON-lines artifacts produced by the criterion shim (run the
 //! benches with `CRITERION_JSON=<path>`), compares the medians of every
-//! benchmark id under any of the comma-separated `--prefix` groups, and
-//! exits non-zero when any of them slowed down by more than
-//! `--max-regression`.
+//! benchmark id under any of the comma-separated `--prefix` groups (default:
+//! `gate::GATED_PREFIXES`), and exits non-zero when any of them slowed down
+//! by more than `--max-regression`.
 //!
 //! ```text
 //! bench_gate --baseline bench-baseline.json --current bench-current.json \
@@ -13,23 +13,22 @@
 
 use std::process::ExitCode;
 
-use skiphash_bench::gate::{compare_prefixes, parse_records};
+use skiphash_bench::gate::{compare_prefixes, parse_records, GATED_PREFIXES};
 use skiphash_bench::BenchOptions;
 
 fn main() -> ExitCode {
     let options = BenchOptions::from_args();
     let baseline_path = options.get("baseline").unwrap_or("bench-baseline.json");
     let current_path = options.get("current").unwrap_or("bench-current.json");
-    let prefix = options.get("prefix").unwrap_or("epoch/,commit_path/");
-    let prefixes: Vec<&str> = prefix
-        .split(',')
-        .map(str::trim)
-        .filter(|p| !p.is_empty())
-        .collect();
-    let max_regression = options
-        .get("max-regression")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.25);
+    let prefixes: Vec<&str> = match options.get("prefix") {
+        Some(list) => list
+            .split(',')
+            .map(str::trim)
+            .filter(|p| !p.is_empty())
+            .collect(),
+        None => GATED_PREFIXES.to_vec(),
+    };
+    let max_regression = options.get_parsed("max-regression", 0.25);
 
     let read = |path: &str| match std::fs::read_to_string(path) {
         Ok(contents) => Some(parse_records(&contents)),

@@ -16,12 +16,12 @@
 //! * `--trials N` trials per point, averaged (default 1; the paper uses 5)
 //! * `--paper` use the paper's full parameters (universe 10^6, 3 s, 5 trials)
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use skiphash_bench::{default_thread_grid, BenchOptions};
-use skiphash_harness::report::{Figure, Series};
-use skiphash_harness::{driver, BenchMap, MapKind, Workload};
+use skiphash_bench::report::{Figure, Series};
+use skiphash_bench::trial::{mops, run_mixed_trial};
+use skiphash_bench::workload::prefill;
+use skiphash_bench::{default_thread_grid, BenchOptions, MapKind, Workload};
 
 fn measure(
     kind: MapKind,
@@ -30,12 +30,13 @@ fn measure(
     duration: Duration,
     trials: u64,
 ) -> f64 {
-    let map: Arc<dyn BenchMap> = kind.build(workload.key_universe);
-    driver::prefill(&map, workload, 0xF16_5EED);
+    let map = kind.build(workload.key_universe);
+    let (universe, target) = (workload.key_universe, workload.prefill_target());
+    prefill(universe, target, 0xF16_5EED, |k| map.insert(k, k));
     let mut total = 0.0;
     for trial in 0..trials {
-        let result = driver::run_mixed_trial(&map, workload, threads, duration, 97 + trial);
-        total += result.mops();
+        let result = run_mixed_trial(&*map, workload, threads, duration, 97 + trial);
+        total += mops(result.total_ops, result.elapsed_secs);
     }
     total / trials as f64
 }

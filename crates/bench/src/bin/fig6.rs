@@ -12,12 +12,12 @@
 //! Options: `--universe N`, `--update-threads N`, `--range-threads N`,
 //! `--min-exp N`, `--max-exp N`, `--duration-ms N`, `--trials N`, `--paper`.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use skiphash_bench::BenchOptions;
-use skiphash_harness::report::{Figure, Series};
-use skiphash_harness::{driver, BenchMap, MapKind, Workload};
+use skiphash_bench::report::{Figure, Series};
+use skiphash_bench::trial::{mops, run_split_trial};
+use skiphash_bench::workload::prefill;
+use skiphash_bench::{default_role_threads, BenchOptions, MapKind, Workload};
 
 #[allow(clippy::too_many_arguments)]
 fn measure(
@@ -29,19 +29,13 @@ fn measure(
     duration: Duration,
     trials: u64,
 ) -> (f64, f64) {
-    let map: Arc<dyn BenchMap> = kind.build(universe);
-    let prefill_workload = Workload::custom(
-        "fig6-prefill",
-        skiphash_harness::WorkloadMix::new(0, 100, 0),
-        universe,
-        range_len,
-    );
-    driver::prefill(&map, &prefill_workload, 0xF16_6EED);
+    let map = kind.build(universe);
+    prefill(universe, universe / 2, 0xF16_6EED, |k| map.insert(k, k));
     let mut update_mops = 0.0;
     let mut range_pairs = 0.0;
     for trial in 0..trials {
-        let result = driver::run_split_trial(
-            &map,
+        let result = run_split_trial(
+            &*map,
             universe,
             range_len,
             update_threads,
@@ -49,8 +43,8 @@ fn measure(
             duration,
             1_000 + trial,
         );
-        update_mops += result.update_mops();
-        range_pairs += result.range_pairs_mops();
+        update_mops += mops(result.updates, result.elapsed_secs);
+        range_pairs += mops(result.range_pairs, result.elapsed_secs);
     }
     (update_mops / trials as f64, range_pairs / trials as f64)
 }
@@ -68,11 +62,7 @@ fn main() {
     );
     let duration = options.duration(if paper_mode { 3_000 } else { 500 });
     let trials = options.get_u64("trials", if paper_mode { 5 } else { 1 });
-    let half = (std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(2)
-        / 2)
-    .max(1);
+    let half = default_role_threads();
     let update_threads = options.get_u64("update-threads", if paper_mode { 24 } else { half });
     let range_threads = options.get_u64("range-threads", if paper_mode { 24 } else { half });
     let min_exp = options.get_u64("min-exp", 4);

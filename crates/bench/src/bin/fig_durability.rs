@@ -5,7 +5,7 @@
 //! Writer threads upsert monotonically increasing values through a
 //! [`skiphash_durability::DurableMap`]; every `--ack-every`-th operation
 //! waits for the WAL sync
-//! barrier and its latency is recorded (see `skiphash_harness::durability`).
+//! barrier and its latency is recorded (see `skiphash_bench::durability`).
 //! Each x-axis point reopens a fresh map with a different
 //! `WalConfig::flush_interval`, so the plot shows how batching fsyncs
 //! shifts the acknowledgment quantiles.
@@ -35,10 +35,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use skiphash_bench::durability::run_durable_trial;
+use skiphash_bench::report::{Figure, Series};
+use skiphash_bench::trial::mops;
 use skiphash_bench::BenchOptions;
 use skiphash_durability::{DurableMapBuilder, MemStorage, WalConfig};
-use skiphash_harness::durability::run_durable_trial;
-use skiphash_harness::report::{Figure, Series};
 
 fn main() {
     let options = BenchOptions::from_args();
@@ -103,9 +104,10 @@ fn main() {
             map.sync().expect("final sync");
             result
         };
+        let throughput_mops = mops(result.ops, result.elapsed_secs);
         eprintln!(
             "durability interval={us}us: {:.3} Mops/s, acked={} (p50 {:.1}us, p99 {:.1}us, max {:.1}us)",
-            result.mops(),
+            throughput_mops,
             result.acked,
             result.ack_quantile_us(0.50),
             result.ack_quantile_us(0.99),
@@ -115,7 +117,7 @@ fn main() {
             result.acked > 0,
             "no acknowledged commit at interval {us}us"
         );
-        total.push(us as f64, result.mops());
+        total.push(us as f64, throughput_mops);
         p50.push(us as f64, result.ack_quantile_us(0.50));
         p99.push(us as f64, result.ack_quantile_us(0.99));
         worst.push(us as f64, result.ack_max_us());

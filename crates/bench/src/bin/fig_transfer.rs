@@ -4,7 +4,7 @@
 //!
 //! Two skip hashes share one STM runtime; worker threads sample atomic
 //! cross-map transfers, atomic both-map audits, and sealed lookups from the
-//! selected mix (see `skiphash_harness::transfer`).  No baseline structure
+//! selected mix (see `skiphash_bench::transfer`).  No baseline structure
 //! appears because none can express the scenario — the plot shows how the
 //! STM's composition tier scales, not a head-to-head.
 //!
@@ -22,14 +22,13 @@
 //! * `--trials N` trials per point, averaged (default 1)
 //! * `--paper` paper-scale parameters (universe 10^6, 3 s, 5 trials)
 
-use std::sync::Arc;
 use std::time::Duration;
 
+use skiphash_bench::report::{Figure, Series};
+use skiphash_bench::transfer::{run_transfer_trial, TransferPair};
+use skiphash_bench::trial::mops;
+use skiphash_bench::workload::TransferWorkload;
 use skiphash_bench::{default_thread_grid, BenchOptions};
-use skiphash_harness::driver::run_transfer_trial;
-use skiphash_harness::report::{Figure, Series};
-use skiphash_harness::transfer::TransferPair;
-use skiphash_harness::workload::TransferWorkload;
 
 struct Point {
     total_mops: f64,
@@ -48,7 +47,7 @@ fn measure(workload: &TransferWorkload, threads: usize, duration: Duration, tria
     for trial in 0..trials {
         // A fresh pair per trial: transfers migrate keys between the maps, so
         // reusing one would measure a drifting population.
-        let pair = Arc::new(TransferPair::new(workload.key_universe));
+        let pair = TransferPair::new(workload.key_universe);
         pair.prefill(workload.prefill_target());
         let result = run_transfer_trial(&pair, workload, threads, duration, 0x7A_0F ^ trial);
         assert_eq!(
@@ -60,11 +59,11 @@ fn measure(workload: &TransferWorkload, threads: usize, duration: Duration, tria
             workload.prefill_target() as usize,
             "transfers must conserve keys"
         );
-        let secs = result.elapsed_secs.max(f64::EPSILON);
-        point.total_mops += result.mops();
-        point.transfer_mops += (result.transfers + result.empty_transfers) as f64 / secs / 1e6;
-        point.audit_mops += result.audits as f64 / secs / 1e6;
-        point.lookup_mops += result.lookups as f64 / secs / 1e6;
+        let rate = |count| mops(count, result.elapsed_secs);
+        point.total_mops += rate(result.total_ops);
+        point.transfer_mops += rate(result.transfers + result.empty_transfers);
+        point.audit_mops += rate(result.audits);
+        point.lookup_mops += rate(result.lookups);
     }
     point.total_mops /= trials as f64;
     point.transfer_mops /= trials as f64;

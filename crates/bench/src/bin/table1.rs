@@ -18,17 +18,17 @@
 //! `--min-exp N`, `--max-exp N`, `--duration-ms N`, `--max-attempts N`,
 //! `--paper`.
 
-use skiphash_stm::sync::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use skiphash::{RangePolicy, SkipHash, SkipHashBuilder};
-use skiphash_bench::BenchOptions;
-use skiphash_harness::Workload;
+use skiphash::RangePolicy;
+use skiphash_bench::adapters::skiphash_for;
+use skiphash_bench::trial::timed;
+use skiphash_bench::workload::prefill;
+use skiphash_bench::{default_role_threads, BenchOptions, Workload};
 
+#[derive(Default)]
 struct Table1Row {
     aborts: u64,
     successes: u64,
@@ -45,41 +45,6 @@ impl Table1Row {
     }
 }
 
-fn build_map(universe: u64) -> Arc<SkipHash<u64, u64>> {
-    let buckets = {
-        let mut n = ((universe / 2) as f64 / 0.7).ceil() as usize;
-        let is_prime = |n: usize| {
-            if n < 2 {
-                return false;
-            }
-            let mut d = 2;
-            while d * d <= n {
-                if n.is_multiple_of(d) {
-                    return false;
-                }
-                d += 1;
-            }
-            true
-        };
-        while !is_prime(n) {
-            n += 1;
-        }
-        n
-    };
-    let mut levels = 1;
-    while (1u64 << levels) < universe && levels < 30 {
-        levels += 1;
-    }
-    Arc::new(
-        SkipHashBuilder::new()
-            .buckets(buckets)
-            .max_level(levels.max(4))
-            .range_policy(RangePolicy::FastOnly)
-            .build(),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
 fn measure(
     universe: u64,
     range_len: u64,
@@ -88,30 +53,16 @@ fn measure(
     duration: Duration,
     max_attempts: u64,
 ) -> Table1Row {
-    let map = build_map(universe);
-    // Pre-fill half the universe.
-    {
-        let mut rng = SmallRng::seed_from_u64(0x7AB1E);
-        let mut inserted = 0;
-        while inserted < universe / 2 {
-            let key = rng.gen_range(0..universe);
-            if map.insert(key, key) {
-                inserted += 1;
-            }
-        }
-    }
-    let stop = Arc::new(AtomicBool::new(false));
-    let aborts = Arc::new(AtomicU64::new(0));
-    let successes = Arc::new(AtomicU64::new(0));
-    let gave_up = Arc::new(AtomicU64::new(0));
-
-    let mut handles = Vec::new();
-    for t in 0..update_threads {
-        let map = Arc::clone(&map);
-        let stop = Arc::clone(&stop);
-        handles.push(thread::spawn(move || {
+    let map = skiphash_for(universe, RangePolicy::FastOnly);
+    prefill(universe, universe / 2, 0x7AB1E, |k| map.insert(k, k));
+    let threads = (update_threads + range_threads) as usize;
+    // Workers below `update_threads` update; the rest run range queries.
+    let (rows, _) = timed(threads, duration, |t, stop| {
+        let mut row = Table1Row::default();
+        let t = t as u64;
+        if t < update_threads {
             let mut rng = SmallRng::seed_from_u64(0xBEEF + t);
-            while !stop.load(Ordering::Relaxed) {
+            while !stop.requested() {
                 let key = rng.gen_range(0..universe);
                 if rng.gen::<bool>() {
                     let _ = map.insert(key, key);
@@ -119,46 +70,34 @@ fn measure(
                     let _ = map.remove(&key);
                 }
             }
-        }));
-    }
-    for t in 0..range_threads {
-        let map = Arc::clone(&map);
-        let stop = Arc::clone(&stop);
-        let aborts = Arc::clone(&aborts);
-        let successes = Arc::clone(&successes);
-        let gave_up = Arc::clone(&gave_up);
-        handles.push(thread::spawn(move || {
-            let mut rng = SmallRng::seed_from_u64(0xCAFE + t);
-            while !stop.load(Ordering::Relaxed) {
-                let low = rng.gen_range(0..universe);
-                let high = low + range_len;
-                let mut attempts = 0;
-                loop {
-                    if map.range_attempt_fast(low..=high).is_some() {
-                        successes.fetch_add(1, Ordering::Relaxed);
-                        aborts.fetch_add(attempts, Ordering::Relaxed);
-                        break;
-                    }
-                    attempts += 1;
-                    if attempts >= max_attempts || stop.load(Ordering::Relaxed) {
-                        gave_up.fetch_add(1, Ordering::Relaxed);
-                        aborts.fetch_add(attempts, Ordering::Relaxed);
-                        break;
-                    }
+            return row;
+        }
+        let mut rng = SmallRng::seed_from_u64(0xCAFE + t - update_threads);
+        while !stop.requested() {
+            let low = rng.gen_range(0..universe);
+            let high = low + range_len;
+            let mut attempts = 0;
+            loop {
+                if map.range_attempt_fast(low..=high).is_some() {
+                    row.successes += 1;
+                    break;
+                }
+                attempts += 1;
+                if attempts >= max_attempts || stop.requested() {
+                    row.gave_up += 1;
+                    break;
                 }
             }
-        }));
-    }
-    thread::sleep(duration);
-    stop.store(true, Ordering::Relaxed);
-    for handle in handles {
-        handle.join().expect("worker panicked");
-    }
-    Table1Row {
-        aborts: aborts.load(Ordering::Relaxed),
-        successes: successes.load(Ordering::Relaxed),
-        gave_up: gave_up.load(Ordering::Relaxed),
-    }
+            row.aborts += attempts;
+        }
+        row
+    });
+    rows.iter()
+        .fold(Table1Row::default(), |sum, row| Table1Row {
+            aborts: sum.aborts + row.aborts,
+            successes: sum.successes + row.successes,
+            gave_up: sum.gave_up + row.gave_up,
+        })
 }
 
 fn main() {
@@ -173,11 +112,7 @@ fn main() {
         },
     );
     let duration = options.duration(if paper_mode { 3_000 } else { 500 });
-    let half = (std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(2)
-        / 2)
-    .max(1);
+    let half = default_role_threads();
     let update_threads = options.get_u64("update-threads", if paper_mode { 24 } else { half });
     let range_threads = options.get_u64("range-threads", if paper_mode { 24 } else { half });
     let min_exp = options.get_u64("min-exp", 10);

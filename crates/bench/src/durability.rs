@@ -18,12 +18,13 @@
 //! The result reports logged throughput plus the p50/p99/max acknowledgment
 //! latency — the y-axes of the `fig_durability` driver.
 
+use std::ops::AddAssign;
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use skiphash_durability::DurableMap;
-use skiphash_stm::sync::{AtomicBool, Ordering};
+
+use crate::trial::{timed, total};
 
 /// Result of one durable-writers trial.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -38,16 +39,15 @@ pub struct DurableTrialResult {
     pub elapsed_secs: f64,
 }
 
-impl DurableTrialResult {
-    /// Throughput in millions of committed operations per second.
-    pub fn mops(&self) -> f64 {
-        if self.elapsed_secs == 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / self.elapsed_secs / 1e6
-        }
+impl AddAssign for DurableTrialResult {
+    fn add_assign(&mut self, part: Self) {
+        self.ops += part.ops;
+        self.acked += part.acked;
+        self.ack_latencies_ns.extend(part.ack_latencies_ns);
     }
+}
 
+impl DurableTrialResult {
     /// The `q`-quantile acknowledgment latency in microseconds (`q` in
     /// `0.0..=1.0`); zero if no operation waited for an acknowledgment.
     pub fn ack_quantile_us(&self, q: f64) -> f64 {
@@ -85,56 +85,39 @@ pub fn run_durable_trial(
         ack_every > 0,
         "ack_every is a modulus; zero would divide by zero"
     );
-    let stop = Arc::new(AtomicBool::new(false));
     let slice = (key_universe / threads as u64).max(1);
-    let started = Instant::now();
-
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let map = Arc::clone(map);
-            let stop = Arc::clone(&stop);
-            let lo = t as u64 * slice;
-            let mut key = lo + (seed.wrapping_mul(0x9E37_79B9) % slice);
-            thread::spawn(move || {
-                let mut partial = DurableTrialResult::default();
-                let mut value = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    value += 1;
-                    key = lo + (key + 1 - lo) % slice;
-                    if partial.ops % ack_every == 0 {
-                        let begin = Instant::now();
-                        map.upsert_durable(key, value).expect("durable ack failed");
-                        partial
-                            .ack_latencies_ns
-                            .push(begin.elapsed().as_nanos() as u64);
-                        partial.acked += 1;
-                    } else {
-                        map.upsert(key, value);
-                    }
-                    partial.ops += 1;
-                }
+    let (parts, elapsed_secs) = timed(threads, duration, |t, stop| {
+        let lo = t as u64 * slice;
+        let mut key = lo + (seed.wrapping_mul(0x9E37_79B9) % slice);
+        let mut partial = DurableTrialResult::default();
+        let mut value = 0u64;
+        while !stop.requested() {
+            value += 1;
+            key = lo + (key + 1 - lo) % slice;
+            if partial.ops % ack_every == 0 {
+                let begin = Instant::now();
+                map.upsert_durable(key, value).expect("durable ack failed");
                 partial
-            })
-        })
-        .collect();
-
-    thread::sleep(duration);
-    stop.store(true, Ordering::Relaxed);
-    let mut total = DurableTrialResult::default();
-    for handle in handles {
-        let partial = handle.join().expect("writer thread panicked");
-        total.ops += partial.ops;
-        total.acked += partial.acked;
-        total.ack_latencies_ns.extend(partial.ack_latencies_ns);
-    }
-    total.ack_latencies_ns.sort_unstable();
-    total.elapsed_secs = started.elapsed().as_secs_f64();
-    total
+                    .ack_latencies_ns
+                    .push(begin.elapsed().as_nanos() as u64);
+                partial.acked += 1;
+            } else {
+                map.upsert(key, value);
+            }
+            partial.ops += 1;
+        }
+        partial
+    });
+    let mut result = total(parts);
+    result.ack_latencies_ns.sort_unstable();
+    result.elapsed_secs = elapsed_secs;
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trial::mops;
     use skiphash_durability::{DurableMapBuilder, MemStorage, WalConfig};
 
     fn mem_map(dir: &str) -> (MemStorage, Arc<DurableMap<u64, u64>>) {
@@ -161,7 +144,7 @@ mod tests {
         );
         assert!(result.acked <= result.ops);
         assert_eq!(result.acked as usize, result.ack_latencies_ns.len());
-        assert!(result.mops() > 0.0);
+        assert!(mops(result.ops, result.elapsed_secs) > 0.0);
         assert!(result.ack_quantile_us(0.5) <= result.ack_quantile_us(0.99));
         assert!(result.ack_quantile_us(0.99) <= result.ack_max_us());
     }

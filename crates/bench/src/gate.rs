@@ -7,15 +7,30 @@
 //! deliberately matched to that writer (this workspace controls both ends);
 //! it is not a general JSON parser.
 //!
-//! The `bench_gate` binary wraps [`compare`] for CI:
+//! The `bench_gate` binary wraps [`compare_prefixes`] for CI, gating
+//! [`GATED_PREFIXES`] unless `--prefix` names others:
 //!
 //! ```text
 //! bench_gate --baseline bench-baseline.json --current bench-current.json \
-//!            --prefix epoch/ --max-regression 0.25
+//!            --max-regression 0.25
 //! ```
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The Criterion groups CI gates: the reclamation primitives, the writer
+/// commit path, the block recycler, MVCC snapshots, the in-memory
+/// durability tier, and raw traversal (docs/BENCHMARKS.md describes each).
+/// The real-fsync `durability_sync/` group stays out: device latency varies
+/// too much across runners to gate on.
+pub const GATED_PREFIXES: &[&str] = &[
+    "epoch/",
+    "commit_path/",
+    "arena/",
+    "snapshot/",
+    "durability/",
+    "traversal/",
+];
 
 /// One benchmark's recorded statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,7 +78,8 @@ pub fn parse_records(input: &str) -> BTreeMap<String, BenchRecord> {
     out
 }
 
-fn extract_string_field(line: &str, field: &str) -> Option<String> {
+/// The string value of `"field":"..."` in one record line.
+pub(crate) fn extract_string_field(line: &str, field: &str) -> Option<String> {
     let needle = format!("\"{field}\":\"");
     let start = line.find(&needle)? + needle.len();
     let rest = &line[start..];
@@ -72,7 +88,8 @@ fn extract_string_field(line: &str, field: &str) -> Option<String> {
     Some(rest[..end].to_string())
 }
 
-fn extract_number_field(line: &str, field: &str) -> Option<f64> {
+/// The numeric value of `"field":...` in one record line.
+pub(crate) fn extract_number_field(line: &str, field: &str) -> Option<f64> {
     let needle = format!("\"{field}\":");
     let start = line.find(&needle)? + needle.len();
     let rest = &line[start..];
@@ -148,7 +165,7 @@ pub fn compare(
 }
 
 /// Compare all benchmark ids starting with *any* of `prefixes` (the CI gate
-/// covers several groups — `epoch/` and `commit_path/` — in one invocation),
+/// covers all of [`GATED_PREFIXES`] in one invocation),
 /// flagging any whose median slowed down by more than `max_regression`.
 pub fn compare_prefixes(
     baseline: &BTreeMap<String, BenchRecord>,

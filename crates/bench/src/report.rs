@@ -60,9 +60,9 @@ impl Figure {
         self.series.push(series);
     }
 
-    /// Render as an aligned plain-text table: one row per x value, one column
-    /// per series — the same information the paper plots.
-    pub fn to_table(&self) -> String {
+    /// One row per x value (ascending, deduplicated), holding each series'
+    /// y at that x, or `None` where the series has no point there.
+    fn rows(&self) -> Vec<(f64, Vec<Option<f64>>)> {
         let mut xs: Vec<f64> = self
             .series
             .iter()
@@ -70,7 +70,23 @@ impl Figure {
             .collect();
         xs.sort_by(|a, b| a.partial_cmp(b).expect("x values are finite"));
         xs.dedup();
+        xs.into_iter()
+            .map(|x| {
+                let ys = self.series.iter().map(|series| {
+                    let point = series
+                        .points
+                        .iter()
+                        .find(|(px, _)| (px - x).abs() < f64::EPSILON);
+                    point.map(|&(_, y)| y)
+                });
+                (x, ys.collect())
+            })
+            .collect()
+    }
 
+    /// Render as an aligned plain-text table: one row per x value, one column
+    /// per series — the same information the paper plots.
+    pub fn to_table(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# {}", self.title);
         let _ = writeln!(out, "# y-axis: {}", self.y_label);
@@ -79,24 +95,14 @@ impl Figure {
             let _ = write!(out, "  {:>28}", series.label);
         }
         out.push('\n');
-        for x in &xs {
+        for (x, ys) in self.rows() {
             let _ = write!(out, "{x:>14.0}");
-            for series in &self.series {
-                match series
-                    .points
-                    .iter()
-                    .find(|(px, _)| (px - x).abs() < f64::EPSILON)
-                {
-                    Some((_, y)) if y.is_finite() => {
-                        let _ = write!(out, "  {y:>28.3}");
-                    }
-                    Some(_) => {
-                        let _ = write!(out, "  {:>28}", "inf");
-                    }
-                    None => {
-                        let _ = write!(out, "  {:>28}", "-");
-                    }
-                }
+            for y in ys {
+                let _ = match y {
+                    Some(y) if y.is_finite() => write!(out, "  {y:>28.3}"),
+                    Some(_) => write!(out, "  {:>28}", "inf"),
+                    None => write!(out, "  {:>28}", "-"),
+                };
             }
             out.push('\n');
         }
@@ -105,32 +111,17 @@ impl Figure {
 
     /// Render as CSV (`x,label1,label2,...`).
     pub fn to_csv(&self) -> String {
-        let mut xs: Vec<f64> = self
-            .series
-            .iter()
-            .flat_map(|s| s.points.iter().map(|(x, _)| *x))
-            .collect();
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("x values are finite"));
-        xs.dedup();
-
-        let mut out = String::new();
-        let _ = write!(out, "{}", self.x_label.replace(',', ";"));
+        let mut out = self.x_label.replace(',', ";");
         for series in &self.series {
             let _ = write!(out, ",{}", series.label.replace(',', ";"));
         }
         out.push('\n');
-        for x in &xs {
+        for (x, ys) in self.rows() {
             let _ = write!(out, "{x}");
-            for series in &self.series {
-                match series
-                    .points
-                    .iter()
-                    .find(|(px, _)| (px - x).abs() < f64::EPSILON)
-                {
-                    Some((_, y)) => {
-                        let _ = write!(out, ",{y}");
-                    }
-                    None => out.push(','),
+            for y in ys {
+                out.push(',');
+                if let Some(y) = y {
+                    let _ = write!(out, "{y}");
                 }
             }
             out.push('\n');

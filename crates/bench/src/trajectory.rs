@@ -13,8 +13,22 @@
 //! so [`validate`] can stay a matched-to-writer scanner in the style of
 //! [`crate::gate`] rather than a JSON parser, and so `git diff` shows one
 //! changed benchmark per changed line.
+//!
+//! [`traversal_cases`] is the one definition of the `traversal/` cases: the
+//! Criterion group and the trajectory generator both iterate over it, so
+//! their ids, maps and seeds cannot drift apart.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
+use std::ops::Bound;
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use skiphash::{RangePolicy, SkipHash};
+
+use crate::adapters::{skiphash_for, MapKind};
+use crate::gate::{extract_number_field, extract_string_field};
+use crate::workload::prefill;
 
 /// Schema tag the writer stamps and the validator requires.
 pub const SCHEMA: &str = "bench-trajectory-v1";
@@ -144,26 +158,75 @@ pub fn validate(input: &str) -> Result<TrajectorySummary, String> {
 
 fn parse_point(line: &str) -> Option<TrajectoryPoint> {
     Some(TrajectoryPoint {
-        id: extract_string(line, "id")?,
-        unit: extract_string(line, "unit")?,
-        value: extract_number(line, "value")?,
+        id: extract_string_field(line, "id")?,
+        unit: extract_string_field(line, "unit")?,
+        value: extract_number_field(line, "value")?,
     })
 }
 
-fn extract_string(line: &str, field: &str) -> Option<String> {
-    let needle = format!("\"{field}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
+const UNIVERSE: u64 = 40_000;
+const POPULATION: u64 = 20_000;
+const RANGE_LEN: u64 = 1_024;
 
-fn extract_number(line: &str, field: &str) -> Option<f64> {
-    let needle = format!("\"{field}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+/// The versioned-link baseline arms of `traversal/range_collect`, which
+/// [`traversal_cases`] measures first.
+pub const TRAVERSAL_BASELINES: &[(MapKind, &str)] = &[
+    (MapKind::VcasSkipList, "vcas"),
+    (MapKind::BundledSkipList, "bundle"),
+];
+
+/// Run the `traversal/` cases in their fixed order, calling
+/// `measure(id, op)` once per case; `id` is relative to the group
+/// (`range_collect/fast`) and each call of `op` performs the measured
+/// operation once.  Every map holds 20,000 keys of a 40,000-key universe;
+/// ranges collect 1,024 keys.
+pub fn traversal_cases(mut measure: impl FnMut(&str, &mut dyn FnMut())) {
+    // The baseline arms go first, while the process's heap is still clean:
+    // a baseline list built *after* a skip hash lands its small nodes in the
+    // free fragments building the skip hash leaves in the heap, scattered
+    // instead of packed, and collects ~40% slower for it — a property of the
+    // allocator's leftovers, not of the baseline (docs/BENCHMARKS.md).
+    for &(kind, label) in TRAVERSAL_BASELINES {
+        let map = kind.build(UNIVERSE);
+        prefill(UNIVERSE, POPULATION, 1, |k| map.insert(k, 1));
+        let mut rng = SmallRng::seed_from_u64(17);
+        let mut buffer = Vec::with_capacity(RANGE_LEN as usize);
+        measure(&format!("range_collect/{label}"), &mut || {
+            let low = rng.gen_range(0..UNIVERSE - RANGE_LEN);
+            let bounds = (Bound::Included(low), Bound::Excluded(low + RANGE_LEN));
+            black_box(map.range(bounds, &mut buffer));
+        });
+    }
+
+    let prefilled = |policy| {
+        let map = skiphash_for(UNIVERSE, policy);
+        prefill(UNIVERSE, POPULATION, 1, |k| map.insert(k, 1));
+        map
+    };
+    let collect = |map: &SkipHash<u64, u64>, rng: &mut SmallRng| {
+        let low = rng.gen_range(0..UNIVERSE - RANGE_LEN);
+        black_box(map.range(low..low + RANGE_LEN).count());
+    };
+    // Level-0 scan: one full materialization walks ~20,000 nodes, live and
+    // through a pinned MVCC snapshot.
+    let map = prefilled(RangePolicy::FastOnly);
+    measure("level0_scan/skiphash", &mut || {
+        black_box(map.to_vec().len());
+    });
+    let snap = map.snapshot();
+    measure("level0_scan/snapshot", &mut || {
+        black_box(snap.to_vec().len());
+    });
+    drop(snap);
+    let mut rng = SmallRng::seed_from_u64(7);
+    measure("descent/ceil", &mut || {
+        black_box(map.ceil(&rng.gen_range(0..UNIVERSE)));
+    });
+    let mut rng = SmallRng::seed_from_u64(11);
+    measure("range_collect/fast", &mut || collect(&map, &mut rng));
+    let slow = prefilled(RangePolicy::SlowOnly);
+    let mut rng = SmallRng::seed_from_u64(13);
+    measure("range_collect/slow", &mut || collect(&slow, &mut rng));
 }
 
 #[cfg(test)]

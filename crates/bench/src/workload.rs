@@ -4,7 +4,7 @@ use std::fmt;
 
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 /// The operation mix of one workload, in percent.  Update operations are
 /// split evenly between insertions and removals (as in the paper) so the
@@ -147,7 +147,7 @@ impl Workload {
             .find(|w| w.name == name)
     }
 
-    /// A custom workload (used by Figure 6 and Table 1 drivers).
+    /// A custom workload (the two sides of the Figure 6 split trial).
     pub fn custom(name: &'static str, mix: WorkloadMix, universe: u64, range_len: u64) -> Self {
         Self {
             name,
@@ -258,34 +258,62 @@ pub enum TransferOperation {
     Lookup(u64),
 }
 
+/// A uniform key plus one of three operation classes, picked by one percent
+/// roll against the first two shares of a mix — the draw both samplers make.
+#[derive(Debug)]
+struct PercentRoll {
+    key_dist: Uniform<u64>,
+    pct_dist: Uniform<u32>,
+    first: u32,
+    second: u32,
+}
+
+impl PercentRoll {
+    fn new(key_universe: u64, first: u32, second: u32) -> Self {
+        Self {
+            key_dist: Uniform::new(0, key_universe),
+            pct_dist: Uniform::new(0, 100),
+            first,
+            second,
+        }
+    }
+
+    /// The key and the class: 0, 1 or 2.
+    fn next(&self, rng: &mut SmallRng) -> (u64, u8) {
+        let key = self.key_dist.sample(rng);
+        let roll = self.pct_dist.sample(rng);
+        let class = if roll < self.first {
+            0
+        } else if roll < self.first + self.second {
+            1
+        } else {
+            2
+        };
+        (key, class)
+    }
+}
+
 /// Per-thread sampler for the transfer scenario.
 #[derive(Debug)]
 pub struct TransferSampler {
-    mix: TransferMix,
-    key_dist: Uniform<u64>,
-    pct_dist: Uniform<u32>,
+    roll: PercentRoll,
 }
 
 impl TransferSampler {
     /// Create a sampler for `workload`.
     pub fn new(workload: &TransferWorkload) -> Self {
+        let mix = workload.mix;
         Self {
-            mix: workload.mix,
-            key_dist: Uniform::new(0, workload.key_universe),
-            pct_dist: Uniform::new(0, 100),
+            roll: PercentRoll::new(workload.key_universe, mix.transfer_pct, mix.audit_pct),
         }
     }
 
     /// Draw the next operation.
     pub fn next(&self, rng: &mut SmallRng) -> TransferOperation {
-        let key = self.key_dist.sample(rng);
-        let roll = self.pct_dist.sample(rng);
-        if roll < self.mix.transfer_pct {
-            TransferOperation::Transfer(key)
-        } else if roll < self.mix.transfer_pct + self.mix.audit_pct {
-            TransferOperation::Audit(key)
-        } else {
-            TransferOperation::Lookup(key)
+        match self.roll.next(rng) {
+            (key, 0) => TransferOperation::Transfer(key),
+            (key, 1) => TransferOperation::Audit(key),
+            (key, _) => TransferOperation::Lookup(key),
         }
     }
 }
@@ -306,37 +334,27 @@ pub enum Operation {
 /// Per-thread operation sampler.
 #[derive(Debug)]
 pub struct OperationSampler {
-    mix: WorkloadMix,
+    roll: PercentRoll,
     range_len: u64,
-    key_dist: Uniform<u64>,
-    pct_dist: Uniform<u32>,
 }
 
 impl OperationSampler {
     /// Create a sampler for `workload`.
     pub fn new(workload: &Workload) -> Self {
+        let mix = workload.mix;
         Self {
-            mix: workload.mix,
+            roll: PercentRoll::new(workload.key_universe, mix.lookup_pct, mix.update_pct),
             range_len: workload.range_len,
-            key_dist: Uniform::new(0, workload.key_universe),
-            pct_dist: Uniform::new(0, 100),
         }
     }
 
     /// Draw the next operation.
     pub fn next(&self, rng: &mut SmallRng) -> Operation {
-        let key = self.key_dist.sample(rng);
-        let roll = self.pct_dist.sample(rng);
-        if roll < self.mix.lookup_pct {
-            Operation::Lookup(key)
-        } else if roll < self.mix.lookup_pct + self.mix.update_pct {
-            if rng.gen::<bool>() {
-                Operation::Insert(key)
-            } else {
-                Operation::Remove(key)
-            }
-        } else {
-            Operation::Range(key)
+        match self.roll.next(rng) {
+            (key, 0) => Operation::Lookup(key),
+            (key, 1) if rng.gen::<bool>() => Operation::Insert(key),
+            (key, 1) => Operation::Remove(key),
+            (key, _) => Operation::Range(key),
         }
     }
 
@@ -346,10 +364,24 @@ impl OperationSampler {
     }
 }
 
+/// Insert keys drawn uniformly from `0..key_universe` (a seeded stream)
+/// until `target` of them were new — the paper pre-fills every map to half
+/// its universe this way.  `insert` stores the key and reports whether it
+/// was absent.
+pub fn prefill(key_universe: u64, target: u64, seed: u64, mut insert: impl FnMut(u64) -> bool) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut inserted = 0;
+    while inserted < target {
+        if insert(rng.gen_range(0..key_universe)) {
+            inserted += 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use crate::adapters::MapKind;
 
     #[test]
     fn fig5_mixes_match_the_paper() {
@@ -415,6 +447,14 @@ mod tests {
     fn prefill_is_half_the_universe() {
         assert_eq!(Workload::fig5a(1_000_000).prefill_target(), 500_000);
         assert_eq!(Workload::PAPER_RANGE_LEN, 100);
+    }
+
+    #[test]
+    fn prefill_reaches_the_target_population() {
+        let workload = Workload::fig5a(2_000);
+        let map = MapKind::SkipHashTwoPath.build(workload.key_universe);
+        prefill(2_000, workload.prefill_target(), 1, |k| map.insert(k, k));
+        assert_eq!(map.population(), workload.prefill_target() as usize);
     }
 
     #[test]

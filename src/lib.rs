@@ -9,8 +9,10 @@
 //!   paper's evaluation.
 //! * [`skiphash_durability`] — opt-in persistence: commit-record WAL with
 //!   group commit, snapshot checkpoints, and crash recovery.
-//! * [`skiphash_harness`] — the microbenchmark harness that regenerates the
-//!   paper's figures and tables.
+//!
+//! The measurement package that regenerates the paper's figures and tables,
+//! `skiphash_bench` (`crates/bench`), stands on its own; the integration
+//! tests use it as a dev-dependency.
 //!
 //! # Quick start
 //!
@@ -49,7 +51,6 @@
 pub use skiphash;
 pub use skiphash_baselines as baselines;
 pub use skiphash_durability as durability;
-pub use skiphash_harness as harness;
 pub use skiphash_stm as stm;
 
 pub use skiphash::{Compute, Range, RangePolicy, SkipHash, SkipHashBuilder, TxView};

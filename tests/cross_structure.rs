@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use skiphash_repro::harness::{BenchMap, MapKind};
+use skiphash_bench::{BenchMap, MapKind};
 
 fn drive(map: &Arc<dyn BenchMap>, seed: u64, operations: usize) -> Vec<(u64, u64)> {
     let mut rng = SmallRng::seed_from_u64(seed);
