@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Code lines and `unsafe` sites per crate — the size table a simplification
-# PR publishes (ROADMAP, "Collapse duplicate machinery").  Informational: CI
+# Code lines and `unsafe` sites per crate, plus `epoch` for the vendored
+# reclamation crate under the STM — the size table a simplification PR
+# publishes (ROADMAP, "Collapse duplicate machinery").  Informational: CI
 # prints it and gates nothing.
 #
 #   bash ci/loc.sh            # one row per crate
@@ -33,12 +34,14 @@ count() { # <file> -> "<code lines> <unsafe sites>"
 }
 
 printf '%-12s %10s %8s\n' crate code_lines unsafe
-for crate in skiphash stm durability bench baselines model model-tests; do
+for crate in skiphash stm durability bench baselines model model-tests epoch; do
+    dir="crates/$crate/src"
+    [ "$crate" = epoch ] && dir=vendor/crossbeam-epoch/src
     code=0 sites=0
     while IFS= read -r file; do
         read -r c s < <(count "$file")
         code=$((code + c)) sites=$((sites + s))
         [ "$per_file" = 1 ] && printf '  %-40s %6d %6d\n' "${file#crates/}" "$c" "$s"
-    done < <(find "crates/$crate/src" -name '*.rs' | sort)
+    done < <(find "$dir" -name '*.rs' | sort)
     printf '%-12s %10d %8d\n' "$crate" "$code" "$sites"
 done

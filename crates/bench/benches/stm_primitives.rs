@@ -1,11 +1,12 @@
-//! Criterion micro-benchmarks for the STM substrate itself: read-only
-//! transactions, small writer transactions, clock sources, and the
-//! epoch-reclamation primitives underneath every transactional write.
+//! Criterion micro-benchmarks for the STM substrate itself: the
+//! epoch-reclamation primitives underneath every transactional write, the
+//! writer commit path under both clocks, the structure arena, and MVCC
+//! snapshots.
 //!
 //! These support the paper's premise (§2.2) that a well-engineered STM makes
 //! multi-word atomic operations cheap enough to build data structures on, and
 //! the ablation between logical and hardware clocks discussed in §5.1.  The
-//! `epoch` group exists because `pin()`/`defer_destroy` sit on the hottest
+//! `epoch` group exists because `pin()`/`defer_with` sit on the hottest
 //! path in the system: the multi-threaded churn case demonstrates that the
 //! epoch shim no longer serializes threads on a global lock — per-batch time
 //! should stay roughly flat as the thread count grows (up to the core
@@ -14,56 +15,44 @@
 //! hot path the allocation-free redesign targets (see `docs/PERF.md` and
 //! docs/BENCHMARKS.md for the gate wiring).
 
-use skiphash_stm::sync::Ordering;
+use skiphash_stm::sync::{AtomicPtr, Ordering};
 use std::thread;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use crossbeam_epoch::{self as epoch, Atomic, Owned};
+use crossbeam_epoch as epoch;
 use skiphash_stm::{ClockKind, Stm, TCell};
 
-fn bench_transactions(c: &mut Criterion) {
-    let mut group = c.benchmark_group("stm_txn");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_millis(800));
+/// Reclamation glue for a word made by `Box::into_raw::<u64>`.
+///
+/// # Safety
+///
+/// `ptr` came from `Box::into_raw::<u64>` and is freed exactly once.
+unsafe fn drop_box(ptr: *mut ()) {
+    // SAFETY: per the contract above.
+    drop(unsafe { Box::from_raw(ptr.cast::<u64>()) });
+}
 
-    for clock in [ClockKind::Hardware, ClockKind::Counter, ClockKind::Sampled] {
-        let stm = Stm::with_clock(clock);
-        let cells: Vec<TCell<u64>> = (0..64).map(TCell::new).collect();
+/// One retirement as the STM makes it: allocate a fresh box, swap it into
+/// `cell`, and defer the displaced box's drop under `guard`.
+fn swap_and_retire(cell: &AtomicPtr<u64>, value: u64, guard: &epoch::Guard) {
+    let old = cell.swap(Box::into_raw(Box::new(value)), Ordering::AcqRel);
+    // SAFETY: `old` became unreachable at the swap, under `guard`'s pin.
+    unsafe { guard.defer_with(old.cast(), drop_box) };
+}
 
-        group.bench_function(BenchmarkId::new("read_only_8", format!("{clock}")), |b| {
-            b.iter(|| {
-                stm.run(|tx| {
-                    let mut sum = 0;
-                    for cell in cells.iter().take(8) {
-                        sum += cell.read(tx)?;
-                    }
-                    Ok(sum)
-                })
-            })
-        });
-
-        group.bench_function(BenchmarkId::new("read_write_4", format!("{clock}")), |b| {
-            b.iter(|| {
-                stm.run(|tx| {
-                    for cell in cells.iter().take(4) {
-                        let v = cell.read(tx)?;
-                        cell.write(tx, v + 1)?;
-                    }
-                    Ok(())
-                })
-            })
-        });
-    }
-    group.finish();
+/// Free the box `cell` still holds once no thread uses it.
+fn free_last(cell: AtomicPtr<u64>) {
+    // SAFETY: the caller owns `cell` outright; its word is a live box.
+    drop(unsafe { Box::from_raw(cell.into_inner()) });
 }
 
 /// Epoch primitives: single-thread latency plus a multi-thread scalability
-/// smoke.  One "iteration" of a churn case is a whole batch: every thread
-/// performs [`CHURN_OPS_PER_THREAD`] pin + swap + `defer_destroy` cycles on
-/// its own `Atomic`, so the only shared state touched is the reclamation
+/// smoke.  `swap_defer_destroy` keeps its id from before `defer_with` was the
+/// only retirement call: one box allocation, one pointer swap, one deferred
+/// box drop.  One "iteration" of a churn case is a whole batch: every thread
+/// performs [`CHURN_OPS_PER_THREAD`] such pin + swap + defer cycles on its
+/// own pointer, so the only shared state touched is the reclamation
 /// machinery itself — exactly what must not serialize.
 fn bench_epoch(c: &mut Criterion) {
     const CHURN_OPS_PER_THREAD: usize = 10_000;
@@ -77,18 +66,9 @@ fn bench_epoch(c: &mut Criterion) {
     group.bench_function("pin_unpin", |b| b.iter(epoch::pin));
 
     group.bench_function("swap_defer_destroy", |b| {
-        let cell = Atomic::new(0u64);
-        b.iter(|| {
-            let guard = epoch::pin();
-            let old = cell.swap(Owned::new(1u64), Ordering::AcqRel, &guard);
-            // SAFETY: `old` became unreachable at the swap.
-            unsafe { guard.defer_destroy(old) };
-        });
-        // SAFETY: the bencher is done; nothing else references the cell.
-        unsafe {
-            let guard = epoch::unprotected();
-            drop(cell.load(Ordering::Relaxed, guard).into_owned());
-        }
+        let cell = AtomicPtr::new(Box::into_raw(Box::new(0u64)));
+        b.iter(|| swap_and_retire(&cell, 1, &epoch::pin()));
+        free_last(cell);
     });
 
     let max_threads = thread::available_parallelism()
@@ -110,18 +90,11 @@ fn bench_epoch(c: &mut Criterion) {
                     let handles: Vec<_> = (0..threads)
                         .map(|_| {
                             thread::spawn(move || {
-                                let cell = Atomic::new(0u64);
+                                let cell = AtomicPtr::new(Box::into_raw(Box::new(0u64)));
                                 for i in 0..CHURN_OPS_PER_THREAD as u64 {
-                                    let guard = epoch::pin();
-                                    let old = cell.swap(Owned::new(i), Ordering::AcqRel, &guard);
-                                    // SAFETY: unreachable once swapped out.
-                                    unsafe { guard.defer_destroy(old) };
+                                    swap_and_retire(&cell, i, &epoch::pin());
                                 }
-                                // SAFETY: the worker is done with the cell.
-                                unsafe {
-                                    let guard = epoch::unprotected();
-                                    drop(cell.load(Ordering::Relaxed, guard).into_owned());
-                                }
+                                free_last(cell);
                             })
                         })
                         .collect();
@@ -333,32 +306,11 @@ fn bench_snapshot(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_uninstrumented_baseline(c: &mut Criterion) {
-    // A plain (non-transactional) loop over the same data, to quantify STM
-    // instrumentation overhead.
-    let mut group = c.benchmark_group("stm_overhead_baseline");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_millis(800));
-    let mut cells = [0u64; 8];
-    group.bench_function("plain_read_write_4", |b| {
-        b.iter(|| {
-            for value in cells.iter_mut().take(4) {
-                *value = criterion::black_box(*value + 1);
-            }
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
-    bench_transactions,
     bench_epoch,
     bench_commit_path,
     bench_arena,
-    bench_snapshot,
-    bench_uninstrumented_baseline
+    bench_snapshot
 );
 criterion_main!(benches);

@@ -37,10 +37,9 @@
 //!
 //! # Caveats
 //!
-//! * The map must use a logical clock ([`skiphash_stm::ClockKind::Counter`]
-//!   or [`skiphash_stm::ClockKind::Sampled`]); [`DurableMap::open`] fails on
-//!   the hardware
-//!   clock, which cannot be re-seeded after recovery.
+//! * The map must use the logical clock
+//!   ([`skiphash_stm::ClockKind::Sampled`]); [`DurableMap::open`] fails on
+//!   the hardware clock, which cannot be re-seeded after recovery.
 //! * Writes that bypass the durable layer (via [`DurableMap::unlogged`])
 //!   are invisible to the log and will not survive a crash.
 
@@ -194,7 +193,7 @@ impl<K: MapKey + Codec, V: MapValue + Codec> DurableMap<K, V> {
         // already-covered duplicates.
         if !map.stm().advance_clock_to(recovered.max_stamp) {
             return Err(io::Error::other(
-                "durable maps need a logical clock (Counter or Sampled): \
+                "durable maps need the logical clock (Sampled): \
                  the hardware clock cannot be re-seeded after recovery",
             ));
         }

@@ -24,13 +24,13 @@
 //!
 //! Submitted records go into a queue drained by a single writer thread.  The
 //! writer accumulates a batch (up to [`WalConfig::flush_interval`] of
-//! waiting, or [`WalConfig::max_batch_bytes`] of records, whichever comes
-//! first), sorts it by commit stamp, CRC32-frames each record, appends the
-//! whole batch with one write, and fsyncs **once**.  Only after that fsync
-//! does the durable watermark advance and [`Wal::sync`] callers wake: one
-//! disk flush acknowledges every commit in the batch.  When the queue holds
-//! more than [`WalConfig::queue_capacity_bytes`], submitters block
-//! (backpressure) until the writer drains it.
+//! waiting, or [`MAX_BATCH_BYTES`] of records, whichever comes first),
+//! sorts it by commit stamp, CRC32-frames each record, appends the whole
+//! batch with one write, and fsyncs **once**.  Only after that fsync does
+//! the durable watermark advance and [`Wal::sync`] callers wake: one disk
+//! flush acknowledges every commit in the batch.  When the queue holds more
+//! than [`QUEUE_CAPACITY_BYTES`], submitters block (backpressure) until the
+//! writer drains it.
 //!
 //! Stamps are assigned by the STM clock at commit, so records from
 //! different threads may *enqueue* out of stamp order — and consecutive
@@ -89,17 +89,19 @@ pub const SEGMENT_HEADER_BYTES: usize = 4 + 1 + 8;
 const TAG_PUT: u8 = 1;
 const TAG_REMOVE: u8 = 2;
 
+/// The writer flushes as soon as a pending batch reaches this many bytes.
+pub const MAX_BATCH_BYTES: usize = 256 << 10;
+
+/// Backpressure threshold: submitters block while the queue holds more
+/// than this many bytes.
+pub const QUEUE_CAPACITY_BYTES: usize = 4 << 20;
+
 /// Tuning knobs for the group-commit writer.
 #[derive(Debug, Clone, Copy)]
 pub struct WalConfig {
     /// How long the writer waits to accumulate a batch after the first
     /// record arrives.
     pub flush_interval: Duration,
-    /// Flush as soon as a pending batch reaches this many bytes.
-    pub max_batch_bytes: usize,
-    /// Backpressure threshold: submitters block while the queue holds more
-    /// than this.
-    pub queue_capacity_bytes: usize,
     /// Seal the active segment and start a new one past this size.
     pub segment_max_bytes: u64,
 }
@@ -108,8 +110,6 @@ impl Default for WalConfig {
     fn default() -> Self {
         Self {
             flush_interval: Duration::from_millis(2),
-            max_batch_bytes: 256 << 10,
-            queue_capacity_bytes: 4 << 20,
             segment_max_bytes: 32 << 20,
         }
     }
@@ -250,10 +250,7 @@ impl RecordBuf {
         inner.ops = 0;
         let mut st = lock(&shared.state);
         st.buf_pool.push(inner);
-        while st.queue_bytes > shared.config.queue_capacity_bytes
-            && st.error.is_none()
-            && !st.shutdown
-        {
+        while st.queue_bytes > QUEUE_CAPACITY_BYTES && st.error.is_none() && !st.shutdown {
             st = shared
                 .space_cv
                 .wait(st)
@@ -568,7 +565,7 @@ fn writer_loop(
             // join this batch's single fsync.
             let deadline = Instant::now() + shared.config.flush_interval;
             while !st.queue.is_empty()
-                && st.queue_bytes < shared.config.max_batch_bytes
+                && st.queue_bytes < MAX_BATCH_BYTES
                 && !st.shutdown
                 && st.error.is_none()
             {

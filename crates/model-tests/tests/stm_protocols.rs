@@ -6,8 +6,8 @@
 //!
 //! * the TL2 acquire rule in `Txn::write` (the lost-update fix from the
 //!   orec PR),
-//! * `SampledClock::tick`'s claim-vs-fresh-tick distinction (the CAS-adopt
-//!   tear fix from the clock PR),
+//! * the sampled `Clock::tick`'s claim-vs-fresh-tick distinction (the
+//!   CAS-adopt tear fix from the clock PR),
 //! * the pin-publish-before-clock-sample ordering in `SnapshotPin::new`
 //!   (the custody protocol from the MVCC snapshot PR).
 //!
@@ -25,8 +25,7 @@
 //! *interleaving* races, observable at sequentially-consistent strength.
 
 use skiphash_model::{explore, Failure, Options, Report};
-use skiphash_stm::clock::{ClockSource, SampledClock};
-use skiphash_stm::{Stm, TCell};
+use skiphash_stm::{Clock, ClockKind, Stm, TCell};
 use std::sync::{Arc, Mutex};
 
 /// Bounded-exhaustive search for the small clock model.
@@ -113,13 +112,13 @@ fn tl2_acquire_rule_reverted_loses_update() {
 }
 
 // ---------------------------------------------------------------------------
-// SampledClock tick (clock PR): a loser of the rv -> rv + 1 claim must take
+// Sampled clock tick (clock PR): a loser of the rv -> rv + 1 claim must take
 // a *fresh* tick, never adopt the winner's value — commit stamps are unique.
 // ---------------------------------------------------------------------------
 
 fn clock_tick_body() -> impl Fn() + Send + Sync + 'static {
     || {
-        let clock = Arc::new(SampledClock::new());
+        let clock = Arc::new(Clock::new(ClockKind::Sampled));
         let stamps = Arc::new(Mutex::new(Vec::new()));
         let committers: Vec<_> = (0..2)
             .map(|_| {
@@ -157,7 +156,7 @@ fn sampled_clock_stamps_are_unique() {
     let report = explore(&dfs_opts(), clock_tick_body());
     assert!(
         report.failure.is_none(),
-        "shipped SampledClock must hand out unique stamps: {:?}",
+        "shipped sampled clock must hand out unique stamps: {:?}",
         report.failure
     );
     assert!(
@@ -173,7 +172,7 @@ fn sampled_clock_cas_adopt_tears() {
     let failure = expect_counterexample(
         explore(&dfs_opts(), clock_tick_body()),
         "duplicate commit stamp",
-        "CAS-adopt SampledClock",
+        "CAS-adopt sampled clock",
     );
     let replayed = skiphash_model::replay(&failure.token, clock_tick_body());
     assert!(

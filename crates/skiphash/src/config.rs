@@ -252,12 +252,12 @@ mod tests {
             .buckets(77)
             .max_level(9)
             .range_policy(RangePolicy::SlowOnly)
-            .clock(ClockKind::Counter);
+            .clock(ClockKind::Hardware);
         let c = b.config();
         assert_eq!(c.bucket_count, 77);
         assert_eq!(c.max_level, 9);
         assert_eq!(c.range_policy, RangePolicy::SlowOnly);
-        assert_eq!(c.clock, ClockKind::Counter);
+        assert_eq!(c.clock, ClockKind::Hardware);
     }
 
     #[test]

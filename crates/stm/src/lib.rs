@@ -7,11 +7,11 @@
 //! * **Orecs co-located with data** — every [`TCell`] carries its own
 //!   ownership record, rather than hashing addresses into a shared orec
 //!   table.
-//! * **Global version clock** — commit timestamps come from a pluggable
-//!   [`clock::ClockSource`]; a shared counter (`gv1`), a sampled counter
-//!   (`gv5`-style, the default: its quiescence proof lets uncontended writer
-//!   commits skip read-set validation), and a hardware timestamp
-//!   (`rdtscp`-style) source are provided.
+//! * **Global version clock** — commit timestamps come from one
+//!   [`Clock`] of one of two [`ClockKind`]s: a sampled counter (`gv5`-style,
+//!   the default: its quiescence proof lets uncontended writer commits skip
+//!   read-set validation, and a failed claim falls back to a `gv1` tick) or
+//!   a hardware timestamp (`rdtscp`-style).
 //! * **Allocation-free steady state** — transaction scratch (read set, write
 //!   log, retirement bag, post-commit queue) is pooled per thread, the write
 //!   log is a flat array of monomorphic records rather than boxed trait
@@ -48,10 +48,9 @@
 //!
 //! # Writing transactions: the `TxResult` contract
 //!
-//! [`Stm::run`] (or the free-function spelling [`atomically`]) hands the
-//! body a [`&mut Txn`](Txn); every transactional operation — [`TCell::read`],
-//! [`TCell::write`], and anything built on them — returns a
-//! [`TxResult<T>`](TxResult).  The contract is:
+//! [`Stm::run`] hands the body a [`&mut Txn`](Txn); every transactional
+//! operation — [`TCell::read`], [`TCell::write`], and anything built on
+//! them — returns a [`TxResult<T>`](TxResult).  The contract is:
 //!
 //! 1. **Propagate, never swallow.**  An `Err(TxAbort)` means the attempt
 //!    observed an inconsistent snapshot and *must* die; forward it with `?`.
@@ -87,8 +86,8 @@
 //!     Ok(())
 //! });
 //!
-//! assert_eq!(stm.read_atomic(&balance_a), 60);
-//! assert_eq!(stm.read_atomic(&balance_b), 40);
+//! assert_eq!(balance_a.load_atomic(), 60);
+//! assert_eq!(balance_b.load_atomic(), 40);
 //! ```
 
 #![warn(missing_docs)]
@@ -107,12 +106,12 @@ pub mod sync;
 pub mod tcell;
 pub mod txn;
 
-pub use clock::{ClockKind, ClockSource, CommitStamp};
+pub use clock::{Clock, ClockKind, CommitStamp};
 pub use error::{TxAbort, TxResult};
 pub use snapshot::SnapshotPin;
 pub use stats::{StatsSnapshot, StmStats};
 pub use tcell::TCell;
-pub use txn::{atomically, Stm, Txn};
+pub use txn::{Stm, Txn};
 
 #[cfg(test)]
 mod tests {
@@ -142,7 +141,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(stm.read_atomic(&counter), threads * per_thread);
+        assert_eq!(counter.load_atomic(), threads * per_thread);
     }
 
     #[test]

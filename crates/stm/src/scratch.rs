@@ -21,7 +21,7 @@
 //!   traversal that re-reads the same cells stops growing the read set (and
 //!   commit-time validation stops re-checking them).  Clearing is O(1): the
 //!   generation stamp is bumped and stale slots are simply ignored.
-//! * [`PostCommit`] — a type-erased `FnOnce()` whose closure is stored
+//! * [`PostCommit`] — a type-erased `FnOnce(u64)` whose closure is stored
 //!   *inline* when it fits three words (all the closures the skip hash
 //!   registers do), falling back to a box only for large captures.
 
@@ -136,11 +136,9 @@ const POST_COMMIT_INLINE_WORDS: usize = 3;
 
 /// A type-erased post-commit action, stored inline when small.
 ///
-/// Two closure shapes share this representation: plain `FnOnce()` actions
-/// (`PostCommit::new`) and stamp-consuming `FnOnce(u64)` actions
-/// (`PostCommit::new_stamped`, the write-ahead-log hook).  The call glue is
-/// monomorphized per shape, so a plain action never pays for the stamp it
-/// ignores and neither shape boxes when the captures fit three words.
+/// Every action receives the attempt's commit stamp; `Txn::on_commit` wraps
+/// its `FnOnce()` as `move |_| action()`, which is the size of the closure it
+/// wraps, so it boxes exactly when the bare closure would.
 pub(crate) struct PostCommit {
     data: [MaybeUninit<usize>; POST_COMMIT_INLINE_WORDS],
     call_fn: unsafe fn(*mut u8, u64),
@@ -148,14 +146,7 @@ pub(crate) struct PostCommit {
 }
 
 // SAFETY: contract — `slot` must hold a live inline `F`; called at most once.
-unsafe fn call_inline<F: FnOnce()>(slot: *mut u8, _stamp: u64) {
-    // SAFETY: the slot holds a live `F`, consumed exactly once.
-    let action = unsafe { slot.cast::<F>().read() };
-    action();
-}
-
-// SAFETY: contract — `slot` must hold a live inline `F`; called at most once.
-unsafe fn call_inline_stamped<F: FnOnce(u64)>(slot: *mut u8, stamp: u64) {
+unsafe fn call_inline<F: FnOnce(u64)>(slot: *mut u8, stamp: u64) {
     // SAFETY: the slot holds a live `F`, consumed exactly once.
     let action = unsafe { slot.cast::<F>().read() };
     action(stamp);
@@ -168,14 +159,7 @@ unsafe fn drop_inline<F>(slot: *mut u8) {
 }
 
 // SAFETY: contract — `slot` must hold a live `Box<F>`; called at most once.
-unsafe fn call_boxed<F: FnOnce()>(slot: *mut u8, _stamp: u64) {
-    // SAFETY: the slot holds a live `Box<F>`, consumed exactly once.
-    let action = unsafe { slot.cast::<Box<F>>().read() };
-    (*action)();
-}
-
-// SAFETY: contract — `slot` must hold a live `Box<F>`; called at most once.
-unsafe fn call_boxed_stamped<F: FnOnce(u64)>(slot: *mut u8, stamp: u64) {
+unsafe fn call_boxed<F: FnOnce(u64)>(slot: *mut u8, stamp: u64) {
     // SAFETY: the slot holds a live `Box<F>`, consumed exactly once.
     let action = unsafe { slot.cast::<Box<F>>().read() };
     (*action)(stamp);
@@ -188,13 +172,8 @@ unsafe fn drop_boxed<F>(slot: *mut u8) {
 }
 
 impl PostCommit {
-    /// Write `action` inline when it fits, boxing otherwise; the caller
-    /// supplies the matching (inline, boxed) call glue for its shape.
-    fn store<F>(
-        action: F,
-        inline_call: unsafe fn(*mut u8, u64),
-        boxed_call: unsafe fn(*mut u8, u64),
-    ) -> Self {
+    /// Write `action` inline when it fits, boxing otherwise.
+    pub(crate) fn new<F: FnOnce(u64) + 'static>(action: F) -> Self {
         let mut data = [MaybeUninit::uninit(); POST_COMMIT_INLINE_WORDS];
         if std::mem::size_of::<F>() <= std::mem::size_of_val(&data)
             && std::mem::align_of::<F>() <= std::mem::align_of::<usize>()
@@ -203,7 +182,7 @@ impl PostCommit {
             unsafe { data.as_mut_ptr().cast::<F>().write(action) };
             Self {
                 data,
-                call_fn: inline_call,
+                call_fn: call_inline::<F>,
                 drop_fn: drop_inline::<F>,
             }
         } else {
@@ -211,23 +190,13 @@ impl PostCommit {
             unsafe { data.as_mut_ptr().cast::<Box<F>>().write(Box::new(action)) };
             Self {
                 data,
-                call_fn: boxed_call,
+                call_fn: call_boxed::<F>,
                 drop_fn: drop_boxed::<F>,
             }
         }
     }
 
-    pub(crate) fn new<F: FnOnce() + 'static>(action: F) -> Self {
-        Self::store(action, call_inline::<F>, call_boxed::<F>)
-    }
-
-    /// An action that receives the attempt's commit stamp when invoked.
-    pub(crate) fn new_stamped<F: FnOnce(u64) + 'static>(action: F) -> Self {
-        Self::store(action, call_inline_stamped::<F>, call_boxed_stamped::<F>)
-    }
-
-    /// Consume the action and run it, handing it the commit stamp (ignored
-    /// by plain actions).
+    /// Consume the action and run it, handing it the commit stamp.
     pub(crate) fn invoke(self, stamp: u64) {
         let mut this = ManuallyDrop::new(self);
         // SAFETY: ManuallyDrop suppresses `drop_fn`, so the closure is
@@ -390,7 +359,7 @@ mod tests {
         let fired = Rc::new(Cell::new(0));
         let action = {
             let fired = Rc::clone(&fired);
-            PostCommit::new(move || fired.set(fired.get() + 1))
+            PostCommit::new(move |_| fired.set(fired.get() + 1))
         };
         action.invoke(0);
         assert_eq!(fired.get(), 1);
@@ -401,7 +370,7 @@ mod tests {
         let seen = Rc::new(Cell::new(0u64));
         let action = {
             let seen = Rc::clone(&seen);
-            PostCommit::new_stamped(move |stamp| seen.set(stamp))
+            PostCommit::new(move |stamp| seen.set(stamp))
         };
         action.invoke(42);
         assert_eq!(seen.get(), 42);
@@ -411,7 +380,7 @@ mod tests {
         let seen_boxed = Rc::new(Cell::new(0u64));
         let action = {
             let seen_boxed = Rc::clone(&seen_boxed);
-            PostCommit::new_stamped(move |stamp| seen_boxed.set(stamp + payload[0]))
+            PostCommit::new(move |stamp| seen_boxed.set(stamp + payload[0]))
         };
         action.invoke(10);
         assert_eq!(seen_boxed.get(), 13);
@@ -422,7 +391,7 @@ mod tests {
         let fired = Rc::new(Cell::new(0));
         let action = {
             let fired = Rc::clone(&fired);
-            PostCommit::new(move || fired.set(fired.get() + 1))
+            PostCommit::new(move |_| fired.set(fired.get() + 1))
         };
         drop(action);
         assert_eq!(fired.get(), 0, "dropped actions never fire");
@@ -435,7 +404,7 @@ mod tests {
         let fired = Rc::new(Cell::new(0u64));
         let action = {
             let fired = Rc::clone(&fired);
-            PostCommit::new(move || fired.set(payload.iter().sum()))
+            PostCommit::new(move |_| fired.set(payload.iter().sum()))
         };
         action.invoke(0);
         assert_eq!(fired.get(), 7 * 16);

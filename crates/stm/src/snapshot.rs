@@ -32,7 +32,7 @@
 //! This closes the store-buffer race: if a committer misses a pin entirely,
 //! the pinner's clock sample is ordered after the committer's tick, so the
 //! pinned version is `>= wv` and outside every window the commit displaces.
-//! (For the counter clocks this follows from the `SeqCst` ordering of the
+//! (For the sampled clock this follows from the `SeqCst` ordering of its
 //! shared counter; for [`ClockKind::Hardware`](crate::ClockKind) it
 //! additionally relies on the invariant-TSC monotonicity assumption the STM
 //! already makes for TL2 itself.)
@@ -413,7 +413,7 @@ fn trim_tagged(tag: usize, pins: &[u64], pending: bool, horizon: u64) {
 /// An RAII pin holding one snapshot version live on an [`Stm`] runtime.
 ///
 /// Created by [`Stm::pin_snapshot`]; readers resolve cells at the pinned
-/// version with [`TCell::read_pinned_with`](crate::TCell::read_pinned_with)(crate::TCell::read_pinned_with).
+/// version with [`TCell::read_pinned_with`](crate::TCell::read_pinned_with).
 /// While the pin is live, displaced values whose validity window contains
 /// the pinned version are preserved; dropping the pin releases custody and
 /// trims whatever no other pin needs.

@@ -209,9 +209,8 @@ impl<T> TCell<T> {
     /// # Safety
     ///
     /// `guard` must have been pinned before this call and stay pinned until
-    /// it returns (an unprotected guard stands for exclusive access): that
-    /// is what keeps a displaced payload, or whatever a displaced inline
-    /// word owns, from being reclaimed under `f`.
+    /// it returns: that is what keeps a displaced payload, or whatever a
+    /// displaced inline word owns, from being reclaimed under `f`.
     #[inline]
     pub(crate) unsafe fn peek<R>(&self, _guard: &epoch::Guard, f: impl FnOnce(&T) -> R) -> R {
         let word = self.data.load(Ordering::Acquire);
@@ -304,11 +303,11 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
     /// transaction's snapshot validation cannot order itself against it.
     /// The version deliberately must not be bumped here — orec versions are
     /// commit timestamps, and inventing one the clock never issued breaks
-    /// logical clocks: a fresh `Counter`/`Sampled` runtime sits at 0, so a
-    /// cell stamped `1` by initialization would make every transaction abort
-    /// with `ReadConflict` forever (the clock only advances on commits, and
-    /// no transaction can commit).  The old `Hardware` default masked
-    /// exactly that livelock.
+    /// the logical clock: a fresh `Sampled` runtime sits at 0, so a cell
+    /// stamped `1` by initialization would make every transaction abort with
+    /// `ReadConflict` forever (the clock only advances on commits, and no
+    /// transaction can commit).  The old `Hardware` default masked exactly
+    /// that livelock.
     pub fn store_atomic(&self, value: T) {
         let backoff = crossbeam_utils::Backoff::new();
         loop {

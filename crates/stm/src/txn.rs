@@ -6,7 +6,7 @@ use std::fmt;
 use crossbeam_epoch::{self as epoch, Guard};
 use crossbeam_utils::Backoff;
 
-use crate::clock::{ClockKind, ClockSource};
+use crate::clock::{Clock, ClockKind};
 use crate::error::{SingleAttemptFailed, TxAbort, TxResult};
 use crate::orec::{Orec, OrecState};
 use crate::scratch::{self, PostCommit, ReadEntry, ScratchLease, TxnScratch};
@@ -21,8 +21,7 @@ use crate::tcell::{self, TCell, WriteEntry};
 /// statistics).  The runtime itself is stateless apart from the clock, so it
 /// is cheap and `Sync`; a data structure typically embeds one.
 pub struct Stm {
-    clock: Box<dyn ClockSource>,
-    clock_kind: ClockKind,
+    clock: Clock,
     stats: StmStats,
     attempt_ids: AtomicU64,
     snapshots: SnapshotRegistry,
@@ -31,7 +30,7 @@ pub struct Stm {
 impl fmt::Debug for Stm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Stm")
-            .field("clock", &self.clock.name())
+            .field("clock", &self.clock_name())
             .field("stats", &self.stats.snapshot())
             .finish()
     }
@@ -51,19 +50,18 @@ impl Stm {
         Self::with_clock(ClockKind::Sampled)
     }
 
-    /// Create an STM runtime with the given clock: the `gv1` counter, the
-    /// sampled `gv5`-style clock, or the hardware TSC.
+    /// Create an STM runtime with the given clock: the sampled `gv5`-style
+    /// counter or the hardware TSC.
     ///
     /// ```
     /// use skiphash_stm::{ClockKind, Stm};
     ///
-    /// let stm = Stm::with_clock(ClockKind::Counter);
-    /// assert_eq!(stm.clock_name(), "gv1-counter");
+    /// let stm = Stm::with_clock(ClockKind::Hardware);
+    /// assert_eq!(stm.clock_name(), "hardware-tsc");
     /// ```
     pub fn with_clock(kind: ClockKind) -> Self {
         Stm {
-            clock: kind.build(),
-            clock_kind: kind,
+            clock: Clock::new(kind),
             stats: StmStats::new(),
             attempt_ids: AtomicU64::new(1),
             snapshots: SnapshotRegistry::new(),
@@ -72,12 +70,12 @@ impl Stm {
 
     /// Name of the configured clock source.
     pub fn clock_name(&self) -> &'static str {
-        self.clock.name()
+        self.clock.kind().name()
     }
 
     /// The configured clock kind.
     pub fn clock_kind(&self) -> ClockKind {
-        self.clock_kind
+        self.clock.kind()
     }
 
     /// Statistics accumulated by this runtime.
@@ -170,14 +168,6 @@ impl Stm {
         }
     }
 
-    /// Read a single cell outside of any transaction.
-    ///
-    /// Equivalent to [`TCell::load_atomic`]; provided on the runtime for
-    /// symmetry with `run`/`try_once`.
-    pub fn read_atomic<T: Clone + Send + Sync + 'static>(&self, cell: &TCell<T>) -> T {
-        cell.load_atomic()
-    }
-
     /// Pin the clock's current version for MVCC time-travel reads.
     ///
     /// While the returned [`SnapshotPin`] is live, any value displaced by a
@@ -209,10 +199,10 @@ impl Stm {
     /// write-ahead log whose records carry commit stamps from a *previous*
     /// process, the new runtime's clock must move past the highest replayed
     /// stamp, or fresh commits would mint stamps that compare as "already
-    /// durable".  Logical clocks ([`ClockKind::Counter`],
-    /// [`ClockKind::Sampled`]) support this; the hardware TSC clock does not
-    /// (its values are not assignable), so callers that depend on advancing
-    /// must check the return value — see `ClockSource::advance_to`.
+    /// durable".  The logical [`ClockKind::Sampled`] clock supports this;
+    /// the hardware TSC clock does not (its values are not assignable), so
+    /// callers that depend on advancing must check the return value — see
+    /// [`Clock::advance_to`].
     pub fn advance_clock_to(&self, version: u64) -> bool {
         self.clock.advance_to(version)
     }
@@ -311,7 +301,9 @@ impl<'stm> Txn<'stm> {
     /// transaction is finished by the time it runs), but must not assume any
     /// particular thread-local state beyond running on the committing thread.
     pub fn on_commit<F: FnOnce() + 'static>(&mut self, action: F) {
-        self.scratch.post_commit.push(PostCommit::new(action));
+        self.scratch
+            .post_commit
+            .push(PostCommit::new(move |_| action()));
     }
 
     /// Like [`Txn::on_commit`], but the action receives the attempt's
@@ -349,7 +341,7 @@ impl<'stm> Txn<'stm> {
     /// The same inline-storage rule applies: closures up to three words are
     /// stored in the pooled action queue without boxing.
     pub fn on_commit_sequenced<F: FnOnce(u64) + 'static>(&mut self, action: F) {
-        self.scratch.sequenced.push(PostCommit::new_stamped(action));
+        self.scratch.sequenced.push(PostCommit::new(action));
     }
 
     /// Allocate `value` on the heap and register the allocation with this
@@ -606,32 +598,6 @@ impl<'stm> Txn<'stm> {
     }
 }
 
-/// Run `body` as a transaction against `stm`, retrying until it commits.
-///
-/// Free-function spelling of [`Stm::run`], for call sites that read better
-/// as `atomically(&stm, |tx| ...)` — in particular composed multi-structure
-/// transactions where no single structure owns the operation:
-///
-/// ```
-/// use skiphash_stm::{atomically, Stm, TCell};
-///
-/// let stm = Stm::new();
-/// let a = TCell::new(10u64);
-/// let b = TCell::new(0u64);
-/// atomically(&stm, |tx| {
-///     let v = a.read(tx)?;
-///     a.write(tx, 0)?;
-///     b.write(tx, v)
-/// });
-/// assert_eq!(b.load_atomic(), 10);
-/// ```
-pub fn atomically<T, F>(stm: &Stm, body: F) -> T
-where
-    F: FnMut(&mut Txn<'_>) -> TxResult<T>,
-{
-    stm.run(body)
-}
-
 impl Drop for Txn<'_> {
     fn drop(&mut self) {
         // Defensive: if the transaction body panicked (or was otherwise
@@ -665,7 +631,7 @@ mod tests {
 
     #[test]
     fn read_only_transactions_do_not_tick_the_clock() {
-        let stm = Stm::with_clock(ClockKind::Counter);
+        let stm = Stm::new();
         let cell = TCell::new(5u64);
         for _ in 0..10 {
             let v = stm.run(|tx| cell.read(tx));
@@ -674,6 +640,7 @@ mod tests {
         let snap = stm.stats();
         assert_eq!(snap.commits, 10);
         assert_eq!(snap.read_only_commits, 10);
+        assert_eq!(stm.clock_now(), 0);
     }
 
     #[test]
@@ -1157,21 +1124,8 @@ mod tests {
     }
 
     #[test]
-    fn atomically_is_run() {
-        let stm = Stm::new();
-        let cell = TCell::new(1u64);
-        let doubled = atomically(&stm, |tx| {
-            let v = cell.read(tx)?;
-            cell.write(tx, v * 2)?;
-            Ok(v * 2)
-        });
-        assert_eq!(doubled, 2);
-        assert_eq!(cell.load_atomic(), 2);
-    }
-
-    #[test]
     fn read_version_is_monotonic_across_transactions() {
-        let stm = Stm::with_clock(ClockKind::Counter);
+        let stm = Stm::new();
         let cell = TCell::new(0u64);
         let mut last = 0;
         for i in 0..5u64 {

@@ -55,4 +55,3 @@ pub use skiphash_stm as stm;
 
 pub use skiphash::{Compute, Range, RangePolicy, SkipHash, SkipHashBuilder, TxView};
 pub use skiphash_durability::{DurableMap, DurableMapBuilder};
-pub use skiphash_stm::atomically;

@@ -54,7 +54,6 @@ fn wal_config(mode: &str) -> WalConfig {
         } else {
             32 << 20
         },
-        ..WalConfig::default()
     }
 }
 

@@ -8,12 +8,12 @@
 //! exactly once on drop plus a flag that panics on a second drop — and are
 //! the designated targets for the AddressSanitizer CI job.
 
-use skiphash_stm::sync::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
+use skiphash_stm::sync::{AtomicBool, AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam_epoch::{self as epoch, Atomic, Owned};
+use crossbeam_epoch as epoch;
 use skiphash::{RangePolicy, SkipHash, SkipHashBuilder};
 use skiphash_stm::{Stm, TCell, TxAbort, TxResult};
 
@@ -55,19 +55,34 @@ fn drive_reclamation(drops: &AtomicUsize, expected: usize) {
     }
 }
 
-/// Many threads churning `defer_destroy` on shared atomics under contention:
-/// every retired payload must be freed exactly once, and the live payloads
-/// must survive until teardown.
+/// Reclamation glue for a word made by `Box::into_raw::<T>`.
+///
+/// # Safety
+///
+/// `ptr` came from `Box::into_raw::<T>` and is freed exactly once.
+unsafe fn drop_box<T>(ptr: *mut ()) {
+    // SAFETY: per the contract above.
+    drop(unsafe { Box::from_raw(ptr.cast::<T>()) });
+}
+
+fn boxed<T>(value: T) -> *mut T {
+    Box::into_raw(Box::new(value))
+}
+
+/// Many threads swapping boxed payloads into shared pointers under
+/// contention and retiring the displaced ones with `defer_with`: every
+/// retired payload must be freed exactly once, and the live payloads must
+/// survive until teardown.
 #[test]
-fn concurrent_defer_destroy_frees_everything_exactly_once() {
+fn concurrent_defer_with_frees_everything_exactly_once() {
     const THREADS: usize = 8;
     const OPS_PER_THREAD: usize = 2_000;
     const CELLS: usize = 16;
 
     let drops = Arc::new(AtomicUsize::new(0));
-    let cells: Arc<Vec<Atomic<Tracked>>> = Arc::new(
+    let cells: Arc<Vec<AtomicPtr<Tracked>>> = Arc::new(
         (0..CELLS)
-            .map(|_| Atomic::new(Tracked::new(&drops)))
+            .map(|_| AtomicPtr::new(boxed(Tracked::new(&drops))))
             .collect(),
     );
 
@@ -79,10 +94,10 @@ fn concurrent_defer_destroy_frees_everything_exactly_once() {
                 for i in 0..OPS_PER_THREAD {
                     let guard = epoch::pin();
                     let cell = &cells[(t + i) % CELLS];
-                    let old = cell.swap(Owned::new(Tracked::new(&drops)), Ordering::AcqRel, &guard);
+                    let old = cell.swap(boxed(Tracked::new(&drops)), Ordering::AcqRel);
                     // SAFETY: `old` became unreachable at the swap; any
                     // thread that loaded it is still pinned.
-                    unsafe { guard.defer_destroy(old) };
+                    unsafe { guard.defer_with(old.cast(), drop_box::<Tracked>) };
                 }
             })
         })
@@ -102,11 +117,10 @@ fn concurrent_defer_destroy_frees_everything_exactly_once() {
     );
 
     // Tear down the survivors with exclusive access.
-    unsafe {
-        let guard = epoch::unprotected();
-        for cell in cells.iter() {
-            drop(cell.load(Ordering::Relaxed, guard).into_owned());
-        }
+    for cell in cells.iter() {
+        // SAFETY: every worker has joined, so nothing else reaches the
+        // payload, and it came from `Box::into_raw`.
+        drop(unsafe { Box::from_raw(cell.load(Ordering::Relaxed)) });
     }
     // SC: final drop-balance read.
     assert_eq!(drops.load(Ordering::SeqCst), retired + CELLS);
