@@ -52,13 +52,15 @@
 //!   transaction's epoch pin is what keeps those orecs readable; recycling a
 //!   block mid-pin would let validation read a *reused* orec and admit a torn
 //!   snapshot.
-//! * **Transactional rollback.**  An insert that aborts may drop its only
-//!   `NodeRef` (ending the transaction body) *before* the rollback walks the
-//!   undo log and restores the node's own cells.  Because the zero-count
-//!   retirement happens under the attempt's pin, the block provably outlives
-//!   the rollback — this is why the insert path registers nothing with the
-//!   transaction to keep its fresh node alive (see
-//!   [`crate::skiplist::SkipList::insert_after_logical_deletes`]).
+//! * **Transactional rollback.**  An insert that aborts drops the body's
+//!   `NodeRef` (ending the transaction body) *before* the rollback runs.
+//!   The write log still holds the neighbours' link words that point at the
+//!   node — buffered, never installed — and each owns a count, so the node
+//!   lives until the rollback drops them; the last drop retires the block
+//!   under the attempt's pin, and the rollback touches only the neighbours'
+//!   orecs, never the node's own cells.  This is why the insert path
+//!   registers nothing with the transaction to keep its fresh node alive
+//!   (see [`crate::skiplist::SkipList::insert_after_logical_deletes`]).
 //!
 //! The count itself cannot resurrect: references are only ever cloned from
 //! live references.  A link cell holds its `Option<NodeRef>` directly in its

@@ -167,10 +167,11 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
         // would be preserved forever-growing custody; stamped at `rv`, a
         // node born after a pin is provably outside its window.
         //
-        // If this attempt aborts after the link writes, the handle dropped
-        // at the end of the body retires the block through the epoch *under
-        // this attempt's pin*, so the block outlives the rollback that
-        // restores these cells — see the lifetime rules in `crate::node`.
+        // If this attempt aborts after the link writes, the link words it
+        // buffered for the neighbours still own counts on the node when the
+        // body's handle drops; the rollback drops them *under this attempt's
+        // pin*, which retires the block through the epoch — see the lifetime
+        // rules in `crate::node`.
         let node = Node::new(key, value, height, i_time, tx.read_version());
         for level in 0..height {
             // SAFETY: both handles were read through the still-running
@@ -181,7 +182,7 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
             // The fresh node is unreachable until the neighbour writes above
             // commit, so its own links need no transactional instrumentation:
             // `store_atomic` installs them at the birth version, outside the
-            // write set and undo log (an abort simply drops the node).
+            // write log (an abort simply drops the node).
             // Readers still see them initialized — the data swap here is
             // ordered before the neighbour's commit-time orec release, which
             // is what publishes the node.  This also keeps snapshot custody
@@ -478,10 +479,10 @@ mod tests {
     #[test]
     fn aborted_insert_rolls_back_without_keepalive() {
         // The rollback-through-freed-cells hazard: abort an insert *after*
-        // its link writes, with the body's only handle already dropped, and
-        // make sure the rollback (which restores the neighbours' links and
-        // gives back the counts they held on the dead node) is sound and the
-        // list is unchanged.
+        // its link writes, with the body's handle already dropped, and make
+        // sure the rollback (which releases the neighbours' orecs and drops
+        // the buffered link words, the last counts on the dead node) is
+        // sound and the list is unchanged.
         let stm = Stm::new();
         let list: SkipList<u64, u64> = SkipList::new(8);
         stm.run(|tx| {
@@ -493,8 +494,8 @@ mod tests {
             let _node = list.insert_after_logical_deletes(tx, 20, 200, 8, 0)?;
             if first {
                 first = false;
-                // `_node` (the only handle) drops at the end of this body,
-                // before the rollback runs.
+                // `_node` drops at the end of this body, before the
+                // rollback runs; the buffered link words hold the rest.
                 return tx.abort();
             }
             Ok(())

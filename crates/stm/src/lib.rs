@@ -19,9 +19,10 @@
 //!   carved from a recycling size-classed slab; after warmup, a
 //!   read-modify-write transaction touches the global allocator zero times
 //!   (see `docs/PERF.md`).
-//! * **Eager acquisition with undo logging** — writers acquire the orec on
-//!   first write and publish the new value immediately; an abort restores the
-//!   previous value.
+//! * **Encounter-time locks, commit-time install** — writers acquire the
+//!   orec on first write but keep the new value in the write log; commit
+//!   swaps it into the cell, and an abort drops it and releases the orec.  A
+//!   cell's data word only ever holds committed values.
 //! * **Cheap read-only transactions** — transactions that perform no writes
 //!   commit without any shared-memory stores.
 //! * **`try_once` and `no_local_undo` execution modes** — the fast-path /
@@ -41,10 +42,13 @@
 //! what the paper's structures are made of — is the word, read in place
 //! exactly as in the C++; a wider value lives behind it, in an epoch-managed
 //! payload a write replaces wholesale.  Either way a transactional write
-//! swaps the word and logs the displaced one as the undo entry.  The orec
-//! protocol, conflict windows, clock interactions, and abort behaviour — the
-//! properties the paper's evaluation depends on — are unchanged; only the
-//! granularity of the copy differs, and only for wide values.
+//! logs the word it will install, and commit swaps it in: there is no undo
+//! log, because an abort has nothing in the cell to repair, and no reader
+//! ever loads an uncommitted value.  The orecs are still acquired at
+//! encounter time, so conflict windows, clock interactions, and abort
+//! causes — the properties the paper's evaluation depends on — are
+//! unchanged; what differs is when the word is written, and the granularity
+//! of the copy for wide values.
 //!
 //! # Writing transactions: the `TxResult` contract
 //!

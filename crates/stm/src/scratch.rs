@@ -220,9 +220,8 @@ pub(crate) struct TxnScratch {
     pub(crate) read_set: Vec<ReadEntry>,
     pub(crate) filter: ReadFilter,
     pub(crate) writes: Vec<WriteEntry>,
-    /// Values displaced by this attempt's writes, retired through the epoch
-    /// in one batch when the attempt finishes — a commit with `k` writes
-    /// pins once and flushes once.
+    /// Values displaced by this attempt's commit, retired through the epoch
+    /// in one batch — a commit with `k` writes pins once and flushes once.
     pub(crate) retired: Bag,
     pub(crate) keepalive: Vec<Arc<dyn Any + Send + Sync>>,
     pub(crate) post_commit: Vec<PostCommit>,

@@ -4,11 +4,12 @@
 //! word in a block of the recycler ([`crate::arena`]).
 //!
 //! A cell whose value is wider than a machine word keeps it in a separately
-//! allocated payload: every transactional write installs a fresh payload and
-//! retires the displaced one through the epoch, whose glue ([`drop_glue`])
-//! drops the value and hands the block straight back to the recycler, so a
-//! steady-state workload cycles the same handful of blocks and neither end of
-//! the exchange reaches the global allocator.  A value that fits the data
+//! allocated payload: every transactional write allocates a fresh payload,
+//! and its commit installs it and retires the displaced one through the
+//! epoch, whose glue ([`drop_glue`]) drops the value and hands the block
+//! straight back to the recycler (an aborted write's payload takes the same
+//! glue at once), so a steady-state workload cycles the same handful of
+//! blocks and neither end of the exchange reaches the global allocator.  A value that fits the data
 //! word never comes here.  The one exception is snapshot custody — a
 //! displaced word that a live pin still needs is moved into a payload at
 //! preservation time, so history entries are always pointers.

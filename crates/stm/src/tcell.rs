@@ -18,8 +18,9 @@ use crate::txn::Txn;
 ///
 /// Each cell is two words: its own ownership record (orec), following the
 /// paper's guidance that orecs be co-located with the data they protect, and
-/// one **data word** that readers load and writers swap atomically, so an
-/// optimistic reader can never observe a torn value.
+/// one **data word** that readers load and committing writers swap
+/// atomically, so an optimistic reader can never observe a torn value, and
+/// the word only ever holds a committed value.
 ///
 /// What the data word holds is a compile-time function of `T`:
 ///
@@ -31,11 +32,12 @@ use crate::txn::Txn;
 ///   word is dropped through epoch-based reclamation, because a concurrent
 ///   reader may still be looking through its copy of the word.
 /// * Every other value lives behind the word, in a payload the word points
-///   at: a write installs a freshly allocated payload and retires the
-///   displaced one through the epoch.  Payloads are blocks of the size-classed
-///   recycler (`crate::arena`, see `docs/PERF.md`), so steady-state write
-///   churn performs no heap allocation; types too large or over-aligned for
-///   its classes fall back to the global allocator transparently.
+///   at: a write allocates a fresh payload, and its commit installs it and
+///   retires the displaced one through the epoch.  Payloads are blocks of
+///   the size-classed recycler (`crate::arena`, see `docs/PERF.md`), so
+///   steady-state write churn performs no heap allocation; types too large
+///   or over-aligned for its classes fall back to the global allocator
+///   transparently.
 ///
 /// Neither the protocol nor the API differs between the two; the exact rule
 /// is documented on `slab::inline`.
@@ -129,12 +131,12 @@ unsafe fn drop_word<T>(word: *mut ()) {
 /// Reclamation glue in the shape the epoch shim's `defer_with` takes.
 type ReclaimGlue = unsafe fn(*mut ());
 
-/// The glue that reclaims a displaced data word of a `TCell<T>` once no
-/// pinned thread can still be reading through it, matching the
-/// representation [`to_word::<T>`] chose.  `None` when there is nothing to
-/// reclaim: an inline word that owns nothing.  (A word that does own
-/// something is handed to its glue whatever its bits — all-zero is a value
-/// like any other, `None` or `0`, never "no payload".)
+/// The glue that reclaims a data word of a `TCell<T>` no thread can still
+/// read through, matching the representation [`to_word::<T>`] chose.
+/// `None` when there is nothing to reclaim: an inline word that owns
+/// nothing.  (A word that does own something is handed to its glue whatever
+/// its bits — all-zero is a value like any other, `None` or `0`, never "no
+/// payload".)
 #[inline]
 fn reclaim_glue<T>() -> Option<ReclaimGlue> {
     if !slab::inline::<T>() {
@@ -146,18 +148,45 @@ fn reclaim_glue<T>() -> Option<ReclaimGlue> {
     }
 }
 
-/// Park a displaced data word in `retired` until it can be reclaimed.
+/// Drop a buffered data word that was never installed: an aborted write, or
+/// one the same attempt wrote over.  No other thread ever saw it, so it goes
+/// at once, not through the epoch.
 ///
 /// # Safety
 ///
-/// `word` must be a data word of a `TCell<T>` that a swap has just removed
-/// from the cell, and `retired` must be flushed through a guard that was
-/// pinned when the swap happened.
+/// `word` must have come from [`to_word::<T>`], never have been stored in a
+/// cell, and not be used again.
 #[inline]
-pub(crate) unsafe fn retire<T>(word: *mut (), retired: &mut epoch::Bag) {
+unsafe fn discard<T>(word: *mut ()) {
     if let Some(glue) = reclaim_glue::<T>() {
-        // SAFETY: forwarded from this function's contract.
-        unsafe { retired.defer_with(word, glue) };
+        // SAFETY: per the contract this is the word's one owner.
+        unsafe { glue(word) };
+    }
+}
+
+/// Map the value a data word designates through `f`.
+///
+/// A cell's word may be displaced while `f` runs; it is never torn (it is
+/// loaded whole), and the caller's orec re-check discards the result.
+///
+/// # Safety
+///
+/// `word` must have come from [`to_word::<T>`] and stay alive until this
+/// returns: a cell's word loaded under an epoch guard that is pinned until
+/// then (that keeps a displaced payload, or whatever a displaced inline word
+/// owns, from being reclaimed under `f`), or a buffered word the caller's
+/// write log owns.
+#[inline]
+pub(crate) unsafe fn peek_word<T, R>(word: *mut (), f: impl FnOnce(&T) -> R) -> R {
+    if slab::inline::<T>() {
+        // SAFETY: the word came from `word_of::<T>`; the copy is only lent
+        // to `f`, never dropped, and what it owns outlives the call.
+        let value = ManuallyDrop::new(unsafe { value_of::<T>(word) });
+        f(&value)
+    } else {
+        // SAFETY: a boxed word always points at a payload that outlives the
+        // call, per the contract.
+        f(unsafe { &*word.cast::<T>() })
     }
 }
 
@@ -198,43 +227,38 @@ impl<T> TCell<T> {
         }
     }
 
-    /// Load the data word and map the value it designates through `f`.
-    ///
-    /// This is the middle step of every optimistic read: the caller samples
-    /// the orec before, re-checks it after, and discards the result when the
-    /// two differ, so `f` may run on a value that was displaced meanwhile.
-    /// It is never torn (the word is loaded whole) and it is alive for the
-    /// duration of `f` per the contract below.
-    ///
-    /// # Safety
-    ///
-    /// `guard` must have been pinned before this call and stay pinned until
-    /// it returns: that is what keeps a displaced payload, or whatever a
-    /// displaced inline word owns, from being reclaimed under `f`.
+    /// The data word's current value, for [`peek_word`].
     #[inline]
-    pub(crate) unsafe fn peek<R>(&self, _guard: &epoch::Guard, f: impl FnOnce(&T) -> R) -> R {
-        let word = self.data.load(Ordering::Acquire);
-        if slab::inline::<T>() {
-            // SAFETY: every word this cell holds came from `word_of::<T>`;
-            // the copy is only lent to `f`, never dropped, and what it owns
-            // outlives the guard's pin.
-            let value = ManuallyDrop::new(unsafe { value_of::<T>(word) });
-            f(&value)
-        } else {
-            // SAFETY: a boxed cell's word always points at a payload, which
-            // is reclaimed no earlier than the guard unpins.
-            f(unsafe { &*word.cast::<T>() })
-        }
+    pub(crate) fn word(&self) -> *mut () {
+        self.data.load(Ordering::Acquire)
     }
 
-    /// Swap `value` into the data word, returning the displaced word.  The
-    /// caller holds the orec and owes the displaced word a [`retire`] (or a
-    /// place in the undo log).
-    #[inline]
-    pub(crate) fn install(&self, value: T) -> *mut () {
-        let old = self.data.swap(to_word(value), Ordering::AcqRel);
-        self.shadow.on_write();
-        old
+    /// The word this attempt's write log buffers for the cell, found newest
+    /// first.  Only called for a cell whose orec the attempt owns, which has
+    /// exactly one entry.
+    fn buffered<'a>(&self, writes: &'a mut [WriteEntry]) -> &'a mut *mut () {
+        let cell = self as *const Self as *const ();
+        let entry = writes.iter_mut().rev().find(|entry| entry.cell == cell);
+        &mut entry
+            .expect("a cell whose orec the attempt owns is in its write log")
+            .new_data
+    }
+
+    /// Map the value this attempt's write log buffers for the cell through
+    /// `f`: a read-after-write.
+    pub(crate) fn peek_buffered<R>(&self, writes: &mut [WriteEntry], f: impl FnOnce(&T) -> R) -> R {
+        // SAFETY: the entry for this cell was made by `WriteEntry::new` from
+        // a `T`, and the log owns its word until the attempt ends.
+        unsafe { peek_word(*self.buffered(writes), f) }
+    }
+
+    /// Replace the value this attempt's write log buffers for the cell with
+    /// `value`: a second write to the same cell.
+    pub(crate) fn rewrite_buffered(&self, writes: &mut [WriteEntry], value: T) {
+        let replaced = std::mem::replace(self.buffered(writes), to_word(value));
+        // SAFETY: as in `peek_buffered`; the replaced word was never
+        // installed, and the log held its only copy.
+        unsafe { discard::<T>(replaced) }
     }
 }
 
@@ -254,10 +278,10 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
 
     /// Transactionally overwrite the cell with `value`.
     ///
-    /// The ownership record is acquired eagerly (on first write) and the new
-    /// value becomes visible to the transaction's own subsequent reads
-    /// immediately.  If the transaction aborts, the previous value is
-    /// restored.
+    /// The ownership record is acquired eagerly (on first write), and the
+    /// transaction's own subsequent reads see the new value at once.  Other
+    /// threads see it only once the transaction commits, which is when it
+    /// reaches the cell; an aborted transaction never changes the cell.
     ///
     /// # Errors
     ///
@@ -319,7 +343,8 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
                 const STORE_OWNER: u64 = (1 << 62) - 1;
                 if self.orec.try_acquire(version, STORE_OWNER) {
                     let guard = epoch::pin();
-                    let old = self.install(value);
+                    let old = self.data.swap(to_word(value), Ordering::AcqRel);
+                    self.shadow.on_write();
                     if let Some(glue) = reclaim_glue::<T>() {
                         // SAFETY: `old` is unreachable once swapped out, and
                         // the swap happened under `guard`.
@@ -366,11 +391,11 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
                     // Not written since the pin: the current value *is* the
                     // value at version `p`.  Same validated optimistic read
                     // as `load_atomic`, minus the clone.
-                    let guard = epoch::pin();
-                    // SAFETY: `guard` is pinned across the call; a result
-                    // computed from a displaced value fails the re-check
-                    // below and is discarded.
-                    let result = unsafe { self.peek(&guard, &f) };
+                    let _guard = epoch::pin();
+                    // SAFETY: the word is loaded under `_guard`, pinned across
+                    // the call; a result computed from a displaced value
+                    // fails the re-check below and is discarded.
+                    let result = unsafe { peek_word(self.word(), &f) };
                     if self.orec.raw() == o1 {
                         self.shadow.on_read_confirmed();
                         return result;
@@ -413,12 +438,13 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
     pub fn load_atomic(&self) -> T {
         let backoff = crossbeam_utils::Backoff::new();
         loop {
-            let guard = epoch::pin();
+            let _guard = epoch::pin();
             let o1 = self.orec.raw();
             if let OrecState::Unlocked { .. } = Orec::decode_raw(o1) {
-                // SAFETY: `guard` is pinned across the call; a clone of a
-                // displaced value fails the re-check below and is dropped.
-                let value = unsafe { self.peek(&guard, T::clone) };
+                // SAFETY: the word is loaded under `_guard`, pinned across
+                // the call; a clone of a displaced value fails the re-check
+                // below and is dropped.
+                let value = unsafe { peek_word(self.word(), T::clone) };
                 if self.orec.raw() == o1 {
                     self.shadow.on_read_confirmed();
                     return value;
@@ -474,39 +500,45 @@ impl<T: Clone + Send + Sync + Default + 'static> Default for TCell<T> {
 unsafe impl<T: Send + Sync> Send for TCell<T> {}
 unsafe impl<T: Send + Sync> Sync for TCell<T> {}
 
-/// One undo-log entry: a pending transactional write, type-erased through
+/// One write-log entry: a pending transactional write, type-erased through
 /// monomorphic function pointers instead of a `Box<dyn ...>` object.
 ///
 /// The record is plain data that lives in the pooled write log, so logging a
-/// write costs a `Vec` push.  Displaced values are not retired through the
-/// epoch one at a time either: they are collected into the transaction's
-/// [`epoch::Bag`] and flushed in a single thread-local access when the
-/// transaction finishes, so a commit with `k` writes pins once and flushes
-/// once.
+/// write costs a `Vec` push.  It owns the data word the write will install:
+/// commit swaps it into the cell, abort drops it, and until then the cell
+/// keeps its committed word, so no other thread ever sees an uncommitted
+/// value.  Displaced values are not retired through the epoch one at a time
+/// either: they are collected into the transaction's [`epoch::Bag`] and
+/// flushed in a single thread-local access when the commit finishes, so a
+/// commit with `k` writes pins once and flushes once.
 pub(crate) struct WriteEntry {
     cell: *const (),
     old_version: u64,
-    /// The data word this transaction's first write displaced.
-    old_data: *mut (),
+    /// The data word this attempt's latest write to the cell made.
+    new_data: *mut (),
     commit_fn: unsafe fn(*const (), *mut (), u64, &mut epoch::Bag, u64, &CommitCtx<'_>),
-    abort_fn: unsafe fn(*const (), *mut (), u64, &mut epoch::Bag),
+    abort_fn: unsafe fn(*const (), *mut (), u64),
 }
 
 // SAFETY: contract — `cell` must point at the live `TCell<T>` recorded by
-// `WriteEntry::new`, with this transaction owning its orec; called exactly
-// once per entry, from the committing transaction, with its guard pinned.
+// `WriteEntry::new`, with this transaction owning its orec, and `new_data`
+// be the entry's word; called exactly once per entry, from the committing
+// transaction, with its guard pinned.
 unsafe fn commit_write<T: Send + Sync + 'static>(
     cell: *const (),
-    old_data: *mut (),
+    new_data: *mut (),
     old_version: u64,
     retired: &mut epoch::Bag,
     version: u64,
     ctx: &CommitCtx<'_>,
 ) {
-    // SAFETY: forwarded from `WriteEntry::commit`'s contract; `old_data` was
-    // displaced by this transaction's own write and is unreachable to new
-    // readers.
+    // SAFETY: forwarded from `WriteEntry::commit`'s contract.  The orec is
+    // ours, so nobody else swaps the word; the displaced word is unreachable
+    // to new readers, and readers already looking through it are pinned.
     unsafe {
+        let cell = &*(cell as *const TCell<T>);
+        let old_data = cell.data.swap(new_data, Ordering::AcqRel);
+        cell.shadow.on_write();
         if ctx.covers(old_version, version) {
             // A live snapshot pin resolves inside this value's validity
             // window `[old_version, version)`: preserve it in the history
@@ -521,17 +553,17 @@ unsafe fn commit_write<T: Send + Sync + 'static>(
                 old_data
             };
             snapshot::push_history(
-                cell as usize,
+                cell as *const TCell<T> as usize,
                 ctx.tag,
                 old_version,
                 version,
                 preserved,
                 slab::drop_glue::<T>(),
             );
-        } else {
-            retire::<T>(old_data, retired);
+        } else if let Some(glue) = reclaim_glue::<T>() {
+            retired.defer_with(old_data, glue);
         }
-        (*(cell as *const TCell<T>)).orec.release(version);
+        cell.orec.release(version);
     }
 }
 
@@ -539,58 +571,50 @@ unsafe fn commit_write<T: Send + Sync + 'static>(
 // while it still owns the orec.
 unsafe fn abort_write<T: Send + Sync + 'static>(
     cell: *const (),
-    old_data: *mut (),
+    new_data: *mut (),
     old_version: u64,
-    retired: &mut epoch::Bag,
 ) {
-    // SAFETY: forwarded from `WriteEntry::abort`'s contract; the transaction
-    // owns the orec, so nobody else can swap the data word concurrently.
-    // The word it takes back out is its own uncommitted write, which doomed
-    // readers may have glimpsed — retired, not dropped in place.
+    // SAFETY: forwarded from `WriteEntry::abort`'s contract.  The cell's
+    // word never changed, so releasing at the old version restores the orec
+    // word readers sampled, with the value they loaded beside it.  The
+    // buffered word was never installed: released first, so a panicking
+    // destructor cannot leave the orec held.
     unsafe {
-        let cell = &*(cell as *const TCell<T>);
-        let current = cell.data.swap(old_data, Ordering::AcqRel);
-        cell.shadow.on_write();
-        retire::<T>(current, retired);
-        cell.orec.release(old_version);
+        (*(cell as *const TCell<T>)).orec.release(old_version);
+        discard::<T>(new_data);
     }
 }
 
 impl WriteEntry {
     pub(crate) fn new<T: Send + Sync + 'static>(
-        cell: *const TCell<T>,
+        cell: &TCell<T>,
         old_version: u64,
-        old_data: *mut (),
+        value: T,
     ) -> Self {
         Self {
-            cell: cell as *const (),
+            cell: cell as *const TCell<T> as *const (),
             old_version,
-            old_data,
+            new_data: to_word(value),
             commit_fn: commit_write::<T>,
             abort_fn: abort_write::<T>,
         }
     }
 
-    /// Park the pre-transaction value in `retired` (or preserve it for a
-    /// live snapshot pin per `ctx`) and release the orec at `version`.
-    /// Called on commit.
+    /// Install the buffered value, park the displaced one in `retired` (or
+    /// preserve it for a live snapshot pin per `ctx`) and release the orec
+    /// at `version`.  Called on commit.
     ///
     /// # Safety
     ///
-    /// Must only be called by the owning transaction, exactly once, with the
-    /// transaction's epoch guard still pinned; `retired` must be flushed
-    /// through that guard before it is unpinned.
-    pub(crate) unsafe fn commit(
-        &self,
-        retired: &mut epoch::Bag,
-        version: u64,
-        ctx: &CommitCtx<'_>,
-    ) {
+    /// Must only be called by the owning transaction, with the transaction's
+    /// epoch guard still pinned; `retired` must be flushed through that
+    /// guard before it is unpinned.
+    pub(crate) unsafe fn commit(self, retired: &mut epoch::Bag, version: u64, ctx: &CommitCtx<'_>) {
         // SAFETY: forwarded to the monomorphic glue under the same contract.
         unsafe {
             (self.commit_fn)(
                 self.cell,
-                self.old_data,
+                self.new_data,
                 self.old_version,
                 retired,
                 version,
@@ -599,22 +623,23 @@ impl WriteEntry {
         }
     }
 
-    /// Restore the pre-transaction value, release the orec at its old
-    /// version, and park the displaced value in `retired`.  Called on abort.
+    /// Release the orec at its old version and drop the buffered value.
+    /// Called on abort.
     ///
     /// # Safety
     ///
-    /// Same contract as [`WriteEntry::commit`].
-    pub(crate) unsafe fn abort(&self, retired: &mut epoch::Bag) {
+    /// Must only be called by the owning transaction, while the cell is
+    /// alive.
+    pub(crate) unsafe fn abort(self) {
         // SAFETY: forwarded to the monomorphic glue under the same contract.
-        unsafe { (self.abort_fn)(self.cell, self.old_data, self.old_version, retired) }
+        unsafe { (self.abort_fn)(self.cell, self.new_data, self.old_version) }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Stm;
+    use crate::{Stm, TxAbort};
 
     #[test]
     fn new_cell_holds_initial_value() {
@@ -742,7 +767,7 @@ mod tests {
             Err(crate::TxAbort::Explicit)
         });
         assert!(aborted.is_err());
-        assert_eq!(cell.load_atomic(), a, "undo must restore the old value");
+        assert_eq!(cell.load_atomic(), a, "an abort leaves the cell unchanged");
         cell.store_atomic(c.clone());
         assert_eq!(cell.load_atomic(), c);
         assert!(stm.run(|tx| cell.read_with(tx, |v| v == &c)));
@@ -830,13 +855,14 @@ mod tests {
         stm.run(|tx| cell.write(tx, handle(1, &drops)));
         assert_settles_at(&drops, 1);
 
-        // Abort: the attempt's own handle goes, the old one is back.
+        // Abort: no other thread ever saw the attempt's own handle, so it
+        // is gone before `try_once` returns; the cell still holds the old.
         let aborted = stm.try_once(|tx| -> TxResult<()> {
             cell.write(tx, handle(2, &drops))?;
-            Err(crate::TxAbort::Explicit)
+            Err(TxAbort::Explicit)
         });
         assert!(aborted.is_err());
-        assert_settles_at(&drops, 2);
+        assert_eq!(drops.load(Ordering::Relaxed), 2);
         assert_eq!(cell.load_atomic().map(|c| c.id), Some(1));
 
         // Two writes in one transaction: the intermediate handle goes too.
@@ -846,26 +872,160 @@ mod tests {
         });
         assert_settles_at(&drops, 4);
 
-        // The same, aborted: both of the attempt's handles go.
+        // The same, aborted: both of the attempt's handles go at once.
         let aborted = stm.try_once(|tx| -> TxResult<()> {
             cell.write(tx, handle(5, &drops))?;
             cell.write(tx, handle(6, &drops))?;
-            Err(crate::TxAbort::Explicit)
+            Err(TxAbort::Explicit)
         });
         assert!(aborted.is_err());
-        assert_settles_at(&drops, 6);
+        assert_eq!(drops.load(Ordering::Relaxed), 6);
+        assert_eq!(cell.load_atomic().map(|c| c.id), Some(4));
+
+        // A body that panics after its write: unwinding rolls it back, and
+        // the handle is gone by the time the panic is caught.
+        panic_after_body(&stm, |tx| cell.write(tx, handle(7, &drops)));
+        assert_eq!(drops.load(Ordering::Relaxed), 7);
         assert_eq!(cell.load_atomic().map(|c| c.id), Some(4));
 
         // `store_atomic`, to `None` and back.
         cell.store_atomic(None);
-        assert_settles_at(&drops, 7);
-        cell.store_atomic(handle(7, &drops));
-        assert_settles_at(&drops, 7);
+        assert_settles_at(&drops, 8);
+        cell.store_atomic(handle(8, &drops));
+        assert_settles_at(&drops, 8);
 
         // Dropping the cell drops what it holds, at once.
         drop(cell);
-        assert_eq!(drops.load(Ordering::Relaxed), 8);
-        assert_settles_at(&drops, 8);
+        assert_eq!(drops.load(Ordering::Relaxed), 9);
+        assert_settles_at(&drops, 9);
+    }
+
+    /// The payload of every panic these tests raise on purpose.
+    const DELIBERATE: &str = "deliberate panic in a transaction body";
+
+    /// Run `body` under [`Stm::run`] and panic after it: unwinding drops the
+    /// attempt, whose `Drop` rolls it back.  The panic hook stays quiet
+    /// about this panic, and only this one.
+    fn panic_after_body(stm: &Stm, body: impl Fn(&mut Txn<'_>) -> TxResult<()>) {
+        static QUIET: std::sync::Once = std::sync::Once::new();
+        QUIET.call_once(|| {
+            let previous = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                if info.payload().downcast_ref::<&str>() != Some(&DELIBERATE) {
+                    previous(info);
+                }
+            }));
+        });
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            stm.run(|tx| -> TxResult<()> {
+                body(tx)?;
+                std::panic::panic_any(DELIBERATE)
+            })
+        }));
+        assert!(unwound.is_err());
+    }
+
+    /// One writer aborts, over and over, after writing `1` into a cell
+    /// committed at `0`, beside three read-only `try_once` readers that run
+    /// for up to 3 s and stop at the first sighting of the `1`.  None may
+    /// come: a write reaches the data word only at commit, so no read, kept
+    /// or discarded, can load an aborted value.  (A write installed in place
+    /// and rolled back would return the orec to the word readers sampled,
+    /// so a load inside the window would pass the re-check: an orec ABA.)
+    fn readers_never_see_an_aborted_write(abort_one: impl Fn(&Stm, &TCell<u64>)) {
+        let stm = Stm::new();
+        let cell = TCell::new(0u64);
+        let glimpsed = AtomicUsize::new(0);
+        let committed = AtomicUsize::new(0);
+        let readers_left = AtomicUsize::new(3);
+        let deadline = Instant::now() + Duration::from_secs(3);
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    while Instant::now() < deadline
+                        && glimpsed.load(Ordering::Relaxed) + committed.load(Ordering::Relaxed) == 0
+                    {
+                        let read = stm.try_once(|tx| {
+                            cell.read_with(tx, |&v| {
+                                if v == 1 {
+                                    glimpsed.fetch_add(1, Ordering::Relaxed);
+                                }
+                                v
+                            })
+                        });
+                        if matches!(read, Ok(1)) {
+                            committed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    readers_left.fetch_sub(1, Ordering::Relaxed);
+                });
+            }
+            while readers_left.load(Ordering::Relaxed) > 0 {
+                abort_one(&stm, &cell);
+            }
+        });
+        let seen = (glimpsed.into_inner(), committed.into_inner());
+        assert_eq!(
+            seen,
+            (0, 0),
+            "(closure calls, committed reads) that saw the aborted 1"
+        );
+        assert_eq!(cell.load_atomic(), 0);
+    }
+
+    #[test]
+    fn readers_never_see_an_explicitly_aborted_write() {
+        readers_never_see_an_aborted_write(|stm, cell| {
+            let aborted = stm.try_once(|tx| -> TxResult<()> {
+                cell.write(tx, 1)?;
+                Err(TxAbort::Explicit)
+            });
+            assert!(aborted.is_err());
+        });
+    }
+
+    #[test]
+    fn readers_never_see_the_write_of_a_panicking_body() {
+        readers_never_see_an_aborted_write(|stm, cell| {
+            panic_after_body(stm, |tx| cell.write(tx, 1))
+        });
+    }
+
+    #[test]
+    fn an_attempt_reads_its_latest_buffered_writes() {
+        // 1,000 distinct cells written, half of them written again, all read
+        // back: each read finds the attempt's newest value in its write log.
+        let stm = Stm::new();
+        let cells: Vec<TCell<String>> = (0..1_000).map(|i| TCell::new(format!("{i}"))).collect();
+        let latest = |i: usize| format!("{i}-{}", ["second", "first"][i % 2]);
+        let body = |tx: &mut Txn<'_>| -> TxResult<()> {
+            for (i, cell) in cells.iter().enumerate() {
+                cell.write(tx, format!("{i}-first"))?;
+            }
+            for (i, cell) in cells.iter().enumerate().step_by(2) {
+                cell.write(tx, format!("{i}-second"))?;
+            }
+            for (i, cell) in cells.iter().enumerate() {
+                assert_eq!(cell.read(tx)?, latest(i));
+            }
+            Ok(())
+        };
+        let aborted = stm.try_once(|tx| -> TxResult<()> {
+            body(tx)?;
+            Err(TxAbort::Explicit)
+        });
+        assert!(aborted.is_err());
+        for (i, cell) in cells.iter().enumerate() {
+            assert_eq!(
+                cell.load_atomic(),
+                format!("{i}"),
+                "an abort changes no cell"
+            );
+        }
+        stm.try_once(body).expect("the next attempt commits");
+        for (i, cell) in cells.iter().enumerate() {
+            assert_eq!(cell.load_atomic(), latest(i));
+        }
     }
 
     #[test]

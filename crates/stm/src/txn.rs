@@ -276,13 +276,6 @@ impl<'stm> Txn<'stm> {
         std::ptr::eq(self.stm, stm)
     }
 
-    #[inline]
-    fn guard(&self) -> &Guard {
-        self.guard
-            .as_ref()
-            .expect("transaction attempt still in flight")
-    }
-
     /// Register an action to run after — and only if — this transaction
     /// attempt commits.
     ///
@@ -349,12 +342,13 @@ impl<'stm> Txn<'stm> {
     ///
     /// Any heap object allocated *inside* a transaction body whose [`TCell`]s
     /// are written in that same transaction must outlive a potential
-    /// rollback: the undo log refers to written cells by raw pointer, and
-    /// the body's own handle to a freshly allocated object is dropped when
-    /// the closure returns — *before* the rollback runs.  `alloc` makes
-    /// forgetting that impossible: the only handle the caller ever sees is
-    /// already registered with the attempt, which keeps the object alive
-    /// until the attempt (commit or rollback) is over.
+    /// rollback: the write log refers to written cells by raw pointer (a
+    /// rollback releases their orecs), and the body's own handle to a
+    /// freshly allocated object is dropped when the closure returns —
+    /// *before* the rollback runs.  `alloc` makes forgetting that
+    /// impossible: the only handle the caller ever sees is already
+    /// registered with the attempt, which keeps the object alive until the
+    /// attempt (commit or rollback) is over.
     pub fn alloc<T: Send + Sync + 'static>(&mut self, value: T) -> std::sync::Arc<T> {
         let arc = std::sync::Arc::new(value);
         self.scratch
@@ -392,10 +386,9 @@ impl<'stm> Txn<'stm> {
     ) -> TxResult<R> {
         let o1 = cell.orec.raw();
         if Orec::raw_is_owned_by(o1, self.id) {
-            // Read-after-write: we own the location, so the current value is
-            // our own uncommitted write.
-            // SAFETY: our guard is pinned for the whole attempt.
-            return Ok(unsafe { cell.peek(self.guard(), f) });
+            // Read-after-write: the value is our own buffered write, which
+            // only the write log holds until commit.
+            return Ok(cell.peek_buffered(&mut self.scratch.writes, f));
         }
         match Orec::decode_raw(o1) {
             OrecState::Locked { .. } => return Err(TxAbort::ReadConflict),
@@ -406,10 +399,10 @@ impl<'stm> Txn<'stm> {
             }
         }
         // SAFETY: our guard is pinned for the whole attempt; even if a
-        // concurrent writer displaces the value, reclamation is deferred
+        // concurrent commit displaces the value, reclamation is deferred
         // past our guard, and the post-read orec check below rejects the
         // result.
-        let result = unsafe { cell.peek(self.guard(), f) };
+        let result = unsafe { tcell::peek_word(cell.word(), f) };
         if cell.orec.raw() != o1 {
             return Err(TxAbort::ReadConflict);
         }
@@ -439,13 +432,8 @@ impl<'stm> Txn<'stm> {
         let o1 = cell.orec.raw();
         if Orec::raw_is_owned_by(o1, self.id) {
             // Already acquired earlier in this transaction: replace the value
-            // we previously installed.  The intermediate value may have been
-            // glimpsed by concurrent (doomed) readers, so retire it through
-            // the epoch rather than dropping in place.
-            let old = cell.install(value);
-            // SAFETY: `old` is no longer reachable once swapped out; the bag
-            // is flushed before our guard unpins.
-            unsafe { tcell::retire::<T>(old, &mut self.scratch.retired) };
+            // we buffered.
+            cell.rewrite_buffered(&mut self.scratch.writes, value);
             return Ok(());
         }
         let old_version = match Orec::decode_raw(o1) {
@@ -463,10 +451,9 @@ impl<'stm> Txn<'stm> {
         if !cell.orec.try_acquire(old_version, self.id) {
             return Err(TxAbort::WriteConflict);
         }
-        let old = cell.install(value);
         self.scratch
             .writes
-            .push(WriteEntry::new(cell as *const TCell<T>, old_version, old));
+            .push(WriteEntry::new(cell, old_version, value));
         Ok(())
     }
 
@@ -529,8 +516,7 @@ impl<'stm> Txn<'stm> {
             CommitCtx::NONE
         };
         for write in writes.drain(..) {
-            // SAFETY: we are the owning transaction and call commit exactly
-            // once per entry, with our guard pinned.
+            // SAFETY: we are the owning transaction, with our guard pinned.
             unsafe { write.commit(retired, stamp.wv, &ctx) };
         }
         // One batched hand-off to the epoch for the whole commit.
@@ -570,17 +556,11 @@ impl<'stm> Txn<'stm> {
     }
 
     fn rollback(&mut self) {
-        let scratch = &mut *self.scratch;
-        let guard = self
-            .guard
-            .as_ref()
-            .expect("rollback of a finished transaction");
-        for write in scratch.writes.drain(..).rev() {
-            // SAFETY: we are the owning transaction and call abort exactly
-            // once per entry, with our guard pinned.
-            unsafe { write.abort(&mut scratch.retired) };
+        for write in self.scratch.writes.drain(..) {
+            // SAFETY: we are the owning transaction, and the body kept the
+            // cells it wrote alive (see `Txn::alloc`).
+            unsafe { write.abort() };
         }
-        guard.flush_batch(&mut scratch.retired);
         // The remaining buffers — read set, dedup filter, unrun post-commit
         // actions (commit-only side effects die with the attempt) — are
         // cleared in one place: the scratch lease's reset when this attempt
@@ -605,11 +585,6 @@ impl Drop for Txn<'_> {
         // not blocked forever.
         if !self.finished && !self.scratch.writes.is_empty() {
             self.rollback();
-        }
-        // Normal paths flush in commit/rollback; this catches bodies that
-        // errored after a same-cell overwrite without triggering either.
-        if let Some(guard) = &self.guard {
-            guard.flush_batch(&mut self.scratch.retired);
         }
         // The scratch lease returns the (cleared) buffers to the thread pool
         // when it drops, after the guard.
@@ -653,7 +628,7 @@ mod tests {
             Err(TxAbort::Explicit)
         });
         assert!(result.is_err());
-        assert_eq!(cell.load_atomic(), 1, "undo must restore the old value");
+        assert_eq!(cell.load_atomic(), 1, "an abort leaves the cell unchanged");
         assert_eq!(stm.stats().aborts_explicit, 1);
     }
 

@@ -232,7 +232,7 @@ fn stm_commit_batches_balance_allocations_and_drops() {
 
 /// Regression for the PR-1 use-after-free: objects allocated through
 /// `Txn::alloc` must survive the rollback that follows an abort — the
-/// aborting attempt rolls back writes *through the object's cells* after the
+/// aborting attempt releases the orecs *of the object's cells* after the
 /// body's own `Arc` is gone — and must be released afterwards.
 #[test]
 fn txn_alloc_objects_survive_abort_and_rollback() {
@@ -263,7 +263,7 @@ fn txn_alloc_objects_survive_abort_and_rollback() {
             widget.a.write(tx, round)?;
             widget.b.write(tx, round + 1)?;
             // Abort after writing the fresh object's cells: rollback must
-            // walk back through them, which is only safe because `alloc`
+            // release their orecs, which is only safe because `alloc`
             // registered the object with the transaction.
             Err(TxAbort::Explicit)
         });
@@ -286,7 +286,7 @@ fn txn_alloc_objects_survive_abort_and_rollback() {
 /// The slab under churn: contended writers recycle payload blocks across
 /// threads (a block retired by one thread's commit is freed by whichever
 /// thread drives collection and reused by *its* next write), aborted
-/// attempts retire through the rollback glue, non-transactional
+/// attempts free their buffered payloads at once, non-transactional
 /// `store_atomic` shares the same blocks, and an oversized payload exercises
 /// the `Box` fallback side by side.  Every clone ever made must be dropped
 /// exactly once — a double free into the slab free list would surface here
@@ -327,8 +327,8 @@ fn slab_recycling_balances_drops_under_cross_thread_churn() {
             thread::spawn(move || {
                 for i in 0..OPS_PER_THREAD {
                     match (t + i) % 4 {
-                        // Contended transactional writer (conflicts force the
-                        // rollback retirement glue under the hood).
+                        // Contended transactional writer (conflicts free the
+                        // buffered payloads on the abort path).
                         0 | 1 => {
                             stm.run(|tx| {
                                 let cell = &cells[(t + i) % CELLS];
