@@ -35,8 +35,10 @@
 //!   implementation with programmable faults (torn writes, short writes,
 //!   failed fsync, bit flips) and prove the recovery invariants under fire.
 //! * [`map`] — [`DurableMap`], the user-facing tie-up: a [`skiphash`] map
-//!   plus a WAL, with `transact`'s effectful operations recorded
-//!   automatically and an acknowledged-durable barrier ([`DurableMap::sync`]).
+//!   plus a WAL.  `transact` hands its body the ordinary
+//!   [`TxView`](skiphash::TxView), journaled into a leased
+//!   [`RecordBuf`](wal::RecordBuf), so every write is recorded as it runs;
+//!   [`DurableMap::sync`] is the acknowledged-durable barrier.
 //!
 //! The contract: an operation is **acknowledged durable** once `sync` (or a
 //! `*_durable` convenience call) returns `Ok` after it — and the barrier is
@@ -56,7 +58,7 @@ pub mod storage;
 pub mod wal;
 
 pub use codec::Codec;
-pub use map::{DurableMap, DurableMapBuilder, DurableView};
+pub use map::{DurableMap, DurableMapBuilder};
 pub use recovery::{recover, Recovered};
 pub use storage::{FaultPlan, FaultStorage, MemStorage, StdStorage, Storage, StorageFile};
 pub use wal::WalConfig;

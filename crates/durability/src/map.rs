@@ -5,12 +5,13 @@
 //! the STM clock past the highest recovered stamp, and starts a fresh log
 //! segment.  After that, every *effectful* operation that goes through
 //! [`DurableMap::transact`] (or the sealed conveniences built on it) is
-//! recorded: the transaction body logs into a leased [`RecordBuf`] as it
-//! runs, and the STM's commit-sequenced hook hands the buffer — stamped
-//! with the real commit version — to the group-commit writer *at the
-//! serialization point*, before the commit's writes are visible to other
-//! transactions.  Aborted attempts drop their buffer; nothing is logged
-//! for them.
+//! recorded: the body gets the ordinary [`TxView`], journaled into a leased
+//! [`RecordBuf`](crate::wal::RecordBuf) (see [`skiphash::Journal`]), so
+//! each write logs itself as it runs, and the STM's commit-sequenced hook
+//! hands the buffer — stamped with the real commit version — to the
+//! group-commit writer *at the serialization point*, before the commit's
+//! writes are visible to other transactions.  Aborted attempts drop their
+//! buffer; nothing is logged for them.
 //!
 //! Reads are never logged, and read-only transactions cost the durability
 //! layer nothing.
@@ -59,7 +60,7 @@ use crate::codec::Codec;
 use crate::lock::DirLock;
 use crate::recovery::recover;
 use crate::storage::{StdStorage, Storage};
-use crate::wal::{RecordBuf, Wal, WalConfig};
+use crate::wal::{Wal, WalConfig};
 
 /// What [`DurableMap::open`] found on disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -231,25 +232,18 @@ impl<K: MapKey + Codec, V: MapValue + Codec> DurableMap<K, V> {
 
     /// Run a transaction whose effectful operations are logged.
     ///
-    /// The body sees a [`DurableView`] mirroring the composable
-    /// [`TxView`] API; every effectful operation it performs is recorded
-    /// and, if the attempt commits, appended to the WAL under the
-    /// commit's real stamp.  Retried attempts re-lease a fresh record
-    /// buffer, so aborted work never reaches the log.
+    /// The body sees the ordinary [`TxView`], journaled: every write it
+    /// makes is recorded and, if the attempt commits, appended to the WAL
+    /// under the commit's real stamp.  Retried attempts re-lease a fresh
+    /// record buffer, so aborted work never reaches the log.
     pub fn transact<T, F>(&self, mut body: F) -> T
     where
-        F: FnMut(&mut DurableView<'_, '_, K, V>) -> TxResult<T>,
+        F: FnMut(&mut TxView<'_, '_, K, V>) -> TxResult<T>,
     {
         let committed_ops = Cell::new(0u64);
         let out = self.map.stm().run(|tx| {
             let mut buf = self.wal.lease();
-            let out = {
-                let mut view = DurableView {
-                    inner: self.map.view(tx),
-                    buf: &mut buf,
-                };
-                body(&mut view)?
-            };
+            let out = body(&mut self.map.view(tx).journaled(&mut buf))?;
             committed_ops.set(u64::from(buf.op_count()));
             if !buf.is_empty() {
                 // Sequenced, not post-commit: the record must be queued
@@ -269,7 +263,6 @@ impl<K: MapKey + Codec, V: MapValue + Codec> DurableMap<K, V> {
 
     fn note_logged_ops(&self, n: u64) {
         let Some(every) = self.checkpoint_every_ops else {
-            self.ops_since_checkpoint.fetch_add(n, Ordering::Relaxed);
             return;
         };
         let before = self.ops_since_checkpoint.fetch_add(n, Ordering::Relaxed);
@@ -408,72 +401,6 @@ impl<K: MapKey + Codec, V: MapValue + Codec> DurableMap<K, V> {
     }
 }
 
-/// The durable flavor of [`TxView`]: same operations, with the effectful
-/// ones recorded for the WAL.
-pub struct DurableView<'v, 't, K: MapKey + Codec, V: MapValue + Codec> {
-    inner: TxView<'v, 't, K, V>,
-    buf: &'v mut RecordBuf,
-}
-
-impl<K: MapKey + Codec, V: MapValue + Codec> DurableView<'_, '_, K, V> {
-    /// Transactional lookup.
-    pub fn get(&mut self, key: &K) -> TxResult<Option<V>> {
-        self.inner.get(key)
-    }
-
-    /// Transactional membership test.
-    pub fn contains_key(&mut self, key: &K) -> TxResult<bool> {
-        self.inner.contains_key(key)
-    }
-
-    /// Transactional entry count.
-    pub fn len(&mut self) -> TxResult<usize> {
-        self.inner.len()
-    }
-
-    /// True when the map is transactionally empty.
-    pub fn is_empty(&mut self) -> TxResult<bool> {
-        Ok(self.inner.len()? == 0)
-    }
-
-    /// Insert if absent.  Logged only when it actually inserts: the
-    /// operation is logged optimistically and rewound on the no-op path,
-    /// avoiding a key/value clone.
-    pub fn insert(&mut self, key: K, value: V) -> TxResult<bool> {
-        let mark = self.buf.mark();
-        self.buf.log_put(&key, &value);
-        let inserted = self.inner.insert(key, value)?;
-        if !inserted {
-            self.buf.rewind(mark);
-        }
-        Ok(inserted)
-    }
-
-    /// Insert or replace.  Always logged.
-    pub fn upsert(&mut self, key: K, value: V) -> TxResult<Option<V>> {
-        self.buf.log_put(&key, &value);
-        self.inner.upsert(key, value)
-    }
-
-    /// Remove.  Logged only when the key was present.
-    pub fn remove(&mut self, key: &K) -> TxResult<bool> {
-        let removed = self.inner.remove(key)?;
-        if removed {
-            self.buf.log_remove(key);
-        }
-        Ok(removed)
-    }
-
-    /// Remove and return.  Logged only when the key was present.
-    pub fn take(&mut self, key: &K) -> TxResult<Option<V>> {
-        let taken = self.inner.take(key)?;
-        if taken.is_some() {
-            self.buf.log_remove(key);
-        }
-        Ok(taken)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,6 +490,45 @@ mod tests {
         assert_eq!(map.to_vec(), vec![(1, 10)]);
         // Exactly one record (the effective insert) was ever appended.
         assert_eq!(map.recovery_info().records_replayed, 1);
+    }
+
+    #[test]
+    fn every_view_write_op_replays_to_the_live_state() {
+        use skiphash::Compute;
+        let storage = MemStorage::new();
+        let live = {
+            let map = open_mem(&storage);
+            // Each write op along its effective and its no-op path, in one
+            // logged commit.
+            map.transact(|v| {
+                assert!(v.insert(1, 10)?);
+                assert!(!v.insert(1, 11)?);
+                assert_eq!(v.upsert(2, 20)?, None);
+                assert_eq!(v.update(&1, |c| c + 1)?, Some(11));
+                assert_eq!(v.update(&9, |c| c + 1)?, None);
+                assert_eq!(v.get_or_insert_with(3, || 30)?, 30);
+                assert_eq!(v.get_or_insert_with(3, || 99)?, 30);
+                let bump = |c: Option<&u64>| Compute::Put(c.map_or(40, |c| c + 1));
+                assert_eq!(v.compute(3, bump)?, Some(31));
+                assert_eq!(v.compute(4, bump)?, Some(40));
+                assert_eq!(v.compute(3, |_| Compute::Keep)?, Some(31));
+                assert_eq!(v.compute(3, |_| Compute::Remove)?, None);
+                assert_eq!(v.compute(3, |_| Compute::Remove)?, None);
+                assert_eq!(v.take(&1)?, Some(11));
+                assert!(!v.remove(&1)?);
+                Ok(())
+            });
+            map.transact(|v| {
+                v.update(&2, |c| c + 1)?;
+                v.update(&4, |c| c * 2)
+            });
+            map.sync().unwrap();
+            map.to_vec()
+        };
+        assert_eq!(live, vec![(2, 21), (4, 80)]);
+        let map = open_mem(&storage);
+        assert_eq!(map.to_vec(), live);
+        assert_eq!(map.recovery_info().records_replayed, 2);
     }
 
     #[test]

@@ -191,22 +191,6 @@ impl RecordBuf {
         self.0.as_ref().map_or(0, |inner| inner.ops)
     }
 
-    /// A rewind point.  Lets a caller log an operation optimistically and
-    /// un-log it when the map reports a no-op (e.g. `insert` on an
-    /// existing key) — cheaper than cloning keys/values to log after the
-    /// fact.
-    pub fn mark(&mut self) -> (usize, u32) {
-        let inner = self.inner();
-        (inner.bytes.len(), inner.ops)
-    }
-
-    /// Truncate back to a [`RecordBuf::mark`].
-    pub fn rewind(&mut self, mark: (usize, u32)) {
-        let inner = self.inner();
-        inner.bytes.truncate(mark.0);
-        inner.ops = mark.1;
-    }
-
     /// Patch the commit stamp in and hand the record to the writer.
     ///
     /// Called from the commit-sequenced hook with the stamp the clock
@@ -266,6 +250,18 @@ impl RecordBuf {
         st.queue.push(Pending { seq, stamp, bytes });
         drop(st);
         shared.work_cv.notify_one();
+    }
+}
+
+/// A journaled [`skiphash::TxView`] records each write straight into the
+/// attempt's buffer, at the place the write reaches the map.
+impl<K: Codec, V: Codec> skiphash::Journal<K, V> for RecordBuf {
+    fn put(&mut self, key: &K, value: &V) {
+        self.log_put(key, value);
+    }
+
+    fn remove(&mut self, key: &K) {
+        self.log_remove(key);
     }
 }
 

@@ -88,7 +88,7 @@ pub use hashmap::TxHashMap;
 pub use map::{RangeStats, SkipHash};
 pub use range::Range;
 pub use snapshot::Snapshot;
-pub use view::{Compute, TxView};
+pub use view::{Compute, Journal, TxView};
 
 use std::hash::Hash;
 

@@ -60,6 +60,24 @@ pub enum Compute<V> {
     Remove,
 }
 
+/// Where a [`TxView`] reports the writes it makes, for a caller that keeps a
+/// log of them (the durable tier's write-ahead log is one).
+///
+/// A journaled view calls `put` for every key it inserts or overwrites and
+/// `remove` for every key it removes, once per effective write, in the order
+/// the writes happen.  No-ops record nothing: an `insert` of a present key,
+/// an `update` or `remove` of an absent one, `compute` returning
+/// [`Compute::Keep`].  The journal sees an attempt's writes before it
+/// commits, so an aborted attempt must drop whatever its journal received;
+/// a journal leased per attempt, like the view itself, does so by going out
+/// of scope.
+pub trait Journal<K, V> {
+    /// `key` now holds `value`.
+    fn put(&mut self, key: &K, value: &V);
+    /// `key` is now absent.
+    fn remove(&mut self, key: &K);
+}
+
 /// A transactional view of one [`SkipHash`](crate::SkipHash), scoped to a
 /// caller-owned transaction.
 ///
@@ -71,10 +89,12 @@ pub enum Compute<V> {
 ///
 /// Methods take `&mut self` because they advance the underlying transaction;
 /// a view is typically a short-lived temporary (`map.view(tx).get(&k)?`).
+/// [`TxView::journaled`] makes it report every write to a [`Journal`].
 #[must_use = "a TxView does nothing until its operations are called (and their TxResults propagated)"]
 pub struct TxView<'a, 't, K: MapKey, V: MapValue> {
     inner: &'a Arc<Inner<K, V>>,
     tx: &'a mut Txn<'t>,
+    journal: Option<&'a mut dyn Journal<K, V>>,
 }
 
 impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
@@ -85,7 +105,20 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
              maps composed in one transaction must share a runtime \
              (build them with SkipHashBuilder::stm)"
         );
-        Self { inner, tx }
+        Self {
+            inner,
+            tx,
+            journal: None,
+        }
+    }
+
+    /// Report every write this view makes to `journal` (see [`Journal`] for
+    /// what is reported and when).
+    pub fn journaled(self, journal: &'a mut dyn Journal<K, V>) -> Self {
+        Self {
+            journal: Some(journal),
+            ..self
+        }
     }
 
     /// Look up `key`, returning a clone of its value.
@@ -129,7 +162,7 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     pub fn upsert(&mut self, key: K, value: V) -> TxResult<Option<V>> {
         if let Some(node) = self.node(&key)? {
             let previous = node.read_value(self.tx)?;
-            node.value().write(self.tx, value)?;
+            self.write_value(node, value)?;
             return Ok(Some(previous));
         }
         self.insert_fresh(key, value)?;
@@ -148,6 +181,9 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
         let Some(node) = self.inner.index.unlink(self.tx, key)? else {
             return Ok(None);
         };
+        if let Some(journal) = self.journal.as_mut() {
+            journal.remove(key);
+        }
         let value = node.read_value(self.tx)?;
         let r_time = self.inner.rqc.on_update(self.tx)?;
         node.mark_removed(self.tx, r_time)?;
@@ -171,7 +207,7 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
             Some(node) => {
                 let current = node.read_value(self.tx)?;
                 let next = f(&current);
-                node.value().write(self.tx, next.clone())?;
+                self.write_value(node, next.clone())?;
                 Ok(Some(next))
             }
         }
@@ -209,7 +245,7 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
             Compute::Keep => Ok(current),
             Compute::Put(value) => {
                 match node {
-                    Some(node) => node.value().write(self.tx, value.clone())?,
+                    Some(node) => self.write_value(node, value.clone())?,
                     None => self.insert_fresh(key, value.clone())?,
                 }
                 Ok(Some(value))
@@ -316,9 +352,21 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
         Ok(found.map(|raw| unsafe { raw.node() }))
     }
 
+    /// Overwrite a present key's value: the one place a view writes a value
+    /// cell.
+    fn write_value(&mut self, node: &Node<K, V>, value: V) -> TxResult<()> {
+        if let Some(journal) = self.journal.as_mut() {
+            journal.put(node.key(), &value);
+        }
+        node.value().write(self.tx, value)
+    }
+
     /// Shared insert path for a key known to be absent: stitch a fresh node
     /// into the skip list, index it, and count it.
     fn insert_fresh(&mut self, key: K, value: V) -> TxResult<()> {
+        if let Some(journal) = self.journal.as_mut() {
+            journal.put(&key, &value);
+        }
         let height = {
             let mut rng = rand::thread_rng();
             self.inner.skiplist.random_height(&mut rng)
@@ -344,5 +392,161 @@ impl<K: MapKey, V: MapValue> std::fmt::Debug for TxView<'_, '_, K, V> {
         f.debug_struct("TxView")
             .field("config", &self.inner.config)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SkipHash;
+
+    #[derive(Debug, PartialEq, Eq)]
+    enum Effect {
+        Put(u64, u64),
+        Remove(u64),
+    }
+
+    impl Journal<u64, u64> for Vec<Effect> {
+        fn put(&mut self, key: &u64, value: &u64) {
+            self.push(Effect::Put(*key, *value));
+        }
+
+        fn remove(&mut self, key: &u64) {
+            self.push(Effect::Remove(*key));
+        }
+    }
+
+    type Op = fn(&mut TxView<'_, '_, u64, u64>) -> TxResult<()>;
+
+    /// Every write op along its effective and its no-op path, in one
+    /// transaction, each with the effects it must report.  Replay cannot
+    /// check this: it is idempotent, so a doubled `put` recovers the same
+    /// state.
+    #[test]
+    fn a_journaled_view_reports_each_effective_write_once() {
+        use Effect::{Put, Remove};
+        let steps: [(&str, Op, Vec<Effect>); 16] = [
+            (
+                "insert absent",
+                |v| v.insert(1, 10).map(|done| assert!(done)),
+                vec![Put(1, 10)],
+            ),
+            (
+                "insert present",
+                |v| v.insert(1, 11).map(|done| assert!(!done)),
+                vec![],
+            ),
+            (
+                "upsert absent",
+                |v| v.upsert(2, 20).map(|old| assert_eq!(old, None)),
+                vec![Put(2, 20)],
+            ),
+            (
+                "upsert present",
+                |v| v.upsert(2, 21).map(|old| assert_eq!(old, Some(20))),
+                vec![Put(2, 21)],
+            ),
+            (
+                "update present",
+                |v| v.update(&1, |c| c + 1).map(|new| assert_eq!(new, Some(11))),
+                vec![Put(1, 11)],
+            ),
+            (
+                "update absent",
+                |v| v.update(&9, |c| c + 1).map(|new| assert_eq!(new, None)),
+                vec![],
+            ),
+            (
+                "get_or_insert_with absent",
+                |v| {
+                    v.get_or_insert_with(3, || 30)
+                        .map(|got| assert_eq!(got, 30))
+                },
+                vec![Put(3, 30)],
+            ),
+            (
+                "get_or_insert_with present",
+                |v| {
+                    v.get_or_insert_with(3, || 99)
+                        .map(|got| assert_eq!(got, 30))
+                },
+                vec![],
+            ),
+            (
+                "compute Put present",
+                |v| {
+                    v.compute(3, |c| Compute::Put(c.map_or(0, |c| c + 1)))
+                        .map(|now| assert_eq!(now, Some(31)))
+                },
+                vec![Put(3, 31)],
+            ),
+            (
+                "compute Put absent",
+                |v| {
+                    v.compute(4, |c| Compute::Put(c.map_or(40, |c| c + 1)))
+                        .map(|now| assert_eq!(now, Some(40)))
+                },
+                vec![Put(4, 40)],
+            ),
+            (
+                "compute Keep",
+                |v| {
+                    v.compute(3, |_| Compute::Keep)
+                        .map(|now| assert_eq!(now, Some(31)))
+                },
+                vec![],
+            ),
+            (
+                "compute Remove present",
+                |v| {
+                    v.compute(3, |_| Compute::Remove)
+                        .map(|now| assert_eq!(now, None))
+                },
+                vec![Remove(3)],
+            ),
+            (
+                "compute Remove absent",
+                |v| {
+                    v.compute(3, |_| Compute::Remove)
+                        .map(|now| assert_eq!(now, None))
+                },
+                vec![],
+            ),
+            (
+                "take present",
+                |v| v.take(&1).map(|old| assert_eq!(old, Some(11))),
+                vec![Remove(1)],
+            ),
+            (
+                "remove absent",
+                |v| v.remove(&1).map(|done| assert!(!done)),
+                vec![],
+            ),
+            (
+                "reads",
+                |v| {
+                    v.get(&2)?;
+                    v.contains_key(&4)?;
+                    v.range(..)?;
+                    v.floor(&9)?;
+                    v.len().map(drop)
+                },
+                vec![],
+            ),
+        ];
+        let map: SkipHash<u64, u64> = SkipHash::new();
+        let effects = map.stm().run(|tx| {
+            let mut effects = Vec::new();
+            for (_, op, _) in &steps {
+                let mut journal = Vec::new();
+                op(&mut map.view(tx).journaled(&mut journal))?;
+                effects.push(journal);
+            }
+            Ok(effects)
+        });
+        for ((name, _, expected), got) in steps.iter().zip(&effects) {
+            assert_eq!(got, expected, "{name}");
+        }
+        assert_eq!(map.to_vec(), vec![(2, 21), (4, 40)]);
     }
 }

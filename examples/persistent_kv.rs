@@ -11,6 +11,7 @@
 //! boundary.
 
 use skiphash_repro::durability::DurableMapBuilder;
+use skiphash_repro::Compute;
 
 fn store_dir() -> std::path::PathBuf {
     std::env::var_os("PERSISTENT_KV_DIR")
@@ -43,12 +44,12 @@ fn main() -> std::io::Result<()> {
         }
 
         // A composed transaction becomes ONE commit record: after a crash
-        // either all three ops replay or none do.
+        // either all three ops replay or none do.  The body is the ordinary
+        // `TxView`, so a read-modify-write like `compute` is logged too.
         map.transact(|view| {
             let moved = view.take(&7)?.unwrap_or(0);
             view.upsert(1007, moved)?;
-            view.upsert(0, 1)?;
-            Ok(())
+            view.compute(0, |cur| Compute::Put(cur.map_or(1, |c| c + 1)))
         });
 
         // The durable variant returns only after the record is fsynced —
@@ -83,6 +84,7 @@ fn main() -> std::io::Result<()> {
     assert_eq!(map.get(&43), Some(4343), "post-checkpoint write survived");
     assert_eq!(map.get(&7), None, "the composed transaction replayed whole");
     assert_eq!(map.get(&1007), Some(49), "...including the moved value");
+    assert_eq!(map.get(&0), Some(1), "...and the logged read-modify-write");
     println!("all recovery invariants hold");
     Ok(())
 }

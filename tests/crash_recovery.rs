@@ -12,7 +12,9 @@
 //!
 //! The child acknowledges an operation only after `DurableMap::sync`
 //! returns `Ok` for it, recording `key value` in a per-thread ack file.
-//! Values per key increase by one per commit, so after the kill:
+//! One writer commits through a logged read-modify-write (`compute` inside
+//! `DurableMap::transact`), the others through `upsert_durable`.  Values
+//! per key increase by one per commit, so after the kill:
 //!
 //! 1. **Recovery never panics or errors** — a SIGKILL at any point leaves
 //!    a directory `DurableMap::open` accepts.
@@ -36,6 +38,7 @@ use skiphash_repro::durability::wal::{
     decode_record, parse_segment_header, parse_segment_name, FrameIter, Op,
 };
 use skiphash_repro::durability::{DurableMapBuilder, WalConfig};
+use skiphash_repro::Compute;
 
 const ROLE_ENV: &str = "SKH_CRASH_ROLE";
 const DIR_ENV: &str = "SKH_CRASH_DIR";
@@ -117,7 +120,23 @@ fn crash_child() {
             loop {
                 for &k in &keys {
                     let v = next[&k];
-                    if map.upsert_durable(k, v).is_err() {
+                    let synced = if t == 0 {
+                        // The logged read-modify-write: `compute` logs a put
+                        // of the value it stores, so the oracle and the ack
+                        // check hold for it unchanged.
+                        let stored = map.transact(|view| {
+                            view.compute(k, |cur| Compute::Put(cur.map_or(1, |c| c + 1)))
+                        });
+                        if stored != Some(v) {
+                            // This writer owns `k`, so `compute` must have
+                            // seen `v - 1`.  `run_one_round` reports the abort.
+                            std::process::abort();
+                        }
+                        map.sync()
+                    } else {
+                        map.upsert_durable(k, v).map(drop)
+                    };
+                    if synced.is_err() {
                         return; // log poisoned; stop acking
                     }
                     // Only now — after the durability barrier — is the
@@ -317,6 +336,12 @@ fn run_one_round(dir: &Path, mode: &str, sleep_ms: u64) {
         .spawn()
         .expect("spawn crash child");
     std::thread::sleep(Duration::from_millis(sleep_ms));
+    if let Some(status) = child.try_wait().expect("poll crash child") {
+        assert!(
+            status.success(),
+            "crash child failed before the kill: {status}"
+        );
+    }
     child.kill().expect("SIGKILL child"); // SIGKILL on unix: no cleanup runs
     child.wait().expect("reap child");
 }
