@@ -79,7 +79,6 @@ pub mod range;
 pub mod rqc;
 pub mod skiplist;
 pub mod snapshot;
-pub mod thread_slots;
 mod traverse;
 pub mod view;
 
@@ -91,6 +90,19 @@ pub use snapshot::Snapshot;
 pub use view::{Compute, Journal, TxView};
 
 use std::hash::Hash;
+
+/// Power-of-two size of the thread-sharded tables (the [`rqc::DeferralBuffer`]
+/// slots and the population shards): at least 64 and at least four times
+/// [`std::thread::available_parallelism`].  Both index by
+/// [`crossbeam_epoch::thread_index`], which is dense over live threads, so
+/// live threads get distinct entries while no more than this many are
+/// alive at once; beyond that the mask folds them together.
+pub fn thread_table_size() -> usize {
+    let parallelism = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(16);
+    (4 * parallelism).next_power_of_two().max(64)
+}
 
 /// Bounds required of skip hash keys.
 ///
@@ -105,3 +117,13 @@ impl<T: Ord + Hash + Clone + Send + Sync + 'static> MapKey for T {}
 /// it manually.
 pub trait MapValue: Clone + Send + Sync + 'static {}
 impl<T: Clone + Send + Sync + 'static> MapValue for T {}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn thread_table_size_is_power_of_two_with_floor() {
+        let size = super::thread_table_size();
+        assert!(size.is_power_of_two());
+        assert!(size >= 64);
+    }
+}

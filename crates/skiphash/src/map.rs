@@ -21,7 +21,6 @@ use crate::range;
 use crate::rqc::{DeferralBuffer, Rqc};
 use crate::skiplist::SkipList;
 use crate::snapshot::Snapshot;
-use crate::thread_slots;
 use crate::view::{Compute, TxView};
 use crate::{MapKey, MapValue};
 
@@ -96,7 +95,7 @@ pub(crate) struct Population {
 impl Population {
     fn new() -> Self {
         Self {
-            shards: (0..thread_slots::slot_table_size())
+            shards: (0..crate::thread_table_size())
                 .map(|_| CachePadded::new(TCell::new(0)))
                 .collect(),
         }
@@ -104,7 +103,7 @@ impl Population {
 
     /// Add `delta` to the calling thread's shard, inside `tx`.
     pub(crate) fn bump(&self, tx: &mut Txn<'_>, delta: i64) -> skiphash_stm::TxResult<()> {
-        let cell = &self.shards[thread_slots::current_slot() & (self.shards.len() - 1)];
+        let cell = &self.shards[crossbeam_epoch::thread_index() & (self.shards.len() - 1)];
         let current = cell.read(tx)?;
         cell.write(tx, current + delta)
     }

@@ -23,7 +23,6 @@ use parking_lot::Mutex;
 use skiphash_stm::{TCell, TxResult, Txn};
 
 use crate::node::NodeRef;
-use crate::thread_slots;
 use crate::{MapKey, MapValue};
 
 /// Metadata for one in-flight slow-path range query.
@@ -183,12 +182,10 @@ impl<K: MapKey, V: MapValue> Rqc<K, V> {
 /// per-removal write to the RQC's shared `deferred` list into one write per
 /// `capacity` removals.
 ///
-/// The slot table is sized from [`thread_slots::slot_table_size`] (a power of
-/// two derived from `available_parallelism`), and threads are assigned slot
-/// indices from the collision-free lease registry in [`thread_slots`], so
-/// distinct live threads never contend on the same slot — the seed's fixed
-/// 128-slot table hashed an ever-growing thread counter modulo the table and
-/// silently serialized unrelated threads once enough had come and gone.
+/// The slot table is sized by [`crate::thread_table_size`] and indexed by
+/// [`crossbeam_epoch::thread_index`], which is dense over live threads, so
+/// distinct live threads never contend on the same slot while they fit the
+/// table.
 pub struct DeferralBuffer<K, V> {
     slots: Vec<Mutex<DeferredBatch<K, V>>>,
     capacity: usize,
@@ -211,7 +208,7 @@ impl<K: MapKey, V: MapValue> DeferralBuffer<K, V> {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
-            slots: (0..thread_slots::slot_table_size())
+            slots: (0..crate::thread_table_size())
                 .map(|_| Mutex::new(Vec::new()))
                 .collect(),
             capacity,
@@ -231,9 +228,9 @@ impl<K: MapKey, V: MapValue> DeferralBuffer<K, V> {
     /// Add `node` to the calling thread's slot.  Returns the full batch when
     /// the slot reached capacity and must now be handed to the RQC.
     pub fn push(&self, node: NodeRef<K, V>) -> Option<Vec<NodeRef<K, V>>> {
-        // Leased indices are dense over live threads, so the mask only folds
-        // indices when more threads are alive than the table has slots.
-        let slot = &self.slots[thread_slots::current_slot() & (self.slots.len() - 1)];
+        // Thread indices are dense over live threads, so the mask only folds
+        // them when more threads are alive than the table has slots.
+        let slot = &self.slots[crossbeam_epoch::thread_index() & (self.slots.len() - 1)];
         let mut pending = slot.lock();
         pending.push(node);
         if pending.len() >= self.capacity {
@@ -380,29 +377,29 @@ mod tests {
                 let buffer = Arc::clone(&buffer);
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
-                    let lease = crate::thread_slots::current_slot();
+                    let index = crossbeam_epoch::thread_index();
                     let flushed = buffer.push(node(t as u64, 0));
-                    // Keep the thread (and its slot lease) alive until every
+                    // Keep the thread (and its index) alive until every
                     // thread has pushed.
                     barrier.wait();
-                    (lease, flushed.is_none())
+                    (index, flushed.is_none())
                 })
             })
             .collect();
         let results: Vec<(usize, bool)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        // The no-collision guarantee holds while live leases fit the table;
-        // other tests in this process hold leases too, so skip the assertion
+        // The no-collision guarantee holds while live indices fit the table;
+        // other tests in this process hold indices too, so skip the assertion
         // in the (pathological) case where the process is so oversubscribed
         // that this test's workers were handed indices beyond the table and
         // the mask legitimately folds them.
         if results
             .iter()
-            .all(|(lease, _)| *lease < buffer.slot_count())
+            .all(|(index, _)| *index < buffer.slot_count())
         {
-            for (lease, no_flush) in &results {
+            for (index, no_flush) in &results {
                 assert!(
                     no_flush,
-                    "two live threads were assigned the same deferral slot (lease {lease})"
+                    "two live threads were assigned the same deferral slot (index {index})"
                 );
             }
         }

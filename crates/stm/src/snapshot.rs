@@ -24,18 +24,23 @@
 //!
 //! # The pin / collect protocol
 //!
-//! Registration uses a fixed slot array of versions.  Pinning is two-phase:
-//! the slot is first claimed with a `FREE -> PENDING` CAS and the live count
-//! is raised, *then* the clock is sampled and the version published.  A
-//! committer collects pins **after** its clock tick (with a `SeqCst` fence in
-//! between); a slot still `PENDING` is treated as covering every window.
-//! This closes the store-buffer race: if a committer misses a pin entirely,
-//! the pinner's clock sample is ordered after the committer's tick, so the
-//! pinned version is `>= wv` and outside every window the commit displaces.
-//! (For the sampled clock this follows from the `SeqCst` ordering of its
-//! shared counter; for [`ClockKind::Hardware`](crate::ClockKind) it
-//! additionally relies on the invariant-TSC monotonicity assumption the STM
-//! already makes for TL2 itself.)
+//! Registration uses a grow-only chain of version slots: the first slot is
+//! inline in the registry, and a pinner that finds every slot taken appends
+//! one more, so any number of pins may be live and pinning never waits.
+//! Pinning is two-phase: a slot is first claimed with a `FREE -> PENDING`
+//! CAS and the live count is raised, *then* the clock is sampled and the
+//! version published.  A committer collects pins **after** its clock tick
+//! (with a `SeqCst` fence in between) by walking the whole chain; a slot
+//! still `PENDING` is treated as covering every window.  This closes the
+//! store-buffer race: if a committer misses a pin entirely, the pinner's
+//! clock sample is ordered after the committer's tick, so the pinned version
+//! is `>= wv` and outside every window the commit displaces.  (For the
+//! sampled clock this follows from the `SeqCst` ordering of its shared
+//! counter; for [`ClockKind::Hardware`](crate::ClockKind) it additionally
+//! relies on the invariant-TSC monotonicity assumption the STM already makes
+//! for TL2 itself.)  An appended slot's `OnceLock` init is sequenced before
+//! the pinner's fence, so the same fence pair covers a slot appended while a
+//! collect walks the chain.
 //!
 //! # Custody and reclamation
 //!
@@ -72,10 +77,9 @@
 use crate::sync::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crossbeam_epoch as epoch;
-use crossbeam_utils::Backoff;
 
 use crate::txn::Stm;
 
@@ -85,46 +89,68 @@ const FREE: u64 = u64::MAX;
 /// collectors must treat it as covering every window.
 const PENDING: u64 = u64::MAX - 1;
 
-/// Number of pin slots per runtime; pinning spins when all are taken.
-const SLOTS: usize = 128;
+/// One pin slot (`FREE`, `PENDING` or a published version) and the link to
+/// the next; a link, once set, is never changed.
+struct Slot {
+    version: AtomicU64,
+    next: OnceLock<Box<Slot>>,
+}
+
+impl Slot {
+    fn new() -> Self {
+        Self {
+            version: AtomicU64::new(FREE),
+            next: OnceLock::new(),
+        }
+    }
+}
 
 /// The per-runtime registry of pinned snapshot versions.
 pub(crate) struct SnapshotRegistry {
-    slots: Box<[AtomicU64]>,
+    /// Head of the grow-only slot chain.
+    first: Slot,
     /// Fast gate for the commit path: number of live pins (including ones
     /// still `PENDING`).  Writers skip pin collection entirely when zero.
     live: AtomicUsize,
-    /// One past the highest slot index ever used, so collection scans only
-    /// the prefix that can hold pins.
-    watermark: AtomicUsize,
 }
 
 impl SnapshotRegistry {
     pub(crate) fn new() -> Self {
         Self {
-            slots: (0..SLOTS).map(|_| AtomicU64::new(FREE)).collect(),
+            first: Slot::new(),
             live: AtomicUsize::new(0),
-            watermark: AtomicUsize::new(0),
         }
     }
 
-    /// Claim a slot and mark it `PENDING`; spins when all slots are taken.
-    fn acquire_slot(&self) -> usize {
-        let backoff = Backoff::new();
+    /// Every slot, in chain order.
+    fn slots(&self) -> impl Iterator<Item = &Slot> {
+        std::iter::successors(Some(&self.first), |slot| slot.next.get().map(Box::as_ref))
+    }
+
+    /// The version word of the slot at `index` in the chain.
+    fn slot(&self, index: usize) -> &AtomicU64 {
+        let slot = self.slots().nth(index);
+        &slot.expect("slots are never unlinked").version
+    }
+
+    /// Claim a slot and mark it `PENDING`, appending one when all are taken;
+    /// returns the slot's index and version word.
+    fn acquire_slot(&self) -> (usize, &AtomicU64) {
+        let mut slot = &self.first;
+        let mut index = 0;
         loop {
-            // SC: slot claims, the watermark raise, and committer collects
-            // must all sit in one total order — a committer that misses a
-            // claimed slot must be able to prove it via the fence protocol.
-            for (index, slot) in self.slots.iter().enumerate() {
-                if slot
-                    .compare_exchange(FREE, PENDING, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    self.watermark.fetch_max(index + 1, Ordering::SeqCst);
-                    return index;
-                }
+            // SC: slot claims and committer collects must sit in one total
+            // order — a committer that misses a claimed slot must be able to
+            // prove it via the fence protocol.
+            if slot
+                .version
+                .compare_exchange(FREE, PENDING, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+            {
+                return (index, &slot.version);
             }
-            backoff.snooze();
+            slot = slot.next.get_or_init(|| Box::new(Slot::new()));
+            index += 1;
         }
     }
 
@@ -143,17 +169,27 @@ impl SnapshotRegistry {
     /// calling this.
     pub(crate) fn collect_into(&self, pins: &mut Vec<u64>) -> bool {
         let mut pending = false;
-        // SC: paired with the pinner's slot-claim/publish stores; the
-        // caller's fence plus these loads make missed-pin proofs sound.
-        let limit = self.watermark.load(Ordering::SeqCst).min(self.slots.len());
-        for slot in &self.slots[..limit] {
-            match slot.load(Ordering::SeqCst) {
+        for slot in self.slots() {
+            // SC: paired with the pinner's slot-claim/publish stores; the
+            // caller's fence plus these loads make missed-pin proofs sound.
+            match slot.version.load(Ordering::SeqCst) {
                 FREE => {}
                 PENDING => pending = true,
                 version => pins.push(version),
             }
         }
         pending
+    }
+}
+
+impl Drop for SnapshotRegistry {
+    fn drop(&mut self) {
+        // Unlink slot by slot: dropping the chain whole would recurse once
+        // per slot.
+        let mut next = self.first.next.take();
+        while let Some(mut slot) = next {
+            next = slot.next.take();
+        }
     }
 }
 
@@ -427,7 +463,7 @@ impl SnapshotPin {
     /// Register a pin on `stm` at the clock's current version.
     pub(crate) fn new(stm: Arc<Stm>) -> Self {
         let registry = stm.snapshot_registry();
-        let slot = registry.acquire_slot();
+        let (slot, word) = registry.acquire_slot();
         // SC: the live-count raise must join the registry/clock total order.
         #[cfg(not(model_mutation))]
         registry.live.fetch_add(1, Ordering::SeqCst);
@@ -443,7 +479,7 @@ impl SnapshotPin {
         // (see docs/VERIFICATION.md).
         #[cfg(model_mutation)]
         registry.live.fetch_add(1, Ordering::SeqCst);
-        registry.slots[slot].store(version, Ordering::SeqCst);
+        word.store(version, Ordering::SeqCst);
         Self { stm, slot, version }
     }
 
@@ -475,7 +511,7 @@ impl Drop for SnapshotPin {
         // SC: unpin in the registry's total order, then re-collect the
         // survivors and release everything only we needed; the fence pairs
         // with the committer's collect-side fence.
-        registry.slots[self.slot].store(FREE, Ordering::SeqCst);
+        registry.slot(self.slot).store(FREE, Ordering::SeqCst);
         registry.live.fetch_sub(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
         // Sampled before the collect: a pin the collect misses claims its
@@ -492,6 +528,7 @@ impl Drop for SnapshotPin {
 mod tests {
     use super::*;
     use crate::TCell;
+    use std::sync::mpsc::RecvTimeoutError;
 
     /// The history table and its gauges are process-global; tests that
     /// create entries and assert on [`live_history_entries`] serialize here
@@ -502,7 +539,7 @@ mod tests {
     fn registry_collects_published_pins_and_flags_pending() {
         let registry = SnapshotRegistry::new();
         assert_eq!(registry.live(), 0);
-        let slot = registry.acquire_slot();
+        let (_, word) = registry.acquire_slot();
         // SC: mirror the pin path's registry ordering in the test driver.
         registry.live.fetch_add(1, Ordering::SeqCst);
         let mut pins = Vec::new();
@@ -512,15 +549,66 @@ mod tests {
         );
         assert!(pins.is_empty());
         // SC: publish and unpin with the same orderings the real paths use.
-        registry.slots[slot].store(41, Ordering::SeqCst);
+        word.store(41, Ordering::SeqCst);
         pins.clear();
         assert!(!registry.collect_into(&mut pins));
         assert_eq!(pins, vec![41]);
-        registry.slots[slot].store(FREE, Ordering::SeqCst);
+        word.store(FREE, Ordering::SeqCst);
         registry.live.fetch_sub(1, Ordering::SeqCst);
         pins.clear();
         assert!(!registry.collect_into(&mut pins));
         assert!(pins.is_empty());
+    }
+
+    #[test]
+    fn pinning_never_waits_for_a_slot() {
+        let _serial = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let stm = Arc::new(Stm::new());
+            let cell = Box::new(TCell::new(0u64));
+            let baseline = live_history_entries();
+            let pins: Vec<SnapshotPin> = (0..1_000u64)
+                .map(|i| {
+                    stm.run(|tx| cell.write(tx, i));
+                    stm.pin_snapshot()
+                })
+                .collect();
+            for (i, pin) in pins.iter().enumerate() {
+                assert_eq!(cell.read_pinned_with(pin, |v| *v), i as u64);
+            }
+            drop(pins);
+            assert_eq!(live_history_entries(), baseline);
+
+            let threads = 8;
+            let barrier = Arc::new(std::sync::Barrier::new(threads));
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    let stm = Arc::clone(&stm);
+                    let barrier = Arc::clone(&barrier);
+                    std::thread::spawn(move || {
+                        let pins: Vec<SnapshotPin> =
+                            (0..1_000).map(|_| stm.pin_snapshot()).collect();
+                        // Every thread holds all its pins at once.
+                        barrier.wait();
+                        drop(pins);
+                    })
+                })
+                .collect();
+            for handle in handles {
+                handle.join().unwrap();
+            }
+            assert_eq!(stm.snapshot_registry().live(), 0);
+            done.send(()).unwrap();
+        });
+        // A pin that spins for a free slot would hang the suite; time out
+        // instead.  A disconnect means the worker panicked: join re-raises it.
+        if let Err(RecvTimeoutError::Timeout) =
+            finished.recv_timeout(std::time::Duration::from_secs(30))
+        {
+            panic!("pinning waited for a slot");
+        }
+        worker.join().unwrap();
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! outcome is deterministic.
 
 use skiphash_stm::sync::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
@@ -148,6 +148,60 @@ fn disjoint_concurrent_inserts_land_exactly_once() {
         assert_eq!(snapshot.len(), 2_000);
         map.check_invariants().expect("invariants");
     }
+}
+
+/// Four times more threads are live at once than the thread-indexed tables
+/// (`DeferralBuffer` slots, population shards) have entries, so the mask
+/// folds four threads onto each.  A slow-path scanner runs throughout, so
+/// removals are deferred through the shared buffer slots; no update may be
+/// lost to the sharing.
+#[test]
+fn oversubscribed_threads_share_slots_without_losing_updates() {
+    let threads = 4 * skiphash_repro::skiphash::thread_table_size() as u64;
+    let map = build(RangePolicy::SlowOnly);
+    let stop = Arc::new(AtomicBool::new(false));
+    let scanner = {
+        let map = Arc::clone(&map);
+        let stop = Arc::clone(&stop);
+        thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                let keys: Vec<u64> = map.range(..).map(|(k, _)| k).collect();
+                assert!(keys.windows(2).all(|w| w[0] < w[1]));
+            }
+        })
+    };
+    let barrier = Arc::new(Barrier::new(threads as usize));
+    let workers: Vec<_> = (0..threads)
+        .map(|t| {
+            let map = Arc::clone(&map);
+            let barrier = Arc::clone(&barrier);
+            thread::spawn(move || {
+                barrier.wait();
+                for key in t * 16..(t + 1) * 16 {
+                    assert!(map.insert(key, t));
+                }
+                for key in (t * 16..(t + 1) * 16).step_by(2) {
+                    assert!(map.remove(&key));
+                }
+                // Stay live until every thread has updated, so all of them
+                // hold their thread index at once.
+                barrier.wait();
+            })
+        })
+        .collect();
+    for worker in workers {
+        worker.join().unwrap();
+    }
+    stop.store(true, Ordering::Relaxed);
+    scanner.join().unwrap();
+    let expected: Vec<(u64, u64)> = (0..threads * 16)
+        .filter(|key| key % 2 == 1)
+        .map(|key| (key, key / 16))
+        .collect();
+    assert_eq!(map.len(), expected.len());
+    assert_eq!(map.range(..).collect::<Vec<_>>(), expected);
+    map.check_invariants()
+        .expect("invariants after oversubscription");
 }
 
 /// Snapshots pin exact states: a controller thread mutates its own keyspace,
