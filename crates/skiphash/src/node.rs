@@ -147,8 +147,8 @@ const _: () = assert!(std::mem::size_of::<Link<(), ()>>() == std::mem::size_of::
 /// `repr(C)` with `succ` first: the descent and the level-0 walk touch
 /// only successor links, so keeping `succ` at offset 0 means the tower-line
 /// prefetch issued one hop ahead (`RawNode::prefetch`) covers the next hop's
-/// link without also paying for the predecessor cell (see docs/PERF.md,
-/// Mechanism 6).
+/// level-0 link without also paying for the predecessor cell (see
+/// docs/PERF.md, Mechanism 6).
 #[repr(C)]
 pub struct Level<K, V> {
     /// Link to the next node at this level.
@@ -401,15 +401,15 @@ where
 /// A `RawNode` read inside a transaction attempt is valid only **inside
 /// that attempt** (equivalently: while the epoch guard it was read under
 /// stays pinned).  The argument mirrors the read-set orec rule in the module
-/// docs: any node reachable through a link word read under a pin keeps
-/// `refs >= 1` until that pin is released — the word the handle was copied
-/// from either is still installed or was swapped out *during* the pin, and
-/// either way the drop that gives its count back is deferred past the
-/// unpin.  For the same reason [`RawNode::upgrade`] (count increment) can
-/// never resurrect a dead block when called within the attempt.  One read
-/// at a snapshot's pinned version is valid while the snapshot lives, by the
-/// pin's custody instead of the epoch; both arguments are stated where the
-/// handles are produced, in `crate::traverse`.
+/// docs: the node designated by a link word loaded under a pin, validated
+/// or not, keeps `refs >= 1` until that pin is released.  The word the
+/// handle was copied from either is still installed or was swapped out
+/// *during* the pin, and either way the drop that gives its count back is
+/// deferred past the unpin.  For the same reason [`RawNode::upgrade`]
+/// (count increment) can never resurrect a dead block when called within
+/// the attempt.  One read at a snapshot's pinned version is valid while the
+/// snapshot lives, by the pin's custody instead of the epoch; both arguments
+/// are stated where the handles are produced, in `crate::traverse`.
 pub(crate) struct RawNode<K, V> {
     block: NonNull<NodeBlock<K, V>>,
 }
@@ -476,6 +476,18 @@ impl<K, V> RawNode<K, V> {
         let base = self.block.as_ptr().cast::<u8>();
         skiphash_stm::sync::prefetch_read(base);
         skiphash_stm::sync::prefetch_read(base.wrapping_add(tower_offset::<K, V>()));
+    }
+
+    /// [`RawNode::prefetch`], plus the line holding the tower's level 1
+    /// (for small keys a line of its own): for a node reached along level 1,
+    /// whose level-1 link is read next — the scan's scout in
+    /// `crate::traverse`.  Safe for the same reason: the address is computed,
+    /// not loaded, and a prefetch never faults.
+    #[inline]
+    pub(crate) fn prefetch_to_level1(&self) {
+        self.prefetch();
+        let level1 = tower_offset::<K, V>() + std::mem::size_of::<Level<K, V>>();
+        skiphash_stm::sync::prefetch_read(self.block.as_ptr().cast::<u8>().wrapping_add(level1));
     }
 
     /// Promote to a counted [`NodeRef`].

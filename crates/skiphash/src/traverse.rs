@@ -9,10 +9,14 @@
 //! functions here are that search and that scan; what differs between the
 //! paths is only *how a cell is read*, which is what [`Reader`] abstracts:
 //!
-//! | reader | a read is | it can fail with |
-//! |--------|-----------|------------------|
-//! | [`Txn`] | a validated transactional read (`read_with`) | [`TxAbort`] |
-//! | `&`[`SnapshotPin`] | the cell's value at the pinned version (`read_pinned_with`) | nothing ([`Infallible`]) |
+//! | reader | a read is | it can fail with | hints |
+//! |--------|-----------|------------------|-------|
+//! | [`Txn`] | a validated transactional read (`read_with`) | [`TxAbort`] | the link's current word, unvalidated and unrecorded (`peek_unvalidated`) |
+//! | `&`[`SnapshotPin`] | the cell's value at the pinned version (`read_pinned_with`) | nothing ([`Infallible`]) | none |
+//!
+//! A *hint* ([`Reader::hint`]) only steers the [`walk`]'s scout, which
+//! prefetches along the level-1 list ahead of the walk; no result of a
+//! traversal depends on one.
 //!
 //! # The borrowed-handle contract
 //!
@@ -23,15 +27,21 @@
 //! the callers that upgrade a returned handle rests on one of two arguments:
 //!
 //! * **[`Txn`]**: the attempt's epoch guard stays pinned until the attempt
-//!   ends.  A link word read under a pin is either still installed or was
-//!   swapped out during the pin, and the drop that gives a displaced word's
-//!   count back is deferred past the unpin — so the node it designates keeps
-//!   `refs >= 1` for the rest of the attempt (the [`RawNode`] validity rule).
+//!   ends.  A link word loaded under a pin, whether read through
+//!   [`Reader::link`] or hinted through [`Reader::hint`], is either still
+//!   installed or was swapped out during the pin, and the drop that gives a
+//!   displaced word's count back is deferred past the unpin.  So the node it
+//!   designates keeps `refs >= 1` for the rest of the attempt, validated or
+//!   not (the [`RawNode`] validity rule).  A hinted level-1 link designates
+//!   a node with a level 1 (or the tail, which has every level), just as a
+//!   read one does.
 //! * **`&`[`SnapshotPin`]**: commits that displace a link a live pin can
 //!   still see move it into the history table instead of the reclamation
 //!   queue, and a link is a strong [`NodeRef`](crate::node::NodeRef)
 //!   wherever it sits — so every node reachable at the pinned version keeps
-//!   `refs >= 1` until the pin is dropped.
+//!   `refs >= 1` until the pin is dropped.  That covers what was reachable
+//!   at the pinned version, not what the links point to now, and a pin holds
+//!   no epoch guard across a walk: a pin gives no hints.
 //!
 //! A walk may also be *rooted* in a counted handle the caller holds (the
 //! slow path's resume cursor): the count keeps that node alive, and each hop
@@ -43,7 +53,7 @@ use std::ops::ControlFlow;
 
 use skiphash_stm::{SnapshotPin, TCell, TxAbort, Txn};
 
-use crate::node::{Bound, Link, Node, RawNode};
+use crate::node::{Bound, Level, Link, Node, RawNode};
 use crate::skiplist::SkipList;
 use crate::{MapKey, MapValue};
 
@@ -62,10 +72,15 @@ pub(crate) trait Reader<K, V> {
 
     /// A clone of `node`'s value; `node` is not a sentinel.
     fn value(&mut self, node: &Node<K, V>) -> Result<V, Self::Abort>;
+
+    /// The node a link cell designates right now, for a prefetch: never
+    /// validated, never recorded, never a reason to abort — and `None` where
+    /// the reader gives no hints (or the link is absent, past the tail).
+    fn hint(&mut self, cell: &TCell<Link<K, V>>) -> Option<RawNode<K, V>>;
 }
 
-// `inline(always)`: these three are the bodies of the descent's and the
-// walk's loops.  Left to the inliner's judgement they became calls in some
+// `inline(always)`: these are the bodies of the descent's and the walk's
+// loops.  Left to the inliner's judgement they became calls in some
 // instantiations, and a call per read cost the fast path ~10% (probe: range
 // of 100 pairs 226 -> 250 ns/pair, `ceil` 2.16 -> 2.36 us at 200k keys).
 impl<K: MapKey, V: MapValue> Reader<K, V> for Txn<'_> {
@@ -87,6 +102,11 @@ impl<K: MapKey, V: MapValue> Reader<K, V> for Txn<'_> {
     fn value(&mut self, node: &Node<K, V>) -> Result<V, TxAbort> {
         node.value().read_with(self, V::clone)
     }
+
+    #[inline(always)]
+    fn hint(&mut self, cell: &TCell<Link<K, V>>) -> Option<RawNode<K, V>> {
+        self.peek_unvalidated(cell, RawNode::from_link)
+    }
 }
 
 impl<K: MapKey, V: MapValue> Reader<K, V> for &SnapshotPin {
@@ -107,6 +127,12 @@ impl<K: MapKey, V: MapValue> Reader<K, V> for &SnapshotPin {
     #[inline]
     fn value(&mut self, node: &Node<K, V>) -> Result<V, Infallible> {
         Ok(node.value().read_pinned_with(self, V::clone))
+    }
+
+    /// None: see the module docs' `&SnapshotPin` contract.
+    #[inline]
+    fn hint(&mut self, _cell: &TCell<Link<K, V>>) -> Option<RawNode<K, V>> {
+        None
     }
 }
 
@@ -132,8 +158,9 @@ fn precedes<K: Ord>(position: &Bound<K>, start: StdBound<&K>) -> bool {
 /// to descend and reports level 0 only.
 ///
 /// The candidate of each hop is prefetched (header line and first tower
-/// line) before its key is compared, so the next hop's link read overlaps
-/// the comparison.
+/// line) before its key is compared.  The header line holds the key; the
+/// tower line holds level 0's link, so at level 0 the next hop's link read
+/// is covered too, while at a higher level that link sits on a later line.
 pub(crate) fn descend<K: MapKey, V: MapValue, R: Reader<K, V>>(
     reader: &mut R,
     list: &SkipList<K, V>,
@@ -169,7 +196,12 @@ pub(crate) fn descend<K: MapKey, V: MapValue, R: Reader<K, V>>(
 ///
 /// The successor's link is read and the successor prefetched *before*
 /// `visit` runs, so its cache miss overlaps the mark and value reads the
-/// visitor does on the current node — the scan's dominant stall.
+/// visitor does on the current node — the scan's dominant stall.  A
+/// [`Scout`] runs further ahead along level 1, so the misses of the next
+/// several nodes overlap too, instead of queueing one behind another.  It
+/// steps only for a node the walk moves past: a walk that stops on its
+/// first node — the `first_present` behind `ceil` and `succ` — would pay
+/// the scout's start, a chain of dependent misses, for nothing.
 ///
 /// # Safety
 ///
@@ -182,6 +214,10 @@ pub(crate) unsafe fn walk<K: MapKey, V: MapValue, R: Reader<K, V>>(
     mut visit: impl FnMut(&mut R, RawNode<K, V>, &Node<K, V>) -> Result<ControlFlow<()>, R::Abort>,
 ) -> Result<RawNode<K, V>, R::Abort> {
     let mut at = from;
+    let mut scout = Scout {
+        node: None,
+        lead: 0,
+    };
     loop {
         // SAFETY: `at` is `from` (the caller's obligation) or was read
         // through `reader` below — the module's borrowed-handle contract.
@@ -194,7 +230,67 @@ pub(crate) unsafe fn walk<K: MapKey, V: MapValue, R: Reader<K, V>>(
         if visit(reader, at, node)?.is_break() {
             return Ok(at);
         }
+        scout.step(reader, tower);
         at = next;
+    }
+}
+
+/// How many level-1 nodes the [`Scout`] covers ahead of the walk.  4, 8
+/// and 16 tie on 2,048-key windows; on 100-key windows, where a longer lead
+/// prefetches past the range's end, 4 is at least as fast as either (see
+/// docs/PERF.md, Mechanism 6).
+const SCOUT_LEAD: usize = 4;
+
+/// Jump-pointer prefetching for [`walk`] (Roth and Sohi, ISCA 1999), with
+/// the skip list's level-1 links as the jump pointers: each time the walk
+/// moves past a node, the scout follows the level-1 list until it is
+/// [`SCOUT_LEAD`] level-1 nodes ahead, reading through [`Reader::hint`] and
+/// prefetching each level-1 node it reaches and that node's level-0
+/// successor.
+///
+/// Everything it loads is a hint: a concurrent commit can lead it astray,
+/// which costs wasted cache fills, and it restarts from the walk's own
+/// position whenever the walk catches up with it.
+struct Scout<K, V> {
+    /// The next level-1 node to cover; `None` before the walk's first
+    /// level-1 node, past the tail, and for a reader that gives no hints.
+    node: Option<RawNode<K, V>>,
+    /// Level-1 nodes covered that the walk has not reached yet.
+    lead: usize,
+}
+
+impl<K: MapKey, V: MapValue> Scout<K, V> {
+    /// Step with the tower of the node the walk is on.
+    #[inline(always)]
+    fn step<R: Reader<K, V>>(&mut self, reader: &mut R, tower: &[Level<K, V>]) {
+        if let Some(level1) = tower.get(1) {
+            if self.lead == 0 {
+                self.node = reader.hint(&level1.succ);
+                if let Some(node) = self.node {
+                    node.prefetch_to_level1();
+                }
+            } else {
+                self.lead -= 1;
+            }
+        }
+        while self.lead < SCOUT_LEAD {
+            let Some(node) = self.node else {
+                return;
+            };
+            // SAFETY: `node` came out of `reader.hint` on a level-1 link —
+            // the module's borrowed-handle contract — so it is alive and has
+            // a level 1 (the tail's level-1 link is absent, which ends the
+            // scout).
+            let tower = unsafe { node.tower() };
+            if let Some(succ) = reader.hint(&tower[0].succ) {
+                succ.prefetch();
+            }
+            self.node = reader.hint(&tower[1].succ);
+            if let Some(node) = self.node {
+                node.prefetch_to_level1();
+            }
+            self.lead += 1;
+        }
     }
 }
 
@@ -242,6 +338,12 @@ mod tests {
     /// A list holding logically deleted nodes that were marked but never
     /// unstitched — among them duplicates of re-inserted keys, which sit in
     /// front of the live node — with what a reader must see of it.
+    ///
+    /// Tower heights are fixed, so that a whole walk takes every branch of
+    /// the scout under a transaction: it starts at 1, hits its lead cap at
+    /// once, runs through a run of height-1 nodes (3, 5 and the lingering
+    /// 7s), reaches the tail from 20 — a level-1 node right before it — and
+    /// restarts from any start the probes give it.
     struct Fixture {
         stm: Arc<Stm>,
         list: SkipList<u64, u64>,
@@ -255,9 +357,7 @@ mod tests {
         fn build() -> Self {
             let stm = Arc::new(Stm::new());
             let list: SkipList<u64, u64> = SkipList::new(8);
-            let mut rng = rand::thread_rng();
-            let mut insert = |key: u64, value: u64| {
-                let height = list.random_height(&mut rng);
+            let insert = |key: u64, value: u64, height: usize| {
                 stm.run(|tx| {
                     list.insert_after_logical_deletes(tx, key, value, height, 0)
                         .map(drop)
@@ -270,16 +370,28 @@ mod tests {
                     live.mark_removed(tx, 1)
                 })
             };
-            for key in [10, 3, 7, 15, 12, 9, 1, 20, 5, 17] {
-                insert(key, key);
+            let heights = [
+                (10, 4),
+                (3, 1),
+                (7, 1),
+                (15, 2),
+                (12, 2),
+                (9, 2),
+                (1, 2),
+                (20, 2),
+                (5, 1),
+                (17, 3),
+            ];
+            for (key, height) in heights {
+                insert(key, key, height);
             }
             for key in [7, 15, 1] {
                 remove(key);
             }
-            insert(7, 70);
+            insert(7, 70, 1);
             remove(7);
-            insert(7, 700);
-            insert(15, 150);
+            insert(7, 700, 3);
+            insert(15, 150, 1);
             let linked = vec![
                 (1, true),
                 (3, false),
@@ -416,5 +528,50 @@ mod tests {
         // The same list through a pin taken now: same nodes, same marks.
         let pin = fx.stm.pin_snapshot();
         check_reader(&mut &pin, &fx);
+    }
+
+    /// The scout reads ahead of the walk through hints, which never join the
+    /// read set: a commit that changes only links the scout read, not the
+    /// walk, leaves the scanning attempt free to commit.
+    #[test]
+    fn scout_hints_never_join_the_read_set() {
+        let stm = Stm::new();
+        let list: SkipList<u64, u64> = SkipList::new(4);
+        for key in 0..64 {
+            // Every node has a level 1, so the scout covers four nodes ahead
+            // of the walk: by the last node the walk moves past, 9, it has
+            // read the links of 10 to 13.
+            stm.run(|tx| {
+                list.insert_after_logical_deletes(tx, key, key, 2, 0)
+                    .map(drop)
+            });
+        }
+        let unrelated = TCell::new(0u64);
+        let before = stm.stats();
+
+        let got = stm.try_once(|tx| {
+            let got = collect(tx, &list, Included(&0), Included(&9))?;
+            // Unstitch 13: that rewrites the links of 12 and 14, of which
+            // only the scout read any.  The walk read 10's level-0 link, which
+            // this leaves alone.
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    stm.run(|tx| {
+                        let node = list.first_present(tx, Included(&13))?;
+                        assert_eq!(*node.key(), 13);
+                        list.unstitch(tx, &node)
+                    })
+                })
+                .join()
+                .expect("the unstitching thread")
+            });
+            // A writer commit validates its read set.
+            unrelated.write(tx, 1)?;
+            Ok(got)
+        });
+
+        let expected: Vec<(u64, u64)> = (0..=9).map(|key| (key, key)).collect();
+        assert_eq!(got.expect("hints never abort the attempt"), expected);
+        assert_eq!(stm.stats().since(&before).total_aborts(), 0);
     }
 }

@@ -398,11 +398,10 @@ impl<'stm> Txn<'stm> {
                 }
             }
         }
-        // SAFETY: our guard is pinned for the whole attempt; even if a
-        // concurrent commit displaces the value, reclamation is deferred
-        // past our guard, and the post-read orec check below rejects the
-        // result.
-        let result = unsafe { tcell::peek_word(cell.word(), f) };
+        // A validated read is the unvalidated peek between two orec checks:
+        // even if a concurrent commit displaces the value, reclamation is
+        // deferred past our guard, and the recheck below rejects the result.
+        let result = self.peek_unvalidated(cell, f);
         if cell.orec.raw() != o1 {
             return Err(TxAbort::ReadConflict);
         }
@@ -421,6 +420,28 @@ impl<'stm> Txn<'stm> {
             self.dedup_hits += 1;
         }
         Ok(result)
+    }
+
+    /// Map the value `cell` holds right now through `f`, as a *hint*.
+    ///
+    /// This is **not** a transactional read: the orec is not checked and
+    /// nothing enters the read set, so the value may be one a concurrent
+    /// commit is displacing, or one committed after this attempt's read
+    /// version.  For the same reason it can never make the attempt abort.
+    /// A cell this attempt wrote still shows its committed value, not the
+    /// buffered write.  The result may steer prefetches only, never a
+    /// decision the attempt commits to.
+    ///
+    /// What `f` is lent stays alive for the call (and anything it designates
+    /// for the rest of the attempt) by the same argument as a validated
+    /// read: the attempt's epoch guard, which stays pinned while `&self` is
+    /// borrowed.
+    #[inline(always)]
+    pub fn peek_unvalidated<T, R>(&self, cell: &TCell<T>, f: impl FnOnce(&T) -> R) -> R {
+        debug_assert!(self.guard.is_some(), "a live attempt holds its guard");
+        // SAFETY: a cell's data word only ever holds a committed value, and
+        // one displaced while our guard is pinned is reclaimed past it.
+        unsafe { tcell::peek_word(cell.word(), f) }
     }
 
     #[inline]
@@ -616,6 +637,22 @@ mod tests {
         assert_eq!(snap.commits, 10);
         assert_eq!(snap.read_only_commits, 10);
         assert_eq!(stm.clock_now(), 0);
+    }
+
+    #[test]
+    fn a_peek_sees_the_committed_word_not_the_attempts_own_write() {
+        let stm = Stm::new();
+        let cell = TCell::new(1u64);
+        stm.run(|tx| {
+            cell.write(tx, 2)?;
+            assert_eq!(cell.read(tx)?, 2, "a read sees the buffered write");
+            assert_eq!(tx.peek_unvalidated(&cell, |v| *v), 1);
+            Ok(())
+        });
+        stm.run(|tx| {
+            assert_eq!(tx.peek_unvalidated(&cell, |v| *v), 2);
+            Ok(())
+        });
     }
 
     #[test]
