@@ -317,16 +317,6 @@ impl<K, V> NodeRef<K, V> {
 }
 
 impl<K: MapKey, V: MapValue> NodeRef<K, V> {
-    /// Transactionally read the level-0 successor, which must exist (only the
-    /// tail sentinel has none, and callers never walk past the tail).
-    pub fn succ0(&self, tx: &mut Txn<'_>) -> TxResult<NodeRef<K, V>> {
-        Ok(self
-            .level(0)
-            .succ
-            .read(tx)?
-            .expect("interior nodes always have a level-0 successor"))
-    }
-
     /// Sever all of this node's tower links (used only during teardown,
     /// outside of any transaction, to break the doubly linked list's
     /// reference cycles).
@@ -421,6 +411,14 @@ impl<K, V> Clone for RawNode<K, V> {
 }
 impl<K, V> Copy for RawNode<K, V> {}
 
+/// Identity: two handles are equal when they designate the same block.
+impl<K, V> PartialEq for RawNode<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.block == other.block
+    }
+}
+impl<K, V> Eq for RawNode<K, V> {}
+
 impl<K, V> RawNode<K, V> {
     /// Borrow a counted handle's block.
     pub(crate) fn from_ref(node: &NodeRef<K, V>) -> Self {
@@ -478,16 +476,18 @@ impl<K, V> RawNode<K, V> {
         skiphash_stm::sync::prefetch_read(base.wrapping_add(tower_offset::<K, V>()));
     }
 
-    /// [`RawNode::prefetch`], plus the line holding the tower's level 1
-    /// (for small keys a line of its own): for a node reached along level 1,
-    /// whose level-1 link is read next — the scan's scout in
-    /// `crate::traverse`.  Safe for the same reason: the address is computed,
-    /// not loaded, and a prefetch never faults.
+    /// [`RawNode::prefetch`], plus the line holding the tower's `level`:
+    /// for a node reached along `level`, whose link at that level is read
+    /// next — the tower descent and the scan's scout in `crate::traverse`.
+    /// For small keys every level from 1 up sits past the line `prefetch`
+    /// fetches (levels 1 and 2 on the block's third line).  Safe for the
+    /// same reason: the address is computed, not loaded, and a prefetch never
+    /// faults.
     #[inline]
-    pub(crate) fn prefetch_to_level1(&self) {
+    pub(crate) fn prefetch_to(&self, level: usize) {
         self.prefetch();
-        let level1 = tower_offset::<K, V>() + std::mem::size_of::<Level<K, V>>();
-        skiphash_stm::sync::prefetch_read(self.block.as_ptr().cast::<u8>().wrapping_add(level1));
+        let at = tower_offset::<K, V>() + level * std::mem::size_of::<Level<K, V>>();
+        skiphash_stm::sync::prefetch_read(self.block.as_ptr().cast::<u8>().wrapping_add(at));
     }
 
     /// Promote to a counted [`NodeRef`].

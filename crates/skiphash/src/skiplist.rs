@@ -114,11 +114,7 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
     /// deleted duplicates, so it is the first one the back-walk meets.
     fn last_present_below(&self, tx: &mut Txn<'_>, rest: StdBound<&K>) -> TxResult<NodeRef<K, V>> {
         let mut at = RawNode::from_ref(&self.head);
-        traverse::descend(tx, self, rest, |level, pred, _| {
-            if level == 0 {
-                at = pred;
-            }
-        })?;
+        traverse::descend(tx, self, rest, 1, |_, pred, _| at = pred)?;
         loop {
             // SAFETY: read through the still-running attempt `tx`.
             let (node, tower) = unsafe { (at.node(), at.tower()) };
@@ -155,12 +151,16 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
         // tallest towers, which every other thread's descent reads.)
         let mut preds = [RawNode::from_ref(&self.head); MAX_LEVEL_LIMIT];
         let mut succs = [RawNode::from_ref(&self.tail); MAX_LEVEL_LIMIT];
-        traverse::descend(tx, self, StdBound::Excluded(&key), |level, pred, succ| {
-            if level < height {
+        traverse::descend(
+            tx,
+            self,
+            StdBound::Excluded(&key),
+            height,
+            |level, pred, succ| {
                 preds[level] = pred;
                 succs[level] = succ;
-            }
-        })?;
+            },
+        )?;
 
         // Born at this attempt's read version: cells stamped 0 would look
         // older than every pinned snapshot, so the first overwrite of each
@@ -233,16 +233,22 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
     /// 1. keys are non-decreasing along level 0 (duplicates may appear only
     ///    when logically deleted nodes linger);
     /// 2. `pred`/`succ` links are mutually consistent at every level;
-    /// 3. every node linked at level `l > 0` is also linked at level `l - 1`.
+    /// 3. every level `l > 0` is a subsequence of level `l - 1`: its nodes
+    ///    are linked there too, in the same order.
+    ///
+    /// One walk per level, plus one of level `l - 1` merged against level
+    /// `l`: `O(n)` per level, and nothing is collected.
     pub fn check_invariants(&self, tx: &mut Txn<'_>) -> TxResult<Result<(), String>> {
-        // Level 0 ordering + doubly-linked consistency on all levels.
-        for level in 0..self.max_level {
-            let mut prev = self.head.clone();
-            let mut curr = prev
+        let next = |tx: &mut Txn<'_>, node: &NodeRef<K, V>, level: usize| {
+            Ok(node
                 .level(level)
                 .succ
                 .read(tx)?
-                .expect("levels are always terminated by the tail sentinel");
+                .expect("levels are always terminated by the tail sentinel"))
+        };
+        for level in 0..self.max_level {
+            let mut prev = self.head.clone();
+            let mut curr = next(tx, &prev, level)?;
             loop {
                 let back = curr
                     .level(level)
@@ -264,38 +270,28 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
                 if curr.is_tail() {
                     break;
                 }
-                prev = curr.clone();
-                curr = curr
-                    .level(level)
-                    .succ
-                    .read(tx)?
-                    .expect("levels are always terminated by the tail sentinel");
+                prev = curr;
+                curr = next(tx, &prev, level)?;
             }
         }
 
-        // Each node reachable at level l is reachable at level 0.
-        let mut level0 = Vec::new();
-        let mut node = self.head.succ0(tx)?;
-        while !node.is_tail() {
-            level0.push(node.clone());
-            node = node.succ0(tx)?;
-        }
+        // The merge: follow level `l - 1` forward to each level-`l` node in
+        // turn.  A node missing below, or out of order there, sends the
+        // lower walk past it to the tail.
         for level in 1..self.max_level {
-            let mut node = self
-                .head
-                .level(level)
-                .succ
-                .read(tx)?
-                .expect("levels are always terminated by the tail sentinel");
-            while !node.is_tail() {
-                if !level0.iter().any(|n| NodeRef::ptr_eq(n, &node)) {
-                    return Ok(Err(format!("level {level}: node missing from level 0")));
+            let below = level - 1;
+            let mut upper = self.head.clone();
+            let mut lower = self.head.clone();
+            while !upper.is_tail() {
+                upper = next(tx, &upper, level)?;
+                while !NodeRef::ptr_eq(&lower, &upper) {
+                    if lower.is_tail() {
+                        return Ok(Err(format!(
+                            "level {level}: node missing from level {below}"
+                        )));
+                    }
+                    lower = next(tx, &lower, below)?;
                 }
-                node = node
-                    .level(level)
-                    .succ
-                    .read(tx)?
-                    .expect("levels are always terminated by the tail sentinel");
             }
         }
         Ok(Ok(()))
@@ -451,15 +447,9 @@ mod tests {
         stm.run(|tx| old.mark_removed(tx, 1));
         let fresh = stm.run(|tx| list.insert_after_logical_deletes(tx, 5, 55, 2, 1));
         // Level-0 order: old (deleted) comes before fresh.
-        let order = stm.run(|tx| {
-            let first = list.head().succ0(tx)?;
-            let second = first.succ0(tx)?;
-            Ok((
-                NodeRef::ptr_eq(&first, &old),
-                NodeRef::ptr_eq(&second, &fresh),
-            ))
-        });
-        assert_eq!(order, (true, true));
+        let first = list.head().level(0).succ.load_atomic().expect("linked");
+        let second = first.level(0).succ.load_atomic().expect("linked");
+        assert!(NodeRef::ptr_eq(&first, &old) && NodeRef::ptr_eq(&second, &fresh));
         // Present view only sees the fresh value.
         let pairs = present_pairs(&stm, &list);
         assert_eq!(pairs, vec![(5, 55)]);
@@ -503,6 +493,26 @@ mod tests {
         let pairs = present_pairs(&stm, &list);
         assert_eq!(pairs, vec![(10, 100), (20, 200)]);
         assert_eq!(stm.run(|tx| list.check_invariants(tx)), Ok(()));
+    }
+
+    #[test]
+    fn check_invariants_reports_a_node_bypassed_below_its_level() {
+        let stm = Stm::new();
+        let list: SkipList<u64, u64> = SkipList::new(4);
+        let insert = |key| stm.run(|tx| list.insert_after_logical_deletes(tx, key, key, 2, 0));
+        let (ten, twenty, thirty) = (insert(10), insert(20), insert(30));
+        assert_eq!(stm.run(|tx| list.check_invariants(tx)), Ok(()));
+
+        // Bypass 20 at level 0 only: level 0 stays doubly linked and in
+        // order, level 1 still runs 10 -> 20 -> 30.
+        ten.level(0).succ.store_atomic(Some(thirty.clone()));
+        thirty.level(0).pred.store_atomic(Some(ten.clone()));
+        assert_eq!(
+            stm.run(|tx| list.check_invariants(tx)),
+            Err("level 1: node missing from level 0".to_string())
+        );
+        twenty.sever_links();
+        list.sever_all();
     }
 
     #[test]

@@ -11,12 +11,56 @@
 //!
 //! | reader | a read is | it can fail with | hints |
 //! |--------|-----------|------------------|-------|
-//! | [`Txn`] | a validated transactional read (`read_with`) | [`TxAbort`] | the link's current word, unvalidated and unrecorded (`peek_unvalidated`) |
-//! | `&`[`SnapshotPin`] | the cell's value at the pinned version (`read_pinned_with`) | nothing ([`Infallible`]) | none |
+//! | [`Txn`] | a validated transactional read (`read_with`) | [`TxAbort`] | the link's current word, unvalidated and unrecorded (`peek_unvalidated`): the descent hops on it, the scout runs on it |
+//! | `&`[`SnapshotPin`] | the cell's value at the pinned version (`read_pinned_with`) | nothing ([`Infallible`]) | none: every hop is a read, and the walk has no scout |
 //!
-//! A *hint* ([`Reader::hint`]) only steers the [`walk`]'s scout, which
-//! prefetches along the level-1 list ahead of the walk; no result of a
-//! traversal depends on one.
+//! A *hint* ([`Reader::hint`]) is a link's word read with no validation
+//! and no read-set entry.  Hints steer the [`descend`]'s hops (below) and
+//! the [`walk`]'s scout, which prefetches along the level-1 list ahead of
+//! the walk.  No result of a traversal depends on a hint that validated
+//! reads have not confirmed.
+//!
+//! # The optimistic descent
+//!
+//! A descent through a reader that gives hints hops on them, and reads
+//! through the STM only where it lands at the levels its caller keeps — the
+//! unsynchronised search of the lazy skip list (Herlihy, Lev, Luchangco and
+//! Shavit, SIROCCO 2007), which elastic transactions (Felber, Gramoli and
+//! Guerraoui, DISC 2009) carry into STM.  At each kept level it *confirms*
+//! the pair it landed between with two validated reads: `pred`'s link at
+//! that level designates `succ`, and `succ`'s designates `pred`.  A
+//! confirmed pair is adjacent and linked at that level in the attempt's
+//! snapshot (the list at its read version `rv`, plus its own writes), so it
+//! is the pair a validated descent lands on:
+//!
+//! * Keys are immutable, so a bound comparison made on a hinted node holds
+//!   whatever its links have done since.
+//! * The pred side alone is not enough.  An unstitched node keeps its own
+//!   links, because a paused slow-path range query needs them, so
+//!   `pred → succ` can still read true for a `pred` that is gone.  Its
+//!   successor's `pred` link no longer points back.
+//! * The succ side alone is not enough.  A node inserted after `rv` has
+//!   cells stamped at its inserter's read version (`Node::new(..,
+//!   tx.read_version())`), which can be `<= rv`, so a validated read of the
+//!   fresh node's own links passes.
+//! * Both sides are.  Of the two links, the one on the *other* node was
+//!   written by the commit that linked the pair, so for a pair linked after
+//!   `rv` that side carries a version above `rv` and its validated read
+//!   aborts.  And an unstitched node never forms a pair again, because it is
+//!   never relinked.
+//!
+//! A *miss* — a confirm that reads another node or would abort, or a hint
+//! that finds no link — re-runs the whole descent with validated reads,
+//! exactly as a reader without hints descends.  A miss never aborts on its
+//! own account: hints show committed words only, so an attempt whose own
+//! buffered writes sit at the bound (a composed body inserting adjacent
+//! keys, or removing and re-inserting one) misses every confirm, and
+//! aborting would retry that body forever.  A real race lands in the
+//! validated pass, which aborts where the race is.
+//!
+//! A hinted pass ends: successor links only point forward, an unstitched
+//! node is never relinked (so the links it keeps point forward too), and
+//! every level ends at the tail, which no bound precedes.
 //!
 //! # The borrowed-handle contract
 //!
@@ -32,9 +76,10 @@
 //!   installed or was swapped out during the pin, and the drop that gives a
 //!   displaced word's count back is deferred past the unpin.  So the node it
 //!   designates keeps `refs >= 1` for the rest of the attempt, validated or
-//!   not (the [`RawNode`] validity rule).  A hinted level-1 link designates
-//!   a node with a level 1 (or the tail, which has every level), just as a
-//!   read one does.
+//!   not (the [`RawNode`] validity rule): the descent's hinted hops, the
+//!   scout's, and the links read from a hinted node are all covered.  A
+//!   hinted link at level `l` designates a node with a level `l` (or the
+//!   tail, which has every level), just as a read one does.
 //! * **`&`[`SnapshotPin`]**: commits that displace a link a live pin can
 //!   still see move it into the history table instead of the reclamation
 //!   queue, and a link is a strong [`NodeRef`](crate::node::NodeRef)
@@ -54,7 +99,7 @@ use std::ops::ControlFlow;
 use skiphash_stm::{SnapshotPin, TCell, TxAbort, Txn};
 
 use crate::node::{Bound, Level, Link, Node, RawNode};
-use crate::skiplist::SkipList;
+use crate::skiplist::{SkipList, MAX_LEVEL_LIMIT};
 use crate::{MapKey, MapValue};
 
 /// How a traversal reads the three kinds of cell it meets.
@@ -152,42 +197,98 @@ fn precedes<K: Ord>(position: &Bound<K>, start: StdBound<&K>) -> bool {
 ///
 /// `Excluded(k)` lands after *every* node carrying `k` — logically deleted
 /// duplicates of a re-inserted key linger in front of the live node — which
-/// is also where an insert of `k` belongs.  `per_level(level, pred, succ)`
-/// is called once per level on the way down with the last node below the
-/// bound and its successor at that level; an unbounded start has no tower
-/// to descend and reports level 0 only.
+/// is also where an insert of `k` belongs.  The caller keeps the bottom
+/// `keep` levels (level 0 always, whose successor is the landing): once the
+/// descent is done, `per_level(level, pred, succ)` is called for each of
+/// them, from the top one down, with the last node below the bound at that
+/// level and its successor there.  An unbounded start has no tower to
+/// descend and reports level 0 only.
 ///
-/// The candidate of each hop is prefetched (header line and first tower
-/// line) before its key is compared.  The header line holds the key; the
-/// tower line holds level 0's link, so at level 0 the next hop's link read
-/// is covered too, while at a higher level that link sits on a later line.
+/// Through a reader that gives hints the descent hops on them and confirms
+/// the kept levels' pairs with validated reads, re-running with validated
+/// hops on a miss (see the module docs); the other levels cost no read-set
+/// entry.  Each hop's candidate is prefetched before its key is compared:
+/// the header line, which holds the key, the tower's first line, which holds
+/// level 0's link, and the line holding the link at the hop's own level,
+/// which the next hop at that level reads (for small keys a later line
+/// than level 0's from level 1 up).
 pub(crate) fn descend<K: MapKey, V: MapValue, R: Reader<K, V>>(
     reader: &mut R,
     list: &SkipList<K, V>,
     start: StdBound<&K>,
+    keep: usize,
     mut per_level: impl FnMut(usize, RawNode<K, V>, RawNode<K, V>),
 ) -> Result<RawNode<K, V>, R::Abort> {
     let levels = match start {
         StdBound::Unbounded => 1,
         _ => list.max_level(),
     };
-    let mut pred = RawNode::from_ref(list.head());
-    let mut curr = pred;
-    for level in (0..levels).rev() {
-        loop {
-            // SAFETY: `pred` is the head sentinel (owned by `list`) or was
-            // read through `reader` — the module's borrowed-handle contract.
-            curr = reader.link(&unsafe { pred.tower() }[level].succ)?;
-            curr.prefetch();
-            // SAFETY: `curr` was just read through `reader` (same contract).
-            if !precedes(&unsafe { curr.node() }.bound, start) {
+    let keep = keep.clamp(1, levels);
+    let head = RawNode::from_ref(list.head());
+    let mut kept = [(head, head); MAX_LEVEL_LIMIT];
+    let mut hinted = true;
+    let landed = 'pass: loop {
+        let mut pred = head;
+        let mut curr = head;
+        for level in (0..levels).rev() {
+            loop {
+                // SAFETY: `pred` is the head sentinel (owned by `list`) or was
+                // reached through `reader`, validated or not — the module's
+                // borrowed-handle contract.
+                let links = &unsafe { pred.tower() }[level];
+                let hop = if hinted {
+                    reader.hint(&links.succ)
+                } else {
+                    Some(reader.link(&links.succ)?)
+                };
+                let Some(next) = hop else {
+                    hinted = false;
+                    continue 'pass;
+                };
+                curr = next;
+                curr.prefetch_to(level);
+                // SAFETY: `curr` was just reached through `reader`, validated
+                // or not (same contract).
+                let (node, tower) = unsafe { (curr.node(), curr.tower()) };
+                if precedes(&node.bound, start) {
+                    pred = curr;
+                    continue;
+                }
+                if level < keep {
+                    if hinted && !confirmed(reader, &links.succ, &tower[level].pred, pred, curr) {
+                        hinted = false;
+                        continue 'pass;
+                    }
+                    kept[level] = (pred, curr);
+                }
                 break;
             }
-            pred = curr;
         }
-        per_level(level, pred, curr);
+        break curr;
+    };
+    for (level, &(pred, succ)) in kept[..keep].iter().enumerate().rev() {
+        per_level(level, pred, succ);
     }
-    Ok(curr)
+    Ok(landed)
+}
+
+/// The confirm of a hinted landing between `pred` and `succ` at one level
+/// (see the module docs): `pred`'s link there designates `succ`, and
+/// `succ`'s designates `pred`, both as validated reads.  A read that would
+/// abort is a miss like any other.  `model_mutation` builds skip the
+/// confirm, so the model suite can show that a stale landing is then
+/// reported (docs/VERIFICATION.md).
+#[inline(always)]
+fn confirmed<K: MapKey, V: MapValue, R: Reader<K, V>>(
+    reader: &mut R,
+    pred_to_succ: &TCell<Link<K, V>>,
+    succ_to_pred: &TCell<Link<K, V>>,
+    pred: RawNode<K, V>,
+    succ: RawNode<K, V>,
+) -> bool {
+    cfg!(model_mutation)
+        || (reader.link(pred_to_succ).is_ok_and(|at| at == succ)
+            && reader.link(succ_to_pred).is_ok_and(|at| at == pred))
 }
 
 /// The forward level-0 walk: call `visit` on `from` and on each successor
@@ -267,7 +368,7 @@ impl<K: MapKey, V: MapValue> Scout<K, V> {
             if self.lead == 0 {
                 self.node = reader.hint(&level1.succ);
                 if let Some(node) = self.node {
-                    node.prefetch_to_level1();
+                    node.prefetch_to(1);
                 }
             } else {
                 self.lead -= 1;
@@ -287,7 +388,7 @@ impl<K: MapKey, V: MapValue> Scout<K, V> {
             }
             self.node = reader.hint(&tower[1].succ);
             if let Some(node) = self.node {
-                node.prefetch_to_level1();
+                node.prefetch_to(1);
             }
             self.lead += 1;
         }
@@ -302,7 +403,7 @@ pub(crate) fn scan<K: MapKey, V: MapValue, R: Reader<K, V>>(
     start: StdBound<&K>,
     visit: impl FnMut(&mut R, RawNode<K, V>, &Node<K, V>) -> Result<ControlFlow<()>, R::Abort>,
 ) -> Result<RawNode<K, V>, R::Abort> {
-    let from = descend(reader, list, start, |_, _, _| {})?;
+    let from = descend(reader, list, start, 1, |_, _, _| {})?;
     // SAFETY: `from` was just read through `reader`.
     unsafe { walk(reader, from, visit) }
 }
@@ -445,7 +546,8 @@ mod tests {
     {
         // The whole of level 0: every linked node once, in order, with the
         // mark the reader sees; the walk ends on the tail.
-        let first = descend(reader, &fx.list, Unbounded, |level, pred, _| {
+        let top = fx.list.max_level();
+        let first = descend(reader, &fx.list, Unbounded, top, |level, pred, _| {
             assert_eq!((level, fx.key_of(pred)), (0, None), "no tower to descend");
         })
         .unwrap();
@@ -473,7 +575,7 @@ mod tests {
             // front of it.
             let mut levels = Vec::new();
             let mut bottom = None;
-            let landed = descend(reader, &fx.list, start, |level, pred, succ| {
+            let landed = descend(reader, &fx.list, start, top, |level, pred, succ| {
                 levels.push(level);
                 bottom = Some((fx.key_of(pred), fx.key_of(succ)));
             })
@@ -482,11 +584,11 @@ mod tests {
             let refused = linked_keys.rev().find(|k| !from_start.contains(k));
             assert_eq!(fx.key_of(landed), admitted, "descend({start:?})");
             assert_eq!(bottom, Some((refused, admitted)), "descend({start:?})");
-            let top = match start {
+            let reported = match start {
                 Unbounded => 1,
-                _ => fx.list.max_level(),
+                _ => top,
             };
-            assert_eq!(levels, (0..top).rev().collect::<Vec<_>>());
+            assert_eq!(levels, (0..reported).rev().collect::<Vec<_>>());
 
             // A walk that breaks returns the node it broke on.
             let found = first_present(reader, &fx.list, start).unwrap();

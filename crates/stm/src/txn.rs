@@ -429,8 +429,9 @@ impl<'stm> Txn<'stm> {
     /// commit is displacing, or one committed after this attempt's read
     /// version.  For the same reason it can never make the attempt abort.
     /// A cell this attempt wrote still shows its committed value, not the
-    /// buffered write.  The result may steer prefetches only, never a
-    /// decision the attempt commits to.
+    /// buffered write.  The result may steer a prefetch, or a search whose
+    /// landing the attempt then confirms with validated reads; on its own it
+    /// is never a decision the attempt commits to.
     ///
     /// What `f` is lent stays alive for the call (and anything it designates
     /// for the rest of the attempt) by the same argument as a validated

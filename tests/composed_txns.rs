@@ -8,12 +8,15 @@
 //! by construction*, and this suite is where that claim is allowed to fail.
 
 use skiphash_stm::sync::{AtomicBool, Ordering};
+use std::cell::Cell;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use skiphash_repro::skiphash::SkipHashBuilder;
-use skiphash_repro::stm::{Stm, TxAbort};
-use skiphash_repro::{Compute, SkipHash};
+use skiphash_repro::stm::{ClockKind, Stm, TxAbort, TxResult};
+use skiphash_repro::{Compute, SkipHash, TxView};
 
 type SharedMap = Arc<SkipHash<u64, u64>>;
 
@@ -316,4 +319,92 @@ fn txview_len_is_transactionally_consistent() {
     assert_eq!(map.transact(|v| v.len()), map.len());
     map.check_invariants()
         .expect("counter consistent after churn");
+}
+
+/// (g) The tower descent hops on unvalidated hints, and must still never
+/// report a node linked after its attempt's read version.  11 is inserted
+/// by a commit in the middle of the attempt; with the sampled clock and no
+/// other commit in between, 11's own cells carry this attempt's read
+/// version, so only its neighbours' links, which that commit wrote, show
+/// that it is too new.  Each query bypasses the hash index (`ceil` would be
+/// stopped at 11's bucket first): `succ(10)` lands on 11, `pred(12)` lands
+/// behind it, and the range spans it.
+#[test]
+fn a_descent_never_lands_past_the_read_version() {
+    type Query = fn(&mut TxView<'_, '_, u64, u64>) -> TxResult<Vec<u64>>;
+    let queries: [(&str, Query); 3] = [
+        ("succ(10)", |v| Ok(v.succ(&10)?.into_iter().collect())),
+        ("pred(12)", |v| Ok(v.pred(&12)?.into_iter().collect())),
+        ("range(10..=12)", |v| {
+            Ok(v.range(10..=12)?.map(|(key, _)| key).collect())
+        }),
+    ];
+    let outcomes = queries.map(|(name, query)| {
+        let map: SkipHash<u64, u64> = SkipHash::new();
+        assert_eq!(map.config().clock, ClockKind::Sampled);
+        assert!(map.insert(10, 10) && map.insert(12, 12));
+        let outcome = map.stm().try_once(|tx| {
+            assert!(!map.view(tx).contains_key(&11)?);
+            thread::scope(|s| {
+                s.spawn(|| assert!(map.insert(11, 11)));
+            });
+            query(&mut map.view(tx))
+        });
+        (name, outcome.map_err(|failed| failed.cause))
+    });
+    // All three at once, so a failure shows which queries saw 11.
+    assert_eq!(
+        outcomes,
+        queries.map(|(name, _)| (name, Err(TxAbort::ReadConflict))),
+        "every query must abort the attempt, never report 11"
+    );
+}
+
+/// (h) Hints show committed words only, so a body whose own inserts and
+/// removals sit at each bound it descends to misses every hinted confirm.
+/// The descent must then re-run with validated reads, not abort: aborting
+/// would retry the body forever.  The body runs on a thread of its own, so
+/// a livelock fails the test instead of hanging the suite.
+#[test]
+fn own_writes_take_the_validated_descent_without_aborting() {
+    let map: SharedMap = Arc::new(SkipHash::new());
+    assert!(map.insert(0, 0) && map.insert(1_000, 0));
+    let before = map.stm_stats();
+    // Ascending up to a gap, then descending down to it: every insert but
+    // the first of each run lands next to one of this body's own.
+    let keys = || (100..132).chain((132..164).rev());
+
+    let (done, finished) = mpsc::channel();
+    let worker = {
+        let map = Arc::clone(&map);
+        thread::spawn(move || {
+            let runs = Cell::new(0);
+            map.transact(|v| {
+                runs.set(runs.get() + 1);
+                for key in keys() {
+                    assert!(v.insert(key, key)?);
+                }
+                assert!(v.remove(&120)?);
+                assert!(v.insert(120, 1_200)?);
+                Ok(())
+            });
+            done.send(runs.get()).unwrap();
+        })
+    };
+    let runs = finished.recv_timeout(Duration::from_secs(30));
+    if let Err(RecvTimeoutError::Timeout) = runs {
+        panic!("the body was still being retried after 30 s");
+    }
+    // A disconnect means the worker panicked: join re-raises it.
+    worker.join().unwrap();
+    assert_eq!(runs, Ok(1), "the body ran once");
+
+    let value = |key| if key == 120 { 1_200 } else { key };
+    let mut expected: Vec<(u64, u64)> = keys().map(|key| (key, value(key))).collect();
+    expected.extend([(0, 0), (1_000, 0)]);
+    expected.sort_unstable();
+    assert_eq!(map.to_vec(), expected);
+    assert_eq!(map.stm_stats().since(&before).total_aborts(), 0);
+    map.check_invariants()
+        .expect("invariants after the composed body");
 }
