@@ -11,6 +11,10 @@
 //! * the pin-publish-before-clock-sample ordering in `SnapshotPin::new`
 //!   (the custody protocol from the MVCC snapshot PR).
 //!
+//! One more guards a rule before any bug: the upgrade that fails a write in
+//! a read-only attempt (`Stm::run_read_only`), without which two read-only
+//! writers commit a write skew.
+//!
 //! The clean build (`cfg(not(model_mutation))`) asserts the shipped code
 //! admits no counterexample within the budget.  The mutation build
 //! (`RUSTFLAGS="--cfg model_mutation"`) re-seeds each original bug inside
@@ -21,7 +25,7 @@
 //! atomics with real ones (`AtomicPtr` payload pointers, the epoch shim, the
 //! scratch allocator).  Stale-load exploration is therefore OFF
 //! (`.staleness(false)`): the hybrid would report unreachable stale reads
-//! through the uninstrumented pointers.  All three seeded bugs are pure
+//! through the uninstrumented pointers.  All four seeded bugs are pure
 //! *interleaving* races, observable at sequentially-consistent strength.
 
 use skiphash_model::{explore, Failure, Options, Report};
@@ -247,5 +251,74 @@ fn snapshot_pin_raise_after_sample_loses_custody() {
             .as_ref()
             .is_some_and(|f| f.message.contains("found no history")),
         "token must replay to the same missing-history panic: {replayed:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Read-only attempts (TL2 read-only transactions): a read-only attempt keeps
+// no read set, so a write in one must upgrade the attempt to an ordinary
+// one, whose read set commit validates.  Two threads each read X and Y
+// through `run_read_only` and, seeing both 0, set their own cell: every
+// write forces an upgrade, and at most one cell may end at 1.  Mutated
+// builds admit the write without upgrading, so each writer commits an
+// empty read set and both cells can end at 1.
+// ---------------------------------------------------------------------------
+
+fn write_skew_body() -> impl Fn() + Send + Sync + 'static {
+    || {
+        let stm = Arc::new(Stm::new());
+        let cells = Arc::new([TCell::new(0u64), TCell::new(0u64)]);
+        let workers: Vec<_> = (0..2)
+            .map(|me| {
+                let stm = Arc::clone(&stm);
+                let cells = Arc::clone(&cells);
+                skiphash_model::thread::spawn(move || {
+                    stm.run_read_only(|tx| {
+                        let (x, y) = (cells[0].read(tx)?, cells[1].read(tx)?);
+                        if (x, y) == (0, 0) {
+                            cells[me].write(tx, 1)?;
+                        }
+                        Ok(())
+                    });
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let (x, y) = (cells[0].load_atomic(), cells[1].load_atomic());
+        assert!(
+            (x, y) != (1, 1),
+            "write skew: both writers saw the other's cell at 0"
+        );
+    }
+}
+
+#[cfg(not(model_mutation))]
+#[test]
+fn read_only_writes_upgrade_and_admit_no_write_skew() {
+    let report = explore(&pct_opts(0x7e57_0004), write_skew_body());
+    assert!(
+        report.failure.is_none(),
+        "an upgraded attempt must validate its reads: {:?}",
+        report.failure
+    );
+}
+
+#[cfg(model_mutation)]
+#[test]
+fn read_only_writes_without_upgrade_skew() {
+    let failure = expect_counterexample(
+        explore(&pct_opts(0x7e57_0004), write_skew_body()),
+        "write skew",
+        "read-only write admitted without upgrade",
+    );
+    let replayed = skiphash_model::replay(&failure.token, write_skew_body());
+    assert!(
+        replayed
+            .failure
+            .as_ref()
+            .is_some_and(|f| f.message.contains("write skew")),
+        "token must replay to the same write skew: {replayed:?}"
     );
 }

@@ -17,8 +17,8 @@
 //!
 //! Range queries are linearizable and use a two-path strategy:
 //!
-//! * the **fast path** runs the whole query as a single `try_once`
-//!   transaction;
+//! * the **fast path** runs the whole query as a single read-only
+//!   `try_once` transaction, which keeps no read set;
 //! * the **slow path** registers with the [range query coordinator]
 //!   (`rqc::Rqc`), which versions insertions and removals so the query can be
 //!   split across many small transactions while still linearizing at the

@@ -435,16 +435,28 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
         })
     }
 
+    /// [`SkipHash::transact`] for the sealed reads: the body never writes,
+    /// so it runs as a read-only attempt and keeps no read set (see
+    /// [`Stm::run_read_only`]).
+    fn transact_read<T, F>(&self, mut body: F) -> T
+    where
+        F: FnMut(&mut TxView<'_, '_, K, V>) -> skiphash_stm::TxResult<T>,
+    {
+        self.inner
+            .stm
+            .run_read_only(|tx| body(&mut TxView::new(&self.inner, tx)))
+    }
+
     /// Look up `key`, returning a clone of its value.
     ///
     /// `O(1)`: a hash map lookup plus one value read.
     pub fn get(&self, key: &K) -> Option<V> {
-        self.transact(|v| v.get(key))
+        self.transact_read(|v| v.get(key))
     }
 
     /// True if `key` is present.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.transact(|v| v.contains_key(key))
+        self.transact_read(|v| v.contains_key(key))
     }
 
     /// Insert `key -> value` **only if `key` is absent**, returning whether
@@ -527,22 +539,22 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
 
     /// Smallest key `>= key`, if any (`O(1)` when `key` itself is present).
     pub fn ceil(&self, key: &K) -> Option<K> {
-        self.transact(|v| v.ceil(key))
+        self.transact_read(|v| v.ceil(key))
     }
 
     /// Smallest key strictly `> key`, if any.
     pub fn succ(&self, key: &K) -> Option<K> {
-        self.transact(|v| v.succ(key))
+        self.transact_read(|v| v.succ(key))
     }
 
     /// Largest key `<= key`, if any (`O(1)` when `key` itself is present).
     pub fn floor(&self, key: &K) -> Option<K> {
-        self.transact(|v| v.floor(key))
+        self.transact_read(|v| v.floor(key))
     }
 
     /// Largest key strictly `< key`, if any.
     pub fn pred(&self, key: &K) -> Option<K> {
-        self.transact(|v| v.pred(key))
+        self.transact_read(|v| v.pred(key))
     }
 
     /// Number of keys currently present, as of one linearization point.
@@ -550,12 +562,12 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
     /// `O(shards)`: sums the sharded population counter the insert and remove
     /// paths bump inside their own transactions (see [`TxView::len`]).
     pub fn len(&self) -> usize {
-        self.transact(|v| v.len())
+        self.transact_read(|v| v.len())
     }
 
     /// True when the map holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.transact(|v| v.is_empty())
+        self.transact_read(|v| v.is_empty())
     }
 
     /// Every `(key, value)` pair in ascending key order, as of a single
@@ -584,10 +596,11 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
     /// Validate internal invariants (test/debug helper): the hash map and the
     /// skip list agree on the set of present keys, the skip list's structure
     /// is well formed, and the sharded population counter matches the number
-    /// of present keys — all read in one transaction.
+    /// of present keys — all read in one read-only transaction, which keeps
+    /// no read set however large the map.
     pub fn check_invariants(&self) -> Result<(), String> {
         let inner = &self.inner;
-        inner.stm.run(|tx| {
+        inner.stm.run_read_only(|tx| {
             let structural = inner.skiplist.check_invariants(tx)?;
             if let Err(e) = structural {
                 return Ok(Err(e));

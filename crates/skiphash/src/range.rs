@@ -1,7 +1,7 @@
 //! Linearizable range queries, with std-style [`RangeBounds`] arguments.
 //!
 //! Implements §4.4 of the paper: a **fast path** that runs the whole range
-//! query as a single `try_once` transaction, and a **slow path** that
+//! query as a single read-only `try_once` transaction, and a **slow path** that
 //! registers with the [range query coordinator](crate::rqc::Rqc), acquires a
 //! version number, and walks the range in many small transactions, pausing
 //! only on *safe nodes* — nodes guaranteed not to be unstitched before the
@@ -24,7 +24,7 @@ use std::ops::Bound as StdBound;
 use std::ops::ControlFlow;
 use std::ops::RangeBounds;
 
-use skiphash_stm::{TxResult, Txn};
+use skiphash_stm::{TxAbort, TxResult, Txn};
 
 use crate::config::RangePolicy;
 use crate::map::SkipHash;
@@ -228,13 +228,19 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
         self.range_fast(start, end).map(Range::new)
     }
 
-    /// One fast-path attempt: the entire query as a single transaction that
-    /// does not retry on conflict.  Returns `None` if the attempt aborted.
+    /// One fast-path attempt: the entire query as a single read-only
+    /// transaction that does not retry on conflict.  Returns `None` if the
+    /// attempt aborted.
     fn range_fast(&self, start: StdBound<&K>, end: StdBound<&K>) -> Option<Vec<(K, V)>> {
         let inner = &self.inner;
         let attempt = inner
             .stm
-            .try_once(|tx| collect(tx, &inner.skiplist, start, end));
+            .try_once_read_only(|tx| collect(tx, &inner.skiplist, start, end));
+        debug_assert_ne!(
+            attempt.as_ref().err().map(|failed| failed.cause),
+            Some(TxAbort::Upgrade),
+            "the fast path never writes"
+        );
         let counter = match attempt {
             Ok(_) => &inner.range_counters.fast_success,
             Err(_) => &inner.range_counters.fast_abort,
@@ -266,9 +272,13 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
         // only once the next safe node has been fully read, in two
         // statements that cannot abort: an abort never records a partially
         // read element, and never records one twice.
+        //
+        // The collection only reads, so its attempts are read-only and keep
+        // no read set; the setup and finalization transactions write the
+        // RQC and the list, so they stay ordinary.
         let mut collected: Vec<(K, V)> = Vec::new();
         let mut cursor: NodeRef<K, V> = start_node;
-        inner.stm.run(|tx| {
+        inner.stm.run_read_only(|tx| {
             let mut pending: Option<(K, V)> = None;
             let resume = RawNode::from_ref(&cursor);
             let visit = |tx: &mut Txn<'_>, at: RawNode<K, V>, node: &Node<K, V>| {
@@ -435,6 +445,30 @@ mod tests {
         // The RQC must be left empty after the query finishes.
         assert_eq!(slow.inner.rqc.active_queries(), 0);
         assert!(slow.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn read_only_call_sites_never_write() {
+        let map = map_with_policy(RangePolicy::SlowOnly);
+        fill(&map, (0..200).map(|k| k * 2));
+        map.reset_stats();
+        for key in [0, 7, 100, 398, 500] {
+            map.get(&key);
+            map.contains_key(&key);
+            map.ceil(&key);
+            map.succ(&key);
+            map.floor(&key);
+            map.pred(&key);
+        }
+        assert_eq!((map.len(), map.is_empty()), (200, false));
+        assert_eq!(collect(&map, 10..=20).len(), 6);
+        assert_eq!(map.range_attempt_fast(10..=20).map(|r| r.len()), Some(6));
+        assert!(map.check_invariants().is_ok());
+        let stats = map.stm_stats();
+        assert_eq!(stats.read_only_upgrades, 0, "no opted-in body wrote");
+        // `check_invariants` re-reads cells level by level, which an
+        // ordinary attempt would count as dedup hits.
+        assert_eq!(stats.read_dedup_hits, 0, "check_invariants ran read-only");
     }
 
     #[test]

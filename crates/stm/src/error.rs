@@ -21,6 +21,10 @@ pub enum TxAbort {
     ValidationFailed,
     /// The transaction body requested an explicit abort (and retry).
     Explicit,
+    /// A read-only attempt tried to write.  [`crate::Stm::run_read_only`]
+    /// re-runs the body at once as an ordinary attempt; this cause is
+    /// counted as an upgrade, not as an abort.
+    Upgrade,
 }
 
 impl TxAbort {
@@ -31,6 +35,7 @@ impl TxAbort {
             TxAbort::WriteConflict => "write-conflict",
             TxAbort::ValidationFailed => "validation-failed",
             TxAbort::Explicit => "explicit",
+            TxAbort::Upgrade => "read-only-write",
         }
     }
 }
@@ -81,6 +86,7 @@ mod tests {
             TxAbort::WriteConflict.label(),
             TxAbort::ValidationFailed.label(),
             TxAbort::Explicit.label(),
+            TxAbort::Upgrade.label(),
         ];
         for (i, a) in labels.iter().enumerate() {
             for (j, b) in labels.iter().enumerate() {

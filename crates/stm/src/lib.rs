@@ -24,7 +24,9 @@
 //!   swaps it into the cell, and an abort drops it and releases the orec.  A
 //!   cell's data word only ever holds committed values.
 //! * **Cheap read-only transactions** — transactions that perform no writes
-//!   commit without any shared-memory stores.
+//!   commit without any shared-memory stores, and bodies run through
+//!   [`Stm::run_read_only`] / [`Stm::try_once_read_only`] keep no read set
+//!   either (TL2's read-only transactions; a write upgrades the attempt).
 //! * **`try_once` and `no_local_undo` execution modes** — the fast-path /
 //!   slow-path range query machinery of the skip hash relies on a transaction
 //!   mode that does not retry on conflict ([`Stm::try_once`]) and on local

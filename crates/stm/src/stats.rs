@@ -106,6 +106,7 @@ pub struct StmStats {
     aborts_write_conflict: AtomicU64,
     aborts_validation: AtomicU64,
     aborts_explicit: AtomicU64,
+    read_only_upgrades: AtomicU64,
     validation_skipped_commits: AtomicU64,
     read_dedup_hits: AtomicU64,
     /// Indexed by `BlockKind as usize`.
@@ -179,6 +180,7 @@ impl StmStats {
             TxAbort::WriteConflict => &self.aborts_write_conflict,
             TxAbort::ValidationFailed => &self.aborts_validation,
             TxAbort::Explicit => &self.aborts_explicit,
+            TxAbort::Upgrade => &self.read_only_upgrades,
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
@@ -196,6 +198,7 @@ impl StmStats {
             aborts_write_conflict: self.aborts_write_conflict.load(Ordering::Relaxed),
             aborts_validation: self.aborts_validation.load(Ordering::Relaxed),
             aborts_explicit: self.aborts_explicit.load(Ordering::Relaxed),
+            read_only_upgrades: self.read_only_upgrades.load(Ordering::Relaxed),
             validation_skipped_commits: self.validation_skipped_commits.load(Ordering::Relaxed),
             read_dedup_hits: self.read_dedup_hits.load(Ordering::Relaxed),
             slab_recycle_hits: recycled(BlockKind::Payload),
@@ -228,6 +231,7 @@ impl StmStats {
         self.aborts_write_conflict.store(0, Ordering::Relaxed);
         self.aborts_validation.store(0, Ordering::Relaxed);
         self.aborts_explicit.store(0, Ordering::Relaxed);
+        self.read_only_upgrades.store(0, Ordering::Relaxed);
         self.validation_skipped_commits.store(0, Ordering::Relaxed);
         self.read_dedup_hits.store(0, Ordering::Relaxed);
         self.rebase();
@@ -249,11 +253,19 @@ pub struct StatsSnapshot {
     pub aborts_validation: u64,
     /// Aborts requested explicitly by the transaction body.
     pub aborts_explicit: u64,
+    /// Read-only attempts that wrote and so failed with
+    /// [`TxAbort::Upgrade`]: under `run_read_only` each is one re-run as an
+    /// ordinary attempt.  Not an abort, and not in
+    /// [`StatsSnapshot::total_aborts`].  A rate above ~0 at a call site means
+    /// that call site opted a writing body into read-only mode by mistake.
+    pub read_only_upgrades: u64,
     /// Writer commits that skipped read-set validation because the clock
     /// proved quiescence (see the `clock` module docs).
     pub validation_skipped_commits: u64,
     /// Reads answered by the read-set dedup filter instead of growing the
-    /// read set (re-reads of already-validated cells).
+    /// read set (re-reads of already-validated cells).  Ordinary attempts
+    /// only: a read-only attempt keeps no read set, so it never consults
+    /// the filter.
     pub read_dedup_hits: u64,
     /// Payload blocks — the storage behind a [`crate::TCell`] whose value is
     /// wider than a word — served from recycled memory rather than a fresh
@@ -319,6 +331,7 @@ impl StatsSnapshot {
             aborts_write_conflict: delta(|s| s.aborts_write_conflict),
             aborts_validation: delta(|s| s.aborts_validation),
             aborts_explicit: delta(|s| s.aborts_explicit),
+            read_only_upgrades: delta(|s| s.read_only_upgrades),
             validation_skipped_commits: delta(|s| s.validation_skipped_commits),
             read_dedup_hits: delta(|s| s.read_dedup_hits),
             slab_recycle_hits: delta(|s| s.slab_recycle_hits),
@@ -339,7 +352,7 @@ impl fmt::Display for StatsSnapshot {
         write!(
             f,
             "commits={} (ro={}, noval={}) aborts={} [read={} write={} validation={} explicit={}] \
-             dedup={} slab={} node={} snap={}/{} wal={}+{}fl ckpt={} replay={}",
+             upgrades={} dedup={} slab={} node={} snap={}/{} wal={}+{}fl ckpt={} replay={}",
             self.commits,
             self.read_only_commits,
             self.validation_skipped_commits,
@@ -348,6 +361,7 @@ impl fmt::Display for StatsSnapshot {
             self.aborts_write_conflict,
             self.aborts_validation,
             self.aborts_explicit,
+            self.read_only_upgrades,
             self.read_dedup_hits,
             self.slab_recycle_hits,
             self.node_recycle_hits,

@@ -88,7 +88,7 @@ impl Stm {
         self.stats.reset()
     }
 
-    fn begin(&self) -> Txn<'_> {
+    fn begin(&self, read_only: bool) -> Txn<'_> {
         let id = self.attempt_ids.fetch_add(1, Ordering::Relaxed);
         Txn {
             stm: self,
@@ -96,6 +96,7 @@ impl Stm {
             rv: self.clock.now(),
             guard: Some(epoch::pin()),
             scratch: scratch::lease(),
+            read_only,
             dedup_hits: 0,
             commit_stamp: 0,
             finished: false,
@@ -113,29 +114,51 @@ impl Stm {
     ///
     /// Contention is managed with bounded exponential backoff between
     /// attempts.
-    pub fn run<T, F>(&self, mut body: F) -> T
+    pub fn run<T, F>(&self, body: F) -> T
+    where
+        F: FnMut(&mut Txn<'_>) -> TxResult<T>,
+    {
+        self.run_in(false, body)
+    }
+
+    /// Like [`Stm::run`], but each attempt starts in **read-only mode**, for
+    /// bodies that only read.
+    ///
+    /// A read-only attempt keeps no read set: each read still checks the
+    /// cell's orec before and after taking the value, but is neither pushed
+    /// to the read set nor entered in the dedup filter (TL2's read-only
+    /// transactions).  This is safe because [`Stm::run`] already commits an
+    /// attempt that wrote nothing on exactly this argument: every read was
+    /// checked against the read version before and after its value was
+    /// taken, so the reads form a consistent snapshot at that version, and
+    /// commit never looks at the read set of such an attempt.
+    ///
+    /// The mode is a hint a caller cannot break.  The first write in a
+    /// read-only attempt fails it with [`TxAbort::Upgrade`] (its reads were
+    /// not recorded, so commit could not validate them), and the body is
+    /// re-run at once, without backoff, as an ordinary attempt, which stays
+    /// ordinary through any further retries.  The re-run is counted in
+    /// [`StatsSnapshot::read_only_upgrades`], not as an abort.
+    pub fn run_read_only<T, F>(&self, body: F) -> T
+    where
+        F: FnMut(&mut Txn<'_>) -> TxResult<T>,
+    {
+        self.run_in(true, body)
+    }
+
+    /// The one retry loop behind [`Stm::run`] and [`Stm::run_read_only`].
+    fn run_in<T, F>(&self, mut read_only: bool, mut body: F) -> T
     where
         F: FnMut(&mut Txn<'_>) -> TxResult<T>,
     {
         let backoff = Backoff::new();
         loop {
-            let mut tx = self.begin();
-            let outcome = body(&mut tx).and_then(|value| tx.commit().map(|()| value));
-            match outcome {
-                Ok(value) => {
-                    tx.run_post_commit();
-                    return value;
-                }
-                Err(cause) => {
-                    tx.rollback();
-                    self.stats.record_abort(cause);
-                    drop(tx);
-                    if backoff.is_completed() {
-                        crate::sync::yield_now();
-                    } else {
-                        backoff.snooze();
-                    }
-                }
+            match self.attempt(read_only, &mut body) {
+                Ok(value) => return value,
+                // A read-only body that wrote lost to no other transaction.
+                Err(TxAbort::Upgrade) => read_only = false,
+                Err(_) if backoff.is_completed() => crate::sync::yield_now(),
+                Err(_) => backoff.snooze(),
             }
         }
     }
@@ -153,7 +176,31 @@ impl Stm {
     where
         F: FnOnce(&mut Txn<'_>) -> TxResult<T>,
     {
-        let mut tx = self.begin();
+        self.attempt(false, body)
+            .map_err(|cause| SingleAttemptFailed { cause })
+    }
+
+    /// Like [`Stm::try_once`], but the attempt runs in read-only mode (see
+    /// [`Stm::run_read_only`]).  Nothing re-runs it: a body that writes
+    /// fails with cause [`TxAbort::Upgrade`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the abort cause if the attempt could not commit.
+    pub fn try_once_read_only<T, F>(&self, body: F) -> Result<T, SingleAttemptFailed>
+    where
+        F: FnOnce(&mut Txn<'_>) -> TxResult<T>,
+    {
+        self.attempt(true, body)
+            .map_err(|cause| SingleAttemptFailed { cause })
+    }
+
+    /// One attempt of `body`: commit it, or roll it back and count the cause.
+    fn attempt<T, F>(&self, read_only: bool, body: F) -> TxResult<T>
+    where
+        F: FnOnce(&mut Txn<'_>) -> TxResult<T>,
+    {
+        let mut tx = self.begin(read_only);
         let outcome = body(&mut tx).and_then(|value| tx.commit().map(|()| value));
         match outcome {
             Ok(value) => {
@@ -163,7 +210,7 @@ impl Stm {
             Err(cause) => {
                 tx.rollback();
                 self.stats.record_abort(cause);
-                Err(SingleAttemptFailed { cause })
+                Err(cause)
             }
         }
     }
@@ -210,8 +257,9 @@ impl Stm {
 
 /// An in-flight transaction attempt.
 ///
-/// Handed to transaction bodies by [`Stm::run`] and [`Stm::try_once`]; use it
-/// with [`TCell::read`] and [`TCell::write`].
+/// Handed to transaction bodies by [`Stm::run`] and [`Stm::try_once`] (and
+/// their read-only variants); use it with [`TCell::read`] and
+/// [`TCell::write`].
 ///
 /// The attempt's growable state (read set, write log, retirement bag,
 /// keep-alive list, post-commit queue) lives in a per-thread pooled scratch:
@@ -226,6 +274,9 @@ pub struct Txn<'stm> {
     /// run so they observe a fully committed, unpinned world.
     guard: Option<Guard>,
     scratch: ScratchLease,
+    /// Started by [`Stm::run_read_only`] or [`Stm::try_once_read_only`]:
+    /// reads keep no read set, and a write fails the attempt.
+    read_only: bool,
     /// Reads served from the dedup filter instead of growing the read set.
     dedup_hits: u32,
     /// The version this attempt committed at (writers: the clock tick's
@@ -241,6 +292,7 @@ impl fmt::Debug for Txn<'_> {
         f.debug_struct("Txn")
             .field("id", &self.id)
             .field("rv", &self.rv)
+            .field("read_only", &self.read_only)
             .field("reads", &self.scratch.read_set.len())
             .field("writes", &self.scratch.writes.len())
             .finish()
@@ -408,6 +460,11 @@ impl<'stm> Txn<'stm> {
         // The recheck passed, so `result` is kept: tell the model build's
         // race detector this read must be happens-after the payload install.
         cell.shadow.on_read_confirmed();
+        if self.read_only {
+            // Commit never reads the read set of an attempt that writes
+            // nothing, so a read-only attempt keeps none (`run_read_only`).
+            return Ok(result);
+        }
         // Dedup on insertion: a re-read of a cell this attempt already
         // validated cannot have a different orec word (any post-begin commit
         // carries a version above rv and would have aborted above), so the
@@ -451,6 +508,14 @@ impl<'stm> Txn<'stm> {
         cell: &TCell<T>,
         value: T,
     ) -> TxResult<()> {
+        // A read-only attempt recorded none of its reads, so commit could
+        // not validate them for a writer: fail, and let `run_read_only`
+        // re-run the body as an ordinary attempt.  `model_mutation` builds
+        // admit the write so the model checker can prove it re-finds the
+        // write skew that follows (see docs/VERIFICATION.md).
+        if cfg!(not(model_mutation)) && self.read_only {
+            return Err(TxAbort::Upgrade);
+        }
         let o1 = cell.orec.raw();
         if Orec::raw_is_owned_by(o1, self.id) {
             // Already acquired earlier in this transaction: replace the value
@@ -801,6 +866,69 @@ mod tests {
             snap.read_dedup_hits, 99,
             "99 of the 100 reads hit the dedup filter"
         );
+    }
+
+    #[test]
+    fn read_only_attempts_keep_no_read_set() {
+        let stm = Stm::new();
+        let cell = TCell::new(7u64);
+        let total = stm.run_read_only(|tx| {
+            let mut sum = 0;
+            for _ in 0..100 {
+                sum += cell.read(tx)?;
+            }
+            assert!(format!("{tx:?}").contains("reads: 0"));
+            Ok(sum)
+        });
+        assert_eq!(total, 700);
+        let snap = stm.stats();
+        assert_eq!(snap.read_dedup_hits, 0, "no read consulted the filter");
+        assert_eq!((snap.commits, snap.read_only_commits), (1, 1));
+    }
+
+    #[test]
+    fn a_read_only_body_that_writes_is_rerun_once_as_a_writer() {
+        let stm = Stm::new();
+        let cell = TCell::new(1u64);
+        let mut runs = 0;
+        let out = stm.run_read_only(|tx| {
+            runs += 1;
+            let v = cell.read(tx)?;
+            cell.write(tx, v + 1)?;
+            Ok((runs, v))
+        });
+        assert_eq!(runs, 2, "one read-only attempt, one writer attempt");
+        assert_eq!(out, (2, 1), "the writer attempt's result is returned");
+        assert_eq!(cell.load_atomic(), 2, "the write is committed");
+        let snap = stm.stats();
+        assert_eq!(snap.read_only_upgrades, 1);
+        assert_eq!(snap.total_aborts(), 0, "an upgrade is not an abort");
+        assert_eq!((snap.commits, snap.read_only_commits), (1, 0));
+        assert!(snap.to_string().contains("upgrades=1"));
+    }
+
+    #[test]
+    fn a_read_only_try_once_that_writes_fails_and_holds_nothing() {
+        let stm = Stm::new();
+        let cell = TCell::new(1u64);
+        let result = stm.try_once_read_only(|tx| {
+            let v = cell.read(tx)?;
+            cell.write(tx, v + 1)
+        });
+        assert_eq!(
+            result,
+            Err(SingleAttemptFailed {
+                cause: TxAbort::Upgrade
+            })
+        );
+        assert_eq!(cell.load_atomic(), 1);
+        assert_eq!(stm.stats().read_only_upgrades, 1);
+        // The orec was never acquired, so an ordinary writer commits first
+        // time.
+        let out = stm.try_once(|tx| cell.write(tx, 5));
+        assert_eq!(out, Ok(()));
+        assert_eq!(cell.load_atomic(), 5);
+        assert_eq!(stm.stats().total_aborts(), 0);
     }
 
     /// The calling thread's own payload recycle hits: `slab_recycle_hits`

@@ -221,6 +221,51 @@ fn steady_state_hot_paths_do_not_touch_the_global_allocator() {
         "a u64 insert/remove pair must take no payload block"
     );
 
+    // ---- 3b. Read-only attempts: a get allocates nothing, and a fast-path
+    // range allocates its result and nothing more.
+    //
+    // Both run in read-only mode and keep no read set.  The range's result
+    // `Vec` grows by doubling, so its own calls are priced by building the
+    // same `Vec` outside the map; every call beyond that is machinery.
+    let gets = |map: &SkipHash<u64, u64>| {
+        for key in (0..1_024u64).step_by(7) {
+            assert_eq!(map.get(&key), Some(key));
+        }
+        assert_eq!(map.get(&4_096), None);
+    };
+    for _ in 0..200 {
+        gets(&map);
+    }
+    assert_steady_state_is_allocation_free("read-only gets", || {
+        count_allocs(|| {
+            for _ in 0..500 {
+                gets(&map);
+            }
+        })
+    });
+    let result_allocs = count_allocs(|| {
+        let mut pairs = Vec::new();
+        for key in 100..164u64 {
+            pairs.push((key, key));
+        }
+        std::hint::black_box(pairs);
+    });
+    let range64 = |map: &SkipHash<u64, u64>| {
+        let range = map.range_attempt_fast(100..164u64);
+        assert_eq!(range.map(|pairs| pairs.len()), Some(64));
+    };
+    for _ in 0..200 {
+        range64(&map);
+    }
+    assert_steady_state_is_allocation_free("read-only fast-path ranges", || {
+        count_allocs(|| {
+            for _ in 0..500 {
+                range64(&map);
+            }
+        }) - 500 * result_allocs
+    });
+    assert_eq!(map.stm_stats().read_only_upgrades, 0);
+
     // ---- 4. Pinned snapshot reads: ZERO allocations.
     //
     // A pinned read resolves each cell either against its current payload
