@@ -12,10 +12,9 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use skiphash::hashmap::TxHashMap;
-use skiphash::node::NodeRef;
 use skiphash::skiplist::SkipList;
 use skiphash::{MapKey, MapValue};
-use skiphash_stm::{Stm, TxResult, Txn};
+use skiphash_stm::Stm;
 
 /// An STM-backed hash map without range-query support ("Hash Map (STM)" in
 /// the paper's figures).
@@ -93,19 +92,9 @@ impl<K: MapKey, V: MapValue> StmSkipListMap<K, V> {
         }
     }
 
-    /// The logically present node carrying `key`, if any, by skip list
-    /// traversal (`O(log n)`).
-    fn find(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<Option<NodeRef<K, V>>> {
-        let node = self.list.first_present(tx, Bound::Included(key))?;
-        Ok((!node.is_tail() && node.key() == key).then_some(node))
-    }
-
-    /// Look up `key`.
+    /// Look up `key`, by skip list traversal (`O(log n)`).
     pub fn get(&self, key: &K) -> Option<V> {
-        self.stm.run(|tx| match self.find(tx, key)? {
-            Some(node) => Ok(Some(node.read_value(tx)?)),
-            None => Ok(None),
-        })
+        self.stm.run(|tx| self.list.get(tx, key))
     }
 
     /// Insert `key -> value` if absent; returns `false` when already present.
@@ -115,24 +104,24 @@ impl<K: MapKey, V: MapValue> StmSkipListMap<K, V> {
             self.list.random_height(&mut rng)
         };
         self.stm.run(|tx| {
-            if self.find(tx, &key)?.is_some() {
+            if self.list.first_present(tx, Bound::Included(&key))? == Some(key.clone()) {
                 return Ok(false);
             }
-            self.list
-                .insert_after_logical_deletes(tx, key.clone(), value.clone(), height, 0)?;
+            self.list.insert_after_logical_deletes(
+                tx,
+                key.clone(),
+                value.clone(),
+                height,
+                0,
+                None,
+            )?;
             Ok(true)
         })
     }
 
     /// Remove `key`; returns `true` if it was present.
     pub fn remove(&self, key: &K) -> bool {
-        self.stm.run(|tx| {
-            let Some(node) = self.find(tx, key)? else {
-                return Ok(false);
-            };
-            self.list.unstitch(tx, &node)?;
-            Ok(true)
-        })
+        self.stm.run(|tx| self.list.remove(tx, key))
     }
 
     /// Number of present keys (walks level 0).
@@ -143,13 +132,6 @@ impl<K: MapKey, V: MapValue> StmSkipListMap<K, V> {
     /// True when the list is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-impl<K: MapKey, V: MapValue> Drop for StmSkipListMap<K, V> {
-    fn drop(&mut self) {
-        // Break the doubly linked list's Arc cycles.
-        self.list.sever_all();
     }
 }
 

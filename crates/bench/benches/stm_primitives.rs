@@ -186,13 +186,12 @@ fn bench_commit_path(c: &mut Criterion) {
 }
 
 /// The structure arena's own latency, the third CI-gated group: node blocks
-/// (inline tower, embedded refcount, hash link) cycling through the
-/// size-classed pools.
+/// (inline tower, hash link) cycling through the size-classed pools.
 ///
-/// * `node_alloc_retire` — allocate a height-4 node and drop its only
-///   handle: the arena pop, block initialization (header + tower cells),
-///   and the epoch `defer_with` retirement enqueue.  Steady state serves
-///   every block from a recycled magazine.
+/// * `node_alloc_retire` — allocate a height-4 node and drop its owner: the
+///   arena pop, block initialization (header + tower cells), and the free
+///   straight back into the magazine (a node no structure ever held needs no
+///   epoch).  Steady state serves every block from a recycled magazine.
 fn bench_arena(c: &mut Criterion) {
     use skiphash::node::Node;
 

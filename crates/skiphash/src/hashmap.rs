@@ -14,31 +14,22 @@
 //! Every [`Node`] carries the rest of the chain in its own `hash_next` link
 //! cell, so the index is the nodes: a lookup reads the bucket word, compares
 //! the node's key, and hops on through `hash_next`.  The skip hash indexes
-//! its skip-list nodes; a standalone map allocates height-1 nodes of its own.
-//! Either way building a map allocates the bucket array and nothing per
-//! bucket, and an update writes link words only: `link` pushes a node at its
-//! bucket's head, `unlink` rewrites the one link that points at the node and
-//! clears the node's own.  Two updates conflict only when they write the
-//! same link word.
+//! its skip-list nodes, which its list owns; a standalone [`TxHashMap`]
+//! allocates height-1 nodes of its own, owns them while they are on its
+//! chains, and retires each at the commit that unlinks it (see
+//! [`crate::node`]).  Either way building a map allocates the bucket array
+//! and nothing per bucket, and an update writes link words only: an insert
+//! builds its node with the bucket's head as its `hash_next` and writes the
+//! bucket, and an unlink rewrites the one link that points at the node.  Two
+//! updates conflict only when they write the same link word.
 //!
 //! The hop is sound by the argument that covers the skip-list traversal —
 //! the borrowed-handle contract in `crate::traverse`: a bucket word and a
 //! `hash_next` word are link words like any other, read through the running
 //! attempt, so the node each designates stays allocated for the rest of the
-//! attempt.
-//!
-//! Chains are acyclic: a node is linked in front of the nodes already in its
-//! bucket, and unlinking a node makes its predecessor point past it, so a
-//! link only ever points from a newer node to an older one.  Unlinking also
-//! clears the node's own link, so a hash link only ever leaves a node that
-//! is still in a chain.  That second rule is what keeps hash links and tower
-//! links from closing a cycle together: a removed node keeps its tower links
-//! (unstitching leaves them for readers still on it), and if it kept its
-//! hash link too, a newer node removed while a range query defers its
-//! unstitching would keep pointing at an older chain neighbour whose tower,
-//! unstitched meanwhile, points back — two nodes that no teardown reaches.
-//! So dropping a bucket word releases its whole chain, and teardown severs
-//! the skip list's tower links and nothing else.
+//! attempt.  Chains are acyclic: a node is linked in front of the nodes
+//! already in its bucket, and unlinking a node makes its predecessor point
+//! past it, so a link only ever points from a newer node to an older one.
 
 use std::collections::hash_map::RandomState;
 use std::fmt;
@@ -46,34 +37,23 @@ use std::hash::BuildHasher;
 
 use skiphash_stm::{TCell, TxResult, Txn};
 
-use crate::node::{Link, Node, NodeRef, RawNode};
+use crate::node::{Link, Node, OwnedNode, RawNode};
 use crate::{MapKey, MapValue};
 
 /// A node a chain walk stopped on: the link cell that designates it, the
 /// node, and its handle.
-type Found<'c, K, V> = (&'c TCell<Link<K, V>>, &'c Node<K, V>, RawNode<K, V>);
+pub(crate) type Found<'c, K, V> = (&'c TCell<Link<K, V>>, &'c Node<K, V>, RawNode<K, V>);
 
-/// A fixed-capacity, closed-addressing (chained) transactional hash map.
-pub struct TxHashMap<K, V> {
+/// The bucket array of a chained index: the chains, and no ownership of the
+/// nodes on them.  The skip hash's index is one; a [`TxHashMap`] is one that
+/// owns its nodes.
+pub(crate) struct Index<K, V> {
     buckets: Box<[TCell<Link<K, V>>]>,
     hasher: RandomState,
 }
 
-impl<K, V> fmt::Debug for TxHashMap<K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TxHashMap")
-            .field("buckets", &self.buckets.len())
-            .finish()
-    }
-}
-
-impl<K: MapKey, V: MapValue> TxHashMap<K, V> {
-    /// Create a map with `bucket_count` buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_count` is zero.
-    pub fn new(bucket_count: usize) -> Self {
+impl<K: MapKey, V: MapValue> Index<K, V> {
+    pub(crate) fn new(bucket_count: usize) -> Self {
         assert!(bucket_count > 0, "bucket count must be positive");
         Self {
             buckets: (0..bucket_count).map(|_| TCell::new(None)).collect(),
@@ -81,12 +61,9 @@ impl<K: MapKey, V: MapValue> TxHashMap<K, V> {
         }
     }
 
-    /// Number of buckets (fixed at construction).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
-    fn bucket_for(&self, key: &K) -> &TCell<Link<K, V>> {
+    /// The bucket `key` hashes to: an insert reads its head into the fresh
+    /// node's `hash_next`, then writes the node there.
+    pub(crate) fn bucket_for(&self, key: &K) -> &TCell<Link<K, V>> {
         let hash = self.hasher.hash_one(key);
         let index = (hash % self.buckets.len() as u64) as usize;
         &self.buckets[index]
@@ -96,15 +73,15 @@ impl<K: MapKey, V: MapValue> TxHashMap<K, V> {
     /// return the link cell that designates it, the node, and its handle.
     ///
     /// The references are valid for the rest of the attempt `tx` (the
-    /// borrowed-handle contract of `crate::traverse`), not for `'c`: callers
-    /// in this module use them before the attempt ends and hand out only the
-    /// handle, whose dereference is `unsafe`.
+    /// borrowed-handle contract of `crate::traverse`), not for `'c`: every
+    /// caller, here and in [`crate::TxView`], is done with them before the
+    /// attempt ends.
     fn walk<'c>(
         tx: &mut Txn<'_>,
         mut cell: &'c TCell<Link<K, V>>,
         mut hit: impl FnMut(&Node<K, V>) -> bool,
     ) -> TxResult<Option<Found<'c, K, V>>> {
-        while let Some(raw) = cell.read_with(tx, RawNode::from_link)? {
+        while let Some(raw) = cell.read_with(tx, |link| *link)? {
             // SAFETY: read through the running attempt `tx`.
             let node = unsafe { raw.node() };
             if hit(node) {
@@ -115,61 +92,31 @@ impl<K: MapKey, V: MapValue> TxHashMap<K, V> {
         Ok(None)
     }
 
-    /// [`TxHashMap::walk`] `key`'s chain to its node.
+    /// [`Index::walk`] `key`'s chain to its node.
     fn locate(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<Option<Found<'_, K, V>>> {
         Self::walk(tx, self.bucket_for(key), |node| node.key() == key)
     }
 
-    /// `key`'s node, as a handle that borrows the running attempt `tx`.
-    pub(crate) fn find(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<Option<RawNode<K, V>>> {
-        Ok(self.locate(tx, key)?.map(|(_, _, raw)| raw))
+    /// `key`'s node, valid for the rest of the attempt `tx` (see
+    /// [`Index::walk`]).
+    pub(crate) fn find(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<Option<&Node<K, V>>> {
+        Ok(self.locate(tx, key)?.map(|(_, node, _)| node))
     }
 
-    /// Push `node` — fresh, and not yet reachable by anyone else — at the
-    /// head of its key's bucket.
-    pub(crate) fn link(&self, tx: &mut Txn<'_>, node: &NodeRef<K, V>) -> TxResult<()> {
-        let bucket = self.bucket_for(node.key());
-        // Like the fresh node's tower links (see `SkipList::insert_after_
-        // logical_deletes`), its chain link needs no instrumentation: the
-        // bucket write below publishes the node at commit.
-        node.hash_next.store_atomic(bucket.read(tx)?);
-        bucket.write(tx, Some(node.clone()))
-    }
-
-    /// Unlink `key`'s node from its chain, returning it.
-    ///
-    /// The node's own `hash_next` is cleared too: a removed node keeps its
-    /// tower links (see `crate::skiplist::SkipList::unstitch`), and a hash
-    /// link kept beside them could close a cycle with a neighbour's tower
-    /// (see the module docs).
-    pub(crate) fn unlink(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<Option<NodeRef<K, V>>> {
-        let Some((cell, node, _)) = self.locate(tx, key)? else {
+    /// Unlink `key`'s node from its chain, returning where the walk found
+    /// it, valid for the rest of the attempt `tx` (see [`Index::walk`]).
+    /// The node keeps its own `hash_next`, which nothing walks to any more.
+    pub(crate) fn unlink(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<Option<Found<'_, K, V>>> {
+        let Some((cell, node, raw)) = self.locate(tx, key)? else {
             return Ok(None);
         };
-        let unlinked = cell.read(tx)?;
         let next = node.hash_next.read(tx)?;
         cell.write(tx, next)?;
-        node.hash_next.write(tx, None)?;
-        Ok(unlinked)
-    }
-
-    /// Transactionally look up `key`, returning a clone of its value.
-    #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
-    pub fn get(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<Option<V>> {
-        match self.locate(tx, key)? {
-            None => Ok(None),
-            Some((_, node, _)) => node.read_value(tx).map(Some),
-        }
-    }
-
-    /// Transactionally check for `key` without cloning anything.
-    #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
-    pub fn contains(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<bool> {
-        Ok(self.locate(tx, key)?.is_some())
+        Ok(Some((cell, node, raw)))
     }
 
     /// Transactionally collect every key (test helper; `O(buckets + n)`).
-    pub fn keys(&self, tx: &mut Txn<'_>) -> TxResult<Vec<K>> {
+    pub(crate) fn keys(&self, tx: &mut Txn<'_>) -> TxResult<Vec<K>> {
         let mut out = Vec::new();
         for bucket in self.buckets.iter() {
             Self::walk(tx, bucket, |node| {
@@ -178,6 +125,54 @@ impl<K: MapKey, V: MapValue> TxHashMap<K, V> {
             })?;
         }
         Ok(out)
+    }
+}
+
+/// A fixed-capacity, closed-addressing (chained) transactional hash map.
+///
+/// Every transaction on one map must come from one [`skiphash_stm::Stm`]
+/// (the STM's one-runtime rule): a node is freed by the commit that unlinks
+/// it, so the map's memory, not only its contents, rests on the conflicts
+/// one runtime detects.
+pub struct TxHashMap<K: MapKey, V: MapValue>(Index<K, V>);
+
+impl<K: MapKey, V: MapValue> fmt::Debug for TxHashMap<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "TxHashMap {{ buckets: {} }}", self.bucket_count())
+    }
+}
+
+impl<K: MapKey, V: MapValue> TxHashMap<K, V> {
+    /// Create a map with `bucket_count` buckets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bucket_count` is zero.
+    pub fn new(bucket_count: usize) -> Self {
+        Self(Index::new(bucket_count))
+    }
+
+    /// Number of buckets (fixed at construction).
+    pub fn bucket_count(&self) -> usize {
+        self.0.buckets.len()
+    }
+
+    /// Transactionally look up `key`, returning a clone of its value.
+    #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
+    pub fn get(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<Option<V>> {
+        let node = self.0.find(tx, key)?;
+        node.map(|node| node.read_value(tx)).transpose()
+    }
+
+    /// Transactionally check for `key` without cloning anything.
+    #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
+    pub fn contains(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<bool> {
+        Ok(self.0.find(tx, key)?.is_some())
+    }
+
+    /// Transactionally collect every key (test helper; `O(buckets + n)`).
+    pub fn keys(&self, tx: &mut Txn<'_>) -> TxResult<Vec<K>> {
+        self.0.keys(tx)
     }
 
     /// Transactionally insert `key -> value` **only if `key` is absent**,
@@ -194,7 +189,7 @@ impl<K: MapKey, V: MapValue> TxHashMap<K, V> {
         if self.contains(tx, &key)? {
             return Ok(false);
         }
-        self.link(tx, &Node::new(key, value, 1, 0, tx.read_version()))?;
+        self.link(tx, key, value)?;
         Ok(true)
     }
 
@@ -203,36 +198,44 @@ impl<K: MapKey, V: MapValue> TxHashMap<K, V> {
     /// semantics; contrast with the set-style [`TxHashMap::insert`]).
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn upsert(&self, tx: &mut Txn<'_>, key: K, value: V) -> TxResult<Option<V>> {
-        if let Some((_, node, _)) = self.locate(tx, &key)? {
+        if let Some(node) = self.0.find(tx, &key)? {
             let previous = node.read_value(tx)?;
             node.value().write(tx, value)?;
             return Ok(Some(previous));
         }
-        self.link(tx, &Node::new(key, value, 1, 0, tx.read_version()))?;
+        self.link(tx, key, value)?;
         Ok(None)
     }
 
+    /// Push a fresh node for the absent `key` at the head of its bucket; the
+    /// attempt frees it if it aborts.
+    fn link(&self, tx: &mut Txn<'_>, key: K, value: V) -> TxResult<()> {
+        let bucket = self.0.bucket_for(&key);
+        let next = bucket.read(tx)?;
+        let node = Node::linked_in(tx, key, value, 1, 0, next, |_| (None, None));
+        bucket.write(tx, Some(node))
+    }
+
     /// Transactionally remove `key`, returning its value if it was present.
+    /// The node is retired when the attempt commits.
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn remove(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<Option<V>> {
-        match self.unlink(tx, key)? {
-            None => Ok(None),
-            Some(node) => node.read_value(tx).map(Some),
-        }
+        let Some((_, node, raw)) = self.0.unlink(tx, key)? else {
+            return Ok(None);
+        };
+        let value = node.read_value(tx)?;
+        // SAFETY: the unlink replaced the map's one link to the node, and
+        // another attempt that unlinks it writes the same link.
+        unsafe { raw.retire(tx, node.born) };
+        Ok(Some(value))
     }
 
     /// Transactionally count entries by walking every chain.
     ///
-    /// This is `O(buckets + n)` and intended for tests and reporting.
+    /// This is `O(buckets + n)`, collects the keys, and is intended for
+    /// tests and reporting.
     pub fn len(&self, tx: &mut Txn<'_>) -> TxResult<usize> {
-        let mut total = 0;
-        for bucket in self.buckets.iter() {
-            Self::walk(tx, bucket, |_| {
-                total += 1;
-                false
-            })?;
-        }
-        Ok(total)
+        Ok(self.keys(tx)?.len())
     }
 
     /// Entries per bucket, over all buckets, empty ones included: [`len`]
@@ -242,7 +245,25 @@ impl<K: MapKey, V: MapValue> TxHashMap<K, V> {
     /// [`len`]: TxHashMap::len
     /// [`bucket_count`]: TxHashMap::bucket_count
     pub fn load_factor(&self, tx: &mut Txn<'_>) -> TxResult<f64> {
-        Ok(self.len(tx)? as f64 / self.buckets.len() as f64)
+        Ok(self.len(tx)? as f64 / self.bucket_count() as f64)
+    }
+}
+
+impl<K: MapKey, V: MapValue> Drop for TxHashMap<K, V> {
+    fn drop(&mut self) {
+        // The chains hold every node the map owns, each once (removed ones
+        // are the retirement's); `&mut self` means no attempt is running.
+        for bucket in self.0.buckets.iter() {
+            let mut next = bucket.load_atomic();
+            while let Some(at) = next {
+                // SAFETY: `at` is on a chain, so the map owns it, and nothing
+                // reaches it any more; its successor is read before it goes.
+                unsafe {
+                    next = at.node().hash_next.load_atomic();
+                    drop(OwnedNode::from_raw(at));
+                }
+            }
+        }
     }
 }
 
@@ -331,7 +352,10 @@ mod tests {
             assert!(!stm.run(|tx| standalone.contains(tx, &gone)));
             assert_eq!(inner.stm.run(|tx| inner.index.keys(tx)), present);
             assert_eq!(stm.run(|tx| standalone.keys(tx)), present);
-            assert_eq!(inner.stm.run(|tx| inner.index.len(tx)), present.len());
+            assert_eq!(
+                inner.stm.run(|tx| inner.index.keys(tx)).len(),
+                present.len()
+            );
             assert_eq!(stm.run(|tx| standalone.len(tx)), present.len());
             assert_eq!(skiphash.len(), present.len());
             skiphash.check_invariants().expect(position);

@@ -15,8 +15,8 @@ use crossbeam_utils::CachePadded;
 use skiphash_stm::{StatsSnapshot, Stm, TCell, Txn};
 
 use crate::config::{Config, SkipHashBuilder, DEFAULT_REMOVAL_BUFFER};
-use crate::hashmap::TxHashMap;
-use crate::node::NodeRef;
+use crate::hashmap::Index;
+use crate::node::RawNode;
 use crate::range;
 use crate::rqc::{DeferralBuffer, Rqc};
 use crate::skiplist::SkipList;
@@ -137,7 +137,7 @@ impl Population {
 pub(crate) struct Inner<K: MapKey, V: MapValue> {
     pub(crate) stm: Arc<Stm>,
     pub(crate) skiplist: SkipList<K, V>,
-    pub(crate) index: TxHashMap<K, V>,
+    pub(crate) index: Index<K, V>,
     pub(crate) rqc: Rqc<K, V>,
     pub(crate) buffer: DeferralBuffer<K, V>,
     pub(crate) config: Config,
@@ -146,17 +146,21 @@ pub(crate) struct Inner<K: MapKey, V: MapValue> {
 }
 
 impl<K: MapKey, V: MapValue> Inner<K, V> {
-    /// `after_remove` from Figure 4: either unstitch immediately (inside the
-    /// removing transaction) or arrange for deferral.  The deferral itself is
-    /// §4.5's: it happens after the transaction commits, via the per-thread
-    /// buffer, so this returns the node to be buffered.
+    /// `after_remove` from Figure 4: either unstitch `node`, inserted at
+    /// `i_time` and just unlinked from the index by `tx`, immediately (inside
+    /// the removing transaction) or arrange for deferral.  The deferral
+    /// itself is §4.5's: it happens after the transaction commits, via the
+    /// per-thread buffer, so this returns the node to be buffered.
     pub(crate) fn after_remove(
         &self,
         tx: &mut Txn<'_>,
-        node: NodeRef<K, V>,
-    ) -> skiphash_stm::TxResult<Option<NodeRef<K, V>>> {
-        if self.rqc.can_unstitch_now(tx, &node)? {
-            self.skiplist.unstitch(tx, &node)?;
+        node: RawNode<K, V>,
+        i_time: u64,
+    ) -> skiphash_stm::TxResult<Option<RawNode<K, V>>> {
+        if self.rqc.can_unstitch_now(tx, i_time)? {
+            // SAFETY: the index holds only nodes on the list, and `tx` took
+            // this one out of it, so any other remover conflicts with `tx`.
+            unsafe { self.skiplist.unstitch(tx, node) }?;
             return Ok(None);
         }
         Ok(Some(node))
@@ -165,13 +169,13 @@ impl<K: MapKey, V: MapValue> Inner<K, V> {
     /// Push a node whose unstitching must be deferred into the calling
     /// thread's buffer, flushing the buffer to the RQC when it fills up.
     /// Runs *outside* any transaction (from a post-commit action).
-    pub(crate) fn buffer_deferred_node(&self, node: NodeRef<K, V>) {
+    pub(crate) fn buffer_deferred_node(&self, node: RawNode<K, V>) {
         if let Some(batch) = self.buffer.push(node) {
             self.flush_deferred_batch(batch);
         }
     }
 
-    pub(crate) fn flush_deferred_batch(&self, batch: Vec<NodeRef<K, V>>) {
+    pub(crate) fn flush_deferred_batch(&self, batch: Vec<RawNode<K, V>>) {
         if batch.is_empty() {
             return;
         }
@@ -180,20 +184,21 @@ impl<K: MapKey, V: MapValue> Inner<K, V> {
             .run(|tx| self.rqc.defer_batch_to_latest(tx, &batch));
         if !accepted {
             // No slow-path range query is in flight: unstitch the whole batch
-            // ourselves, one small transaction per node.
-            for node in &batch {
-                self.stm.run(|tx| self.skiplist.unstitch(tx, node));
-            }
+            // ourselves.
+            self.unstitch_all(&batch);
         }
     }
-}
 
-impl<K: MapKey, V: MapValue> Drop for Inner<K, V> {
-    fn drop(&mut self) {
-        // The doubly linked skip list is a large cycle of `Arc`s; sever every
-        // link so the nodes can actually be reclaimed.  `Drop` has exclusive
-        // access, so the non-transactional stores are safe.
-        self.skiplist.sever_all();
+    /// Unstitch removed nodes whose unstitching was deferred, one small
+    /// transaction per node.
+    pub(crate) fn unstitch_all(&self, nodes: &[RawNode<K, V>]) {
+        let list = &self.skiplist;
+        for &node in nodes {
+            // SAFETY: a deferred node stays on the list until this unstitch:
+            // it left the index when it was removed, and the one batch or RQC
+            // list that held it since was handed to this caller alone.
+            self.stm.run(|tx| unsafe { list.unstitch(tx, node) });
+        }
     }
 }
 
@@ -281,7 +286,7 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
             inner: Arc::new(Inner {
                 stm,
                 skiplist: SkipList::new(config.max_level),
-                index: TxHashMap::new(config.bucket_count),
+                index: Index::new(config.bucket_count),
                 rqc: Rqc::new(),
                 buffer: DeferralBuffer::new(DEFAULT_REMOVAL_BUFFER),
                 config,

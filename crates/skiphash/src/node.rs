@@ -1,20 +1,20 @@
 //! Skip list nodes, allocated from the block recycler.
 //!
-//! A node stores its key and tower height as plain immutable fields (the
-//! paper's `const` optimization: immutable data needs no STM
-//! instrumentation), and everything mutable — the value, the range-query
-//! timestamps, the hash-chain link and the predecessor/successor links at
-//! every level — in [`TCell`]s.  Every one of those cells holds its value in
-//! place, so a word-sized value or link is the cell's data word, beside its
-//! orec: a point read costs the bucket word and the node, nothing behind
-//! either.  The value cell is a `TCell<V>`; the two sentinels, told apart
-//! by `bound`, leave it uninitialised, and [`Node::value`] is the one way
-//! to it.
+//! A node stores its key, tower height, insertion version and birth version
+//! as plain immutable fields (the paper's `const` optimization: immutable
+//! data needs no STM instrumentation), and everything mutable — the value,
+//! the deletion mark, the hash-chain link and the predecessor/successor
+//! links at every level — in [`TCell`]s.  Every one of those cells holds its
+//! value in place, so a word-sized value or link is the cell's data word,
+//! beside its orec: a point read costs the bucket word and the node, nothing
+//! behind either.  The value cell is a `TCell<V>`; the two sentinels, told
+//! apart by `bound`, leave it uninitialised, and [`Node::value`] is the one
+//! way to it.
 //!
 //! # The node block
 //!
-//! The whole node — reference count, header, and the tower *inline* as a
-//! trailing array of exactly `height` levels — lives in one block carved from
+//! The whole node — header, and the tower *inline* as a trailing array of
+//! exactly `height` levels — lives in one block carved from
 //! [`skiphash_stm::arena`]'s size-classed pools.  One block means one
 //! allocation per insert and one free per reclamation, and the pools absorb
 //! the fact that the free usually lands on a *different* thread than the
@@ -22,8 +22,7 @@
 //! worst case for every general-purpose allocator:
 //!
 //! ```text
-//! NodeBlock { refs: AtomicUsize, node: Node { bound, r_time, value,
-//!             i_time, hash_next, height } } [Level; height]
+//! Node { bound, r_time, value, i_time, born, hash_next, height } [Level; height]
 //! ```
 //!
 //! The tower starts at the same offset for every height (the header is
@@ -32,71 +31,61 @@
 //! hash bucket's chain (see [`crate::hashmap`]): the index is intrusive, a
 //! bucket is one link word, and a lookup hops from node to node through the
 //! same kind of link cell the tower holds, under the borrowed-handle contract
-//! of `crate::traverse`.  Hash links only point from a newer node to an older
-//! one, and only from a node still in its chain (unlinking clears a removed
-//! node's `hash_next`), so they close no cycle with the tower links a removed
-//! node keeps: teardown severs the doubly linked tower and nothing else (the
-//! argument is in [`crate::hashmap`]).  The header is 96 bytes for
-//! `Node<u64, u64>`, so a block of every tower height is a whole number of
-//! cache lines in the same arena class it would take without `hash_next`.
-//! A node is that one block: an insert allocates nothing else, and a
-//! reclamation frees nothing else.
+//! of `crate::traverse`.  The header is 88 bytes for `Node<u64, u64>`, and
+//! the tower starts on the next 32-byte boundary, so no level straddles a
+//! cache line, at no cost: every block is the whole number of lines the
+//! 88-byte header and its tower need anyway.  A node is that one block: an
+//! insert allocates nothing else, and a reclamation frees nothing else.
 //!
-//! [`NodeRef`] is the `Arc` replacement: a pointer-sized handle whose
-//! reference count lives inside the block.
+//! # Handles and owners
 //!
-//! # Lifetime rules (why release is epoch-deferred)
+//! A link is a [`RawNode`]: the block pointer, which counts nothing, so a
+//! hop costs no atomic read-modify-write and a link write displaces a word
+//! that owns nothing.  A node has one owner at a time, which frees it once:
 //!
-//! Dropping the last `NodeRef` does **not** free the block; it retires it
-//! through the epoch shim's `defer_with`, and the reclamation glue — run only
-//! after every thread pinned at retirement time has unpinned — drops the
-//! node's fields and returns the block to the arena.  Two hazards force this
-//! (see `docs/PERF.md`):
+//! * **Fresh.**  [`Node::new`] returns the [`OwnedNode`] that frees the node
+//!   when dropped.  An insert links its node at birth and hands the owner to
+//!   its attempt ([`Txn::free_on_abort`]): an abort frees the node at once,
+//!   since nothing but the attempt's buffered writes ever pointed at it, and
+//!   a commit gives it to the structure it was linked into.
+//! * **Linked.**  A [`crate::skiplist::SkipList`] owns the nodes on its
+//!   level 0, and a standalone [`crate::TxHashMap`] the nodes on its chains;
+//!   the skip hash's index owns none (its nodes are its list's).  Teardown
+//!   walks level 0, or the chains, and frees each node once.
+//! * **Retired.**  The transaction that unlinks a node — the skip list's
+//!   unstitch, a standalone map's remove — hands it to its attempt for
+//!   retirement at commit ([`Txn::retire_at_commit`]), under the rule a
+//!   displaced value gets: a live snapshot pin whose version lies in the
+//!   node's window `[born, wv)` keeps it in custody until the pin drops
+//!   (the key is the block address with its low bit set, which no cell
+//!   has); otherwise it goes through the epoch.  An aborted unlink retires
+//!   nothing.
 //!
-//! * **Read-set orecs.**  A transaction records raw pointers to the orecs of
-//!   every cell it read — including cells of nodes it no longer holds a
-//!   reference to by the time commit-time validation dereferences them.  The
-//!   transaction's epoch pin is what keeps those orecs readable; recycling a
-//!   block mid-pin would let validation read a *reused* orec and admit a torn
-//!   snapshot.
-//! * **Transactional rollback.**  An insert that aborts drops the body's
-//!   `NodeRef` (ending the transaction body) *before* the rollback runs.
-//!   The write log still holds the neighbours' link words that point at the
-//!   node — buffered, never installed — and each owns a count, so the node
-//!   lives until the rollback drops them; the last drop retires the block
-//!   under the attempt's pin, and the rollback touches only the neighbours'
-//!   orecs, never the node's own cells.  This is why the insert path
-//!   registers nothing with the transaction to keep its fresh node alive
-//!   (see [`crate::skiplist::SkipList::insert_after_logical_deletes`]).
+//! A retired node is freed two grace periods after the commit, not one.  A
+//! commit installs its link words one by one and only then retires, so a
+//! thread that pins while another commit is still installing can reach that
+//! commit's node through a link not yet replaced, and from it, through the
+//! links it keeps, a neighbour a third commit unlinked and retired after the
+//! first released the neighbour's orecs.  The first grace period outlasts
+//! every commit that was installing when the node was retired (a committer
+//! stays pinned until it has installed everything); the second starts once
+//! no link but those of retired nodes leads to the node.
 //!
-//! The count itself cannot resurrect: references are only ever cloned from
-//! live references.  A link cell holds its `Option<NodeRef>` directly in its
-//! data word (a link is one machine word, so `TCell` stores it inline), and
-//! that word owns one count.  A reader that hops through the link works on a
-//! bitwise copy of the word and owns nothing — what keeps the node alive
-//! under it is that the drop of a *displaced* link word is epoch-deferred:
-//! the count the word owned is given back only after every thread that was
-//! pinned when the word was swapped out has unpinned.  So when the count
-//! hits zero no thread can produce a new one, and a single deferral
-//! suffices.
-//!
-//! Reclamation glue may run *inside* an epoch collection cycle, and dropping
-//! a node's link cells can release the last reference to a neighbour —
-//! whose retirement then pins and defers from within the running cycle.  The
-//! vendored epoch shim explicitly supports this re-entrancy (destructors
-//! execute outside its thread-local borrow); nesting stays depth-one because
-//! the neighbour is *deferred*, never freed recursively.
+//! Some handles outlive the attempt that read them, and each names its
+//! owner: the slow-path range query's cursor, a safe node whose unstitching
+//! the range query coordinator defers until the query finishes; the nodes
+//! in a `DeferralBuffer` batch or an RQC record's deferred list, still
+//! stitched and so still the list's, unstitched once by whoever takes the
+//! batch; and the handles a snapshot walks, whose nodes are the list's or
+//! the custody's for as long as the pin lives.
 
-use skiphash_stm::sync::{fence, AtomicUsize, Ordering as AtomicOrdering};
 use std::alloc::Layout;
 use std::cmp::Ordering;
 use std::fmt;
 use std::mem::MaybeUninit;
 use std::num::NonZeroU64;
-use std::ops::Deref;
 use std::ptr::{self, addr_of_mut, NonNull};
 
-use crossbeam_epoch as epoch;
 use skiphash_stm::arena::{self, BlockKind};
 use skiphash_stm::{TCell, TxResult, Txn};
 
@@ -136,7 +125,7 @@ impl<K: Ord> Bound<K> {
 }
 
 /// A link to a neighbouring node (absent only outside the sentinels).
-pub type Link<K, V> = Option<NodeRef<K, V>>;
+pub type Link<K, V> = Option<RawNode<K, V>>;
 
 // A link is one machine word (`None` is the null handle), which is what lets
 // a `TCell<Link>` hold it in place beside its orec: one cache miss per hop.
@@ -148,22 +137,14 @@ const _: () = assert!(std::mem::size_of::<Link<(), ()>>() == std::mem::size_of::
 /// only successor links, so keeping `succ` at offset 0 means the tower-line
 /// prefetch issued one hop ahead (`RawNode::prefetch`) covers the next hop's
 /// level-0 link without also paying for the predecessor cell (see
-/// docs/PERF.md, Mechanism 6).
-#[repr(C)]
+/// docs/PERF.md, Mechanism 6).  Aligned to its own 32 bytes, so that in a
+/// line-aligned block no level straddles a cache line.
+#[repr(C, align(32))]
 pub struct Level<K, V> {
     /// Link to the next node at this level.
     pub succ: TCell<Link<K, V>>,
     /// Link to the previous node at this level.
     pub pred: TCell<Link<K, V>>,
-}
-
-impl<K, V> Level<K, V> {
-    fn empty_at(born: u64) -> Self {
-        Self {
-            pred: TCell::new_at(None, born),
-            succ: TCell::new_at(None, born),
-        }
-    }
 }
 
 impl<K, V> fmt::Debug for Level<K, V> {
@@ -172,18 +153,9 @@ impl<K, V> fmt::Debug for Level<K, V> {
     }
 }
 
-/// The arena block backing one node: the reference count, the node header,
-/// and (immediately after, in the same allocation, at [`tower_offset`]) the
-/// `[Level; height]` tower.
-#[repr(C)]
-struct NodeBlock<K, V> {
-    refs: AtomicUsize,
-    node: Node<K, V>,
-}
-
 /// Byte layout of a block for a tower of `height` levels, plus the offset of
 /// the tower array.  A pure function of the type and the height, so the
-/// allocation and reclamation sides always agree (the glue re-derives it from
+/// allocation and reclamation sides always agree (the free re-derives it from
 /// the height stored in the header).
 ///
 /// The block asks for a cache line's alignment: the "scan-hot fields first"
@@ -191,7 +163,7 @@ struct NodeBlock<K, V> {
 /// boundary.
 fn block_layout<K, V>(height: usize) -> (Layout, usize) {
     const LINE_BYTES: usize = 64;
-    let header = Layout::new::<NodeBlock<K, V>>();
+    let header = Layout::new::<Node<K, V>>();
     let tower = Layout::array::<Level<K, V>>(height).expect("tower layout");
     let (layout, offset) = header.extend(tower).expect("block layout");
     let layout = layout.align_to(LINE_BYTES).expect("block layout");
@@ -204,20 +176,19 @@ fn tower_offset<K, V>() -> usize {
     block_layout::<K, V>(1).1
 }
 
-/// A node of the doubly linked skip list.
+/// A node of the doubly linked skip list: the header of its block.
 ///
-/// Obtained by dereferencing a [`NodeRef`]; never exists outside a node
-/// block.
+/// Reached through a [`RawNode`]; never exists outside a node block.
 ///
 /// `repr(C)` with the scan-hot fields first: a level-0 scan reads, per
 /// element, the key (`bound`), the deletion mark (`r_time`), and the value
 /// cell — so those lead the header and, for small keys, land in the block's
-/// first cache line together with `refs` (blocks are cache-line aligned,
-/// see `block_layout`).  A point read that has compared the key therefore
-/// finds a word-sized value in a line it already holds.  The colder fields
-/// (`i_time`, `hash_next`, `height`) trail; for small keys `hash_next` and
-/// `height` share the second line with the tower's level 0, which is the
-/// line `RawNode::prefetch` fetches.
+/// first cache line together (blocks are cache-line aligned, see
+/// `block_layout`).  A point read that has compared the key therefore finds
+/// a word-sized value in a line it already holds.  The colder fields
+/// (`i_time`, `born`, `hash_next`, `height`) trail; for small keys
+/// `hash_next` and `height` share the second line with the tower's level 0,
+/// which is the line `RawNode::prefetch` fetches.
 /// Layout rules are documented in docs/PERF.md, Mechanism 6.
 #[repr(C)]
 pub struct Node<K, V> {
@@ -232,11 +203,16 @@ pub struct Node<K, V> {
     pub r_time: TCell<Option<NonZeroU64>>,
     /// The associated value, in place (see the module docs).  Initialised
     /// for key nodes only; reached through [`Node::value`], which refuses
-    /// sentinels, and dropped by the retire glue for key nodes only.
+    /// sentinels, and dropped by the free for key nodes only.
     value: MaybeUninit<TCell<V>>,
     /// Version of the most recent slow-path range query that began before
-    /// this node was inserted.
-    pub i_time: TCell<u64>,
+    /// this node was inserted (immutable).
+    pub i_time: u64,
+    /// The clock version the node's cells were stamped with at birth: the
+    /// inserting attempt's read version, at or below the commit that made
+    /// the node reachable, so `[born, wv)` covers every snapshot that can
+    /// reach it before the commit at `wv` unlinks it (immutable).
+    pub born: u64,
     /// The next older node in this node's hash bucket (see
     /// [`crate::hashmap`]); `None` at the end of the chain.
     pub hash_next: TCell<Link<K, V>>,
@@ -256,153 +232,32 @@ where
     }
 }
 
-/// A counted handle to a pooled skip list node — the arena-recycled
-/// replacement for `Arc<Node>`.
-///
-/// Clones bump the count stored inside the node's block; dropping the last
-/// handle retires the block through the epoch (see the module docs for the
-/// lifetime rules).  Dereferences to [`Node`].
-pub struct NodeRef<K, V> {
-    block: NonNull<NodeBlock<K, V>>,
-}
-
-// SAFETY: a NodeRef is a counted pointer to a block whose shared state is
-// all atomics and TCells (themselves Sync for Send + Sync contents); the
-// count manipulation follows the Arc protocol and reclamation is
-// epoch-deferred.  K/V travel across threads both inside cells and by value
-// (reads clone them), hence both bounds on both impls.
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for NodeRef<K, V> {}
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for NodeRef<K, V> {}
-
-impl<K, V> NodeRef<K, V> {
-    /// True when both handles designate the same node (pointer identity,
-    /// like `Arc::ptr_eq`).
-    #[inline]
-    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
-        a.block.as_ptr() == b.block.as_ptr()
-    }
-
-    /// The block this handle counts: the reference count and the header.
-    #[inline]
-    fn block(&self) -> &NodeBlock<K, V> {
-        // SAFETY: the block stays allocated (and its header initialized)
-        // until after the last handle drops *and* the epoch quiesces.
-        unsafe { self.block.as_ref() }
-    }
-
-    #[inline]
-    fn refs(&self) -> &AtomicUsize {
-        &self.block().refs
-    }
-
-    /// Current reference count (test/debug helper; racy by nature).
-    #[cfg(test)]
-    pub(crate) fn ref_count(&self) -> usize {
-        self.refs().load(AtomicOrdering::Relaxed)
-    }
-
-    /// The tower as a slice, one [`Level`] per level in `0..height`.
-    #[inline]
-    pub fn tower(&self) -> &[Level<K, V>] {
-        // SAFETY: this handle's count keeps the block alive while `self` is
-        // borrowed.
-        unsafe { RawNode::from_ref(self).tower() }
-    }
-
-    /// The links at `level` (must be `< height`).
-    #[inline]
-    pub fn level(&self, level: usize) -> &Level<K, V> {
-        &self.tower()[level]
-    }
-}
-
-impl<K: MapKey, V: MapValue> NodeRef<K, V> {
-    /// Sever all of this node's tower links (used only during teardown,
-    /// outside of any transaction, to break the doubly linked list's
-    /// reference cycles).
-    pub fn sever_links(&self) {
-        for level in self.tower() {
-            level.pred.store_atomic(None);
-            level.succ.store_atomic(None);
-        }
-    }
-}
-
-impl<K, V> Deref for NodeRef<K, V> {
-    type Target = Node<K, V>;
-
-    #[inline]
-    fn deref(&self) -> &Node<K, V> {
-        &self.block().node
-    }
-}
-
-impl<K, V> Clone for NodeRef<K, V> {
-    #[inline]
-    fn clone(&self) -> Self {
-        // Relaxed suffices: the clone source proves the count is non-zero,
-        // and the release/acquire pair on drop orders the final teardown
-        // (the Arc protocol).
-        self.refs().fetch_add(1, AtomicOrdering::Relaxed);
-        Self { block: self.block }
-    }
-}
-
-impl<K, V> Drop for NodeRef<K, V> {
-    fn drop(&mut self) {
-        if self.refs().fetch_sub(1, AtomicOrdering::Release) == 1 {
-            fence(AtomicOrdering::Acquire);
-            // Retire under a pin taken *now*: if this drop runs inside a
-            // transaction (the common case — link payloads dropping in the
-            // epoch, locals dropping at body end), the enclosing pin keeps
-            // the block from being recycled before the attempt finishes; if
-            // it runs inside a collection cycle, the shim's re-entrant
-            // deferral path picks it up.
-            let guard = epoch::pin();
-            // SAFETY: count reached zero, so no handle remains and none can
-            // be created (see module docs); the glue matches the block's
-            // allocation exactly and runs once, after quiescence.
-            unsafe {
-                guard.defer_with(self.block.as_ptr().cast::<()>(), retire_node_block::<K, V>)
-            };
-        }
-    }
-}
-
-impl<K, V> fmt::Debug for NodeRef<K, V>
-where
-    K: fmt::Debug,
-{
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-/// A borrowed, copyable node handle that does **not** own a reference
-/// count — the traversal-speed companion to [`NodeRef`].
-///
-/// Skip-list searches hop through dozens of links; cloning a counted
-/// handle per hop costs two uncontended atomic RMWs (increment now,
-/// decrement next hop), which dominates traversal time.  A `RawNode` is
-/// just the block pointer.
+/// A copyable node handle that owns nothing: the block pointer, and what
+/// every link holds.
 ///
 /// # Validity
 ///
 /// A `RawNode` read inside a transaction attempt is valid only **inside
 /// that attempt** (equivalently: while the epoch guard it was read under
-/// stays pinned).  The argument mirrors the read-set orec rule in the module
-/// docs: the node designated by a link word loaded under a pin, validated
-/// or not, keeps `refs >= 1` until that pin is released.  The word the
-/// handle was copied from either is still installed or was swapped out
-/// *during* the pin, and either way the drop that gives its count back is
-/// deferred past the unpin.  For the same reason [`RawNode::upgrade`]
-/// (count increment) can never resurrect a dead block when called within
-/// the attempt.  One read at a snapshot's pinned version is valid while the
+/// stays pinned): a node is retired only by the commit that unlinks it, and
+/// freed only after every thread pinned then has unpinned (see the module
+/// docs).  One read at a snapshot's pinned version is valid while the
 /// snapshot lives, by the pin's custody instead of the epoch; both arguments
-/// are stated where the handles are produced, in `crate::traverse`.
-pub(crate) struct RawNode<K, V> {
-    block: NonNull<NodeBlock<K, V>>,
+/// are stated where the handles are produced, in `crate::traverse`.  A
+/// handle that outlives its attempt is valid for as long as its owner keeps
+/// the node (the module docs list each one).
+pub struct RawNode<K, V> {
+    block: NonNull<Node<K, V>>,
 }
+
+// SAFETY: a handle is a pointer to a block whose shared state is all
+// immutable fields and TCells (themselves Sync for Send + Sync contents),
+// and dereferencing it is `unsafe`, under the validity rule above.  K/V
+// travel across threads both inside cells and by value (reads clone them),
+// hence both bounds on both impls.
+unsafe impl<K: Send + Sync, V: Send + Sync> Send for RawNode<K, V> {}
+// SAFETY: as above.
+unsafe impl<K: Send + Sync, V: Send + Sync> Sync for RawNode<K, V> {}
 
 impl<K, V> Clone for RawNode<K, V> {
     fn clone(&self) -> Self {
@@ -420,44 +275,39 @@ impl<K, V> PartialEq for RawNode<K, V> {
 impl<K, V> Eq for RawNode<K, V> {}
 
 impl<K, V> RawNode<K, V> {
-    /// Borrow a counted handle's block.
-    pub(crate) fn from_ref(node: &NodeRef<K, V>) -> Self {
-        Self { block: node.block }
-    }
-
-    /// Borrow the node a link designates, if any.
-    pub(crate) fn from_link(link: &Link<K, V>) -> Option<Self> {
-        link.as_ref().map(Self::from_ref)
-    }
-
     /// The node itself.
     ///
     /// # Safety
     ///
-    /// What this handle was obtained under — the transaction attempt, the
-    /// snapshot pin, or the counted handle it borrows — must still be in
-    /// force (see the type docs).  The returned lifetime is caller-chosen; it
-    /// must not outlive that protection.
+    /// The handle must be valid (see the type docs), and the returned
+    /// lifetime, which is caller-chosen, must not outlive that validity.
     #[inline]
-    pub(crate) unsafe fn node<'any>(&self) -> &'any Node<K, V> {
+    pub unsafe fn node<'any>(&self) -> &'any Node<K, V> {
         // SAFETY: per the contract, the block is alive while the protection
         // lasts.
-        unsafe { &(*self.block.as_ptr()).node }
+        unsafe { self.block.as_ref() }
     }
 
-    /// The node's tower, found from the block pointer at [`tower_offset`].
+    /// The tower of `node`, which must be the node this handle designates,
+    /// as a slice of one [`Level`] per level in `0..height`, borrowed for as
+    /// long as `node` is.
     ///
-    /// # Safety
+    /// # Panics
     ///
-    /// Same contract as [`RawNode::node`].
+    /// Panics when `node` is another node than this handle's.
     #[inline]
-    pub(crate) unsafe fn tower<'any>(&self) -> &'any [Level<K, V>] {
-        // SAFETY: per the contract the block is alive, and it holds `height`
-        // initialized levels at `tower_offset` (written by `alloc_node`); the
-        // block pointer carries the whole allocation's provenance.
+    pub fn tower<'n>(&self, node: &'n Node<K, V>) -> &'n [Level<K, V>] {
+        assert!(
+            ptr::eq(node, self.block.as_ptr()),
+            "a tower is read through its own node"
+        );
+        // SAFETY: `node` is this block's header, alive for `'n`, and the
+        // block lives and dies whole, so its `height` levels at
+        // `tower_offset` (written by `Vacant::fill`) are alive for `'n` too;
+        // the block pointer carries the whole allocation's provenance.
         unsafe {
             let levels = self.block.as_ptr().cast::<u8>().add(tower_offset::<K, V>());
-            std::slice::from_raw_parts(levels.cast(), (*self.block.as_ptr()).node.height)
+            std::slice::from_raw_parts(levels.cast(), node.height)
         }
     }
 
@@ -489,91 +339,149 @@ impl<K, V> RawNode<K, V> {
         let at = tower_offset::<K, V>() + level * std::mem::size_of::<Level<K, V>>();
         skiphash_stm::sync::prefetch_read(self.block.as_ptr().cast::<u8>().wrapping_add(at));
     }
+}
 
-    /// Promote to a counted [`NodeRef`].
+impl<K: MapKey, V: MapValue> RawNode<K, V> {
+    /// Hand this node, born at `born`, to `tx` for retirement when it
+    /// commits (see the module docs).
     ///
     /// # Safety
     ///
-    /// Same contract as [`RawNode::node`]: under that protection the count
-    /// is provably at least one (a link word or a history entry still holds
-    /// a reference), so the increment cannot revive a block whose retirement
-    /// was already scheduled.
-    #[inline]
-    pub(crate) unsafe fn upgrade(&self) -> NodeRef<K, V> {
-        // SAFETY: `refs >= 1` per the contract; this is exactly a clone.
+    /// `tx` must be the one attempt that unlinks the node from the structure
+    /// that owns it: its writes replace every link to the node that
+    /// structure holds, and any other attempt that would unlink it conflicts
+    /// with them.
+    pub(crate) unsafe fn retire(self, tx: &mut Txn<'_>, born: u64) {
+        tx.retire_at_commit(born, Retired(self));
+    }
+}
+
+/// A node its unlinking commit retired.  Dropped one grace period after the
+/// commit (or when the custody that kept it lets go), it starts the second.
+struct Retired<K: MapKey, V: MapValue>(RawNode<K, V>);
+
+impl<K: MapKey, V: MapValue> Drop for Retired<K, V> {
+    fn drop(&mut self) {
+        skiphash_stm::defer_drop(OwnedNode { raw: self.0 });
+    }
+}
+
+/// The one owner of a node no structure holds: dropping it frees the node
+/// at once.  Returned by [`Node::new`].
+pub struct OwnedNode<K, V> {
+    raw: RawNode<K, V>,
+}
+
+impl<K, V> OwnedNode<K, V> {
+    /// The node's handle, valid while this owner lives.
+    pub fn raw(&self) -> RawNode<K, V> {
+        self.raw
+    }
+
+    /// Give the node to whoever holds the returned handle: the list the
+    /// sentinels of [`Node::sentinels`] are for.
+    fn into_raw(self) -> RawNode<K, V> {
+        std::mem::ManuallyDrop::new(self).raw
+    }
+
+    /// Take ownership of the node `raw` designates.
+    ///
+    /// # Safety
+    ///
+    /// Nothing else may own the node, and no thread may still reach it once
+    /// the owner drops: a structure at teardown, with exclusive access,
+    /// freeing what it owns.
+    pub(crate) unsafe fn from_raw(raw: RawNode<K, V>) -> Self {
+        Self { raw }
+    }
+}
+
+impl<K, V> Drop for OwnedNode<K, V> {
+    fn drop(&mut self) {
+        // SAFETY: this is the node's one owner and no thread can reach it
+        // (the type's contract), and the block was fully initialised by
+        // `Vacant::fill`: drop the tower, the value cell of a key node, and
+        // the rest of the header in place, then return the block with the
+        // layout it was served with.
         unsafe {
-            (*self.block.as_ptr())
-                .refs
-                .fetch_add(1, AtomicOrdering::Relaxed)
-        };
-        NodeRef { block: self.block }
-    }
-}
-
-/// Epoch reclamation glue: drop the node's fields (header and tower levels,
-/// and the value cell of a key node) in place and hand the block back to
-/// the arena.
-///
-/// # Safety
-///
-/// `ptr` must be a fully initialized node block whose reference count has
-/// reached zero, unreachable to any thread that is not currently pinned;
-/// called exactly once.
-unsafe fn retire_node_block<K, V>(ptr: *mut ()) {
-    // SAFETY: per the contract the header is initialized and ours alone.
-    unsafe {
-        let block = ptr.cast::<NodeBlock<K, V>>();
-        let height = (*block).node.height;
-        let (layout, tower_offset) = block_layout::<K, V>(height);
-        let tower = ptr.cast::<u8>().add(tower_offset).cast::<Level<K, V>>();
-        // Dropping the tower's and the hash chain's link cells may release
-        // the last reference to a neighbour, which re-enters the collector
-        // (re-entrancy is part of the shim's contract; see the module docs).
-        ptr::drop_in_place(ptr::slice_from_raw_parts_mut(tower, height));
-        let node = addr_of_mut!((*block).node);
-        // The value cell is initialised exactly in key nodes (`alloc_node`).
-        if !(*node).is_sentinel() {
-            (*node).value.assume_init_drop();
+            let node = self.raw.block.as_ptr();
+            let height = (*node).height;
+            let (layout, tower_offset) = block_layout::<K, V>(height);
+            let tower = node.cast::<u8>().add(tower_offset).cast::<Level<K, V>>();
+            ptr::drop_in_place(ptr::slice_from_raw_parts_mut(tower, height));
+            if !(*node).is_sentinel() {
+                (*node).value.assume_init_drop();
+            }
+            ptr::drop_in_place(node);
+            arena::free_raw(node.cast::<u8>(), layout.size(), layout.align());
         }
-        ptr::drop_in_place(node);
-        arena::free_raw(ptr.cast::<u8>(), layout.size(), layout.align());
     }
 }
 
-/// Allocate and initialize a node block, returning its first handle.
-///
-/// `value` is initialised exactly when `bound` is a key: [`Node::new`] and
-/// [`Node::sentinel`] are the two callers, one for each case.
-fn alloc_node<K: MapKey, V: MapValue>(
-    bound: Bound<K>,
-    value: MaybeUninit<TCell<V>>,
+/// A block the arena served for a tower of `height` levels, not written yet.
+struct Vacant<K, V> {
+    block: NonNull<Node<K, V>>,
     height: usize,
-    i_time: u64,
-    born: u64,
-) -> NodeRef<K, V> {
-    assert!(height >= 1, "node height must be at least 1");
-    let (layout, tower_offset) = block_layout::<K, V>(height);
-    let raw = arena::alloc_raw(layout.size(), layout.align(), BlockKind::Node);
-    // SAFETY: the block is exclusively ours, large and aligned enough for
-    // the layout just computed; every field is written before the handle
-    // escapes.
-    unsafe {
-        let tower = raw.add(tower_offset).cast::<Level<K, V>>();
-        for level in 0..height {
-            tower.add(level).write(Level::empty_at(born));
-        }
-        let block = raw.cast::<NodeBlock<K, V>>();
-        addr_of_mut!((*block).refs).write(AtomicUsize::new(1));
-        addr_of_mut!((*block).node).write(Node {
-            bound,
-            r_time: TCell::new_at(None, born),
-            value,
-            i_time: TCell::new_at(i_time, born),
-            hash_next: TCell::new_at(None, born),
+}
+
+impl<K, V> Vacant<K, V> {
+    fn new(height: usize) -> Self {
+        assert!(height >= 1, "node height must be at least 1");
+        let (layout, _) = block_layout::<K, V>(height);
+        let raw = arena::alloc_raw(layout.size(), layout.align(), BlockKind::Node);
+        Self {
+            block: NonNull::new(raw.cast()).expect("the arena serves no null block"),
             height,
+        }
+    }
+
+    /// Write the node: a value exactly for a key, every cell stamped at
+    /// `born`, and `links(level)` as each level's `(pred, succ)`.
+    fn fill(
+        self,
+        bound: Bound<K>,
+        value: Option<V>,
+        i_time: u64,
+        born: u64,
+        hash_next: Link<K, V>,
+        links: impl Fn(usize) -> (Link<K, V>, Link<K, V>),
+    ) -> OwnedNode<K, V> {
+        assert_eq!(
+            value.is_some(),
+            matches!(bound, Bound::Key(_)),
+            "a key node carries a value and a sentinel none"
+        );
+        let value = value.map_or(MaybeUninit::uninit(), |value| {
+            MaybeUninit::new(TCell::new_at(value, born))
         });
-        NodeRef {
-            block: NonNull::new_unchecked(block),
+        let node = self.block.as_ptr();
+        // SAFETY: the block is exclusively ours, served for `self.height`
+        // levels with the layout `block_layout` computes for it, and every
+        // field is written before the owner escapes.
+        unsafe {
+            let tower = node
+                .cast::<u8>()
+                .add(tower_offset::<K, V>())
+                .cast::<Level<K, V>>();
+            for level in 0..self.height {
+                let (pred, succ) = links(level);
+                tower.add(level).write(Level {
+                    succ: TCell::new_at(succ, born),
+                    pred: TCell::new_at(pred, born),
+                });
+            }
+            addr_of_mut!(*node).write(Node {
+                bound,
+                r_time: TCell::new_at(None, born),
+                value,
+                i_time,
+                born,
+                hash_next: TCell::new_at(hash_next, born),
+                height: self.height,
+            });
+        }
+        OwnedNode {
+            raw: RawNode { block: self.block },
         }
     }
 }
@@ -614,41 +522,59 @@ impl<K, V> Node<K, V> {
     #[inline]
     pub fn value(&self) -> &TCell<V> {
         assert!(!self.is_sentinel(), "sentinel nodes have no value");
-        // SAFETY: `alloc_node` initialises the cell of every key node, and
-        // only the retire glue, which runs after the last handle is gone,
-        // drops it.
+        // SAFETY: `Vacant::fill` initialises the cell of every key node, and
+        // only the free, which runs after the last handle is gone, drops it.
         unsafe { self.value.assume_init_ref() }
     }
 }
 
 impl<K: MapKey, V: MapValue> Node<K, V> {
-    /// Create a regular node carrying `key`/`value` with the given tower
-    /// height and insertion time.
+    /// Create a node carrying `key`/`value` with the given tower height and
+    /// insertion time, linked to nothing, owned by the returned handle.
     ///
-    /// Safe to call inside a transaction body with no further registration:
-    /// the handle's epoch-deferred release keeps the block alive through a
-    /// potential rollback (see the module docs).
-    /// `born` stamps every cell's initial ownership-record version; pass the
-    /// creating attempt's [`read version`](skiphash_stm::Txn::read_version)
-    /// so MVCC snapshots pinned *before* the node existed never mistake its
-    /// cells for state they must preserve (see [`TCell::new_at`]).
-    #[allow(clippy::new_ret_no_self)] // NodeRef is the Arc-style handle to a Node
-    pub fn new(key: K, value: V, height: usize, i_time: u64, born: u64) -> NodeRef<K, V> {
-        let value = MaybeUninit::new(TCell::new_at(value, born));
-        alloc_node(Bound::Key(key), value, height, i_time, born)
+    /// `born` stamps every cell's initial ownership-record version and opens
+    /// the node's snapshot window; pass the creating attempt's
+    /// [`read version`](skiphash_stm::Txn::read_version) so MVCC snapshots
+    /// pinned *before* the node existed never mistake its cells for state
+    /// they must preserve (see [`TCell::new_at`]).
+    #[allow(clippy::new_ret_no_self)] // the owner is the handle to a Node
+    pub fn new(key: K, value: V, height: usize, i_time: u64, born: u64) -> OwnedNode<K, V> {
+        Vacant::new(height).fill(Bound::Key(key), Some(value), i_time, born, None, |_| {
+            (None, None)
+        })
     }
 
-    /// Create one of the two sentinel nodes with a full-height tower.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bound` is a key: a sentinel has no value to hold.
-    pub fn sentinel(bound: Bound<K>, height: usize) -> NodeRef<K, V> {
-        assert!(
-            !matches!(bound, Bound::Key(_)),
-            "a sentinel is bounded by NegInf or PosInf"
-        );
-        alloc_node(bound, MaybeUninit::uninit(), height, 0, 0)
+    /// Create a key node in `tx`, already linked: `hash_next` and
+    /// `links(level)` are written at birth, before anything can reach the
+    /// node, so they need no transactional instrumentation, and its cells are
+    /// stamped at `tx`'s read version.  `tx` owns the node until it commits,
+    /// and frees it if it aborts (see the module docs).
+    pub(crate) fn linked_in(
+        tx: &mut Txn<'_>,
+        key: K,
+        value: V,
+        height: usize,
+        i_time: u64,
+        hash_next: Link<K, V>,
+        links: impl Fn(usize) -> (Link<K, V>, Link<K, V>),
+    ) -> RawNode<K, V> {
+        let born = tx.read_version();
+        let owner =
+            Vacant::new(height).fill(Bound::Key(key), Some(value), i_time, born, hash_next, links);
+        let node = owner.raw();
+        tx.free_on_abort(owner);
+        node
+    }
+
+    /// The head and tail sentinels of a list of `height` levels, stitched
+    /// to each other at every level.
+    pub(crate) fn sentinels(height: usize) -> (RawNode<K, V>, RawNode<K, V>) {
+        let tail = Vacant::new(height);
+        let to_tail = Some(RawNode { block: tail.block });
+        let head = Vacant::new(height).fill(Bound::NegInf, None, 0, 0, None, |_| (None, to_tail));
+        let head = head.into_raw();
+        let tail = tail.fill(Bound::PosInf, None, 0, 0, None, |_| (Some(head), None));
+        (head, tail.into_raw())
     }
 
     /// Transactionally read the node's value.
@@ -658,11 +584,6 @@ impl<K: MapKey, V: MapValue> Node<K, V> {
     /// Panics when called on a sentinel (sentinels never carry values).
     pub fn read_value(&self, tx: &mut Txn<'_>) -> TxResult<V> {
         self.value().read(tx)
-    }
-
-    /// True if the node is logically deleted (its `r_time` is set).
-    pub fn is_logically_deleted(&self, tx: &mut Txn<'_>) -> TxResult<bool> {
-        self.r_time.read_with(tx, Option::is_some)
     }
 
     /// Logically delete the node, stamping it with `version`, the most
@@ -683,9 +604,28 @@ impl<K: MapKey, V: MapValue> Node<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::skiplist::SkipList;
+    use skiphash_stm::sync::{AtomicUsize, Ordering as AtomicOrdering};
     use skiphash_stm::Stm;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
+
+    /// The node `at` designates.
+    fn node_of<'a, K, V>(at: RawNode<K, V>) -> &'a Node<K, V> {
+        // SAFETY: every test keeps what it passes here alive while it looks:
+        // an owner it holds, or the sentinels of a list it holds.
+        unsafe { at.node() }
+    }
+
+    /// The head and tail sentinels of `list`.
+    fn sentinels<'a>(list: &SkipList<u64, u64>) -> [&'a Node<u64, u64>; 2] {
+        let head = list.head();
+        let tail = head.tower(node_of(head))[0].succ.load_atomic();
+        [
+            node_of(head),
+            node_of(tail.expect("the head links to the tail")),
+        ]
+    }
 
     #[test]
     fn bound_ordering_relative_to_keys() {
@@ -702,19 +642,20 @@ mod tests {
 
     #[test]
     fn new_node_fields() {
-        let n = Node::<u64, String>::new(9, "x".into(), 3, 7, 0);
+        let owner = Node::<u64, String>::new(9, "x".into(), 3, 7, 0);
+        let n = node_of(owner.raw());
         assert_eq!(n.height, 3);
-        assert_eq!(n.tower().len(), 3);
+        assert_eq!(owner.raw().tower(n).len(), 3);
         assert_eq!(*n.key(), 9);
         assert!(!n.is_sentinel());
-        assert_eq!(n.i_time.load_atomic(), 7);
+        assert_eq!(n.i_time, 7);
         assert_eq!(n.r_time.load_atomic(), None);
     }
 
     #[test]
     fn sentinels_report_their_kind() {
-        let head = Node::<u64, u64>::sentinel(Bound::NegInf, 4);
-        let tail = Node::<u64, u64>::sentinel(Bound::PosInf, 4);
+        let list = SkipList::new(4);
+        let [head, tail] = sentinels(&list);
         assert!(head.is_head() && head.is_sentinel() && !head.is_tail());
         assert!(tail.is_tail() && tail.is_sentinel() && !tail.is_head());
     }
@@ -722,57 +663,29 @@ mod tests {
     #[test]
     #[should_panic(expected = "sentinel")]
     fn sentinel_key_panics() {
-        let head = Node::<u64, u64>::sentinel(Bound::NegInf, 1);
-        let _ = head.key();
+        let list = SkipList::new(1);
+        let _ = sentinels(&list)[0].key();
     }
 
     #[test]
     #[should_panic(expected = "sentinel")]
     fn sentinel_value_panics() {
-        let tail = Node::<u64, u64>::sentinel(Bound::PosInf, 1);
-        let _ = tail.value();
+        let list = SkipList::new(1);
+        let _ = sentinels(&list)[1].value();
     }
 
     #[test]
-    #[should_panic(expected = "NegInf or PosInf")]
+    #[should_panic(expected = "a key node carries a value and a sentinel none")]
     fn a_sentinel_cannot_carry_a_key() {
-        let _ = Node::<u64, u64>::sentinel(Bound::Key(1), 1);
+        let _ = Vacant::<u64, u64>::new(1).fill(Bound::Key(1), None, 0, 0, None, |_| (None, None));
     }
 
     #[test]
     fn read_value_inside_transaction() {
         let stm = Stm::new();
         let n = Node::<u64, u64>::new(1, 10, 1, 0, 0);
-        let v = stm.run(|tx| n.read_value(tx));
+        let v = stm.run(|tx| node_of(n.raw()).read_value(tx));
         assert_eq!(v, 10);
-    }
-
-    #[test]
-    fn clone_and_ptr_eq_follow_arc_semantics() {
-        let a = Node::<u64, u64>::new(1, 1, 2, 0, 0);
-        let b = a.clone();
-        assert!(NodeRef::ptr_eq(&a, &b));
-        assert_eq!(a.ref_count(), 2);
-        let other = Node::<u64, u64>::new(1, 1, 2, 0, 0);
-        assert!(!NodeRef::ptr_eq(&a, &other));
-        drop(b);
-        assert_eq!(a.ref_count(), 1);
-    }
-
-    #[test]
-    fn sever_links_clears_every_level() {
-        let a = Node::<u64, u64>::new(1, 1, 2, 0, 0);
-        let b = Node::<u64, u64>::new(2, 2, 2, 0, 0);
-        for l in 0..2 {
-            a.level(l).succ.store_atomic(Some(b.clone()));
-            b.level(l).pred.store_atomic(Some(a.clone()));
-        }
-        a.sever_links();
-        b.sever_links();
-        for l in 0..2 {
-            assert!(a.level(l).succ.load_atomic().is_none());
-            assert!(b.level(l).pred.load_atomic().is_none());
-        }
     }
 
     #[test]
@@ -786,10 +699,10 @@ mod tests {
         let nodes: Vec<_> = (1..=20)
             .map(|height| Node::<u64, u64>::new(7, 7, height, 0, 0))
             .collect();
-        for node in &nodes {
-            let block = node.block.as_ptr() as usize;
+        for owner in &nodes {
+            let node = node_of(owner.raw());
+            let block = owner.raw().block.as_ptr() as usize;
             assert_eq!(block % 64, 0, "height {}", node.height);
-            assert!(in_first_line(block, node.refs()));
             assert!(in_first_line(block, &node.bound));
             assert!(in_first_line(block, &node.r_time));
             assert!(in_first_line(block, node.value()));
@@ -798,12 +711,14 @@ mod tests {
 
     #[test]
     fn hash_link_keeps_every_height_in_its_block_class() {
-        // `hash_next` took the place of the tower pointer: the header may
-        // grow to 96 bytes and no further, so each block stays the whole
-        // number of lines it was with the 88-byte header (and with it in the
-        // same arena class).  104 bytes would move height 1 — half of all
-        // nodes — from 128 to 192.
-        assert!(tower_offset::<u64, u64>() <= 96);
+        // The header holds 88 bytes and no more: a field added past them is
+        // an extra word per node even where the tower's 32-byte alignment
+        // hides it, and at 104 bytes height 1, half of all nodes, would move
+        // from 128 to 192.  Aligning the tower costs no block a line: each
+        // is the whole number of lines the 88-byte header and its tower
+        // need (and so in the same arena class).
+        assert!(size_of::<Node<u64, u64>>() <= 88);
+        assert_eq!(tower_offset::<u64, u64>() % 32, 0);
         let level = size_of::<Level<u64, u64>>();
         for height in 1..=20 {
             let (layout, _) = block_layout::<u64, u64>(height);
@@ -817,13 +732,13 @@ mod tests {
 
     #[test]
     fn released_blocks_are_recycled_through_the_epoch() {
-        // Dropping nodes and driving collection must eventually serve a new
-        // node from a recycled block (same height class).
+        // Retiring nodes through the epoch and driving collection must
+        // eventually serve a new node from a recycled block (same height
+        // class).
         let before = arena::recycle_hits(BlockKind::Node);
         for _ in 0..2_000u64 {
-            let n = Node::<u64, u64>::new(1, 1, 4, 0, 0);
-            drop(n);
-            drop(epoch::pin());
+            skiphash_stm::defer_drop(Node::<u64, u64>::new(1, 1, 4, 0, 0));
+            drop(crossbeam_epoch::pin());
         }
         assert!(
             arena::recycle_hits(BlockKind::Node) > before,
@@ -846,10 +761,10 @@ mod tests {
     fn assert_settles_at(drops: &AtomicUsize, expected: usize) {
         let deadline = Instant::now() + Duration::from_secs(30);
         while drops.load(AtomicOrdering::Relaxed) < expected && Instant::now() < deadline {
-            drop(epoch::pin());
+            drop(crossbeam_epoch::pin());
         }
         for _ in 0..512 {
-            drop(epoch::pin());
+            drop(crossbeam_epoch::pin());
         }
         assert_eq!(drops.load(AtomicOrdering::Relaxed), expected);
     }
@@ -861,19 +776,15 @@ mod tests {
         let keys: Vec<_> = (1..=8u64)
             .map(|key| Node::new(key, counted(), key as usize, 0, 0))
             .collect();
-        let sentinels = [
-            Node::<u64, Counted>::sentinel(Bound::NegInf, 8),
-            Node::<u64, Counted>::sentinel(Bound::PosInf, 8),
-        ];
         drop(keys);
-        drop(sentinels);
+        drop(SkipList::<u64, Counted>::new(8));
         assert_settles_at(&drops, 8);
 
         // A committed overwrite displaces the old value, which goes once;
         // the new one goes with its node.
         let stm = Stm::new();
         let node = Node::new(9, counted(), 2, 0, 0);
-        stm.run(|tx| node.value().write(tx, counted()));
+        stm.run(|tx| node_of(node.raw()).value().write(tx, counted()));
         assert_settles_at(&drops, 9);
         drop(node);
         assert_settles_at(&drops, 10);
@@ -881,14 +792,13 @@ mod tests {
 
     #[test]
     fn node_drop_releases_heap_values() {
-        // String keys/values exercise the retire glue's drop_in_place across
+        // String keys/values exercise the free's drop_in_place across
         // header and tower; run enough cycles for blocks to recycle so a
         // leak or double free would trip ASan / the drop balance elsewhere.
         for i in 0..500u64 {
             let n = Node::<String, String>::new(format!("k{i}"), format!("v{i}"), 3, 0, 0);
-            assert_eq!(*n.key(), format!("k{i}"));
+            assert_eq!(*node_of(n.raw()).key(), format!("k{i}"));
             drop(n);
-            drop(epoch::pin());
         }
     }
 }

@@ -28,7 +28,7 @@ use skiphash_stm::{TxAbort, TxResult, Txn};
 
 use crate::config::RangePolicy;
 use crate::map::SkipHash;
-use crate::node::{Bound as NodeBound, Node, NodeRef, RawNode};
+use crate::node::{Bound as NodeBound, Node, RawNode};
 use crate::skiplist::SkipList;
 use crate::traverse::{self, Reader};
 use crate::{MapKey, MapValue};
@@ -257,7 +257,7 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
         // number atomically, so the start node is a safe node for this query.
         // This commit is the query's linearization point.
         let (start_node, version) = inner.stm.run(|tx| {
-            let start_node = inner.skiplist.first_present(tx, start)?;
+            let start_node = traverse::first_present(tx, &inner.skiplist, start)?;
             Ok((start_node, inner.rqc.on_range(tx)?))
         });
 
@@ -266,9 +266,11 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
         // all pairs gathered so far and the safe node the walk last paused
         // on are retained, so the next attempt resumes exactly there.
         //
-        // `cursor` is the query's only counted reference and always a safe
-        // node not yet collected (or the node the walk ended on).  It moves —
-        // and the element read at the previous safe node joins `collected` —
+        // `cursor` is always a safe node not yet collected (or the tail).  A
+        // safe node stays on the list until this query's finalization: one
+        // removed after the query began has its unstitching deferred onto an
+        // in-flight query no younger than this one.  The cursor moves — and
+        // the element read at the previous safe node joins `collected` —
         // only once the next safe node has been fully read, in two
         // statements that cannot abort: an abort never records a partially
         // read element, and never records one twice.
@@ -277,10 +279,10 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
         // no read set; the setup and finalization transactions write the
         // RQC and the list, so they stay ordinary.
         let mut collected: Vec<(K, V)> = Vec::new();
-        let mut cursor: NodeRef<K, V> = start_node;
+        let mut cursor = start_node;
         inner.stm.run_read_only(|tx| {
             let mut pending: Option<(K, V)> = None;
-            let resume = RawNode::from_ref(&cursor);
+            let resume = cursor;
             let visit = |tx: &mut Txn<'_>, at: RawNode<K, V>, node: &Node<K, V>| {
                 if !end_allows(&node.bound, end) {
                     return Ok(ControlFlow::Break(()));
@@ -288,29 +290,23 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
                 if Self::is_safe(tx, node, version)? {
                     let value = tx.value(node)?;
                     collected.extend(pending.replace((node.key().clone(), value)));
-                    // SAFETY: `at` is the node `cursor` counts or was read
-                    // through the still-running attempt `tx`.
-                    cursor = unsafe { at.upgrade() };
+                    cursor = at;
                 }
                 Ok(ControlFlow::Continue(()))
             };
-            // SAFETY: `resume` is rooted in `cursor`, which keeps counting
-            // that node until the walk has moved it to a later one.
-            let stop = unsafe { traverse::walk(tx, resume, visit) }?;
+            // SAFETY: `resume` is a safe node (or the tail), which stays on
+            // the list until the finalization below.
+            unsafe { traverse::walk(tx, resume, visit) }?;
+            // A read-only attempt that reaches here commits: the body is not
+            // run again.
             collected.extend(pending);
-            // SAFETY: `stop` was reached through the still-running attempt.
-            // Parking on the end of the walk makes a re-run of this body a
-            // no-op.
-            cursor = unsafe { stop.upgrade() };
             Ok(())
         });
 
         // Finalization: deregister from the RQC and unstitch any nodes whose
         // removal was deferred onto this query.
         let removals = inner.stm.run(|tx| inner.rqc.after_range(tx, version));
-        for removed in &removals {
-            inner.stm.run(|tx| inner.skiplist.unstitch(tx, removed));
-        }
+        inner.unstitch_all(&removals);
         inner
             .range_counters
             .slow_complete
@@ -323,12 +319,10 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
     /// deleted before the query began.  (The tail sentinel, always safe, is
     /// where the walk ends.)
     fn is_safe(tx: &mut Txn<'_>, node: &Node<K, V>, version: u64) -> TxResult<bool> {
-        if node.i_time.read_with(tx, |t| *t)? >= version {
-            return Ok(false);
-        }
-        Ok(node
-            .removed_at(tx)?
-            .is_none_or(|removed_at| removed_at >= version))
+        Ok(node.i_time < version
+            && node
+                .removed_at(tx)?
+                .is_none_or(|removed_at| removed_at >= version))
     }
 }
 
@@ -539,9 +533,7 @@ mod tests {
         assert_eq!(inner.rqc.active_queries(), 1);
         let removals = inner.stm.run(|tx| inner.rqc.after_range(tx, version));
         assert_eq!(removals.len(), 1, "removal must have been deferred");
-        for node in &removals {
-            inner.stm.run(|tx| inner.skiplist.unstitch(tx, node));
-        }
+        inner.unstitch_all(&removals);
         assert!(map.check_invariants().is_ok());
     }
 

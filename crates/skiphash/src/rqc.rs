@@ -22,7 +22,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use skiphash_stm::{TCell, TxResult, Txn};
 
-use crate::node::NodeRef;
+use crate::node::RawNode;
 use crate::{MapKey, MapValue};
 
 /// Metadata for one in-flight slow-path range query.
@@ -30,8 +30,9 @@ pub struct RangeOp<K, V> {
     /// The query's version number.
     pub ver: u64,
     /// Logically deleted nodes whose unstitching is deferred until this query
-    /// (or one of its predecessors) completes.
-    pub deferred: TCell<Vec<NodeRef<K, V>>>,
+    /// (or one of its predecessors) completes.  They are still on the list,
+    /// which owns them; whoever takes them out of here unstitches them.
+    pub deferred: TCell<Vec<RawNode<K, V>>>,
 }
 
 impl<K, V> fmt::Debug for RangeOp<K, V> {
@@ -101,19 +102,16 @@ impl<K: MapKey, V: MapValue> Rqc<K, V> {
         self.range_ops.load_atomic().len()
     }
 
-    /// True when `node` can be physically unstitched right away: either no
-    /// slow-path range query is in flight, or the node was inserted after the
-    /// most recent one began (so no in-flight query treats it as safe).
-    pub fn can_unstitch_now(&self, tx: &mut Txn<'_>, node: &NodeRef<K, V>) -> TxResult<bool> {
+    /// True when a node inserted at `i_time` can be physically unstitched
+    /// right away: either no slow-path range query is in flight, or the node
+    /// was inserted after the most recent one began (so no in-flight query
+    /// treats it as safe).
+    pub fn can_unstitch_now(&self, tx: &mut Txn<'_>, i_time: u64) -> TxResult<bool> {
         // Read in place: every remove asks, so the list is not cloned (an
         // allocation and a shared-count RMW per in-flight query) to answer.
-        let latest = self
-            .range_ops
-            .read_with(tx, |ops| ops.last().map(|op| op.ver))?;
-        match latest {
-            None => Ok(true),
-            Some(latest) => Ok(node.i_time.read(tx)? >= latest),
-        }
+        self.range_ops.read_with(tx, |ops| {
+            ops.last().is_none_or(|latest| i_time >= latest.ver)
+        })
     }
 
     /// The most recent in-flight range query's record (one handle cloned,
@@ -129,13 +127,13 @@ impl<K: MapKey, V: MapValue> Rqc<K, V> {
     pub fn defer_batch_to_latest(
         &self,
         tx: &mut Txn<'_>,
-        batch: &[NodeRef<K, V>],
+        batch: &[RawNode<K, V>],
     ) -> TxResult<bool> {
         match self.latest(tx)? {
             None => Ok(false),
             Some(latest) => {
                 let mut deferred = latest.deferred.read(tx)?;
-                deferred.extend(batch.iter().cloned());
+                deferred.extend_from_slice(batch);
                 latest.deferred.write(tx, deferred)?;
                 Ok(true)
             }
@@ -149,7 +147,7 @@ impl<K: MapKey, V: MapValue> Rqc<K, V> {
     /// nodes are passed *backwards* to that query instead, and the returned
     /// vector is empty; every deferred node is therefore reclaimed
     /// eventually.
-    pub fn after_range(&self, tx: &mut Txn<'_>, ver: u64) -> TxResult<Vec<NodeRef<K, V>>> {
+    pub fn after_range(&self, tx: &mut Txn<'_>, ver: u64) -> TxResult<Vec<RawNode<K, V>>> {
         let mut ops = self.range_ops.read(tx)?;
         let index = ops
             .iter()
@@ -191,8 +189,9 @@ pub struct DeferralBuffer<K, V> {
     capacity: usize,
 }
 
-/// A batch of logically deleted nodes awaiting physical unstitching.
-pub type DeferredBatch<K, V> = Vec<NodeRef<K, V>>;
+/// A batch of logically deleted nodes awaiting physical unstitching, still
+/// on the list, which owns them.
+pub type DeferredBatch<K, V> = Vec<RawNode<K, V>>;
 
 impl<K, V> fmt::Debug for DeferralBuffer<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -227,7 +226,7 @@ impl<K: MapKey, V: MapValue> DeferralBuffer<K, V> {
 
     /// Add `node` to the calling thread's slot.  Returns the full batch when
     /// the slot reached capacity and must now be handed to the RQC.
-    pub fn push(&self, node: NodeRef<K, V>) -> Option<Vec<NodeRef<K, V>>> {
+    pub fn push(&self, node: RawNode<K, V>) -> Option<DeferredBatch<K, V>> {
         // Thread indices are dense over live threads, so the mask only folds
         // them when more threads are alive than the table has slots.
         let slot = &self.slots[crossbeam_epoch::thread_index() & (self.slots.len() - 1)];
@@ -242,7 +241,7 @@ impl<K: MapKey, V: MapValue> DeferralBuffer<K, V> {
 
     /// Remove and return every buffered node from every slot (used at
     /// teardown and by tests).
-    pub fn drain_all(&self) -> Vec<NodeRef<K, V>> {
+    pub fn drain_all(&self) -> DeferredBatch<K, V> {
         let mut all = Vec::new();
         for slot in &self.slots {
             all.append(&mut slot.lock());
@@ -264,11 +263,18 @@ impl<K: MapKey, V: MapValue> DeferralBuffer<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::Node;
+    use crate::node::{Node, OwnedNode};
     use skiphash_stm::Stm;
+    use std::sync::Mutex;
 
-    fn node(key: u64, i_time: u64) -> NodeRef<u64, u64> {
-        Node::new(key, key, 1, i_time, 0)
+    /// A node's handle, for lists that only carry it around; its owner lives
+    /// until the test process ends.
+    fn node(key: u64) -> RawNode<u64, u64> {
+        static OWNERS: Mutex<Vec<OwnedNode<u64, u64>>> = Mutex::new(Vec::new());
+        let owner = Node::new(key, key, 1, 0, 0);
+        let node = owner.raw();
+        OWNERS.lock().unwrap().push(owner);
+        node
     }
 
     #[test]
@@ -289,8 +295,7 @@ mod tests {
     fn unstitch_allowed_when_no_query_active() {
         let stm = Stm::new();
         let rqc: Rqc<u64, u64> = Rqc::new();
-        let n = node(1, 0);
-        assert!(stm.run(|tx| rqc.can_unstitch_now(tx, &n)));
+        assert!(stm.run(|tx| rqc.can_unstitch_now(tx, 0)));
     }
 
     #[test]
@@ -298,10 +303,14 @@ mod tests {
         let stm = Stm::new();
         let rqc: Rqc<u64, u64> = Rqc::new();
         let ver = stm.run(|tx| rqc.on_range(tx));
-        let older = node(1, 0);
-        let newer = node(2, ver);
-        assert!(!stm.run(|tx| rqc.can_unstitch_now(tx, &older)));
-        assert!(stm.run(|tx| rqc.can_unstitch_now(tx, &newer)));
+        assert!(
+            !stm.run(|tx| rqc.can_unstitch_now(tx, 0)),
+            "inserted before"
+        );
+        assert!(
+            stm.run(|tx| rqc.can_unstitch_now(tx, ver)),
+            "inserted after"
+        );
     }
 
     #[test]
@@ -309,11 +318,10 @@ mod tests {
         let stm = Stm::new();
         let rqc: Rqc<u64, u64> = Rqc::new();
         let ver = stm.run(|tx| rqc.on_range(tx));
-        let n = node(1, 0);
-        assert!(stm.run(|tx| rqc.defer_batch_to_latest(tx, std::slice::from_ref(&n))));
+        let n = node(1);
+        assert!(stm.run(|tx| rqc.defer_batch_to_latest(tx, &[n])));
         let removals = stm.run(|tx| rqc.after_range(tx, ver));
-        assert_eq!(removals.len(), 1);
-        assert!(NodeRef::ptr_eq(&removals[0], &n));
+        assert!(removals == vec![n]);
         assert_eq!(rqc.active_queries(), 0);
     }
 
@@ -323,23 +331,22 @@ mod tests {
         let rqc: Rqc<u64, u64> = Rqc::new();
         let v1 = stm.run(|tx| rqc.on_range(tx));
         let v2 = stm.run(|tx| rqc.on_range(tx));
-        let n = node(1, 0);
-        assert!(stm.run(|tx| rqc.defer_batch_to_latest(tx, std::slice::from_ref(&n))));
+        let n = node(1);
+        assert!(stm.run(|tx| rqc.defer_batch_to_latest(tx, &[n])));
         // Finishing the newer query must not release the node...
         let removals = stm.run(|tx| rqc.after_range(tx, v2));
         assert!(removals.is_empty());
         assert_eq!(rqc.active_queries(), 1);
         // ...but finishing the older one must.
         let removals = stm.run(|tx| rqc.after_range(tx, v1));
-        assert_eq!(removals.len(), 1);
-        assert!(NodeRef::ptr_eq(&removals[0], &n));
+        assert!(removals == vec![n]);
     }
 
     #[test]
     fn batch_deferral_prefers_latest_query() {
         let stm = Stm::new();
         let rqc: Rqc<u64, u64> = Rqc::new();
-        let batch = vec![node(1, 0), node(2, 0)];
+        let batch = vec![node(1), node(2)];
         // Without a query in flight the batch is not accepted.
         assert!(!stm.run(|tx| rqc.defer_batch_to_latest(tx, &batch)));
         let ver = stm.run(|tx| rqc.on_range(tx));
@@ -352,12 +359,12 @@ mod tests {
     fn deferral_buffer_flushes_at_capacity() {
         let buffer: DeferralBuffer<u64, u64> = DeferralBuffer::new(3);
         assert!(buffer.is_empty());
-        assert!(buffer.push(node(1, 0)).is_none());
-        assert!(buffer.push(node(2, 0)).is_none());
-        let batch = buffer.push(node(3, 0)).expect("third push must flush");
+        assert!(buffer.push(node(1)).is_none());
+        assert!(buffer.push(node(2)).is_none());
+        let batch = buffer.push(node(3)).expect("third push must flush");
         assert_eq!(batch.len(), 3);
         assert!(buffer.is_empty());
-        assert!(buffer.push(node(4, 0)).is_none());
+        assert!(buffer.push(node(4)).is_none());
         assert_eq!(buffer.drain_all().len(), 1);
     }
 
@@ -378,7 +385,7 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     let index = crossbeam_epoch::thread_index();
-                    let flushed = buffer.push(node(t as u64, 0));
+                    let flushed = buffer.push(node(t as u64));
                     // Keep the thread (and its index) alive until every
                     // thread has pushed.
                     barrier.wait();
@@ -410,6 +417,6 @@ mod tests {
     fn buffer_capacity_is_at_least_one() {
         let buffer: DeferralBuffer<u64, u64> = DeferralBuffer::new(0);
         assert_eq!(buffer.capacity(), 1);
-        assert!(buffer.push(node(1, 0)).is_some());
+        assert!(buffer.push(node(1)).is_some());
     }
 }

@@ -5,11 +5,11 @@
 //! predecessor and successor at every level, which is what lets `remove`
 //! unstitch a node in `O(height)` without re-traversing from the head.
 //!
-//! Nodes are arena-pooled [`NodeRef`]s (see [`crate::node`]); traversals hop
-//! through borrowed handles kept on the stack, so neither inserting a node
-//! nor locating one touches the global allocator in the steady state.
+//! Nodes are arena-pooled blocks (see [`crate::node`]) that the list owns
+//! while they are on its level 0; traversals hop through [`RawNode`]s kept
+//! on the stack, so neither inserting a node nor locating one touches the
+//! global allocator in the steady state.
 
-use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Bound as StdBound;
 use std::ops::ControlFlow;
@@ -17,7 +17,7 @@ use std::ops::ControlFlow;
 use rand::Rng;
 use skiphash_stm::{TxResult, Txn};
 
-use crate::node::{Bound, Node, NodeRef, RawNode};
+use crate::node::{Bound, Level, Link, Node, OwnedNode, RawNode};
 use crate::traverse::{self, Reader};
 use crate::{MapKey, MapValue};
 
@@ -28,14 +28,19 @@ pub const MAX_LEVEL_LIMIT: usize = 64;
 /// A doubly linked skip list whose nodes map keys to values.
 ///
 /// All methods must be called inside a transaction; the enclosing
-/// [`crate::SkipHash`] drives them.
-pub struct SkipList<K, V> {
-    head: NodeRef<K, V>,
-    tail: NodeRef<K, V>,
+/// [`crate::SkipHash`] drives them.  The list owns every node on its level
+/// 0, sentinels included, and frees each once when it is dropped.  Every
+/// transaction on one list must come from one [`skiphash_stm::Stm`] (the
+/// STM's one-runtime rule): a node is freed by the commit that unstitches
+/// it, so the list's memory, not only its contents, rests on the conflicts
+/// one runtime detects.
+pub struct SkipList<K: MapKey, V: MapValue> {
+    head: RawNode<K, V>,
+    tail: RawNode<K, V>,
     max_level: usize,
 }
 
-impl<K, V> fmt::Debug for SkipList<K, V> {
+impl<K: MapKey, V: MapValue> fmt::Debug for SkipList<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SkipList")
             .field("max_level", &self.max_level)
@@ -52,12 +57,7 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
             max_level <= MAX_LEVEL_LIMIT,
             "skip list supports at most {MAX_LEVEL_LIMIT} levels"
         );
-        let head = Node::sentinel(Bound::NegInf, max_level);
-        let tail = Node::sentinel(Bound::PosInf, max_level);
-        for level in 0..max_level {
-            head.level(level).succ.store_atomic(Some(tail.clone()));
-            tail.level(level).pred.store_atomic(Some(head.clone()));
-        }
+        let (head, tail) = Node::sentinels(max_level);
         Self {
             head,
             tail,
@@ -66,8 +66,8 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
     }
 
     /// The head sentinel.
-    pub fn head(&self) -> &NodeRef<K, V> {
-        &self.head
+    pub(crate) fn head(&self) -> RawNode<K, V> {
+        self.head
     }
 
     /// Number of levels.
@@ -85,48 +85,75 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
         height
     }
 
-    /// First *logically present* node satisfying the lower bound `start`,
-    /// possibly the tail sentinel: `Included(k)` is the ceiling of `k`,
-    /// `Excluded(k)` its strict successor, `Unbounded` the first node.
-    pub fn first_present(&self, tx: &mut Txn<'_>, start: StdBound<&K>) -> TxResult<NodeRef<K, V>> {
-        let node = traverse::first_present(tx, self, start)?;
-        // SAFETY: read through the still-running attempt `tx`.
-        Ok(unsafe { node.upgrade() })
+    /// The key of the first *logically present* node satisfying the lower
+    /// bound `start` — `Included(k)` is the ceiling of `k`, `Excluded(k)` its
+    /// strict successor, `Unbounded` the first key — or `None` past the last.
+    pub fn first_present(&self, tx: &mut Txn<'_>, start: StdBound<&K>) -> TxResult<Option<K>> {
+        self.at_first_present(tx, start, |_, _, node| Ok(Some(node.key().clone())))
     }
 
-    /// Last logically present node whose key is `<= key`, possibly the head
-    /// sentinel.
-    pub fn floor_present(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<NodeRef<K, V>> {
+    /// `visit` the first logically present node satisfying `start`, if any,
+    /// and return what it returns.
+    fn at_first_present<R>(
+        &self,
+        tx: &mut Txn<'_>,
+        start: StdBound<&K>,
+        visit: impl FnOnce(&mut Txn<'_>, RawNode<K, V>, &Node<K, V>) -> TxResult<Option<R>>,
+    ) -> TxResult<Option<R>> {
+        let (mut visit, mut out) = (Some(visit), None);
+        traverse::scan(tx, self, start, |tx, at, node| {
+            if tx.removed(node)? {
+                return Ok(ControlFlow::Continue(()));
+            }
+            out = visit.take().map_or(Ok(None), |visit| visit(tx, at, node))?;
+            Ok(ControlFlow::Break(()))
+        })?;
+        Ok(out)
+    }
+
+    /// The last logically present key `<= key`, if any.
+    pub fn floor_present(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<Option<K>> {
         self.last_present_below(tx, StdBound::Excluded(key))
     }
 
-    /// Last logically present node whose key is strictly `< key`, possibly
-    /// the head sentinel.
-    pub fn pred_present(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<NodeRef<K, V>> {
+    /// The last logically present key strictly `< key`, if any.
+    pub fn pred_present(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<Option<K>> {
         self.last_present_below(tx, StdBound::Included(key))
     }
 
-    /// Last logically present node in front of the first node satisfying the
-    /// lower bound `rest`: the descent reports that node's level-0
-    /// predecessor, and the predecessor links lead back over whatever
-    /// logically deleted nodes linger there (this is where double linking
-    /// pays off for point queries).  The live node of a key sits after its
-    /// deleted duplicates, so it is the first one the back-walk meets.
-    fn last_present_below(&self, tx: &mut Txn<'_>, rest: StdBound<&K>) -> TxResult<NodeRef<K, V>> {
-        let mut at = RawNode::from_ref(&self.head);
+    /// The key of the last logically present node in front of the first
+    /// node satisfying the lower bound `rest`: the descent reports that
+    /// node's level-0 predecessor, and the predecessor links lead back over
+    /// whatever logically deleted nodes linger there (this is where double
+    /// linking pays off for point queries).  The live node of a key sits
+    /// after its deleted duplicates, so it is the first one the back-walk
+    /// meets.
+    fn last_present_below(&self, tx: &mut Txn<'_>, rest: StdBound<&K>) -> TxResult<Option<K>> {
+        let mut at = self.head;
         traverse::descend(tx, self, rest, 1, |_, pred, _| at = pred)?;
         loop {
             // SAFETY: read through the still-running attempt `tx`.
-            let (node, tower) = unsafe { (at.node(), at.tower()) };
-            if node.is_head() || !tx.removed(node)? {
-                // SAFETY: as above.
-                return Ok(unsafe { at.upgrade() });
+            let node = unsafe { at.node() };
+            if node.is_head() {
+                return Ok(None);
             }
-            at = tx.link(&tower[0].pred)?;
+            if !tx.removed(node)? {
+                return Ok(Some(node.key().clone()));
+            }
+            at = tx.link(&at.tower(node)[0].pred)?;
         }
     }
 
-    /// Insert a new node for `key`.
+    /// The value under `key`'s logically present node, if any.
+    pub fn get(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<Option<V>> {
+        self.at_first_present(tx, StdBound::Included(key), |tx, _, node| {
+            (node.key() == key).then(|| tx.value(node)).transpose()
+        })
+    }
+
+    /// Insert a new node for `key`, whose hash-chain link starts as
+    /// `hash_next` (`None` for a list no index chains through), and return
+    /// it.
     ///
     /// The caller (the skip hash) guarantees that no *logically present* node
     /// with this key exists; however, logically deleted nodes with the same
@@ -140,82 +167,83 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
         value: V,
         height: usize,
         i_time: u64,
-    ) -> TxResult<NodeRef<K, V>> {
+        hash_next: Link<K, V>,
+    ) -> TxResult<RawNode<K, V>> {
         debug_assert!(height >= 1 && height <= self.max_level);
         // `Excluded`: the new node lands after every (logically deleted)
         // node still carrying the key.  Only the positions below `height`
-        // are kept — an insert stitches only its own tower — and they stay
-        // borrowed: of everything the search finds, the counts taken are the
-        // `2 * height` this node's own links hold.  (Upgrading every level's
-        // pair was ~80 atomic RMWs per insert, on the header lines of the
-        // tallest towers, which every other thread's descent reads.)
-        let mut preds = [RawNode::from_ref(&self.head); MAX_LEVEL_LIMIT];
-        let mut succs = [RawNode::from_ref(&self.tail); MAX_LEVEL_LIMIT];
-        traverse::descend(
-            tx,
-            self,
-            StdBound::Excluded(&key),
-            height,
-            |level, pred, succ| {
-                preds[level] = pred;
-                succs[level] = succ;
-            },
-        )?;
+        // are kept — an insert stitches only its own tower.
+        let mut preds = [self.head; MAX_LEVEL_LIMIT];
+        let mut succs = [self.tail; MAX_LEVEL_LIMIT];
+        let keep = |level: usize, pred, succ| (preds[level], succs[level]) = (pred, succ);
+        traverse::descend(tx, self, StdBound::Excluded(&key), height, keep)?;
 
         // Born at this attempt's read version: cells stamped 0 would look
         // older than every pinned snapshot, so the first overwrite of each
         // would be preserved forever-growing custody; stamped at `rv`, a
-        // node born after a pin is provably outside its window.
-        //
-        // If this attempt aborts after the link writes, the link words it
-        // buffered for the neighbours still own counts on the node when the
-        // body's handle drops; the rollback drops them *under this attempt's
-        // pin*, which retires the block through the epoch — see the lifetime
-        // rules in `crate::node`.
-        let node = Node::new(key, value, height, i_time, tx.read_version());
+        // node born after a pin is provably outside its window.  Its own
+        // links are written at birth, outside the write log: the node is
+        // unreachable until the neighbour writes below commit (the commit's
+        // orec releases publish it), so they need no instrumentation, and
+        // snapshot custody never preserves `None` placeholders for them.
+        // The attempt owns the node until then, and its rollback frees it.
+        let links = |level: usize| (Some(preds[level]), Some(succs[level]));
+        let node = Node::linked_in(tx, key, value, height, i_time, hash_next, links);
         for level in 0..height {
+            let (pred, succ) = (preds[level], succs[level]);
             // SAFETY: both handles were read through the still-running
             // attempt `tx` (the traversal module's borrowed-handle contract).
-            let (pred, succ) = unsafe { (preds[level].upgrade(), succs[level].upgrade()) };
-            pred.level(level).succ.write(tx, Some(node.clone()))?;
-            succ.level(level).pred.write(tx, Some(node.clone()))?;
-            // The fresh node is unreachable until the neighbour writes above
-            // commit, so its own links need no transactional instrumentation:
-            // `store_atomic` installs them at the birth version, outside the
-            // write log (an abort simply drops the node).
-            // Readers still see them initialized — the data swap here is
-            // ordered before the neighbour's commit-time orec release, which
-            // is what publishes the node.  This also keeps snapshot custody
-            // from preserving the `None` placeholders transactional writes
-            // would displace on every insert.
-            node.level(level).pred.store_atomic(Some(pred));
-            node.level(level).succ.store_atomic(Some(succ));
+            let (pred_node, succ_node) = unsafe { (pred.node(), succ.node()) };
+            pred.tower(pred_node)[level].succ.write(tx, Some(node))?;
+            succ.tower(succ_node)[level].pred.write(tx, Some(node))?;
         }
         Ok(node)
     }
 
-    /// Physically unlink `node` from every level.
+    /// Physically unlink `node` from every level, and retire it when `tx`
+    /// commits (see [`crate::node`]).
     ///
     /// Thanks to the predecessor links this is `O(height)`: no traversal from
     /// the head is required.  The node's own links are left intact so that a
     /// slow-path range query paused on it can still move forward.
-    pub fn unstitch(&self, tx: &mut Txn<'_>, node: &NodeRef<K, V>) -> TxResult<()> {
-        debug_assert!(!node.is_sentinel(), "sentinels are never unstitched");
-        for level in 0..node.height {
-            let pred = node
-                .level(level)
-                .pred
-                .read(tx)?
-                .expect("linked nodes always have predecessors");
-            let succ = node
-                .level(level)
-                .succ
-                .read(tx)?
-                .expect("linked nodes always have successors");
-            pred.level(level).succ.write(tx, Some(succ.clone()))?;
-            succ.level(level).pred.write(tx, Some(pred))?;
+    ///
+    /// # Safety
+    ///
+    /// `node` must be on this list in `tx`'s snapshot, and `tx` must be its
+    /// one unstitcher: the caller took it from the index, or from a batch of
+    /// deferred removals handed to it alone, or found it present in `tx`.
+    pub(crate) unsafe fn unstitch(&self, tx: &mut Txn<'_>, node: RawNode<K, V>) -> TxResult<()> {
+        // SAFETY: `node` is on the list in this attempt's snapshot (the
+        // caller's obligation), and so are its neighbours, read through
+        // `tx`; the writes below replace every link to it, and this attempt
+        // is its one unstitcher, so it is the one to retire it.
+        unsafe {
+            let removed = node.node();
+            debug_assert!(!removed.is_sentinel(), "sentinels are never unstitched");
+            for (level, links) in node.tower(removed).iter().enumerate() {
+                let pred = tx.link(&links.pred)?;
+                let succ = tx.link(&links.succ)?;
+                pred.tower(pred.node())[level].succ.write(tx, Some(succ))?;
+                succ.tower(succ.node())[level].pred.write(tx, Some(pred))?;
+            }
+            node.retire(tx, removed.born);
         }
         Ok(())
+    }
+
+    /// Unstitch `key`'s logically present node, if any, returning whether
+    /// there was one: the removal of a list without range queries, which has
+    /// no logical deletion to defer the unstitching behind.
+    pub fn remove(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<bool> {
+        let visit = |_: &mut Txn<'_>, at, node: &Node<K, V>| Ok((node.key() == key).then_some(at));
+        let Some(node) = self.at_first_present(tx, StdBound::Included(key), visit)? else {
+            return Ok(false);
+        };
+        // SAFETY: the node was found present on the list through `tx`, and
+        // any other attempt that unstitches it writes the links this one
+        // reads, so the two conflict.
+        unsafe { self.unstitch(tx, node) }?;
+        Ok(true)
     }
 
     /// Count logically present nodes by walking level 0.
@@ -239,39 +267,30 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
     /// One walk per level, plus one of level `l - 1` merged against level
     /// `l`: `O(n)` per level, and nothing is collected.
     pub fn check_invariants(&self, tx: &mut Txn<'_>) -> TxResult<Result<(), String>> {
-        let next = |tx: &mut Txn<'_>, node: &NodeRef<K, V>, level: usize| {
-            Ok(node
-                .level(level)
-                .succ
-                .read(tx)?
-                .expect("levels are always terminated by the tail sentinel"))
-        };
+        /// The node at `at` and its tower.
+        fn parts<'a, K, V>(at: RawNode<K, V>) -> (&'a Node<K, V>, &'a [Level<K, V>]) {
+            // SAFETY: applied below only to the sentinels and to handles
+            // read through the running attempt, which keeps them alive.
+            let node = unsafe { at.node() };
+            (node, at.tower(node))
+        }
         for level in 0..self.max_level {
-            let mut prev = self.head.clone();
-            let mut curr = next(tx, &prev, level)?;
+            let mut prev = self.head;
+            let mut curr = tx.link(&parts(prev).1[level].succ)?;
             loop {
-                let back = curr
-                    .level(level)
-                    .pred
-                    .read(tx)?
-                    .expect("linked nodes always have predecessors");
-                if !NodeRef::ptr_eq(&back, &prev) {
+                let (node, tower) = parts(curr);
+                if tx.link(&tower[level].pred)? != prev {
                     return Ok(Err(format!("level {level}: pred link mismatch")));
                 }
-                if !prev.is_head() && !curr.is_tail() {
-                    let ordering = match (&prev.bound, &curr.bound) {
-                        (Bound::Key(a), Bound::Key(b)) => a.cmp(b),
-                        _ => Ordering::Less,
-                    };
-                    if ordering == Ordering::Greater {
-                        return Ok(Err(format!("level {level}: keys out of order")));
-                    }
+                let bounds = (&parts(prev).0.bound, &node.bound);
+                if matches!(bounds, (Bound::Key(a), Bound::Key(b)) if a > b) {
+                    return Ok(Err(format!("level {level}: keys out of order")));
                 }
-                if curr.is_tail() {
+                if node.is_tail() {
                     break;
                 }
                 prev = curr;
-                curr = next(tx, &prev, level)?;
+                curr = tx.link(&tower[level].succ)?;
             }
         }
 
@@ -280,36 +299,38 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
         // lower walk past it to the tail.
         for level in 1..self.max_level {
             let below = level - 1;
-            let mut upper = self.head.clone();
-            let mut lower = self.head.clone();
-            while !upper.is_tail() {
-                upper = next(tx, &upper, level)?;
-                while !NodeRef::ptr_eq(&lower, &upper) {
-                    if lower.is_tail() {
+            let mut upper = self.head;
+            let mut lower = self.head;
+            while upper != self.tail {
+                upper = tx.link(&parts(upper).1[level].succ)?;
+                while lower != upper {
+                    if lower == self.tail {
                         return Ok(Err(format!(
                             "level {level}: node missing from level {below}"
                         )));
                     }
-                    lower = next(tx, &lower, below)?;
+                    lower = tx.link(&parts(lower).1[below].succ)?;
                 }
             }
         }
         Ok(Ok(()))
     }
+}
 
-    /// Sever every link in the list (teardown helper used by
-    /// [`crate::SkipHash`]'s `Drop` to break reference cycles).
-    pub fn sever_all(&self) {
-        let mut current = self.head.clone();
-        loop {
-            let next = current.level(0).succ.load_atomic();
-            current.sever_links();
-            match next {
-                Some(n) => current = n,
-                None => break,
+impl<K: MapKey, V: MapValue> Drop for SkipList<K, V> {
+    fn drop(&mut self) {
+        // Level 0 runs from the head to the tail through every node the list
+        // owns, each once (unstitched nodes are the retirement's); `&mut
+        // self` means no attempt is running on the list.
+        let mut next = Some(self.head);
+        while let Some(at) = next {
+            // SAFETY: `at` is on level 0, so the list owns it, and nothing
+            // reaches it any more; its successor is read before it goes.
+            unsafe {
+                next = at.tower(at.node())[0].succ.load_atomic();
+                drop(OwnedNode::from_raw(at));
             }
         }
-        self.tail.sever_links();
     }
 }
 
@@ -318,19 +339,46 @@ mod tests {
     use super::*;
     use skiphash_stm::Stm;
     use std::ops::Bound::{Excluded, Included, Unbounded};
+    use std::sync::Arc;
 
     /// Every logically present pair, in level-0 order.
     fn present_pairs(stm: &Stm, list: &SkipList<u64, u64>) -> Vec<(u64, u64)> {
         stm.run(|tx| crate::range::collect(tx, list, Unbounded, Unbounded))
     }
 
+    /// The node `at` designates, on a list no test unstitches from while it
+    /// is in use.
+    fn node<'a, V>(at: RawNode<u64, V>) -> &'a Node<u64, V> {
+        // SAFETY: every handle these tests pass stays on its list (or, once
+        // unstitched, is not passed again) until the list drops.
+        unsafe { at.node() }
+    }
+
+    /// The level-`level` successor of `at`.
+    fn next(at: RawNode<u64, u64>, level: usize) -> RawNode<u64, u64> {
+        at.tower(node(at))[level]
+            .succ
+            .load_atomic()
+            .expect("linked")
+    }
+
     /// Logically delete the live node of `key` without unstitching it.
     fn mark_removed(stm: &Stm, list: &SkipList<u64, u64>, key: u64) {
         stm.run(|tx| {
-            let node = list.first_present(tx, Included(&key))?;
-            assert_eq!(*node.key(), key);
-            node.mark_removed(tx, 1)
+            let live = node(traverse::first_present(tx, list, Included(&key))?);
+            assert_eq!(*live.key(), key);
+            live.mark_removed(tx, 1)
         });
+    }
+
+    fn insert(
+        stm: &Stm,
+        list: &SkipList<u64, u64>,
+        key: u64,
+        value: u64,
+        height: usize,
+    ) -> RawNode<u64, u64> {
+        stm.run(|tx| list.insert_after_logical_deletes(tx, key, value, height, 0, None))
     }
 
     fn list_with(stm: &Stm, keys: &[u64]) -> SkipList<u64, u64> {
@@ -338,10 +386,7 @@ mod tests {
         let mut rng = rand::thread_rng();
         for &k in keys {
             let h = list.random_height(&mut rng);
-            stm.run(|tx| {
-                list.insert_after_logical_deletes(tx, k, k * 10, h, 0)
-                    .map(|_| ())
-            });
+            insert(stm, &list, k, k * 10, h);
         }
         list
     }
@@ -369,58 +414,33 @@ mod tests {
     fn ceil_and_succ_skip_correctly() {
         let stm = Stm::new();
         let list = list_with(&stm, &[10, 20, 30]);
-        let ceil20 = stm.run(|tx| {
-            let n = list.first_present(tx, Included(&20))?;
-            Ok(*n.key())
-        });
-        assert_eq!(ceil20, 20);
-        let succ20 = stm.run(|tx| {
-            let n = list.first_present(tx, Excluded(&20))?;
-            Ok(*n.key())
-        });
-        assert_eq!(succ20, 30);
-        let ceil15 = stm.run(|tx| {
-            let n = list.first_present(tx, Included(&15))?;
-            Ok(*n.key())
-        });
-        assert_eq!(ceil15, 20);
-        let past_end = stm.run(|tx| Ok(list.first_present(tx, Included(&31))?.is_tail()));
-        assert!(past_end);
+        let first = |start| stm.run(|tx| list.first_present(tx, start));
+        assert_eq!(first(Included(&20)), Some(20));
+        assert_eq!(first(Excluded(&20)), Some(30));
+        assert_eq!(first(Included(&15)), Some(20));
+        assert_eq!(first(Included(&31)), None);
     }
 
     #[test]
     fn floor_and_pred_walk_backwards() {
         let stm = Stm::new();
         let list = list_with(&stm, &[10, 20, 30]);
-        let floor25 = stm.run(|tx| {
-            let n = list.floor_present(tx, &25)?;
-            Ok(*n.key())
-        });
-        assert_eq!(floor25, 20);
-        let floor20 = stm.run(|tx| {
-            let n = list.floor_present(tx, &20)?;
-            Ok(*n.key())
-        });
-        assert_eq!(floor20, 20);
-        let pred20 = stm.run(|tx| {
-            let n = list.pred_present(tx, &20)?;
-            Ok(*n.key())
-        });
-        assert_eq!(pred20, 10);
-        let before_all = stm.run(|tx| Ok(list.pred_present(tx, &10)?.is_head()));
-        assert!(before_all);
+        assert_eq!(stm.run(|tx| list.floor_present(tx, &25)), Some(20));
+        assert_eq!(stm.run(|tx| list.floor_present(tx, &20)), Some(20));
+        assert_eq!(stm.run(|tx| list.pred_present(tx, &20)), Some(10));
+        assert_eq!(stm.run(|tx| list.pred_present(tx, &10)), None);
     }
 
     #[test]
     fn unstitch_removes_from_every_level() {
         let stm = Stm::new();
         let list: SkipList<u64, u64> = SkipList::new(8);
-        let node = stm.run(|tx| list.insert_after_logical_deletes(tx, 42, 420, 8, 0));
+        insert(&stm, &list, 42, 420, 8);
         assert_eq!(stm.run(|tx| list.count_present(tx)), 1);
-        stm.run(|tx| list.unstitch(tx, &node));
+        assert!(stm.run(|tx| list.remove(tx, &42)));
         assert_eq!(stm.run(|tx| list.count_present(tx)), 0);
         assert_eq!(stm.run(|tx| list.check_invariants(tx)), Ok(()));
-        list.sever_all();
+        assert!(stm.run(|tx| list.get(tx, &42)).is_none());
     }
 
     #[test]
@@ -428,12 +448,10 @@ mod tests {
         let stm = Stm::new();
         let list = list_with(&stm, &[10, 20, 30]);
         mark_removed(&stm, &list, 20);
-        let ceil20 = stm.run(|tx| {
-            let n = list.first_present(tx, Included(&20))?;
-            Ok(*n.key())
-        });
-        assert_eq!(ceil20, 30, "deleted node must be skipped");
+        let ceil20 = stm.run(|tx| list.first_present(tx, Included(&20)));
+        assert_eq!(ceil20, Some(30), "deleted node must be skipped");
         assert_eq!(stm.run(|tx| list.count_present(tx)), 2);
+        assert_eq!(stm.run(|tx| list.get(tx, &20)), None);
         let pairs = present_pairs(&stm, &list);
         assert_eq!(pairs, vec![(10, 100), (30, 300)]);
     }
@@ -442,17 +460,17 @@ mod tests {
     fn insert_after_logical_deletes_lands_after_duplicates() {
         let stm = Stm::new();
         let list: SkipList<u64, u64> = SkipList::new(8);
-        let old = stm.run(|tx| list.insert_after_logical_deletes(tx, 5, 50, 3, 0));
+        let old = insert(&stm, &list, 5, 50, 3);
         // Logically delete the old node, then insert a fresh node for key 5.
-        stm.run(|tx| old.mark_removed(tx, 1));
-        let fresh = stm.run(|tx| list.insert_after_logical_deletes(tx, 5, 55, 2, 1));
+        stm.run(|tx| node(old).mark_removed(tx, 1));
+        let fresh = insert(&stm, &list, 5, 55, 2);
         // Level-0 order: old (deleted) comes before fresh.
-        let first = list.head().level(0).succ.load_atomic().expect("linked");
-        let second = first.level(0).succ.load_atomic().expect("linked");
-        assert!(NodeRef::ptr_eq(&first, &old) && NodeRef::ptr_eq(&second, &fresh));
+        let first = next(list.head(), 0);
+        assert!(first == old && next(first, 0) == fresh);
         // Present view only sees the fresh value.
         let pairs = present_pairs(&stm, &list);
         assert_eq!(pairs, vec![(5, 55)]);
+        assert_eq!(stm.run(|tx| list.get(tx, &5)), Some(55));
         assert_eq!(stm.run(|tx| list.check_invariants(tx)), Ok(()));
     }
 
@@ -468,24 +486,18 @@ mod tests {
 
     #[test]
     fn aborted_insert_rolls_back_without_keepalive() {
-        // The rollback-through-freed-cells hazard: abort an insert *after*
-        // its link writes, with the body's handle already dropped, and make
-        // sure the rollback (which releases the neighbours' orecs and drops
-        // the buffered link words, the last counts on the dead node) is
-        // sound and the list is unchanged.
+        // Abort an insert *after* its link writes: the rollback releases the
+        // neighbours' orecs and drops the buffered link words, then frees
+        // the node, which nothing else ever pointed at.  The list must be
+        // unchanged, and the retry must succeed.
         let stm = Stm::new();
         let list: SkipList<u64, u64> = SkipList::new(8);
-        stm.run(|tx| {
-            list.insert_after_logical_deletes(tx, 10, 100, 4, 0)
-                .map(|_| ())
-        });
+        insert(&stm, &list, 10, 100, 4);
         let mut first = true;
         stm.run(|tx| {
-            let _node = list.insert_after_logical_deletes(tx, 20, 200, 8, 0)?;
+            list.insert_after_logical_deletes(tx, 20, 200, 8, 0, None)?;
             if first {
                 first = false;
-                // `_node` drops at the end of this body, before the
-                // rollback runs; the buffered link words hold the rest.
                 return tx.abort();
             }
             Ok(())
@@ -499,27 +511,49 @@ mod tests {
     fn check_invariants_reports_a_node_bypassed_below_its_level() {
         let stm = Stm::new();
         let list: SkipList<u64, u64> = SkipList::new(4);
-        let insert = |key| stm.run(|tx| list.insert_after_logical_deletes(tx, key, key, 2, 0));
-        let (ten, twenty, thirty) = (insert(10), insert(20), insert(30));
+        let (ten, twenty, thirty) = (
+            insert(&stm, &list, 10, 10, 2),
+            insert(&stm, &list, 20, 20, 2),
+            insert(&stm, &list, 30, 30, 2),
+        );
         assert_eq!(stm.run(|tx| list.check_invariants(tx)), Ok(()));
 
         // Bypass 20 at level 0 only: level 0 stays doubly linked and in
         // order, level 1 still runs 10 -> 20 -> 30.
-        ten.level(0).succ.store_atomic(Some(thirty.clone()));
-        thirty.level(0).pred.store_atomic(Some(ten.clone()));
+        let level0 = |at: RawNode<u64, u64>| &at.tower(node(at))[0];
+        level0(ten).succ.store_atomic(Some(thirty));
+        level0(thirty).pred.store_atomic(Some(ten));
         assert_eq!(
             stm.run(|tx| list.check_invariants(tx)),
             Err("level 1: node missing from level 0".to_string())
         );
-        twenty.sever_links();
-        list.sever_all();
+        // Put 20 back on level 0, where teardown frees it.
+        level0(ten).succ.store_atomic(Some(twenty));
+        level0(thirty).pred.store_atomic(Some(twenty));
+        assert_eq!(stm.run(|tx| list.check_invariants(tx)), Ok(()));
     }
 
     #[test]
-    fn sever_all_breaks_cycles() {
+    fn dropping_a_list_frees_every_node_once() {
+        // Present, logically deleted and unstitched nodes: teardown frees
+        // the first two kinds once each by walking level 0, the retirement
+        // the third, so every value handle comes back exactly once.
         let stm = Stm::new();
-        let list = list_with(&stm, &[1, 2, 3, 4, 5]);
-        list.sever_all();
-        assert!(list.head().level(0).succ.load_atomic().is_none());
+        let handle = Arc::new(0u64);
+        let list: SkipList<u64, Arc<u64>> = SkipList::new(4);
+        for key in 0..8 {
+            let value = Arc::clone(&handle);
+            stm.run(|tx| list.insert_after_logical_deletes(tx, key, value.clone(), 2, 0, None));
+        }
+        assert!(stm.run(|tx| list.remove(tx, &3)));
+        assert!(!stm.run(|tx| list.remove(tx, &3)));
+        stm.run(|tx| node(traverse::first_present(tx, &list, Included(&5))?).mark_removed(tx, 1));
+        assert_eq!(stm.run(|tx| list.count_present(tx)), 6);
+        drop(list);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while Arc::strong_count(&handle) > 1 && std::time::Instant::now() < deadline {
+            drop(crossbeam_epoch::pin());
+        }
+        assert_eq!(Arc::strong_count(&handle), 1);
     }
 }

@@ -35,14 +35,15 @@
 //! A snapshot read runs the very descent and level-0 walk the transactional
 //! paths run (the crate's `traverse` module), with `&`[`SnapshotPin`] as the reader:
 //! links, marks and values resolve at `p`, nothing can abort, and the
-//! borrowed handles the traversal hops on stay valid because of the pin's
-//! custody — a link visible at `p` is either still in its cell or preserved
-//! in the history table, and wherever it sits it is a **strong**
-//! [`NodeRef`](crate::node::NodeRef), so every node reachable at `p` keeps a
-//! positive reference count for the snapshot's whole lifetime.
+//! handles the traversal hops on stay valid because of the pin's custody: a
+//! node reachable at `p` is either still on the list, which owns it, or was
+//! unstitched by a commit whose window `[born, wv)` holds `p`, and that
+//! commit handed the node to the history table instead of the epoch — as it
+//! did the link words it displaced.  So every node reachable at `p` stays
+//! allocated for the snapshot's whole lifetime.
 //!
 //! Dropping the [`Snapshot`] releases the pin; the history entries it alone
-//! kept alive are trimmed and their node references dropped, so retention is
+//! kept alive are trimmed and the nodes among them retired, so retention is
 //! bounded by live snapshots rather than leaked (see `docs/PERF.md`).
 //!
 //! # Example
@@ -211,8 +212,7 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
 #[cfg(test)]
 mod tests {
     use crate::config::SkipHashBuilder;
-    use crate::{traverse, SkipHash};
-    use std::ops::Bound::Included;
+    use crate::SkipHash;
 
     fn map() -> SkipHash<u64, u64> {
         SkipHashBuilder::new().buckets(64).max_level(8).build()
@@ -314,20 +314,6 @@ mod tests {
         assert_eq!(pairs, (0..32u64).map(|k| (k, k)).collect::<Vec<_>>());
         assert_eq!(snap.ceil_key(&10), Some(10));
         assert!(map.check_invariants().is_ok());
-    }
-
-    #[test]
-    fn node_handle_upgraded_from_snapshot_outlives_it() {
-        let map = map();
-        assert!(map.insert(7, 70));
-        let snap = map.snapshot();
-        assert!(map.remove(&7));
-        let Ok(found) = traverse::first_present(&mut &snap.pin, &snap.inner.skiplist, Included(&7));
-        // SAFETY: read through the pin of the still-live `snap`.
-        let node = unsafe { found.upgrade() };
-        drop(snap);
-        // The counted handle keeps the node alive past the pin's custody.
-        assert_eq!(*node.key(), 7);
     }
 
     #[test]

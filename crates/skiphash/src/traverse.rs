@@ -64,33 +64,37 @@
 //!
 //! # The borrowed-handle contract
 //!
-//! Both functions hop on [`RawNode`]s — bare block pointers that own no
-//! reference count — so a hop costs no atomic read-modify-write.  A handle
-//! obtained through a reader is valid **for as long as that reader's
-//! protection lasts**, and every `unsafe` dereference in this module and in
-//! the callers that upgrade a returned handle rests on one of two arguments:
+//! Both functions hop on [`RawNode`]s — bare block pointers that count
+//! nothing — so a hop costs no atomic read-modify-write.  A handle obtained
+//! through a reader is valid **for as long as that reader's protection
+//! lasts**, and every `unsafe` dereference in this module and in the callers
+//! that keep a returned handle rests on one of two arguments:
 //!
 //! * **[`Txn`]**: the attempt's epoch guard stays pinned until the attempt
-//!   ends.  A link word loaded under a pin, whether read through
-//!   [`Reader::link`] or hinted through [`Reader::hint`], is either still
-//!   installed or was swapped out during the pin, and the drop that gives a
-//!   displaced word's count back is deferred past the unpin.  So the node it
-//!   designates keeps `refs >= 1` for the rest of the attempt, validated or
-//!   not (the [`RawNode`] validity rule): the descent's hinted hops, the
-//!   scout's, and the links read from a hinted node are all covered.  A
-//!   hinted link at level `l` designates a node with a level `l` (or the
-//!   tail, which has every level), just as a read one does.
-//! * **`&`[`SnapshotPin`]**: commits that displace a link a live pin can
-//!   still see move it into the history table instead of the reclamation
-//!   queue, and a link is a strong [`NodeRef`](crate::node::NodeRef)
-//!   wherever it sits — so every node reachable at the pinned version keeps
-//!   `refs >= 1` until the pin is dropped.  That covers what was reachable
-//!   at the pinned version, not what the links point to now, and a pin holds
-//!   no epoch guard across a walk: a pin gives no hints.
+//!   ends, and a node is retired only by the commit that unlinks it, then
+//!   freed only two grace periods later (the lifetime rules in
+//!   [`crate::node`]).  A link word loaded under the pin, whether read
+//!   through [`Reader::link`] or hinted through [`Reader::hint`], designates
+//!   a node that was still linked, or retired while the attempt was
+//!   already pinned, or reachable only through a commit still installing its
+//!   writes — and in each case it outlives the attempt, validated or not:
+//!   the descent's hinted hops, the scout's, and the links read from a
+//!   hinted node are all covered.  A hinted link at level `l` designates a
+//!   node with a level `l` (or the tail, which has every level), just as a
+//!   read one does.
+//! * **`&`[`SnapshotPin`]**: a node the pinned version can reach was linked
+//!   at that version, so its unlinking commit's window `[born, wv)` holds
+//!   the pin, and the commit hands it to the pin's custody instead of the
+//!   epoch; the links that led to it are preserved the same way.  So every
+//!   node reachable at the pinned version stays allocated until the pin is
+//!   dropped.  That covers what was reachable at the pinned version, not
+//!   what the links point to now, and a pin holds no epoch guard across a
+//!   walk: a pin gives no hints.
 //!
-//! A walk may also be *rooted* in a counted handle the caller holds (the
-//! slow path's resume cursor): the count keeps that node alive, and each hop
-//! from it is covered by the reader as above.
+//! A walk may also start from a node whose owner keeps it for the whole
+//! walk (the slow path's resume cursor, a safe node whose unstitching the
+//! range query coordinator defers until the query ends); each hop from it is
+//! covered by the reader as above.
 
 use std::convert::Infallible;
 use std::ops::Bound as StdBound;
@@ -134,7 +138,7 @@ impl<K: MapKey, V: MapValue> Reader<K, V> for Txn<'_> {
     #[inline(always)]
     fn link(&mut self, cell: &TCell<Link<K, V>>) -> Result<RawNode<K, V>, TxAbort> {
         Ok(cell
-            .read_with(self, RawNode::from_link)?
+            .read_with(self, |link| *link)?
             .expect("links are terminated by the sentinels"))
     }
 
@@ -150,7 +154,7 @@ impl<K: MapKey, V: MapValue> Reader<K, V> for Txn<'_> {
 
     #[inline(always)]
     fn hint(&mut self, cell: &TCell<Link<K, V>>) -> Option<RawNode<K, V>> {
-        self.peek_unvalidated(cell, RawNode::from_link)
+        self.peek_unvalidated(cell, |link| *link)
     }
 }
 
@@ -160,7 +164,7 @@ impl<K: MapKey, V: MapValue> Reader<K, V> for &SnapshotPin {
     #[inline]
     fn link(&mut self, cell: &TCell<Link<K, V>>) -> Result<RawNode<K, V>, Infallible> {
         Ok(cell
-            .read_pinned_with(self, RawNode::from_link)
+            .read_pinned_with(self, |link| *link)
             .expect("links are terminated by the sentinels"))
     }
 
@@ -224,7 +228,7 @@ pub(crate) fn descend<K: MapKey, V: MapValue, R: Reader<K, V>>(
         _ => list.max_level(),
     };
     let keep = keep.clamp(1, levels);
-    let head = RawNode::from_ref(list.head());
+    let head = list.head();
     let mut kept = [(head, head); MAX_LEVEL_LIMIT];
     let mut hinted = true;
     let landed = 'pass: loop {
@@ -235,7 +239,7 @@ pub(crate) fn descend<K: MapKey, V: MapValue, R: Reader<K, V>>(
                 // SAFETY: `pred` is the head sentinel (owned by `list`) or was
                 // reached through `reader`, validated or not — the module's
                 // borrowed-handle contract.
-                let links = &unsafe { pred.tower() }[level];
+                let links = &pred.tower(unsafe { pred.node() })[level];
                 let hop = if hinted {
                     reader.hint(&links.succ)
                 } else {
@@ -249,13 +253,14 @@ pub(crate) fn descend<K: MapKey, V: MapValue, R: Reader<K, V>>(
                 curr.prefetch_to(level);
                 // SAFETY: `curr` was just reached through `reader`, validated
                 // or not (same contract).
-                let (node, tower) = unsafe { (curr.node(), curr.tower()) };
+                let node = unsafe { curr.node() };
                 if precedes(&node.bound, start) {
                     pred = curr;
                     continue;
                 }
                 if level < keep {
-                    if hinted && !confirmed(reader, &links.succ, &tower[level].pred, pred, curr) {
+                    let back = &curr.tower(node)[level].pred;
+                    if hinted && !confirmed(reader, &links.succ, back, pred, curr) {
                         hinted = false;
                         continue 'pass;
                     }
@@ -308,7 +313,7 @@ fn confirmed<K: MapKey, V: MapValue, R: Reader<K, V>>(
 ///
 /// `from` must obey the module's borrowed-handle contract for `reader` (it
 /// came out of [`descend`] or a previous walk through the same reader), or be
-/// rooted in a counted handle that outlives the call.
+/// a node its owner keeps for the whole call (the slow path's cursor).
 pub(crate) unsafe fn walk<K: MapKey, V: MapValue, R: Reader<K, V>>(
     reader: &mut R,
     from: RawNode<K, V>,
@@ -322,7 +327,8 @@ pub(crate) unsafe fn walk<K: MapKey, V: MapValue, R: Reader<K, V>>(
     loop {
         // SAFETY: `at` is `from` (the caller's obligation) or was read
         // through `reader` below — the module's borrowed-handle contract.
-        let (node, tower) = unsafe { (at.node(), at.tower()) };
+        let node = unsafe { at.node() };
+        let tower = at.tower(node);
         if node.is_tail() {
             return Ok(at);
         }
@@ -382,7 +388,7 @@ impl<K: MapKey, V: MapValue> Scout<K, V> {
             // the module's borrowed-handle contract — so it is alive and has
             // a level 1 (the tail's level-1 link is absent, which ends the
             // scout).
-            let tower = unsafe { node.tower() };
+            let tower = node.tower(unsafe { node.node() });
             if let Some(succ) = reader.hint(&tower[0].succ) {
                 succ.prefetch();
             }
@@ -427,7 +433,6 @@ pub(crate) fn first_present<K: MapKey, V: MapValue, R: Reader<K, V>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::NodeRef;
     use crate::range::{collect, range_is_empty};
     use skiphash_stm::Stm;
     use std::collections::BTreeMap;
@@ -460,15 +465,21 @@ mod tests {
             let list: SkipList<u64, u64> = SkipList::new(8);
             let insert = |key: u64, value: u64, height: usize| {
                 stm.run(|tx| {
-                    list.insert_after_logical_deletes(tx, key, value, height, 0)
+                    list.insert_after_logical_deletes(tx, key, value, height, 0, None)
                         .map(drop)
                 });
             };
             let remove = |key: u64| {
                 stm.run(|tx| {
-                    let live = list.first_present(tx, Included(&key))?;
-                    assert_eq!(*live.key(), key);
-                    live.mark_removed(tx, 1)
+                    scan(tx, &list, Included(&key), |tx, _, node| {
+                        if tx.removed(node)? {
+                            return Ok(ControlFlow::Continue(()));
+                        }
+                        assert_eq!(*node.key(), key);
+                        node.mark_removed(tx, 1)?;
+                        Ok(ControlFlow::Break(()))
+                    })
+                    .map(drop)
                 })
             };
             let heights = [
@@ -531,8 +542,8 @@ mod tests {
         /// a sentinel.
         fn key_of(&self, raw: RawNode<u64, u64>) -> Option<u64> {
             // SAFETY: nothing is ever unstitched from the fixture's list, so
-            // every node a reader reached stays linked (and counted) for as
-            // long as `self` lives.
+            // every node a reader reached stays on it, and so allocated, for
+            // as long as `self` lives.
             let node = unsafe { raw.node() };
             (!node.is_sentinel()).then(|| *node.key())
         }
@@ -551,14 +562,14 @@ mod tests {
             assert_eq!((level, fx.key_of(pred)), (0, None), "no tower to descend");
         })
         .unwrap();
+        assert_eq!(fx.key_of(first), fx.linked.first().map(|(key, _)| *key));
         let mut seen = Vec::new();
         let visit_all = |reader: &mut R, at, node: &Node<u64, u64>| {
             assert_eq!(fx.key_of(at), Some(*node.key()));
             seen.push((*node.key(), reader.removed(node)?));
             Ok(ControlFlow::Continue(()))
         };
-        // SAFETY: `first` was just read through `reader`.
-        let end = unsafe { walk(reader, first, visit_all) }.unwrap();
+        let end = scan(reader, &fx.list, Unbounded, visit_all).unwrap();
         assert_eq!(seen, fx.linked);
         assert_eq!(fx.key_of(end), None, "an unbroken walk ends on the tail");
 
@@ -611,17 +622,15 @@ mod tests {
     #[test]
     fn both_readers_match_a_btreemap_over_lingering_duplicates() {
         let fx = Fixture::build();
-        let key = |node: &NodeRef<u64, u64>| (!node.is_sentinel()).then(|| *node.key());
-
         fx.stm
             .run(|tx| {
                 check_reader(tx, &fx);
                 // The back-walking point queries exist for transactions only.
                 for probe in 0..=22u64 {
                     let floor = fx.present.range(..=probe).next_back().map(|(k, _)| *k);
-                    assert_eq!(key(&fx.list.floor_present(tx, &probe)?), floor);
+                    assert_eq!(fx.list.floor_present(tx, &probe)?, floor);
                     let pred = fx.present.range(..probe).next_back().map(|(k, _)| *k);
-                    assert_eq!(key(&fx.list.pred_present(tx, &probe)?), pred);
+                    assert_eq!(fx.list.pred_present(tx, &probe)?, pred);
                 }
                 fx.list.check_invariants(tx)
             })
@@ -644,7 +653,7 @@ mod tests {
             // of the walk: by the last node the walk moves past, 9, it has
             // read the links of 10 to 13.
             stm.run(|tx| {
-                list.insert_after_logical_deletes(tx, key, key, 2, 0)
+                list.insert_after_logical_deletes(tx, key, key, 2, 0, None)
                     .map(drop)
             });
         }
@@ -657,15 +666,9 @@ mod tests {
             // only the scout read any.  The walk read 10's level-0 link, which
             // this leaves alone.
             std::thread::scope(|s| {
-                s.spawn(|| {
-                    stm.run(|tx| {
-                        let node = list.first_present(tx, Included(&13))?;
-                        assert_eq!(*node.key(), 13);
-                        list.unstitch(tx, &node)
-                    })
-                })
-                .join()
-                .expect("the unstitching thread")
+                s.spawn(|| stm.run(|tx| list.remove(tx, &13).map(|removed| assert!(removed))))
+                    .join()
+                    .expect("the unstitching thread")
             });
             // A writer commit validates its read set.
             unrelated.write(tx, 1)?;

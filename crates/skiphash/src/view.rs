@@ -44,7 +44,7 @@ use std::sync::Arc;
 use skiphash_stm::{TxResult, Txn};
 
 use crate::map::Inner;
-use crate::node::{Node, NodeRef};
+use crate::node::Node;
 use crate::range::{self, Range};
 use crate::{MapKey, MapValue};
 
@@ -178,7 +178,7 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     /// Remove `key` and return its value if it was present.
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn take(&mut self, key: &K) -> TxResult<Option<V>> {
-        let Some(node) = self.inner.index.unlink(self.tx, key)? else {
+        let Some((_, node, raw)) = self.inner.index.unlink(self.tx, key)? else {
             return Ok(None);
         };
         if let Some(journal) = self.journal.as_mut() {
@@ -188,7 +188,7 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
         let r_time = self.inner.rqc.on_update(self.tx)?;
         node.mark_removed(self.tx, r_time)?;
         self.inner.population.bump(self.tx, -1)?;
-        if let Some(node) = self.inner.after_remove(self.tx, node)? {
+        if let Some(node) = self.inner.after_remove(self.tx, raw, node.i_time)? {
             let inner = Arc::clone(self.inner);
             self.tx.on_commit(move || inner.buffer_deferred_node(node));
         }
@@ -265,21 +265,17 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
         if self.contains_key(key)? {
             return Ok(Some(key.clone()));
         }
-        let node = self
-            .inner
+        self.inner
             .skiplist
-            .first_present(self.tx, Bound::Included(key))?;
-        Ok(key_of(&node))
+            .first_present(self.tx, Bound::Included(key))
     }
 
     /// Smallest key strictly `> key`, if any.
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn succ(&mut self, key: &K) -> TxResult<Option<K>> {
-        let node = self
-            .inner
+        self.inner
             .skiplist
-            .first_present(self.tx, Bound::Excluded(key))?;
-        Ok(key_of(&node))
+            .first_present(self.tx, Bound::Excluded(key))
     }
 
     /// Largest key `<= key`, if any.
@@ -288,13 +284,13 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
         if self.contains_key(key)? {
             return Ok(Some(key.clone()));
         }
-        Ok(key_of(&self.inner.skiplist.floor_present(self.tx, key)?))
+        self.inner.skiplist.floor_present(self.tx, key)
     }
 
     /// Largest key strictly `< key`, if any.
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn pred(&mut self, key: &K) -> TxResult<Option<K>> {
-        Ok(key_of(&self.inner.skiplist.pred_present(self.tx, key)?))
+        self.inner.skiplist.pred_present(self.tx, key)
     }
 
     /// Collect every pair whose key lies in `range`, in ascending key order,
@@ -342,14 +338,12 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
         Ok(self.len()? == 0)
     }
 
-    /// `key`'s node, borrowed for as long as this view: a point operation
-    /// takes no reference count.
+    /// `key`'s node, borrowed for as long as this view: read through
+    /// `self.tx`, which the view borrows mutably for `'a`, so the attempt
+    /// cannot commit, roll back or unpin within `'a` (the borrowed-handle
+    /// contract of `crate::traverse`).
     fn node(&mut self, key: &K) -> TxResult<Option<&'a Node<K, V>>> {
-        let found = self.inner.index.find(self.tx, key)?;
-        // SAFETY: read through `self.tx`, which this view borrows mutably
-        // for `'a`, so the attempt cannot commit, roll back or unpin within
-        // `'a` (the borrowed-handle contract of `crate::traverse`).
-        Ok(found.map(|raw| unsafe { raw.node() }))
+        self.inner.index.find(self.tx, key)
     }
 
     /// Overwrite a present key's value: the one place a view writes a value
@@ -362,7 +356,7 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     }
 
     /// Shared insert path for a key known to be absent: stitch a fresh node
-    /// into the skip list, index it, and count it.
+    /// into the skip list, push it at the head of its bucket, and count it.
     fn insert_fresh(&mut self, key: K, value: V) -> TxResult<()> {
         if let Some(journal) = self.journal.as_mut() {
             journal.put(&key, &value);
@@ -372,19 +366,12 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
             self.inner.skiplist.random_height(&mut rng)
         };
         let i_time = self.inner.rqc.on_update(self.tx)?;
-        let node = self
-            .inner
-            .skiplist
-            .insert_after_logical_deletes(self.tx, key, value, height, i_time)?;
-        self.inner.index.link(self.tx, &node)?;
+        let (list, bucket) = (&self.inner.skiplist, self.inner.index.bucket_for(&key));
+        let next = bucket.read(self.tx)?;
+        let node = list.insert_after_logical_deletes(self.tx, key, value, height, i_time, next)?;
+        bucket.write(self.tx, Some(node))?;
         self.inner.population.bump(self.tx, 1)
     }
-}
-
-/// The key of a node a point query landed on; `None` for a sentinel (nothing
-/// on that side of the probe).
-fn key_of<K: MapKey, V: MapValue>(node: &NodeRef<K, V>) -> Option<K> {
-    (!node.is_sentinel()).then(|| node.key().clone())
 }
 
 impl<K: MapKey, V: MapValue> std::fmt::Debug for TxView<'_, '_, K, V> {

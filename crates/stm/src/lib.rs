@@ -116,7 +116,7 @@ pub use clock::{Clock, ClockKind, CommitStamp};
 pub use error::{TxAbort, TxResult};
 pub use snapshot::SnapshotPin;
 pub use stats::{StatsSnapshot, StmStats};
-pub use tcell::TCell;
+pub use tcell::{defer_drop, TCell};
 pub use txn::{Stm, Txn};
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! Pooled per-thread transaction scratch.
 //!
 //! A transaction attempt needs several growable buffers: the read set, the
-//! write log, the retirement bag, the keep-alive list, and the post-commit
-//! action queue.  Allocating them per attempt put the global allocator on the
-//! hot path of *every* transaction — including each retry of an aborted one.
+//! write log, the retirement bag, the keep-alive list, the handles the
+//! attempt retires at commit, and the post-commit action queue.  Allocating
+//! them per attempt put the global allocator on the hot path of *every*
+//! transaction — including each retry of an aborted one.
 //! This module leases a [`TxnScratch`] from a small per-thread pool instead:
 //! the buffers are cleared (not freed) when the attempt finishes, so
 //! steady-state transactions reuse whatever capacity earlier ones grew.
@@ -33,7 +34,7 @@ use std::sync::Arc;
 use crossbeam_epoch::Bag;
 
 use crate::orec::Orec;
-use crate::tcell::WriteEntry;
+use crate::tcell::{ReclaimGlue, WriteEntry};
 
 /// One read-set entry: the orec's address and the raw word observed when the
 /// read validated.
@@ -224,6 +225,13 @@ pub(crate) struct TxnScratch {
     /// in one batch — a commit with `k` writes pins once and flushes once.
     pub(crate) retired: Bag,
     pub(crate) keepalive: Vec<Arc<dyn Any + Send + Sync>>,
+    /// Handles to retire when the attempt commits (see
+    /// `Txn::retire_at_commit`): each one's data word, the glue that drops
+    /// it, and the version it became reachable at, which opens its snapshot
+    /// window.  An abort forgets them.
+    pub(crate) retiring: Vec<(*mut (), ReclaimGlue, u64)>,
+    /// Post-commit actions, led by the ones `Txn::free_on_abort` registers:
+    /// an unrun action drops what it captured, and those own fresh objects.
     pub(crate) post_commit: Vec<PostCommit>,
     /// Commit-sequenced actions: run at the serialization point, after the
     /// attempt can no longer abort but before its writes publish (see
@@ -243,6 +251,7 @@ impl TxnScratch {
             writes: Vec::new(),
             retired: Bag::new(),
             keepalive: Vec::new(),
+            retiring: Vec::new(),
             post_commit: Vec::new(),
             sequenced: Vec::new(),
             pins: Vec::new(),
@@ -259,6 +268,7 @@ impl TxnScratch {
         self.filter.clear();
         self.writes.clear();
         self.keepalive.clear();
+        self.retiring.clear();
         self.post_commit.clear();
         self.sequenced.clear();
         self.pins.clear();

@@ -41,7 +41,8 @@ use crate::arena::{self, BlockKind};
 /// whole, and that field, being at least as large as its alignment, fills
 /// the whole — down to a scalar (integer, `bool`, `char`, float, pointer) or
 /// a niche-encoded `enum` over one (`Option<NonZeroU64>`, `Option<Box<_>>`,
-/// `Option<Arc<_>>`, a link's `Option<NodeRef>`), which have no spare byte.
+/// `Option<Arc<_>>`, a skip-list link's `Option<RawNode>`), which have no
+/// spare byte.
 /// Anything with compiler-inserted padding or a separate tag is wider than
 /// it is aligned — `(u32, u8)` and `Option<u32>` are 8 bytes aligned to 4 —
 /// and stays behind a pointer, as does everything wider than a word

@@ -28,9 +28,10 @@ use crate::txn::Txn;
 ///   `Option<NonZeroU64>`, an `Option<Box<_>>` / `Option<Arc<_>>` or any other
 ///   niche-encoded handle — is stored **in** the word.  A read is the orec
 ///   sample, one load and the orec re-check; a write allocates nothing.  When
-///   such a value owns something (a handle's reference count), a displaced
+///   such a value owns something (an `Arc`'s reference count), a displaced
 ///   word is dropped through epoch-based reclamation, because a concurrent
-///   reader may still be looking through its copy of the word.
+///   reader may still be looking through its copy of the word; a word that
+///   owns nothing (a skip-list link, a plain pointer) has nothing to retire.
 /// * Every other value lives behind the word, in a payload the word points
 ///   at: a write allocates a fresh payload, and its commit installs it and
 ///   retires the displaced one through the epoch.  Payloads are blocks of
@@ -111,7 +112,7 @@ unsafe fn value_of<T>(word: *mut ()) -> T {
 /// Wrap `value` as a data word: the value itself, or a pointer to a fresh
 /// payload.
 #[inline]
-fn to_word<T>(value: T) -> *mut () {
+pub(crate) fn to_word<T>(value: T) -> *mut () {
     if slab::inline::<T>() {
         // SAFETY: `T` is inline, checked on the line above.
         unsafe { word_of(value) }
@@ -129,7 +130,7 @@ unsafe fn drop_word<T>(word: *mut ()) {
 }
 
 /// Reclamation glue in the shape the epoch shim's `defer_with` takes.
-type ReclaimGlue = unsafe fn(*mut ());
+pub(crate) type ReclaimGlue = unsafe fn(*mut ());
 
 /// The glue that reclaims a data word of a `TCell<T>` no thread can still
 /// read through, matching the representation [`to_word::<T>`] chose.
@@ -138,7 +139,7 @@ type ReclaimGlue = unsafe fn(*mut ());
 /// its bits — all-zero is a value like any other, `None` or `0`, never "no
 /// payload".)
 #[inline]
-fn reclaim_glue<T>() -> Option<ReclaimGlue> {
+pub(crate) fn reclaim_glue<T>() -> Option<ReclaimGlue> {
     if !slab::inline::<T>() {
         Some(slab::drop_glue::<T>())
     } else if needs_drop::<T>() {
@@ -148,19 +149,17 @@ fn reclaim_glue<T>() -> Option<ReclaimGlue> {
     }
 }
 
-/// Drop a buffered data word that was never installed: an aborted write, or
-/// one the same attempt wrote over.  No other thread ever saw it, so it goes
-/// at once, not through the epoch.
+/// Drop `value` once every thread pinned now has unpinned: for a handle
+/// that owns something a concurrent reader may still be looking at.
 ///
-/// # Safety
-///
-/// `word` must have come from [`to_word::<T>`], never have been stored in a
-/// cell, and not be used again.
-#[inline]
-unsafe fn discard<T>(word: *mut ()) {
+/// Word-sized values that need no drop glue cost nothing; any other value is
+/// one epoch retirement (a wider one in a payload block, as a cell would hold
+/// it).
+pub fn defer_drop<T: Send + 'static>(value: T) {
     if let Some(glue) = reclaim_glue::<T>() {
-        // SAFETY: per the contract this is the word's one owner.
-        unsafe { glue(word) };
+        // SAFETY: the word is the value's one owner and nothing else can reach
+        // it; `T: Send` lets the collector drop it on any thread.
+        unsafe { epoch::pin().defer_with(to_word(value), glue) };
     }
 }
 
@@ -256,9 +255,12 @@ impl<T> TCell<T> {
     /// `value`: a second write to the same cell.
     pub(crate) fn rewrite_buffered(&self, writes: &mut [WriteEntry], value: T) {
         let replaced = std::mem::replace(self.buffered(writes), to_word(value));
-        // SAFETY: as in `peek_buffered`; the replaced word was never
-        // installed, and the log held its only copy.
-        unsafe { discard::<T>(replaced) }
+        if let Some(glue) = reclaim_glue::<T>() {
+            // SAFETY: as in `peek_buffered`; the replaced word was never
+            // installed and no other thread ever saw it, and the log held its
+            // only copy, so it goes at once, not through the epoch.
+            unsafe { glue(replaced) }
+        }
     }
 }
 
@@ -318,8 +320,7 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
     /// Spin-acquires the ownership record, installs the new value, and
     /// releases the orec at its **unchanged** version.  Intended for
     /// initialization (before the cell is shared) and single-threaded
-    /// teardown (e.g. severing links in destructors); concurrent algorithms
-    /// should use transactions.
+    /// teardown; concurrent algorithms should use transactions.
     ///
     /// The store is atomic per location (one swap of the data word — no
     /// reader ever observes a torn value), but it is *not* a committed
@@ -577,11 +578,14 @@ unsafe fn abort_write<T: Send + Sync + 'static>(
     // SAFETY: forwarded from `WriteEntry::abort`'s contract.  The cell's
     // word never changed, so releasing at the old version restores the orec
     // word readers sampled, with the value they loaded beside it.  The
-    // buffered word was never installed: released first, so a panicking
-    // destructor cannot leave the orec held.
+    // buffered word was never installed and no other thread ever saw it, so
+    // it goes at once: released first, so a panicking destructor cannot
+    // leave the orec held.
     unsafe {
         (*(cell as *const TCell<T>)).orec.release(old_version);
-        discard::<T>(new_data);
+        if let Some(glue) = reclaim_glue::<T>() {
+            glue(new_data);
+        }
     }
 }
 
@@ -809,8 +813,7 @@ mod tests {
     }
 
     /// An owned thing that counts its drops, for cells whose inline word
-    /// owns something: `TCell<Option<Arc<Counted>>>` is the shape of a skip
-    /// list link (`Option<NodeRef>`).
+    /// owns something: `TCell<Option<Arc<Counted>>>`.
     struct Counted {
         id: u64,
         drops: Arc<AtomicUsize>,

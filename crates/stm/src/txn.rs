@@ -10,7 +10,7 @@ use crate::clock::{Clock, ClockKind};
 use crate::error::{SingleAttemptFailed, TxAbort, TxResult};
 use crate::orec::{Orec, OrecState};
 use crate::scratch::{self, PostCommit, ReadEntry, ScratchLease, TxnScratch};
-use crate::snapshot::{CommitCtx, SnapshotPin, SnapshotRegistry};
+use crate::snapshot::{self, CommitCtx, SnapshotPin, SnapshotRegistry};
 use crate::stats::{StatsSnapshot, StmStats};
 use crate::tcell::{self, TCell, WriteEntry};
 
@@ -409,6 +409,38 @@ impl<'stm> Txn<'stm> {
         arc
     }
 
+    /// Retire `owner` when this attempt commits, by the rule a value the
+    /// commit displaces gets: while a live snapshot pin's version lies in
+    /// `[born, wv)` — `born` the version `owner`'s target became reachable
+    /// at, `wv` the commit's stamp — the pin's custody keeps it; otherwise it
+    /// is dropped once every thread pinned at the commit has unpinned.  An
+    /// abort forgets `owner` without dropping it.
+    ///
+    /// For the handle to something this attempt makes unreachable (a node it
+    /// unlinks), so that what owns it is the commit that unlinks it.  The
+    /// owner should be word-sized: a wider one is moved into a payload
+    /// block, which an abort leaks along with it.
+    pub fn retire_at_commit<T: Send + Sync + 'static>(&mut self, born: u64, owner: T) {
+        if let Some(glue) = tcell::reclaim_glue::<T>() {
+            let word = tcell::to_word(owner);
+            self.scratch.retiring.push((word, glue, born));
+        }
+    }
+
+    /// Hold `owner` until this attempt ends: a commit forgets it (what it
+    /// owns now belongs to what the attempt published), and an abort drops
+    /// it once the attempt's writes are rolled back.
+    ///
+    /// For a fresh object that only this attempt's buffered writes refer
+    /// to, such as a node an insert links in: no other thread can have seen
+    /// it, so an abort may free it at once.  The owner rides the post-commit
+    /// queue as an action that forgets it, ahead of every other action, so
+    /// none of theirs can panic before it runs.
+    pub fn free_on_abort<T: 'static>(&mut self, owner: T) {
+        let forget = PostCommit::new(move |_| std::mem::forget(owner));
+        self.scratch.post_commit.insert(0, forget);
+    }
+
     /// The cloning read is the mapping read with `f = Clone::clone`; one
     /// implementation of the TL2 read protocol serves both.
     #[inline]
@@ -581,6 +613,7 @@ impl<'stm> Txn<'stm> {
         let TxnScratch {
             writes,
             retired,
+            retiring,
             pins,
             ..
         } = &mut *self.scratch;
@@ -605,6 +638,17 @@ impl<'stm> Txn<'stm> {
         for write in writes.drain(..) {
             // SAFETY: we are the owning transaction, with our guard pinned.
             unsafe { write.commit(retired, stamp.wv, &ctx) };
+        }
+        for (word, glue, born) in retiring.drain(..) {
+            if ctx.covers(born, stamp.wv) {
+                // Custody, under a key no cell has (cells are word-aligned).
+                snapshot::push_history(word as usize | 1, ctx.tag, born, stamp.wv, word, glue);
+            } else {
+                // SAFETY: `retire_at_commit` made the word from an owner
+                // this commit gives up, whose target it made unreachable;
+                // the bag is flushed through our guard below.
+                unsafe { retired.defer_with(word, glue) };
+            }
         }
         // One batched hand-off to the epoch for the whole commit.
         let guard = self
@@ -648,10 +692,11 @@ impl<'stm> Txn<'stm> {
             // cells it wrote alive (see `Txn::alloc`).
             unsafe { write.abort() };
         }
-        // The remaining buffers — read set, dedup filter, unrun post-commit
-        // actions (commit-only side effects die with the attempt) — are
-        // cleared in one place: the scratch lease's reset when this attempt
-        // is dropped.
+        // The remaining buffers — read set, dedup filter, retirements, unrun
+        // post-commit actions (commit-only side effects die with the
+        // attempt, and the fresh objects `free_on_abort` holds with them,
+        // after the writes that referred to them are gone) — are cleared in
+        // one place: the scratch lease's reset when this attempt is dropped.
         self.flush_hot_path_stats();
         self.finished = true;
     }

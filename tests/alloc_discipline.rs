@@ -164,7 +164,7 @@ fn steady_state_hot_paths_do_not_touch_the_global_allocator() {
 
     // ---- 3. End-to-end skip hash insert/remove churn: ZERO allocations.
     //
-    // Node blocks — refcount, header, the value and the tower inline — are
+    // Node blocks — header, the value and the tower inline — are
     // height-classed arena blocks recycled through the epoch, and the hash
     // index is link words in the buckets and the nodes, so a steady-state
     // insert/remove pair must not touch the global allocator at all.  Nor

@@ -377,10 +377,10 @@ fn slab_recycling_balances_drops_under_cross_thread_churn() {
     );
 }
 
-/// End-to-end churn through the skip hash: inserts and removals retire nodes
-/// and displaced link words through the batched transaction bags while range
-/// queries hold pins; the map must stay consistent throughout.  (Memory
-/// errors here are the ASan job's concern.)
+/// End-to-end churn through the skip hash: removals retire nodes through
+/// the batched transaction bags while range queries hold pins; the map must
+/// stay consistent throughout.  (Memory errors here are the ASan job's
+/// concern.)
 #[test]
 fn skiphash_churn_under_concurrent_range_queries() {
     let map: Arc<SkipHash<u64, u64>> = Arc::new(
@@ -741,14 +741,15 @@ impl Clone for Gated {
     }
 }
 
-/// Two removed nodes of one hash chain must not keep each other alive.  Two
-/// adjacent keys share the only bucket; one is removed while a slow-path
-/// range query is in flight (deferred, so it stays stitched), the other
-/// after the query ends (unstitched at once, so its tower keeps pointing at
-/// the deferred neighbour).  If an unlinked node kept its hash link, the
-/// newer node's link to the older and the older's tower link back would
-/// form a cycle that outlives the map.  All four orders of insertion and
-/// removal run; after each map drops, every value must have been dropped.
+/// Teardown frees every node once, whichever owner holds it.  Two adjacent
+/// keys share the only bucket; one is removed while a slow-path range query
+/// is in flight (deferred, so it stays stitched, its handle parked in the
+/// remover's buffer, and the list still owns it), the other after the query
+/// ends (unstitched at once, and retired at that commit, while its tower
+/// keeps pointing at the deferred neighbour).  All four orders of insertion
+/// and removal run; after each map drops, every value must have been dropped
+/// exactly once: a node teardown missed would leak, one freed by both
+/// teardown and a retirement would count twice.
 #[test]
 fn deferred_removals_in_one_chain_leave_no_cycle() {
     let live = Arc::new(AtomicIsize::new(0));
@@ -800,4 +801,112 @@ fn deferred_removals_in_one_chain_leave_no_cycle() {
             );
         }
     }
+}
+
+/// Node retirement under a snapshot pin.  With no slow-path range query in
+/// flight, removing a key unstitches its node at once, and the unstitching
+/// commit retires the node; the pinned version still reaches it, so the
+/// commit must hand it to the pin's custody rather than the epoch.  No value
+/// may drop while the snapshot lives, however far epoch collection runs, and
+/// the snapshot must still read every pair; dropping it must free each node
+/// exactly once.  This is the ASan job's use-after-free wall for node
+/// retirement: a node freed under the pin would be read by `to_vec` after
+/// its free.
+#[test]
+fn a_pinned_snapshot_keeps_unstitched_nodes_until_it_drops() {
+    const N: u64 = 512;
+    let drops = Arc::new(AtomicUsize::new(0));
+    let map: SkipHash<u64, (u64, Arc<Tracked>)> = SkipHash::new();
+    for key in 0..N {
+        assert!(map.insert(key, (key * 10, Arc::new(Tracked::new(&drops)))));
+    }
+    let snap = map.snapshot();
+    for key in 0..N {
+        assert!(map.remove(&key));
+    }
+    assert!(map.is_empty());
+    assert_eq!(map.range_stats().slow_path_completions, 0);
+    for _ in 0..16 * 4_096 {
+        drop(epoch::pin());
+    }
+    // SC: poll the drop counter in the same total order the destructors use.
+    assert_eq!(
+        drops.load(Ordering::SeqCst),
+        0,
+        "a node the pin reaches was freed"
+    );
+    let pairs: Vec<(u64, u64)> = snap
+        .to_vec()
+        .into_iter()
+        .map(|(k, (v, _))| (k, v))
+        .collect();
+    assert_eq!(pairs, (0..N).map(|k| (k, k * 10)).collect::<Vec<_>>());
+
+    drop(snap);
+    drive_reclamation(&drops, N as usize);
+    for _ in 0..4_096 {
+        drop(epoch::pin());
+    }
+    // SC: as above.
+    assert_eq!(drops.load(Ordering::SeqCst), N as usize);
+}
+
+/// An insert whose attempt aborts frees its fresh node at once: the node
+/// was never published, so the rollback owns it.  Through a `TxView` and
+/// through a standalone `TxHashMap`, each explicitly aborted attempt must
+/// drop its value exactly once before the next attempt starts, the key must
+/// be absent afterwards, and nothing may be left once the maps drop.
+#[test]
+fn an_aborted_insert_frees_its_fresh_node_once_per_attempt() {
+    const ATTEMPTS: usize = 64;
+    let live = Arc::new(AtomicIsize::new(0));
+    let map: SkipHash<u64, Balanced> = SkipHash::new();
+    let stm = Stm::new();
+    let standalone: skiphash::TxHashMap<u64, Balanced> = skiphash::TxHashMap::new(8);
+    assert!(map.insert(1, Balanced::new(&live, 1)));
+    assert!(stm.run(|tx| standalone.insert(tx, 1, Balanced::new(&live, 1))));
+    // SC: live-count bookkeeping (see `Balanced::new`).
+    let before = live.load(Ordering::SeqCst);
+
+    for attempt in 0..ATTEMPTS as u64 {
+        let aborted = map.stm().try_once(|tx| -> TxResult<()> {
+            assert!(map.view(tx).insert(7, Balanced::new(&live, attempt))?);
+            Err(TxAbort::Explicit)
+        });
+        assert!(aborted.is_err());
+        // SC: as above.
+        assert_eq!(
+            live.load(Ordering::SeqCst),
+            before,
+            "view attempt {attempt}"
+        );
+
+        let aborted = stm.try_once(|tx| -> TxResult<()> {
+            assert!(standalone.insert(tx, 7, Balanced::new(&live, attempt))?);
+            Err(TxAbort::Explicit)
+        });
+        assert!(aborted.is_err());
+        // SC: as above.
+        assert_eq!(live.load(Ordering::SeqCst), before, "map attempt {attempt}");
+    }
+    assert_eq!(map.get(&7).map(|v| v.value), None);
+    assert_eq!(map.len(), 1);
+    map.check_invariants()
+        .expect("invariants after aborted inserts");
+    assert!(stm.run(|tx| standalone.get(tx, &7)).is_none());
+    assert_eq!(stm.run(|tx| standalone.len(tx)), 1);
+
+    drop(map);
+    drop(standalone);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    // SC: poll the live count in the same total order the tallies use.
+    while live.load(Ordering::SeqCst) != 0 && Instant::now() < deadline {
+        drop(epoch::pin());
+    }
+    // SC: as above.
+    assert_eq!(
+        live.load(Ordering::SeqCst),
+        0,
+        "aborted inserts leaked or double-freed"
+    );
 }
