@@ -3,7 +3,8 @@
 //! The gated `durability/` group runs entirely on the in-memory storage
 //! backend, so it measures the software cost the tier adds to a commit —
 //! record encoding, the per-thread lease buffers, the submit queue, the
-//! group-commit writer, and the sync barrier — with no device noise.  That
+//! group-commit writer, the sync barrier, and a full checkpoint — with no
+//! device noise.  That
 //! makes it stable enough for the perf gate alongside `commit_path/`.
 //!
 //! The `durability_sync/` group hits the real filesystem and pays actual
@@ -125,6 +126,35 @@ fn bench_recovery(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_checkpoint(c: &mut Criterion) {
+    let mut group = c.benchmark_group("durability");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_millis(800));
+
+    // A full checkpoint of 65,536 keys: the pinned scan, the image's
+    // encoding and CRC, and its write, rename and truncation on MemStorage.
+    // Keys are inserted in a scattered order, so level 0's nodes do not sit
+    // in allocation order and the scan pays the cache misses a long-lived
+    // map's does.
+    const KEYS: u64 = 65_536;
+    let map = DurableMapBuilder::new("/bench-checkpoint")
+        .storage(Arc::new(MemStorage::new()))
+        .wal_config(fast_wal())
+        .open::<u64, u64>()
+        .expect("open in-memory durable map");
+    for i in 0..KEYS {
+        let key = (i * 40_503) % KEYS;
+        map.upsert(key, i);
+    }
+    map.sync().expect("prefill sync");
+    group.bench_function("checkpoint_64k", |b| {
+        b.iter(|| map.checkpoint().expect("checkpoint to MemStorage"))
+    });
+    group.finish();
+}
+
 fn bench_real_fsync(c: &mut Criterion) {
     let mut group = c.benchmark_group("durability_sync");
     group
@@ -153,6 +183,7 @@ criterion_group!(
     benches,
     bench_logged_commits,
     bench_recovery,
+    bench_checkpoint,
     bench_real_fsync
 );
 criterion_main!(benches);

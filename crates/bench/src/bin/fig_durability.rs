@@ -16,9 +16,13 @@
 //! `--disk DIR` to run against the real filesystem under `DIR` instead and
 //! measure actual fsync cost; each point uses a fresh subdirectory.
 //!
-//! Output is one table/CSV pair for throughput and one for latency
-//! (x-axis: flush interval in µs; series: total Mops/s, ack p50/p99/max µs),
-//! plus a correctness line per point (acknowledged count, recovery check).
+//! Output is one table/CSV pair for throughput, one for latency and one for
+//! batching (x-axis: flush interval in µs; series: total Mops/s, ack
+//! p50/p99/max µs, records per group-commit batch), plus a line per point
+//! on stderr (acknowledged count, the same quantiles, records per batch).
+//! A `sync` flushes the batch it waits for at once, so the interval prices
+//! only the records nobody acknowledges; records per batch shows how much
+//! batching the syncers still get from each other.
 //!
 //! Options (all `--key value`):
 //!
@@ -40,6 +44,7 @@ use skiphash_bench::report::{Figure, Series};
 use skiphash_bench::trial::mops;
 use skiphash_bench::BenchOptions;
 use skiphash_durability::{DurableMapBuilder, MemStorage, WalConfig};
+use skiphash_stm::stats;
 
 fn main() {
     let options = BenchOptions::from_args();
@@ -67,7 +72,13 @@ fn main() {
         "flush interval (us)",
         "latency (us)",
     );
+    let mut batching = Figure::new(
+        "Durable writers: records per batch vs flush interval",
+        "flush interval (us)",
+        "records per fsync",
+    );
     let mut total = Series::new("total");
+    let mut per_batch = Series::new("records/batch");
     let mut p50 = Series::new("ack p50");
     let mut p99 = Series::new("ack p99");
     let mut worst = Series::new("ack max");
@@ -77,7 +88,7 @@ fn main() {
             flush_interval: Duration::from_micros(us),
             ..WalConfig::default()
         };
-        let result = {
+        let (result, records_per_batch) = {
             // Fresh map per point: reusing one would replay an ever-longer
             // log into each successive open and measure recovery, not
             // commit latency.
@@ -100,13 +111,20 @@ fn main() {
                     .open::<u64, u64>()
                     .unwrap_or_else(|e| panic!("open {dir}: {e}")),
             );
+            let (records, batches) = (
+                stats::wal_records_appended_total(),
+                stats::group_commit_flushes_total(),
+            );
             let result = run_durable_trial(&map, universe, threads, ack_every, duration, 0xD0_0F);
             map.sync().expect("final sync");
-            result
+            let records = stats::wal_records_appended_total() - records;
+            let batches = stats::group_commit_flushes_total() - batches;
+            (result, records as f64 / batches.max(1) as f64)
         };
         let throughput_mops = mops(result.ops, result.elapsed_secs);
         eprintln!(
-            "durability interval={us}us: {:.3} Mops/s, acked={} (p50 {:.1}us, p99 {:.1}us, max {:.1}us)",
+            "durability interval={us}us: {:.3} Mops/s, acked={} (p50 {:.1}us, p99 {:.1}us, \
+             max {:.1}us), {records_per_batch:.1} records/batch",
             throughput_mops,
             result.acked,
             result.ack_quantile_us(0.50),
@@ -121,6 +139,7 @@ fn main() {
         p50.push(us as f64, result.ack_quantile_us(0.50));
         p99.push(us as f64, result.ack_quantile_us(0.99));
         worst.push(us as f64, result.ack_max_us());
+        per_batch.push(us as f64, records_per_batch);
     }
 
     throughput.add_series(total);
@@ -131,4 +150,7 @@ fn main() {
     println!("{}", throughput.to_csv());
     println!("{}", latency.to_table());
     println!("{}", latency.to_csv());
+    batching.add_series(per_batch);
+    println!("{}", batching.to_table());
+    println!("{}", batching.to_csv());
 }

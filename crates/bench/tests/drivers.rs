@@ -113,8 +113,10 @@ fn fig_durability_prints_both_charts() {
     let expected = [
         "# Durable writers: throughput vs flush interval",
         "# Durable writers: ack latency vs flush interval",
+        "# Durable writers: records per batch vs flush interval",
         "flush interval (us),total",
         "flush interval (us),ack p50,ack p99,ack max",
+        "flush interval (us),records/batch",
     ]
     .map(String::from);
     assert_prints(

@@ -58,12 +58,22 @@ pub fn is_checkpoint_tmp(name: &str) -> bool {
 
 /// Serialize `entries` as the map's image at clock version `at`.
 pub fn encode_checkpoint<K: Codec, V: Codec>(entries: &[(K, V)], at: u64) -> Vec<u8> {
-    let mut buf = Vec::new();
+    const HEADER_BYTES: usize = 4 + 1 + 8 + 8;
+    let mut buf = Vec::with_capacity(HEADER_BYTES + 4);
     buf.extend_from_slice(CKPT_MAGIC);
     buf.push(CKPT_VERSION);
     buf.extend_from_slice(&at.to_le_bytes());
     buf.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for (key, value) in entries {
+    let mut rest = entries.iter();
+    if let Some((key, value)) = rest.next() {
+        put_field(&mut buf, key);
+        put_field(&mut buf, value);
+        // Size the image as if every entry encoded like the first: exact for
+        // fixed-width codecs, so the buffer is allocated once and never
+        // copied by a doubling; a wider entry later only grows it.
+        buf.reserve_exact((buf.len() - HEADER_BYTES) * rest.len() + 4);
+    }
+    for (key, value) in rest {
         put_field(&mut buf, key);
         put_field(&mut buf, value);
     }
@@ -154,6 +164,16 @@ mod tests {
         let (at, decoded) = decode_checkpoint::<u64, String>(&bytes).unwrap();
         assert_eq!(at, 99);
         assert_eq!(decoded, entries);
+        let empty = encode_checkpoint::<u64, u64>(&[], 3);
+        assert_eq!(decode_checkpoint::<u64, u64>(&empty), Some((3, Vec::new())));
+    }
+
+    #[test]
+    fn fixed_width_images_are_sized_exactly() {
+        let entries: Vec<(u64, u64)> = (0..1000).map(|k| (k, k * 7)).collect();
+        let bytes = encode_checkpoint(&entries, 1);
+        assert_eq!(bytes.len(), 4 + 1 + 8 + 8 + entries.len() * 24 + 4);
+        assert_eq!(bytes.capacity(), bytes.len(), "one allocation, no slack");
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //! sampled the queue, so an `Ok` covers it.
 //!
 //! Commits not yet synced may or may not survive a crash — group commit
-//! means they usually do within a flush interval — but recovery always
+//! writes them within a flush interval, or sooner if anyone syncs — but
+//! recovery always
 //! reconstructs a *causally consistent prefix of the log order*: records
 //! reach the file in submission order and a torn tail only ever removes a
 //! suffix, so if commit `B` survived, so did every commit `B` could have

@@ -23,14 +23,30 @@
 //! # Group commit
 //!
 //! Submitted records go into a queue drained by a single writer thread.  The
-//! writer accumulates a batch (up to [`WalConfig::flush_interval`] of
-//! waiting, or [`MAX_BATCH_BYTES`] of records, whichever comes first),
-//! sorts it by commit stamp, CRC32-frames each record, appends the whole
-//! batch with one write, and fsyncs **once**.  Only after that fsync does
-//! the durable watermark advance and [`Wal::sync`] callers wake: one disk
-//! flush acknowledges every commit in the batch.  When the queue holds more
-//! than [`QUEUE_CAPACITY_BYTES`], submitters block (backpressure) until the
-//! writer drains it.
+//! writer takes everything queued as one batch, sorts it by commit stamp,
+//! CRC32-frames each record, appends the whole batch with one write, and
+//! fsyncs **once**.  Only after that fsync does the durable watermark
+//! advance and [`Wal::sync`] callers wake: one disk flush acknowledges every
+//! commit in the batch.
+//!
+//! When a batch is flushed depends on whether anyone is waiting for it:
+//!
+//! * **A caller is blocked in [`Wal::sync`].**  The caller raises the
+//!   queue's wanted watermark and wakes the writer, which flushes what is
+//!   queued at once.  Callers that block while a flush is running are not
+//!   covered by it; they are grouped into the next batch, which starts as
+//!   soon as the running one is durable.  So a sync waits for at most two
+//!   flushes, never for the interval, and batching under many syncers comes
+//!   from the flushes themselves: whatever queues during one fsync rides the
+//!   next.
+//! * **Nobody is waiting.**  The writer accumulates up to
+//!   [`WalConfig::flush_interval`] after the first record arrives (or
+//!   [`MAX_BATCH_BYTES`] of records, whichever comes first), so records
+//!   that nobody acknowledges still reach storage within one interval, in
+//!   batches.
+//!
+//! When the queue holds more than [`QUEUE_CAPACITY_BYTES`], submitters block
+//! (backpressure) until the writer drains it.
 //!
 //! Stamps are assigned by the STM clock at commit, so records from
 //! different threads may *enqueue* out of stamp order — and consecutive
@@ -100,7 +116,9 @@ pub const QUEUE_CAPACITY_BYTES: usize = 4 << 20;
 #[derive(Debug, Clone, Copy)]
 pub struct WalConfig {
     /// How long the writer waits to accumulate a batch after the first
-    /// record arrives.
+    /// record arrives, while no [`Wal::sync`] caller is waiting for it: it
+    /// bounds how long an unacknowledged record stays in memory, not how
+    /// long an acknowledgment takes (see the module docs' "Group commit").
     pub flush_interval: Duration,
     /// Seal the active segment and start a new one past this size.
     pub segment_max_bytes: u64,
@@ -298,6 +316,10 @@ struct State {
     next_seq: u64,
     /// Every submission with `seq <= durable_seq` has been fsynced.
     durable_seq: u64,
+    /// The highest submission a caller blocked in [`Wal::sync`] waits for:
+    /// while it is above `durable_seq`, the writer flushes without
+    /// accumulating.
+    wanted_seq: u64,
     /// Sticky first failure; poisons the log.
     error: Option<String>,
     shutdown: bool,
@@ -429,6 +451,12 @@ impl Wal {
             if st.shutdown {
                 return Err(io::Error::other("wal shut down with pending records"));
             }
+            if st.wanted_seq < target {
+                // Tell the writer someone is blocked, so it stops
+                // accumulating the batch that holds `target`.
+                st.wanted_seq = target;
+                shared.work_cv.notify_one();
+            }
             st = shared
                 .durable_cv
                 .wait(st)
@@ -558,10 +586,13 @@ fn writer_loop(
                     .unwrap_or_else(PoisonError::into_inner);
             }
             // Group-commit accumulation: give other committers a chance to
-            // join this batch's single fsync.
+            // join this batch's single fsync, unless a `sync` caller is
+            // already waiting for a queued record (nothing is in flight
+            // here, so `wanted_seq > durable_seq` means exactly that).
             let deadline = Instant::now() + shared.config.flush_interval;
             while !st.queue.is_empty()
                 && st.queue_bytes < MAX_BATCH_BYTES
+                && st.wanted_seq <= st.durable_seq
                 && !st.shutdown
                 && st.error.is_none()
             {
@@ -784,12 +815,16 @@ mod tests {
     use crate::storage::MemStorage;
 
     fn open_mem() -> (MemStorage, Wal) {
+        open_mem_with(Duration::from_micros(100))
+    }
+
+    fn open_mem_with(flush_interval: Duration) -> (MemStorage, Wal) {
         let storage = MemStorage::new();
         let wal = Wal::open(
             Arc::new(storage.clone()),
             Path::new("/wal"),
             WalConfig {
-                flush_interval: Duration::from_micros(100),
+                flush_interval,
                 ..WalConfig::default()
             },
             1,
@@ -839,6 +874,61 @@ mod tests {
             r41.1,
             vec![Op::Put(1, 10), Op::Remove(2)],
             "ops preserve intra-record order"
+        );
+    }
+
+    /// A blocked `sync` flushes the batch holding its records at once: with
+    /// an interval far longer than the test, every acknowledgment still
+    /// comes back in well under a second.
+    #[test]
+    fn sync_does_not_wait_out_the_flush_interval() {
+        let (storage, wal) = open_mem_with(Duration::from_secs(10));
+        for stamp in 1..=3u64 {
+            let begin = Instant::now();
+            let mut buf = wal.lease();
+            buf.log_put(&stamp, &stamp);
+            buf.submit(stamp);
+            wal.sync().unwrap();
+            let waited = begin.elapsed();
+            assert!(
+                waited < Duration::from_secs(1),
+                "sync {stamp} waited {waited:?} for a 10 s flush interval"
+            );
+        }
+        let (records, _) = parse_all(&storage, 1);
+        assert_eq!(records.len(), 3);
+    }
+
+    /// Records that nobody syncs still reach storage, batched over one
+    /// interval.  They are submitted with descending stamps and the writer
+    /// sorts each batch, so every ascending run in the segment is one batch.
+    #[test]
+    fn unsynced_records_reach_storage_in_batches() {
+        const RECORDS: u64 = 16;
+        let interval = Duration::from_millis(300);
+        let (storage, wal) = open_mem_with(interval);
+        for stamp in (1..=RECORDS).rev() {
+            let mut buf = wal.lease();
+            buf.log_put(&stamp, &stamp);
+            buf.submit(stamp);
+        }
+        let deadline = Instant::now() + 20 * interval;
+        let records = loop {
+            let (records, _) = parse_all(&storage, 1);
+            if records.len() as u64 == RECORDS || Instant::now() > deadline {
+                break records;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert_eq!(
+            records.len() as u64,
+            RECORDS,
+            "unsynced records never flushed"
+        );
+        let batches = 1 + records.windows(2).filter(|w| w[1].0 < w[0].0).count();
+        assert!(
+            batches < RECORDS as usize,
+            "{RECORDS} records submitted within one interval took {batches} batches"
         );
     }
 

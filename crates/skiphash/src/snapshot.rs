@@ -186,8 +186,16 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
 
     /// Every `(key, value)` pair at the pinned version, in ascending key
     /// order.
+    ///
+    /// The result is sized from [`Snapshot::len`] and filled by a walk that
+    /// keeps several cursors in flight over segments of the list, so the
+    /// cache misses of a long scan overlap instead of queueing one behind
+    /// another (the crate's `traverse` module, "The interleaved pinned
+    /// walk").
     pub fn to_vec(&self) -> Vec<(K, V)> {
-        self.pairs(StdBound::Unbounded, StdBound::Unbounded)
+        let mut out = Vec::with_capacity(self.len());
+        traverse::collect_interleaved(&self.pin, &self.inner.skiplist, &mut out);
+        out
     }
 
     /// Number of keys present at the pinned version.
@@ -211,6 +219,9 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+    use std::ops::Bound as StdBound;
+
     use crate::config::SkipHashBuilder;
     use crate::SkipHash;
 
@@ -241,7 +252,6 @@ mod tests {
 
     #[test]
     fn snapshot_range_bounds_match_btreemap_at_the_pin() {
-        use std::collections::BTreeMap;
         use std::ops::Bound::*;
         let map = map();
         for k in [1u64, 3, 5, 7, 9] {
@@ -313,6 +323,82 @@ mod tests {
         let pairs = snap.to_vec();
         assert_eq!(pairs, (0..32u64).map(|k| (k, k)).collect::<Vec<_>>());
         assert_eq!(snap.ceil_key(&10), Some(10));
+        assert!(map.check_invariants().is_ok());
+    }
+
+    /// `to_vec`, whose cursors walk segments of the list at once, against
+    /// the single-cursor pinned walk and the contents at the pin.
+    fn assert_scans_agree(snap: &super::Snapshot<u64, u64>, at_pin: &BTreeMap<u64, u64>) {
+        let single = snap.pairs(StdBound::Unbounded, StdBound::Unbounded);
+        let interleaved = snap.to_vec();
+        assert_eq!(interleaved, single, "interleaved vs single-cursor walk");
+        let expected: Vec<(u64, u64)> = at_pin.iter().map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(
+            interleaved, expected,
+            "interleaved walk vs the map at the pin"
+        );
+        assert_eq!(interleaved.len(), snap.len());
+    }
+
+    #[test]
+    fn interleaved_to_vec_equals_the_single_cursor_walk() {
+        let map = map();
+        let mut reference = BTreeMap::new();
+        // Empty, one key, fewer keys than cursors, then enough for dozens
+        // of segments (one node in 64 reaches the segment level).
+        for size in [0, 1, 5, 3_000] {
+            while reference.len() < size {
+                let key = reference.len() as u64 * 3;
+                assert!(map.insert(key, key));
+                reference.insert(key, key);
+            }
+            assert_scans_agree(&map.snapshot(), &reference);
+        }
+
+        // A pin held across removes and re-inserts: nodes unstitched after
+        // the pin, nodes born after it, and nodes born after it and then
+        // unstitched again, which retire while the pin lives.
+        let snap = map.snapshot();
+        let at_pin = reference.clone();
+        for key in (0..9_000).step_by(6) {
+            assert!(map.remove(&key));
+            assert!(map.insert(key, key + 1));
+            assert!(map.remove(&key));
+            assert!(map.insert(key + 1, key));
+            reference.remove(&key);
+            reference.insert(key + 1, key);
+        }
+        assert_scans_agree(&snap, &at_pin);
+        assert_scans_agree(&map.snapshot(), &reference);
+        drop(snap);
+        assert_scans_agree(&map.snapshot(), &reference);
+    }
+
+    /// The same equivalence while a writer churns: every scan of one pin
+    /// reads the same pairs, whatever the writer unstitches and retires
+    /// between and during them.
+    #[test]
+    fn interleaved_to_vec_holds_its_pin_under_churn() {
+        let map = map();
+        for key in 0..2_000u64 {
+            assert!(map.insert(key, key));
+        }
+        let snap = map.snapshot();
+        let at_pin: BTreeMap<u64, u64> = (0..2_000u64).map(|k| (k, k)).collect();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for round in 1..=40u64 {
+                    for key in (round % 7..2_000).step_by(7) {
+                        assert!(map.remove(&key));
+                        assert!(map.insert(key, key + round));
+                    }
+                }
+            });
+            for _ in 0..20 {
+                assert_scans_agree(&snap, &at_pin);
+            }
+        });
+        assert_scans_agree(&snap, &at_pin);
         assert!(map.check_invariants().is_ok());
     }
 

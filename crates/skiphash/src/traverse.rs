@@ -95,7 +95,27 @@
 //! walk (the slow path's resume cursor, a safe node whose unstitching the
 //! range query coordinator defers until the query ends); each hop from it is
 //! covered by the reader as above.
+//!
+//! # The interleaved pinned walk
+//!
+//! A full scan at a pinned version ([`collect_interleaved`], behind
+//! `Snapshot::to_vec` and so every checkpoint) is a chain of dependent cache
+//! misses if one cursor walks it: each hop's address is in the line the
+//! previous hop misses on.  The pinned list cannot change and a pinned read
+//! cannot abort, so the walk can instead cut level 0 into segments and keep
+//! several cursors in flight, one per segment, advancing them round-robin
+//! and prefetching each one's next node, so their misses overlap
+//! (asynchronous memory access chaining: Kocberber et al., VLDB 2015).
+//! Segments are cut at the nodes an upper level links at the pinned
+//! version.  Every hop is still a pinned read and every handle is still
+//! covered by the pin's custody, as in the plain walk, so the walk needs no
+//! hint.  The walk holds one epoch guard per chunk of hops and makes its
+//! pinned reads under it (`TCell::read_pinned_under`), so no read pins on
+//! its own, and reclamation waits on no more than one chunk.  The guard is
+//! for speed only: custody, not the guard, keeps every handle alive, so
+//! dropping it between chunks changes nothing the walk relies on.
 
+use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::ops::Bound as StdBound;
 use std::ops::ControlFlow;
@@ -430,6 +450,136 @@ pub(crate) fn first_present<K: MapKey, V: MapValue, R: Reader<K, V>>(
     })
 }
 
+/// Cursors [`collect_interleaved`] keeps in flight.
+const CURSORS: usize = 8;
+
+/// The level whose nodes cut level 0 into [`collect_interleaved`]'s
+/// segments: tower heights are geometric with p = 1/2, so about one node in
+/// 2^6 = 64 reaches it (capped below a shorter list's top level).
+const SEGMENT_LEVEL: usize = 6;
+
+/// Segments [`collect_interleaved`] holds staged: the running ones plus the
+/// finished ones still waiting for an earlier segment.  A cursor that
+/// finishes while this many are held waits instead of starting another, so
+/// staging stays bounded when one segment runs long.
+const STAGED_SEGMENTS: usize = 4 * CURSORS;
+
+/// Hops [`collect_interleaved`] makes under one epoch guard before it
+/// re-pins, so a long scan never holds reclamation back for longer.
+const HOPS_PER_GUARD: usize = 256;
+
+/// One cursor of [`collect_interleaved`]: walking level 0 from `at` until it
+/// reaches `end`, the first node of the next segment, staging what it
+/// collects in segment number `segment`.
+struct SegmentCursor<K, V> {
+    at: RawNode<K, V>,
+    end: RawNode<K, V>,
+    segment: usize,
+}
+
+/// Append to `out` every logically present `(key, value)` pair of `list` at
+/// `pin`'s version, in key order: what [`scan`] from an unbounded start
+/// collects through `&pin`, with [`CURSORS`] segments walked at once (see
+/// the module docs).
+///
+/// The first segment starts at the head.  Each one ends where the next
+/// starts: at the next node linked at [`SEGMENT_LEVEL`] at the pin, which a
+/// feeder reads off the previous boundary's tower as cursors need segments;
+/// the last one ends at the tail.  A cursor stops when its hop reaches its
+/// end node, which is exact because that node is on level 0 at the pin,
+/// after every node of the segment: a tower's links at all its levels are
+/// written by one commit (an insert stitches the whole tower, `unstitch`
+/// replaces every link to it), a pinned read sees either all of a commit or
+/// none of it, and so the node linked at the upper level at the pin was
+/// linked at level 0 at the pin too, with the upper level's order.
+///
+/// Each segment's pairs are staged in a buffer of their own and appended to
+/// `out` once every earlier segment has been, so the pairs are copied once
+/// more, out of a buffer that a few dozen pairs fill, never the whole scan.
+/// Sizing `out` from the pinned population beforehand makes it the only
+/// allocation the size of the result.
+pub(crate) fn collect_interleaved<K: MapKey, V: MapValue>(
+    pin: &SnapshotPin,
+    list: &SkipList<K, V>,
+    out: &mut Vec<(K, V)>,
+) {
+    // The pinned reads of `Reader for &SnapshotPin`, made under the walk's
+    // guard instead of a pin of their own.
+    let link = |cell: &TCell<Link<K, V>>, guard: &crossbeam_epoch::Guard| {
+        cell.read_pinned_under(pin, guard, |link| *link)
+            .expect("links are terminated by the sentinels")
+    };
+    let level = SEGMENT_LEVEL.min(list.max_level() - 1);
+    let mut cursors: [Option<SegmentCursor<K, V>>; CURSORS] = std::array::from_fn(|_| None);
+    // `staged[i]` holds segment `first_staged + i`'s pairs and whether its
+    // cursor is done; `feed` starts the next segment to hand out.
+    let mut staged: VecDeque<(Vec<(K, V)>, bool)> = VecDeque::with_capacity(STAGED_SEGMENTS);
+    let mut first_staged = 0;
+    let mut spare: Vec<Vec<(K, V)>> = Vec::new();
+    let mut feed = Some(list.head());
+    let mut guard = crossbeam_epoch::pin();
+    let mut hops = 0;
+    loop {
+        let mut busy = false;
+        for slot in &mut cursors {
+            if let (None, Some(start)) = (&slot, feed) {
+                // SAFETY: `start` is the head sentinel (owned by `list`) or
+                // was read at the pin — the pinned half of the module's
+                // borrowed-handle contract.
+                let node = unsafe { start.node() };
+                if node.is_tail() {
+                    feed = None;
+                } else if staged.len() < STAGED_SEGMENTS {
+                    let end = link(&start.tower(node)[level].succ, &guard);
+                    end.prefetch_to(level);
+                    feed = Some(end);
+                    *slot = Some(SegmentCursor {
+                        at: start,
+                        end,
+                        segment: first_staged + staged.len(),
+                    });
+                    staged.push_back((spare.pop().unwrap_or_default(), false));
+                }
+            }
+            let Some(cursor) = slot else {
+                continue;
+            };
+            busy = true;
+            // SAFETY: `cursor.at` is a segment's start or was read at the
+            // pin, as above.
+            let node = unsafe { cursor.at.node() };
+            let next = link(&cursor.at.tower(node)[0].succ, &guard);
+            next.prefetch();
+            let index = cursor.segment - first_staged;
+            if !node.is_head() && !node.r_time.read_pinned_under(pin, &guard, Option::is_some) {
+                let value = node.value().read_pinned_under(pin, &guard, V::clone);
+                staged[index].0.push((node.key().clone(), value));
+            }
+            cursor.at = next;
+            if next == cursor.end {
+                staged[index].1 = true;
+                *slot = None;
+                while staged.front().is_some_and(|(_, done)| *done) {
+                    let (mut pairs, _) = staged.pop_front().expect("a front segment");
+                    out.append(&mut pairs);
+                    spare.push(pairs);
+                    first_staged += 1;
+                }
+            }
+            hops += 1;
+        }
+        if !busy {
+            debug_assert!(staged.is_empty() && feed.is_none());
+            return;
+        }
+        if hops >= HOPS_PER_GUARD {
+            drop(guard);
+            guard = crossbeam_epoch::pin();
+            hops = 0;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,6 +789,74 @@ mod tests {
         // The same list through a pin taken now: same nodes, same marks.
         let pin = fx.stm.pin_snapshot();
         check_reader(&mut &pin, &fx);
+    }
+
+    /// `collect_interleaved` against the single-cursor pinned walk on shapes
+    /// a random map rarely takes: a first segment hundreds of nodes long
+    /// followed by a hundred one-node segments (finished cursors stage their
+    /// segments and then wait for the first), logically deleted duplicates
+    /// still linked, some of them segment boundaries, and lists too short
+    /// for the segment level.
+    #[test]
+    fn interleaved_walk_matches_the_single_cursor_walk() {
+        for max_level in [1, 2, 8] {
+            let stm = Arc::new(Stm::new());
+            let list: SkipList<u64, u64> = SkipList::new(max_level);
+            let insert = |key: u64, value: u64, height: usize| {
+                let height = height.min(max_level);
+                stm.run(|tx| {
+                    list.insert_after_logical_deletes(tx, key, value, height, 0, None)
+                        .map(drop)
+                });
+            };
+            let mark = |key: u64| {
+                stm.run(|tx| {
+                    scan(tx, &list, Included(&key), |tx, _, node| {
+                        if tx.removed(node)? {
+                            return Ok(ControlFlow::Continue(()));
+                        }
+                        node.mark_removed(tx, 1)?;
+                        Ok(ControlFlow::Break(()))
+                    })
+                    .map(drop)
+                })
+            };
+            let compare = |pin: &SnapshotPin, expected: &BTreeMap<u64, u64>| {
+                let mut interleaved = Vec::new();
+                collect_interleaved(pin, &list, &mut interleaved);
+                let Ok(single) = collect(&mut &*pin, &list, Unbounded, Unbounded);
+                assert_eq!(interleaved, single, "max_level {max_level}");
+                let expected: Vec<(u64, u64)> = expected.iter().map(|(k, v)| (*k, *v)).collect();
+                assert_eq!(interleaved, expected, "max_level {max_level}");
+            };
+
+            let mut present = BTreeMap::new();
+            compare(&stm.pin_snapshot(), &present);
+            for key in 0..1_000u64 {
+                let height = match key {
+                    0..600 => 1,
+                    600..700 => SEGMENT_LEVEL + 1,
+                    _ if key % 5 == 0 => SEGMENT_LEVEL + 2,
+                    _ => 1 + key as usize % 3,
+                };
+                insert(key, key, height);
+                present.insert(key, key);
+            }
+            for key in (0..1_000u64).step_by(7) {
+                mark(key);
+                let height = if key % 2 == 0 { SEGMENT_LEVEL + 1 } else { 1 };
+                insert(key, key + 1, height);
+                present.insert(key, key + 1);
+            }
+            let pin = stm.pin_snapshot();
+            compare(&pin, &present);
+            // Writes after the pin change nothing it reads.
+            for key in (3..1_000u64).step_by(11) {
+                mark(key);
+                insert(key, 0, SEGMENT_LEVEL + 1);
+            }
+            compare(&pin, &present);
+        }
     }
 
     /// The scout reads ahead of the walk through hints, which never join the
