@@ -58,22 +58,17 @@ pub fn is_checkpoint_tmp(name: &str) -> bool {
 
 /// Serialize `entries` as the map's image at clock version `at`.
 pub fn encode_checkpoint<K: Codec, V: Codec>(entries: &[(K, V)], at: u64) -> Vec<u8> {
-    const HEADER_BYTES: usize = 4 + 1 + 8 + 8;
-    let mut buf = Vec::with_capacity(HEADER_BYTES + 4);
+    // Header, entries, CRC.  An entry is encoded as the pair `(K, V)` is,
+    // two length-prefixed fields.  Only fixed-width codecs say how long an
+    // image is before it is written, so only their images are allocated
+    // once, at their exact size; the others grow as they are written.
+    let fixed = <(K, V)>::WIDTH.and_then(|entry| entries.len().checked_mul(entry));
+    let mut buf = Vec::with_capacity(4 + 1 + 8 + 8 + fixed.unwrap_or(0) + 4);
     buf.extend_from_slice(CKPT_MAGIC);
     buf.push(CKPT_VERSION);
     buf.extend_from_slice(&at.to_le_bytes());
     buf.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    let mut rest = entries.iter();
-    if let Some((key, value)) = rest.next() {
-        put_field(&mut buf, key);
-        put_field(&mut buf, value);
-        // Size the image as if every entry encoded like the first: exact for
-        // fixed-width codecs, so the buffer is allocated once and never
-        // copied by a doubling; a wider entry later only grows it.
-        buf.reserve_exact((buf.len() - HEADER_BYTES) * rest.len() + 4);
-    }
-    for (key, value) in rest {
+    for (key, value) in entries {
         put_field(&mut buf, key);
         put_field(&mut buf, value);
     }
@@ -174,6 +169,23 @@ mod tests {
         let bytes = encode_checkpoint(&entries, 1);
         assert_eq!(bytes.len(), 4 + 1 + 8 + 8 + entries.len() * 24 + 4);
         assert_eq!(bytes.capacity(), bytes.len(), "one allocation, no slack");
+    }
+
+    #[test]
+    fn variable_width_images_are_not_sized_from_one_entry() {
+        // A large first value must not size the image for every entry.
+        let mut entries: Vec<(u64, Vec<u8>)> = vec![(0, vec![7; 1 << 20])];
+        entries.extend((1..10_000u64).map(|k| (k, k.to_le_bytes()[..(k % 9) as usize].to_vec())));
+        let bytes = encode_checkpoint(&entries, 4);
+        assert!(
+            bytes.capacity() < 2 * bytes.len(),
+            "{} for {}",
+            bytes.capacity(),
+            bytes.len()
+        );
+        let (at, decoded) = decode_checkpoint::<u64, Vec<u8>>(&bytes).unwrap();
+        assert_eq!(at, 4);
+        assert_eq!(decoded, entries);
     }
 
     #[test]

@@ -12,6 +12,12 @@
 /// `None` for malformed bytes rather than panicking, because recovery feeds
 /// it attacker-grade garbage (torn tails, bit flips) by design.
 pub trait Codec: Sized {
+    /// The length of every value's encoding, for a type whose encodings all
+    /// have one length; `None` (the default) when they vary.  A container
+    /// sized from it is allocated once; a wrong width costs a reallocation
+    /// or slack, never a wrong encoding.
+    const WIDTH: Option<usize> = None;
+
     /// Append this value's encoding to `buf`.
     fn encode_into(&self, buf: &mut Vec<u8>);
 
@@ -24,6 +30,7 @@ pub trait Codec: Sized {
 macro_rules! int_codec {
     ($($ty:ty),*) => {$(
         impl Codec for $ty {
+            const WIDTH: Option<usize> = Some(std::mem::size_of::<$ty>());
             fn encode_into(&self, buf: &mut Vec<u8>) {
                 buf.extend_from_slice(&self.to_le_bytes());
             }
@@ -55,6 +62,10 @@ impl Codec for Vec<u8> {
 }
 
 impl<A: Codec, B: Codec> Codec for (A, B) {
+    const WIDTH: Option<usize> = match (A::WIDTH, B::WIDTH) {
+        (Some(a), Some(b)) => Some(4 + a + 4 + b),
+        _ => None,
+    };
     fn encode_into(&self, buf: &mut Vec<u8>) {
         put_field(buf, &self.0);
         put_field(buf, &self.1);
@@ -299,5 +310,28 @@ mod tests {
         let bytes = [200u8, 0, 0, 0, 1];
         let mut cur = Cursor::new(&bytes);
         assert_eq!(cur.take_bytes(), None);
+    }
+
+    /// A declared width is the length of every encoding of the type.
+    #[test]
+    fn declared_widths_match_encodings() {
+        fn width_of<T: Codec>(value: T) -> Option<usize> {
+            let mut buf = Vec::new();
+            value.encode_into(&mut buf);
+            if let Some(width) = T::WIDTH {
+                assert_eq!(buf.len(), width);
+            }
+            T::WIDTH
+        }
+        assert_eq!(width_of(7u8), Some(1));
+        assert_eq!(width_of(-7i64), Some(8));
+        assert_eq!(width_of(u128::MAX), Some(16));
+        assert_eq!(
+            width_of((1u32, (2u16, 3i8))),
+            Some(4 + 4 + 4 + (4 + 2 + 4 + 1))
+        );
+        assert_eq!(width_of(String::from("abc")), None);
+        assert_eq!(width_of(vec![1u8, 2]), None);
+        assert_eq!(width_of((1u64, String::new())), None);
     }
 }

@@ -70,6 +70,11 @@ impl<K: MapKey, V: MapValue> SkipList<K, V> {
         self.head
     }
 
+    /// The tail sentinel.
+    pub(crate) fn tail(&self) -> RawNode<K, V> {
+        self.tail
+    }
+
     /// Number of levels.
     pub fn max_level(&self) -> usize {
         self.max_level

@@ -194,7 +194,11 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
     /// walk").
     pub fn to_vec(&self) -> Vec<(K, V)> {
         let mut out = Vec::with_capacity(self.len());
-        traverse::collect_interleaved(&self.pin, &self.inner.skiplist, &mut out);
+        traverse::collect_interleaved(
+            &mut traverse::Guarded::new(&self.pin),
+            &self.inner.skiplist,
+            &mut out,
+        );
         out
     }
 

@@ -13,6 +13,7 @@
 //! |--------|-----------|------------------|-------|
 //! | [`Txn`] | a validated transactional read (`read_with`) | [`TxAbort`] | the link's current word, unvalidated and unrecorded (`peek_unvalidated`): the descent hops on it, the scout runs on it |
 //! | `&`[`SnapshotPin`] | the cell's value at the pinned version (`read_pinned_with`) | nothing ([`Infallible`]) | none: every hop is a read, and the walk has no scout |
+//! | [`Guarded`] | as `&SnapshotPin`, under an epoch guard held across a chunk of reads (`read_pinned_under`) | nothing | none, as `&SnapshotPin` |
 //!
 //! A *hint* ([`Reader::hint`]) is a link's word read with no validation
 //! and no read-set entry.  Hints steer the [`descend`]'s hops (below) and
@@ -109,11 +110,12 @@
 //! Segments are cut at the nodes an upper level links at the pinned
 //! version.  Every hop is still a pinned read and every handle is still
 //! covered by the pin's custody, as in the plain walk, so the walk needs no
-//! hint.  The walk holds one epoch guard per chunk of hops and makes its
-//! pinned reads under it (`TCell::read_pinned_under`), so no read pins on
-//! its own, and reclamation waits on no more than one chunk.  The guard is
-//! for speed only: custody, not the guard, keeps every handle alive, so
-//! dropping it between chunks changes nothing the walk relies on.
+//! hint.  The walk reads through a [`Guarded`] reader, which holds one epoch
+//! guard across a chunk of hops and makes the pinned reads under it
+//! (`TCell::read_pinned_under`), so no read pins on its own, and
+//! reclamation waits on no more than one chunk.  The guard is for speed
+//! only: custody, not the guard, keeps every handle alive, so dropping it
+//! between chunks changes nothing the walk relies on.
 
 use std::collections::VecDeque;
 use std::convert::Infallible;
@@ -199,6 +201,62 @@ impl<K: MapKey, V: MapValue> Reader<K, V> for &SnapshotPin {
     }
 
     /// None: see the module docs' `&SnapshotPin` contract.
+    #[inline]
+    fn hint(&mut self, _cell: &TCell<Link<K, V>>) -> Option<RawNode<K, V>> {
+        None
+    }
+}
+
+/// The `&`[`SnapshotPin`] reads, made on a thread that one epoch guard keeps
+/// pinned across many of them (`TCell::read_pinned_under`) instead of each
+/// read pinning on its own.  The guard is for speed only: the pin's custody,
+/// not the guard, keeps every handle the reads return alive, so a walk may
+/// [`Guarded::repin`] between any two reads.
+pub(crate) struct Guarded<'a> {
+    pin: &'a SnapshotPin,
+    guard: crossbeam_epoch::Guard,
+}
+
+impl<'a> Guarded<'a> {
+    pub(crate) fn new(pin: &'a SnapshotPin) -> Self {
+        Self {
+            pin,
+            guard: crossbeam_epoch::pin(),
+        }
+    }
+
+    /// Drop the guard and pin again, so reclamation is not held back by a
+    /// long walk.
+    pub(crate) fn repin(&mut self) {
+        self.guard = crossbeam_epoch::pin();
+    }
+}
+
+impl<K: MapKey, V: MapValue> Reader<K, V> for Guarded<'_> {
+    type Abort = Infallible;
+
+    #[inline]
+    fn link(&mut self, cell: &TCell<Link<K, V>>) -> Result<RawNode<K, V>, Infallible> {
+        Ok(cell
+            .read_pinned_under(self.pin, &self.guard, |link| *link)
+            .expect("links are terminated by the sentinels"))
+    }
+
+    #[inline]
+    fn removed(&mut self, node: &Node<K, V>) -> Result<bool, Infallible> {
+        Ok(node
+            .r_time
+            .read_pinned_under(self.pin, &self.guard, Option::is_some))
+    }
+
+    #[inline]
+    fn value(&mut self, node: &Node<K, V>) -> Result<V, Infallible> {
+        Ok(node
+            .value()
+            .read_pinned_under(self.pin, &self.guard, V::clone))
+    }
+
+    /// None, as for `&SnapshotPin`.
     #[inline]
     fn hint(&mut self, _cell: &TCell<Link<K, V>>) -> Option<RawNode<K, V>> {
         None
@@ -470,28 +528,30 @@ const HOPS_PER_GUARD: usize = 256;
 
 /// One cursor of [`collect_interleaved`]: walking level 0 from `at` until it
 /// reaches `end`, the first node of the next segment, staging what it
-/// collects in segment number `segment`.
+/// collects in segment number `segment`.  `end` is read on the segment's
+/// first hop, from the start's tower.
 struct SegmentCursor<K, V> {
     at: RawNode<K, V>,
-    end: RawNode<K, V>,
+    end: Option<RawNode<K, V>>,
     segment: usize,
 }
 
 /// Append to `out` every logically present `(key, value)` pair of `list` at
-/// `pin`'s version, in key order: what [`scan`] from an unbounded start
-/// collects through `&pin`, with [`CURSORS`] segments walked at once (see
-/// the module docs).
+/// `reader`'s pinned version, in key order: what [`scan`] from an unbounded
+/// start collects through the pin, with [`CURSORS`] segments walked at once
+/// (see the module docs).
 ///
 /// The first segment starts at the head.  Each one ends where the next
-/// starts: at the next node linked at [`SEGMENT_LEVEL`] at the pin, which a
-/// feeder reads off the previous boundary's tower as cursors need segments;
-/// the last one ends at the tail.  A cursor stops when its hop reaches its
-/// end node, which is exact because that node is on level 0 at the pin,
-/// after every node of the segment: a tower's links at all its levels are
-/// written by one commit (an insert stitches the whole tower, `unstitch`
-/// replaces every link to it), a pinned read sees either all of a commit or
-/// none of it, and so the node linked at the upper level at the pin was
-/// linked at level 0 at the pin too, with the upper level's order.
+/// starts: at the node its start links at [`SEGMENT_LEVEL`] at the pin,
+/// read on the segment's first hop, which hands that node to the next free
+/// cursor; the segment that ends at the tail is the last.  A cursor stops
+/// when its hop reaches its end node, which is exact because that node is
+/// on level 0 at the pin, after every node of the segment: a tower's links
+/// at all its levels are written by one commit (an insert stitches the
+/// whole tower, `unstitch` replaces every link to it), a pinned read sees
+/// either all of a commit or none of it, and so the node linked at the
+/// upper level at the pin was linked at level 0 at the pin too, with the
+/// upper level's order.
 ///
 /// Each segment's pairs are staged in a buffer of their own and appended to
 /// `out` once every earlier segment has been, so the pairs are copied once
@@ -499,17 +559,12 @@ struct SegmentCursor<K, V> {
 /// Sizing `out` from the pinned population beforehand makes it the only
 /// allocation the size of the result.
 pub(crate) fn collect_interleaved<K: MapKey, V: MapValue>(
-    pin: &SnapshotPin,
+    reader: &mut Guarded<'_>,
     list: &SkipList<K, V>,
     out: &mut Vec<(K, V)>,
 ) {
-    // The pinned reads of `Reader for &SnapshotPin`, made under the walk's
-    // guard instead of a pin of their own.
-    let link = |cell: &TCell<Link<K, V>>, guard: &crossbeam_epoch::Guard| {
-        cell.read_pinned_under(pin, guard, |link| *link)
-            .expect("links are terminated by the sentinels")
-    };
     let level = SEGMENT_LEVEL.min(list.max_level() - 1);
+    let tail = list.tail();
     let mut cursors: [Option<SegmentCursor<K, V>>; CURSORS] = std::array::from_fn(|_| None);
     // `staged[i]` holds segment `first_staged + i`'s pairs and whether its
     // cursor is done; `feed` starts the next segment to hand out.
@@ -517,25 +572,15 @@ pub(crate) fn collect_interleaved<K: MapKey, V: MapValue>(
     let mut first_staged = 0;
     let mut spare: Vec<Vec<(K, V)>> = Vec::new();
     let mut feed = Some(list.head());
-    let mut guard = crossbeam_epoch::pin();
     let mut hops = 0;
     loop {
         let mut busy = false;
         for slot in &mut cursors {
-            if let (None, Some(start)) = (&slot, feed) {
-                // SAFETY: `start` is the head sentinel (owned by `list`) or
-                // was read at the pin — the pinned half of the module's
-                // borrowed-handle contract.
-                let node = unsafe { start.node() };
-                if node.is_tail() {
-                    feed = None;
-                } else if staged.len() < STAGED_SEGMENTS {
-                    let end = link(&start.tower(node)[level].succ, &guard);
-                    end.prefetch_to(level);
-                    feed = Some(end);
+            if slot.is_none() && staged.len() < STAGED_SEGMENTS {
+                if let Some(start) = feed.take() {
                     *slot = Some(SegmentCursor {
                         at: start,
-                        end,
+                        end: None,
                         segment: first_staged + staged.len(),
                     });
                     staged.push_back((spare.pop().unwrap_or_default(), false));
@@ -545,18 +590,31 @@ pub(crate) fn collect_interleaved<K: MapKey, V: MapValue>(
                 continue;
             };
             busy = true;
-            // SAFETY: `cursor.at` is a segment's start or was read at the
-            // pin, as above.
+            // SAFETY: `cursor.at` is the head sentinel (owned by `list`) or
+            // was read at the pin — the pinned half of the module's
+            // borrowed-handle contract.
             let node = unsafe { cursor.at.node() };
-            let next = link(&cursor.at.tower(node)[0].succ, &guard);
+            let tower = cursor.at.tower(node);
+            let end = match cursor.end {
+                Some(end) => end,
+                // The segment's first hop: its start is the head or a node
+                // linked at `level` at the pin, so its tower reaches `level`.
+                None => {
+                    let Ok(end) = reader.link(&tower[level].succ);
+                    end.prefetch_to(level);
+                    feed = (end != tail).then_some(end);
+                    *cursor.end.insert(end)
+                }
+            };
+            let Ok(next) = reader.link(&tower[0].succ);
             next.prefetch();
             let index = cursor.segment - first_staged;
-            if !node.is_head() && !node.r_time.read_pinned_under(pin, &guard, Option::is_some) {
-                let value = node.value().read_pinned_under(pin, &guard, V::clone);
+            if !node.is_head() && reader.removed(node) == Ok(false) {
+                let Ok(value) = reader.value(node);
                 staged[index].0.push((node.key().clone(), value));
             }
             cursor.at = next;
-            if next == cursor.end {
+            if next == end {
                 staged[index].1 = true;
                 *slot = None;
                 while staged.front().is_some_and(|(_, done)| *done) {
@@ -573,8 +631,7 @@ pub(crate) fn collect_interleaved<K: MapKey, V: MapValue>(
             return;
         }
         if hops >= HOPS_PER_GUARD {
-            drop(guard);
-            guard = crossbeam_epoch::pin();
+            reader.repin();
             hops = 0;
         }
     }
@@ -823,7 +880,7 @@ mod tests {
             };
             let compare = |pin: &SnapshotPin, expected: &BTreeMap<u64, u64>| {
                 let mut interleaved = Vec::new();
-                collect_interleaved(pin, &list, &mut interleaved);
+                collect_interleaved(&mut Guarded::new(pin), &list, &mut interleaved);
                 let Ok(single) = collect(&mut &*pin, &list, Unbounded, Unbounded);
                 assert_eq!(interleaved, single, "max_level {max_level}");
                 let expected: Vec<(u64, u64)> = expected.iter().map(|(k, v)| (*k, *v)).collect();
