@@ -123,6 +123,10 @@ fn bench_epoch(c: &mut Criterion) {
 /// * `skiphash_insert_remove` — the end-to-end client: one key churned
 ///   through a `SkipHash` insert + remove pair, the workload whose `Link`
 ///   towers dominate slab traffic.
+/// * `rewrite_own_4k` — one transaction writes 4,096 cells, then re-reads
+///   and re-writes each: its read-after-writes and rewrites find their
+///   entries through the write log's index, so the case stays linear in
+///   the writes (a search of the log made it quadratic).
 fn bench_commit_path(c: &mut Criterion) {
     use skiphash::SkipHash;
 
@@ -182,6 +186,23 @@ fn bench_commit_path(c: &mut Criterion) {
             map.remove(&2048)
         })
     });
+
+    let stm = Stm::new();
+    let cells: Vec<TCell<u64>> = (0..4096).map(TCell::new).collect();
+    group.bench_function("rewrite_own_4k", |b| {
+        b.iter(|| {
+            stm.run(|tx| {
+                for cell in &cells {
+                    cell.write(tx, 1)?;
+                }
+                for cell in &cells {
+                    let v = cell.read(tx)?;
+                    cell.write(tx, v + 1)?;
+                }
+                Ok(())
+            })
+        })
+    });
     group.finish();
 }
 
@@ -218,6 +239,10 @@ fn bench_arena(c: &mut Criterion) {
 ///   skips all transaction machinery but pays a history-table lookup for
 ///   every cell a writer displaced since the pin, so the pair brackets the
 ///   snapshot read path from both sides.
+/// * `pinned_get` / `pinned_range` — a point read and a 200-key range
+///   through the same snapshot, cycling over the keys: each query's reads
+///   share the one epoch pin its reader takes, so a pin per read would show
+///   here first.
 /// * `scans_vs_writers` — one iteration = one snapshot scan audited for the
 ///   transfer-conservation invariant while two writer threads commit
 ///   transfers continuously (the `snapshot_scan` scenario's writer step):
@@ -256,6 +281,20 @@ fn bench_snapshot(c: &mut Criterion) {
     });
     group.bench_function("live_full_scan", |b| {
         b.iter(|| criterion::black_box(map.to_vec().len()))
+    });
+    let mut key = 0u64;
+    group.bench_function("pinned_get", |b| {
+        b.iter(|| {
+            key = (key + 389) % 1024;
+            criterion::black_box(snap.get(&key))
+        })
+    });
+    let mut start = 0u64;
+    group.bench_function("pinned_range", |b| {
+        b.iter(|| {
+            start = (start + 97) % (1024 - 200);
+            criterion::black_box(snap.range(start..start + 200).count())
+        })
     });
     drop(snap);
 

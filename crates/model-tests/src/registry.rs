@@ -270,7 +270,7 @@ pub fn snapshot_preserve_body(preserve: bool) -> impl Fn() + Send + Sync + 'stat
                 let rv = version.load(Ordering::SeqCst);
                 if rv == 0 {
                     // The payload dereference spans the sample and the
-                    // orec recheck (`read_pinned_with`'s current-value
+                    // orec recheck (`PinnedReader::read`'s current-value
                     // path); the recheck is an Acquire load that can
                     // legitimately observe a stale word, and recycling
                     // does not touch this cell's orec — so a recycle

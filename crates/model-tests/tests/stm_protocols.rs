@@ -209,7 +209,7 @@ fn snapshot_pin_body() -> impl Fn() + Send + Sync + 'static {
                 // Resolves at the pinned version or panics "found no
                 // history" when the displacing commit skipped custody —
                 // that panic is the counterexample the mutation seeds.
-                let v = cell.read_pinned_with(&pin, |x| *x);
+                let v = pin.reader().read(&cell, |x| *x);
                 assert!(v == 0 || v == 7, "impossible snapshot value {v}");
             })
         };

@@ -117,16 +117,17 @@ impl Population {
         Ok(total)
     }
 
-    /// The population as of `pin`'s version, in `O(shards)` pinned reads.
+    /// The population as of `reader`'s pinned version, in `O(shards)`
+    /// pinned reads.
     ///
     /// Exact without a transaction: each shard resolves to its value at the
     /// pinned version, and a commit stamps all its writes (shard bump
     /// included) with one timestamp, so the sum reflects precisely the
     /// updates committed at or before the pin.
-    pub(crate) fn sum_pinned(&self, pin: &skiphash_stm::SnapshotPin) -> i64 {
+    pub(crate) fn sum_pinned(&self, reader: &mut skiphash_stm::PinnedReader<'_>) -> i64 {
         self.shards
             .iter()
-            .map(|shard| shard.read_pinned_with(pin, |v| *v))
+            .map(|shard| reader.read(shard, |v| *v))
             .sum()
     }
 }

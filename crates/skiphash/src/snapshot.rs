@@ -33,14 +33,17 @@
 //! # One traversal, another reader
 //!
 //! A snapshot read runs the very descent and level-0 walk the transactional
-//! paths run (the crate's `traverse` module), with `&`[`SnapshotPin`] as the reader:
-//! links, marks and values resolve at `p`, nothing can abort, and the
-//! handles the traversal hops on stay valid because of the pin's custody: a
-//! node reachable at `p` is either still on the list, which owns it, or was
-//! unstitched by a commit whose window `[born, wv)` holds `p`, and that
-//! commit handed the node to the history table instead of the epoch — as it
-//! did the link words it displaced.  So every node reachable at `p` stays
-//! allocated for the snapshot's whole lifetime.
+//! paths run (the crate's `traverse` module), with the pin's
+//! [`PinnedReader`] as the reader, one per query: links, marks and values
+//! resolve at `p`, nothing can abort, and the reader holds one epoch guard
+//! for the query, re-pinning it as a long walk goes, instead of pinning per
+//! read.  The handles the traversal hops on stay valid because of the pin's
+//! custody, not the guard: a node reachable at `p` is either still on the
+//! list, which owns it, or was unstitched by a commit whose window
+//! `[born, wv)` holds `p`, and that commit handed the node to the history
+//! table instead of the epoch — as it did the link words it displaced.  So
+//! every node reachable at `p` stays allocated for the snapshot's whole
+//! lifetime.
 //!
 //! Dropping the [`Snapshot`] releases the pin; the history entries it alone
 //! kept alive are trimmed and the nodes among them retired, so retention is
@@ -73,7 +76,7 @@ use std::ops::Bound as StdBound;
 use std::ops::RangeBounds;
 use std::sync::Arc;
 
-use skiphash_stm::SnapshotPin;
+use skiphash_stm::{PinnedReader, SnapshotPin};
 
 use crate::map::Inner;
 use crate::node::Node;
@@ -124,10 +127,10 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
     }
 
     /// The first node at or after `key` that was logically present at the
-    /// pinned version, if any.
-    fn ceil_node(&self, key: &K) -> Option<&Node<K, V>> {
+    /// pinned version, if any, read through `reader`.
+    fn ceil_node(&self, reader: &mut PinnedReader<'_>, key: &K) -> Option<&Node<K, V>> {
         let list = &self.inner.skiplist;
-        let Ok(found) = traverse::first_present(&mut &self.pin, list, StdBound::Included(key));
+        let Ok(found) = traverse::first_present(reader, list, StdBound::Included(key));
         // SAFETY: read through `self.pin`, whose custody keeps every node
         // reachable at its version allocated while `self` is alive (the
         // traversal module's borrowed-handle contract).
@@ -143,19 +146,24 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
     /// that was live at the pin (a remove + reinsert whose unstitching was
     /// deferred); the walk passes over them.
     pub fn get(&self, key: &K) -> Option<V> {
-        let node = self.ceil_node(key).filter(|node| node.key() == key)?;
-        let Ok(value) = (&self.pin).value(node);
+        let mut reader = self.pin.reader();
+        let node = self
+            .ceil_node(&mut reader, key)
+            .filter(|node| node.key() == key)?;
+        let Ok(value) = reader.value(node);
         Some(value)
     }
 
     /// True if `key` was present at the pinned version.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.ceil_node(key).is_some_and(|node| node.key() == key)
+        self.ceil_node(&mut self.pin.reader(), key)
+            .is_some_and(|node| node.key() == key)
     }
 
     /// Smallest present key `>= key` at the pinned version, if any.
     pub fn ceil_key(&self, key: &K) -> Option<K> {
-        self.ceil_node(key).map(|node| node.key().clone())
+        self.ceil_node(&mut self.pin.reader(), key)
+            .map(|node| node.key().clone())
     }
 
     /// Every `(key, value)` pair whose key lies in `range`, in ascending key
@@ -172,7 +180,7 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
 
     /// The pairs within the bounds at the pinned version.
     fn pairs(&self, start: StdBound<&K>, end: StdBound<&K>) -> Vec<(K, V)> {
-        let Ok(pairs) = range::collect(&mut &self.pin, &self.inner.skiplist, start, end);
+        let Ok(pairs) = range::collect(&mut self.pin.reader(), &self.inner.skiplist, start, end);
         pairs
     }
 
@@ -187,18 +195,16 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
     /// Every `(key, value)` pair at the pinned version, in ascending key
     /// order.
     ///
-    /// The result is sized from [`Snapshot::len`] and filled by a walk that
-    /// keeps several cursors in flight over segments of the list, so the
-    /// cache misses of a long scan overlap instead of queueing one behind
-    /// another (the crate's `traverse` module, "The interleaved pinned
-    /// walk").
+    /// The result is sized from the pinned population (see
+    /// [`Snapshot::len`]) and filled by a walk that keeps several cursors in
+    /// flight over segments of the list, so the cache misses of a long scan
+    /// overlap instead of queueing one behind another (the crate's
+    /// `traverse` module, "The interleaved pinned walk").
     pub fn to_vec(&self) -> Vec<(K, V)> {
-        let mut out = Vec::with_capacity(self.len());
-        traverse::collect_interleaved(
-            &mut traverse::Guarded::new(&self.pin),
-            &self.inner.skiplist,
-            &mut out,
-        );
+        let mut reader = self.pin.reader();
+        let len = self.inner.population.sum_pinned(&mut reader);
+        let mut out = Vec::with_capacity(len.max(0) as usize);
+        traverse::collect_interleaved(&mut reader, &self.inner.skiplist, &mut out);
         out
     }
 
@@ -210,7 +216,7 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
     /// population at `version()` — it always equals `self.to_vec().len()`
     /// without walking the list.
     pub fn len(&self) -> usize {
-        let total = self.inner.population.sum_pinned(&self.pin);
+        let total = self.inner.population.sum_pinned(&mut self.pin.reader());
         debug_assert!(total >= 0, "pinned population sum went negative: {total}");
         total.max(0) as usize
     }
@@ -400,6 +406,46 @@ mod tests {
             });
             for _ in 0..20 {
                 assert_scans_agree(&snap, &at_pin);
+            }
+        });
+        assert_scans_agree(&snap, &at_pin);
+        assert!(map.check_invariants().is_ok());
+    }
+
+    /// Point reads and ranges through one pin while a writer churns.  Each
+    /// query reads through a reader of its own, and a window of 350 pairs
+    /// makes more reads than one guard covers, so its reader re-pins partway
+    /// along the walk: every answer must still be the map at the pin.
+    #[test]
+    fn pinned_point_reads_and_ranges_hold_their_pin_under_churn() {
+        let map = map();
+        for key in (0..4_000u64).step_by(2) {
+            assert!(map.insert(key, key));
+        }
+        let snap = map.snapshot();
+        let at_pin: BTreeMap<u64, u64> = (0..4_000u64).step_by(2).map(|k| (k, k)).collect();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for round in 1..=20u64 {
+                    for key in (round % 5..4_000).step_by(5) {
+                        map.remove(&key);
+                        assert!(map.insert(key, key + round));
+                    }
+                }
+            });
+            for key in 0..=4_000u64 {
+                assert_eq!(snap.get(&key), at_pin.get(&key).copied(), "get({key})");
+                assert_eq!(snap.contains_key(&key), at_pin.contains_key(&key));
+                let ceil = at_pin.range(key..).next().map(|(k, _)| *k);
+                assert_eq!(snap.ceil_key(&key), ceil, "ceil_key({key})");
+            }
+            for start in (0..4_000u64).step_by(331) {
+                let window = start..start + 700;
+                let expected: Vec<(u64, u64)> = at_pin
+                    .range(window.clone())
+                    .map(|(k, v)| (*k, *v))
+                    .collect();
+                assert_eq!(snap.range(window).collect::<Vec<_>>(), expected);
             }
         });
         assert_scans_agree(&snap, &at_pin);

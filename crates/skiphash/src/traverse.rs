@@ -12,8 +12,7 @@
 //! | reader | a read is | it can fail with | hints |
 //! |--------|-----------|------------------|-------|
 //! | [`Txn`] | a validated transactional read (`read_with`) | [`TxAbort`] | the link's current word, unvalidated and unrecorded (`peek_unvalidated`): the descent hops on it, the scout runs on it |
-//! | `&`[`SnapshotPin`] | the cell's value at the pinned version (`read_pinned_with`) | nothing ([`Infallible`]) | none: every hop is a read, and the walk has no scout |
-//! | [`Guarded`] | as `&SnapshotPin`, under an epoch guard held across a chunk of reads (`read_pinned_under`) | nothing | none, as `&SnapshotPin` |
+//! | [`PinnedReader`] | the cell's value at the pinned version, under the epoch guard the reader holds and re-pins itself | nothing ([`Infallible`]) | none: every hop is a read, and the walk has no scout |
 //!
 //! A *hint* ([`Reader::hint`]) is a link's word read with no validation
 //! and no read-set entry.  Hints steer the [`descend`]'s hops (below) and
@@ -83,14 +82,15 @@
 //!   hinted node are all covered.  A hinted link at level `l` designates a
 //!   node with a level `l` (or the tail, which has every level), just as a
 //!   read one does.
-//! * **`&`[`SnapshotPin`]**: a node the pinned version can reach was linked
+//! * **[`PinnedReader`]**: a node the pinned version can reach was linked
 //!   at that version, so its unlinking commit's window `[born, wv)` holds
 //!   the pin, and the commit hands it to the pin's custody instead of the
 //!   epoch; the links that led to it are preserved the same way.  So every
 //!   node reachable at the pinned version stays allocated until the pin is
 //!   dropped.  That covers what was reachable at the pinned version, not
-//!   what the links point to now, and a pin holds no epoch guard across a
-//!   walk: a pin gives no hints.
+//!   what the links point to now, and the reader's epoch guard covers only
+//!   the read in progress (it re-pins between reads): a pinned reader gives
+//!   no hints.
 //!
 //! A walk may also start from a node whose owner keeps it for the whole
 //! walk (the slow path's resume cursor, a safe node whose unstitching the
@@ -110,19 +110,14 @@
 //! Segments are cut at the nodes an upper level links at the pinned
 //! version.  Every hop is still a pinned read and every handle is still
 //! covered by the pin's custody, as in the plain walk, so the walk needs no
-//! hint.  The walk reads through a [`Guarded`] reader, which holds one epoch
-//! guard across a chunk of hops and makes the pinned reads under it
-//! (`TCell::read_pinned_under`), so no read pins on its own, and
-//! reclamation waits on no more than one chunk.  The guard is for speed
-//! only: custody, not the guard, keeps every handle alive, so dropping it
-//! between chunks changes nothing the walk relies on.
+//! hint.
 
 use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::ops::Bound as StdBound;
 use std::ops::ControlFlow;
 
-use skiphash_stm::{SnapshotPin, TCell, TxAbort, Txn};
+use skiphash_stm::{PinnedReader, TCell, TxAbort, Txn};
 
 use crate::node::{Bound, Level, Link, Node, RawNode};
 use crate::skiplist::{SkipList, MAX_LEVEL_LIMIT};
@@ -180,84 +175,29 @@ impl<K: MapKey, V: MapValue> Reader<K, V> for Txn<'_> {
     }
 }
 
-impl<K: MapKey, V: MapValue> Reader<K, V> for &SnapshotPin {
+// `inline(always)` for the same reason: the pinned walks' loop bodies.
+impl<K: MapKey, V: MapValue> Reader<K, V> for PinnedReader<'_> {
     type Abort = Infallible;
 
-    #[inline]
+    #[inline(always)]
     fn link(&mut self, cell: &TCell<Link<K, V>>) -> Result<RawNode<K, V>, Infallible> {
-        Ok(cell
-            .read_pinned_with(self, |link| *link)
+        Ok(self
+            .read(cell, |link| *link)
             .expect("links are terminated by the sentinels"))
     }
 
-    #[inline]
+    #[inline(always)]
     fn removed(&mut self, node: &Node<K, V>) -> Result<bool, Infallible> {
-        Ok(node.r_time.read_pinned_with(self, Option::is_some))
+        Ok(self.read(&node.r_time, Option::is_some))
     }
 
-    #[inline]
+    #[inline(always)]
     fn value(&mut self, node: &Node<K, V>) -> Result<V, Infallible> {
-        Ok(node.value().read_pinned_with(self, V::clone))
+        Ok(self.read(node.value(), V::clone))
     }
 
-    /// None: see the module docs' `&SnapshotPin` contract.
-    #[inline]
-    fn hint(&mut self, _cell: &TCell<Link<K, V>>) -> Option<RawNode<K, V>> {
-        None
-    }
-}
-
-/// The `&`[`SnapshotPin`] reads, made on a thread that one epoch guard keeps
-/// pinned across many of them (`TCell::read_pinned_under`) instead of each
-/// read pinning on its own.  The guard is for speed only: the pin's custody,
-/// not the guard, keeps every handle the reads return alive, so a walk may
-/// [`Guarded::repin`] between any two reads.
-pub(crate) struct Guarded<'a> {
-    pin: &'a SnapshotPin,
-    guard: crossbeam_epoch::Guard,
-}
-
-impl<'a> Guarded<'a> {
-    pub(crate) fn new(pin: &'a SnapshotPin) -> Self {
-        Self {
-            pin,
-            guard: crossbeam_epoch::pin(),
-        }
-    }
-
-    /// Drop the guard and pin again, so reclamation is not held back by a
-    /// long walk.
-    pub(crate) fn repin(&mut self) {
-        self.guard = crossbeam_epoch::pin();
-    }
-}
-
-impl<K: MapKey, V: MapValue> Reader<K, V> for Guarded<'_> {
-    type Abort = Infallible;
-
-    #[inline]
-    fn link(&mut self, cell: &TCell<Link<K, V>>) -> Result<RawNode<K, V>, Infallible> {
-        Ok(cell
-            .read_pinned_under(self.pin, &self.guard, |link| *link)
-            .expect("links are terminated by the sentinels"))
-    }
-
-    #[inline]
-    fn removed(&mut self, node: &Node<K, V>) -> Result<bool, Infallible> {
-        Ok(node
-            .r_time
-            .read_pinned_under(self.pin, &self.guard, Option::is_some))
-    }
-
-    #[inline]
-    fn value(&mut self, node: &Node<K, V>) -> Result<V, Infallible> {
-        Ok(node
-            .value()
-            .read_pinned_under(self.pin, &self.guard, V::clone))
-    }
-
-    /// None, as for `&SnapshotPin`.
-    #[inline]
+    /// None: see the module docs' pinned contract.
+    #[inline(always)]
     fn hint(&mut self, _cell: &TCell<Link<K, V>>) -> Option<RawNode<K, V>> {
         None
     }
@@ -522,10 +462,6 @@ const SEGMENT_LEVEL: usize = 6;
 /// staging stays bounded when one segment runs long.
 const STAGED_SEGMENTS: usize = 4 * CURSORS;
 
-/// Hops [`collect_interleaved`] makes under one epoch guard before it
-/// re-pins, so a long scan never holds reclamation back for longer.
-const HOPS_PER_GUARD: usize = 256;
-
 /// One cursor of [`collect_interleaved`]: walking level 0 from `at` until it
 /// reaches `end`, the first node of the next segment, staging what it
 /// collects in segment number `segment`.  `end` is read on the segment's
@@ -559,7 +495,7 @@ struct SegmentCursor<K, V> {
 /// Sizing `out` from the pinned population beforehand makes it the only
 /// allocation the size of the result.
 pub(crate) fn collect_interleaved<K: MapKey, V: MapValue>(
-    reader: &mut Guarded<'_>,
+    reader: &mut PinnedReader<'_>,
     list: &SkipList<K, V>,
     out: &mut Vec<(K, V)>,
 ) {
@@ -572,7 +508,6 @@ pub(crate) fn collect_interleaved<K: MapKey, V: MapValue>(
     let mut first_staged = 0;
     let mut spare: Vec<Vec<(K, V)>> = Vec::new();
     let mut feed = Some(list.head());
-    let mut hops = 0;
     loop {
         let mut busy = false;
         for slot in &mut cursors {
@@ -624,15 +559,10 @@ pub(crate) fn collect_interleaved<K: MapKey, V: MapValue>(
                     first_staged += 1;
                 }
             }
-            hops += 1;
         }
         if !busy {
             debug_assert!(staged.is_empty() && feed.is_none());
             return;
-        }
-        if hops >= HOPS_PER_GUARD {
-            reader.repin();
-            hops = 0;
         }
     }
 }
@@ -641,7 +571,7 @@ pub(crate) fn collect_interleaved<K: MapKey, V: MapValue>(
 mod tests {
     use super::*;
     use crate::range::{collect, range_is_empty};
-    use skiphash_stm::Stm;
+    use skiphash_stm::{SnapshotPin, Stm};
     use std::collections::BTreeMap;
     use std::fmt::Debug;
     use std::ops::Bound::{Excluded, Included, Unbounded};
@@ -845,7 +775,7 @@ mod tests {
 
         // The same list through a pin taken now: same nodes, same marks.
         let pin = fx.stm.pin_snapshot();
-        check_reader(&mut &pin, &fx);
+        check_reader(&mut pin.reader(), &fx);
     }
 
     /// `collect_interleaved` against the single-cursor pinned walk on shapes
@@ -880,8 +810,8 @@ mod tests {
             };
             let compare = |pin: &SnapshotPin, expected: &BTreeMap<u64, u64>| {
                 let mut interleaved = Vec::new();
-                collect_interleaved(&mut Guarded::new(pin), &list, &mut interleaved);
-                let Ok(single) = collect(&mut &*pin, &list, Unbounded, Unbounded);
+                collect_interleaved(&mut pin.reader(), &list, &mut interleaved);
+                let Ok(single) = collect(&mut pin.reader(), &list, Unbounded, Unbounded);
                 assert_eq!(interleaved, single, "max_level {max_level}");
                 let expected: Vec<(u64, u64)> = expected.iter().map(|(k, v)| (*k, *v)).collect();
                 assert_eq!(interleaved, expected, "max_level {max_level}");

@@ -114,7 +114,7 @@ pub mod txn;
 
 pub use clock::{Clock, ClockKind, CommitStamp};
 pub use error::{TxAbort, TxResult};
-pub use snapshot::SnapshotPin;
+pub use snapshot::{PinnedReader, SnapshotPin};
 pub use stats::{StatsSnapshot, StmStats};
 pub use tcell::{defer_drop, TCell};
 pub use txn::{Stm, Txn};

@@ -17,11 +17,15 @@
 //! Two further allocation sinks live here because they belong to the scratch
 //! lifecycle:
 //!
-//! * [`ReadFilter`] — a generation-stamped open-addressed table of orec
-//!   addresses that dedupes read-set entries on insertion, so a skip-list
-//!   traversal that re-reads the same cells stops growing the read set (and
-//!   commit-time validation stops re-checking them).  Clearing is O(1): the
-//!   generation stamp is bumped and stale slots are simply ignored.
+//! * [`AddrTable`] — a generation-stamped open-addressed table keyed by
+//!   address.  Clearing is O(1): the generation stamp is bumped and stale
+//!   slots are simply ignored.  It serves twice: as the [`ReadFilter`] of
+//!   orec addresses that dedupes read-set entries on insertion, so a
+//!   skip-list traversal that re-reads the same cells stops growing the read
+//!   set (and commit-time validation stops re-checking them); and as the
+//!   write log's index, from a cell's address to its entry, so a
+//!   transaction's read-after-write and rewrite cost the same however many
+//!   cells it has written.
 //! * [`PostCommit`] — a type-erased `FnOnce(u64)` whose closure is stored
 //!   *inline* when it fits three words (all the closures the skip hash
 //!   registers do), falling back to a box only for large captures.
@@ -43,63 +47,96 @@ pub(crate) struct ReadEntry {
     pub(crate) observed: u64,
 }
 
-/// Open-addressed, generation-stamped set of orec addresses.
+/// Open-addressed, generation-stamped map from addresses to `V`.
 ///
 /// Linear probing over a power-of-two table; a slot is live only when its
-/// stamp matches the filter's current generation, so [`ReadFilter::clear`]
+/// stamp matches the table's current generation, so [`AddrTable::clear`]
 /// never touches the table.  The table doubles when half full, which keeps
 /// probe chains short; growth allocates, but the capacity persists across
 /// transactions via the scratch pool.
-pub(crate) struct ReadFilter {
-    slots: Vec<FilterSlot>,
+pub(crate) struct AddrTable<V> {
+    slots: Vec<Slot<V>>,
     stamp: u64,
     len: usize,
 }
 
+/// The orec addresses an attempt has entered in its read set.
+pub(crate) type ReadFilter = AddrTable<()>;
+
 #[derive(Clone, Copy)]
-struct FilterSlot {
+struct Slot<V> {
     ptr: usize,
     stamp: u64,
+    value: V,
 }
 
-const FILTER_INITIAL_CAPACITY: usize = 64;
+const TABLE_INITIAL_CAPACITY: usize = 64;
 
 #[inline]
-fn filter_hash(ptr: usize) -> usize {
-    // Orecs are word-aligned fields of larger structs; shift the dead low
-    // bits out and mix with the Fibonacci constant.  Hash in u64 so the
-    // 64-bit constant also compiles on 32-bit targets.
+fn addr_hash(ptr: usize) -> usize {
+    // Orecs and cells are word-aligned fields of larger structs; shift the
+    // dead low bits out and mix with the Fibonacci constant.  Hash in u64 so
+    // the 64-bit constant also compiles on 32-bit targets.
     (((ptr as u64) >> 3).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17) as usize
 }
 
-impl ReadFilter {
+impl<V: Copy + Default> AddrTable<V> {
     fn new() -> Self {
         Self {
-            slots: vec![FilterSlot { ptr: 0, stamp: 0 }; FILTER_INITIAL_CAPACITY],
+            slots: Self::empty_slots(TABLE_INITIAL_CAPACITY),
             stamp: 1,
             len: 0,
         }
     }
 
-    /// Insert `ptr`; returns false when it was already present (a dedup hit).
-    pub(crate) fn insert(&mut self, ptr: usize) -> bool {
+    fn empty_slots(capacity: usize) -> Vec<Slot<V>> {
+        let empty = Slot {
+            ptr: 0,
+            stamp: 0,
+            value: V::default(),
+        };
+        vec![empty; capacity]
+    }
+
+    /// Map `ptr` to `value`; returns false, leaving the mapping as it was,
+    /// when `ptr` was already present (for the read filter, a dedup hit).
+    #[inline]
+    pub(crate) fn insert(&mut self, ptr: usize, value: V) -> bool {
         if (self.len + 1) * 2 > self.slots.len() {
             self.grow();
         }
         let mask = self.slots.len() - 1;
-        let mut index = filter_hash(ptr) & mask;
+        let mut index = addr_hash(ptr) & mask;
         loop {
             let slot = &mut self.slots[index];
             if slot.stamp != self.stamp {
-                *slot = FilterSlot {
+                *slot = Slot {
                     ptr,
                     stamp: self.stamp,
+                    value,
                 };
                 self.len += 1;
                 return true;
             }
             if slot.ptr == ptr {
                 return false;
+            }
+            index = (index + 1) & mask;
+        }
+    }
+
+    /// The value `ptr` maps to, if it is present.
+    #[inline]
+    pub(crate) fn get(&self, ptr: usize) -> Option<V> {
+        let mask = self.slots.len() - 1;
+        let mut index = addr_hash(ptr) & mask;
+        loop {
+            let slot = &self.slots[index];
+            if slot.stamp != self.stamp {
+                return None;
+            }
+            if slot.ptr == ptr {
+                return Some(slot.value);
             }
             index = (index + 1) & mask;
         }
@@ -113,20 +150,17 @@ impl ReadFilter {
 
     #[cold]
     fn grow(&mut self) {
-        let live: Vec<usize> = self
+        let live: Vec<(usize, V)> = self
             .slots
             .iter()
             .filter(|slot| slot.stamp == self.stamp)
-            .map(|slot| slot.ptr)
+            .map(|slot| (slot.ptr, slot.value))
             .collect();
-        let new_capacity = self.slots.len() * 2;
-        self.slots.clear();
-        self.slots
-            .resize(new_capacity, FilterSlot { ptr: 0, stamp: 0 });
-        self.stamp += 1;
+        self.slots = Self::empty_slots(self.slots.len() * 2);
+        self.stamp = 1;
         self.len = 0;
-        for ptr in live {
-            self.insert(ptr);
+        for (ptr, value) in live {
+            self.insert(ptr, value);
         }
     }
 }
@@ -221,6 +255,9 @@ pub(crate) struct TxnScratch {
     pub(crate) read_set: Vec<ReadEntry>,
     pub(crate) filter: ReadFilter,
     pub(crate) writes: Vec<WriteEntry>,
+    /// Each written cell's address to its entry's index in `writes`, for
+    /// the entries up to `written.len()` (see [`TxnScratch::write_entry`]).
+    written: AddrTable<usize>,
     /// Values displaced by this attempt's commit, retired through the epoch
     /// in one batch — a commit with `k` writes pins once and flushes once.
     pub(crate) retired: Bag,
@@ -230,8 +267,10 @@ pub(crate) struct TxnScratch {
     /// it, and the version it became reachable at, which opens its snapshot
     /// window.  An abort forgets them.
     pub(crate) retiring: Vec<(*mut (), ReclaimGlue, u64)>,
-    /// Post-commit actions, led by the ones `Txn::free_on_abort` registers:
-    /// an unrun action drops what it captured, and those own fresh objects.
+    /// Owners of fresh objects (see `Txn::free_on_abort`), each held as an
+    /// action that forgets it: a commit runs them, and dropping one unrun
+    /// drops the owner.
+    pub(crate) fresh: Vec<PostCommit>,
     pub(crate) post_commit: Vec<PostCommit>,
     /// Commit-sequenced actions: run at the serialization point, after the
     /// attempt can no longer abort but before its writes publish (see
@@ -249,13 +288,29 @@ impl TxnScratch {
             read_set: Vec::new(),
             filter: ReadFilter::new(),
             writes: Vec::new(),
+            written: AddrTable::new(),
             retired: Bag::new(),
             keepalive: Vec::new(),
             retiring: Vec::new(),
+            fresh: Vec::new(),
             post_commit: Vec::new(),
             sequenced: Vec::new(),
             pins: Vec::new(),
         }
+    }
+
+    /// The index in `writes` of the entry for the cell at `cell`, if it has
+    /// one.  Entries are indexed when a lookup first needs them, not when
+    /// they are logged, so an attempt that never reads back or rewrites a
+    /// cell it wrote never pays for the index, and one that does pays once
+    /// per entry.
+    pub(crate) fn write_entry(&mut self, cell: usize) -> Option<usize> {
+        for index in self.written.len..self.writes.len() {
+            // One entry per cell: a cell's second write replaces its first.
+            let added = self.written.insert(self.writes[index].cell as usize, index);
+            debug_assert!(added, "a cell has one write-log entry");
+        }
+        self.written.get(cell)
     }
 
     /// Clear every buffer, retaining capacity for the next lease.
@@ -267,8 +322,10 @@ impl TxnScratch {
         self.read_set.clear();
         self.filter.clear();
         self.writes.clear();
+        self.written.clear();
         self.keepalive.clear();
         self.retiring.clear();
+        self.fresh.clear();
         self.post_commit.clear();
         self.sequenced.clear();
         self.pins.clear();
@@ -342,11 +399,14 @@ mod tests {
     #[test]
     fn filter_dedupes_and_clears_in_o1() {
         let mut filter = ReadFilter::new();
-        assert!(filter.insert(0x1000));
-        assert!(!filter.insert(0x1000), "second insert is a dedup hit");
-        assert!(filter.insert(0x2000));
+        assert!(filter.insert(0x1000, ()));
+        assert!(!filter.insert(0x1000, ()), "second insert is a dedup hit");
+        assert!(filter.insert(0x2000, ()));
         filter.clear();
-        assert!(filter.insert(0x1000), "cleared filters forget everything");
+        assert!(
+            filter.insert(0x1000, ()),
+            "cleared filters forget everything"
+        );
     }
 
     #[test]
@@ -356,11 +416,29 @@ mod tests {
         let n: usize = if cfg!(miri) { 2048 } else { 10_000 };
         let mut filter = ReadFilter::new();
         for i in 0..n {
-            assert!(filter.insert(0x8000 + i * 8));
+            assert!(filter.insert(0x8000 + i * 8, ()));
         }
         for i in 0..n {
-            assert!(!filter.insert(0x8000 + i * 8));
+            assert!(!filter.insert(0x8000 + i * 8, ()));
         }
+    }
+
+    #[test]
+    fn table_maps_addresses_across_growth_and_clears() {
+        let n: usize = if cfg!(miri) { 2048 } else { 10_000 };
+        let mut table = AddrTable::<usize>::new();
+        for i in 0..n {
+            assert!(table.insert(0x8000 + i * 16, i));
+        }
+        assert!(!table.insert(0x8000, 7), "an insert never overwrites");
+        for i in 0..n {
+            assert_eq!(table.get(0x8000 + i * 16), Some(i));
+            assert_eq!(table.get(0x8008 + i * 16), None);
+        }
+        table.clear();
+        assert_eq!(table.get(0x8000), None, "cleared tables forget everything");
+        assert!(table.insert(0x8000, 3));
+        assert_eq!(table.get(0x8000), Some(3));
     }
 
     #[test]

@@ -10,8 +10,9 @@ use crossbeam_epoch as epoch;
 
 use crate::error::TxResult;
 use crate::orec::{Orec, OrecState};
+use crate::scratch::TxnScratch;
 use crate::slab;
-use crate::snapshot::{self, CommitCtx, SnapshotPin};
+use crate::snapshot::{self, CommitCtx};
 use crate::txn::Txn;
 
 /// A transactionally managed memory location holding a value of type `T`.
@@ -232,29 +233,28 @@ impl<T> TCell<T> {
         self.data.load(Ordering::Acquire)
     }
 
-    /// The word this attempt's write log buffers for the cell, found newest
-    /// first.  Only called for a cell whose orec the attempt owns, which has
-    /// exactly one entry.
-    fn buffered<'a>(&self, writes: &'a mut [WriteEntry]) -> &'a mut *mut () {
-        let cell = self as *const Self as *const ();
-        let entry = writes.iter_mut().rev().find(|entry| entry.cell == cell);
-        &mut entry
-            .expect("a cell whose orec the attempt owns is in its write log")
-            .new_data
+    /// The word this attempt's write log buffers for the cell, found through
+    /// the log's index.  Only called for a cell whose orec the attempt owns,
+    /// which has exactly one entry.
+    fn buffered<'a>(&self, scratch: &'a mut TxnScratch) -> &'a mut *mut () {
+        let index = scratch
+            .write_entry(self as *const Self as usize)
+            .expect("a cell whose orec the attempt owns is in its write log");
+        &mut scratch.writes[index].new_data
     }
 
     /// Map the value this attempt's write log buffers for the cell through
     /// `f`: a read-after-write.
-    pub(crate) fn peek_buffered<R>(&self, writes: &mut [WriteEntry], f: impl FnOnce(&T) -> R) -> R {
+    pub(crate) fn peek_buffered<R>(&self, scratch: &mut TxnScratch, f: impl FnOnce(&T) -> R) -> R {
         // SAFETY: the entry for this cell was made by `WriteEntry::new` from
         // a `T`, and the log owns its word until the attempt ends.
-        unsafe { peek_word(*self.buffered(writes), f) }
+        unsafe { peek_word(*self.buffered(scratch), f) }
     }
 
     /// Replace the value this attempt's write log buffers for the cell with
     /// `value`: a second write to the same cell.
-    pub(crate) fn rewrite_buffered(&self, writes: &mut [WriteEntry], value: T) {
-        let replaced = std::mem::replace(self.buffered(writes), to_word(value));
+    pub(crate) fn rewrite_buffered(&self, scratch: &mut TxnScratch, value: T) {
+        let replaced = std::mem::replace(self.buffered(scratch), to_word(value));
         if let Some(glue) = reclaim_glue::<T>() {
             // SAFETY: as in `peek_buffered`; the replaced word was never
             // installed and no other thread ever saw it, and the log held its
@@ -359,101 +359,6 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
         }
     }
 
-    /// Resolve the cell at a pinned snapshot version, mapping the resolved
-    /// value through `f` by reference.
-    ///
-    /// Returns exactly the value that was committed at the pin's version:
-    /// the current value when the cell has not been written since the pin,
-    /// otherwise the value preserved for the pin by the displacing commit
-    /// (see the `snapshot` module docs for the custody protocol).  Never
-    /// aborts and never conflicts with writers — at worst it spins briefly
-    /// while the location is locked by an in-flight commit.
-    ///
-    /// `f` must be a pure function of its argument: on the current-value
-    /// path the orec is re-validated after `f` runs and a concurrent change
-    /// retries, so `f` may observe a value that is then discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cell was written after the pin and the history table
-    /// holds no entry old enough for it — custody was broken, or `pin`
-    /// belongs to a different [`crate::Stm`] runtime than the one whose
-    /// transactions version this cell (clock domains are incomparable, and
-    /// nothing was ever preserved for a foreign pin).  The message carries
-    /// what is needed to tell which: the cell's address, both versions, and
-    /// the shape of the cell's history chain.
-    pub fn read_pinned_with<R>(&self, pin: &SnapshotPin, f: impl Fn(&T) -> R) -> R {
-        self.read_pinned_under(pin, &epoch::pin(), f)
-    }
-
-    /// [`TCell::read_pinned_with`] on a thread the caller keeps pinned with
-    /// `_guard`, so the read takes no epoch pin of its own: a walk that makes
-    /// many pinned reads holds one guard across a chunk of them instead of
-    /// pinning, and unpinning, once per read.  A [`epoch::Guard`] is neither
-    /// `Send` nor `Sync`, so `_guard` pins the calling thread.
-    /// `read_pinned_with` is this read under a pin of its own.
-    ///
-    /// # Panics
-    ///
-    /// As [`TCell::read_pinned_with`].
-    //
-    // `inline(always)`: the body of a full pinned scan's loop, made once per
-    // link, mark and value.  Left to the inliner it stayed a call there, and
-    // `Snapshot::to_vec` of ~20,000 pairs went from ~0.21 to ~0.26 ms
-    // (2-vCPU x86-64 VM).
-    #[inline(always)]
-    pub fn read_pinned_under<R>(
-        &self,
-        pin: &SnapshotPin,
-        _guard: &epoch::Guard,
-        f: impl Fn(&T) -> R,
-    ) -> R {
-        let p = pin.version();
-        let backoff = crossbeam_utils::Backoff::new();
-        loop {
-            let o1 = self.orec.raw();
-            match Orec::decode_raw(o1) {
-                OrecState::Unlocked { version } if version <= p => {
-                    // Not written since the pin: the current value *is* the
-                    // value at version `p`.  Same validated optimistic read
-                    // as `load_atomic`, minus the clone.
-                    // SAFETY: the word is loaded while `_guard` pins this
-                    // thread, across the call; a result computed from a
-                    // displaced value fails the re-check below and is
-                    // discarded.
-                    let result = unsafe { peek_word(self.word(), &f) };
-                    if self.orec.raw() == o1 {
-                        self.shadow.on_read_confirmed();
-                        return result;
-                    }
-                }
-                OrecState::Unlocked { version } => {
-                    // Written after the pin: the value at `p` was displaced
-                    // and — because the displacing commit either collected
-                    // this pin or its stamp precedes it — preserved in the
-                    // history table (push precedes the orec release we just
-                    // observed, so the entry is visible).
-                    let cell = self as *const Self as usize;
-                    // SAFETY: `self` is a live `TCell<T>`, so every history
-                    // entry keyed on its address holds a `T`.
-                    match unsafe { snapshot::read_history::<T, R>(cell, p, &f) } {
-                        Some(result) => return result,
-                        None => {
-                            let (entries, oldest) = snapshot::history_shape(cell);
-                            panic!(
-                                "snapshot pin at version {p} found no history for cell \
-                                 {cell:#x} at version {version}: its chain holds {entries} \
-                                 entries, oldest start {oldest:?}"
-                            )
-                        }
-                    }
-                }
-                OrecState::Locked { .. } => {}
-            }
-            backoff.snooze();
-        }
-    }
-
     /// Read the cell outside of any transaction.
     ///
     /// Spins until it observes the location unlocked with an unchanged
@@ -538,7 +443,7 @@ unsafe impl<T: Send + Sync> Sync for TCell<T> {}
 /// flushed in a single thread-local access when the commit finishes, so a
 /// commit with `k` writes pins once and flushes once.
 pub(crate) struct WriteEntry {
-    cell: *const (),
+    pub(crate) cell: *const (),
     old_version: u64,
     /// The data word this attempt's latest write to the cell made.
     new_data: *mut (),
@@ -830,8 +735,8 @@ mod tests {
             mark.write(tx, NonZeroU64::new(9))?;
             count.write(tx, 9)
         });
-        assert_eq!(mark.read_pinned_with(&pin, |v| *v), None);
-        assert_eq!(count.read_pinned_with(&pin, |v| *v), 0);
+        assert_eq!(pin.reader().read(&mark, |v| *v), None);
+        assert_eq!(pin.reader().read(&count, |v| *v), 0);
         drop(pin);
         assert_eq!(mark.load_atomic(), NonZeroU64::new(9));
         assert_eq!(count.load_atomic(), 9);
@@ -1066,7 +971,7 @@ mod tests {
         let overwrites = 5;
         for id in 1..=overwrites {
             stm.run(|tx| cell.write(tx, handle(id, &drops)));
-            let pinned = cell.read_pinned_with(&pin, |v| v.as_ref().map(|c| c.id));
+            let pinned = pin.reader().read(&cell, |v| v.as_ref().map(|c| c.id));
             assert_eq!(pinned, Some(0), "the pin reads the value it covers");
         }
         // Handles 1..overwrites-1 are gone; 0 is in custody, the last in

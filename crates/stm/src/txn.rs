@@ -219,12 +219,12 @@ impl Stm {
     ///
     /// While the returned [`SnapshotPin`] is live, any value displaced by a
     /// later commit whose validity window contains the pinned version is
-    /// preserved, and [`TCell::read_pinned_with`] resolves every cell of
-    /// this runtime at exactly that version — arbitrarily long after the
-    /// pin, while writers commit freely.  Dropping the pin releases custody;
-    /// retention is bounded by live pins (at most one preserved payload per
-    /// pin per cell), never leaked.  See the [`crate::snapshot`] module docs
-    /// for the full protocol.
+    /// preserved, and the pin's [`reader`](SnapshotPin::reader) resolves
+    /// every cell of this runtime at exactly that version — arbitrarily long
+    /// after the pin, while writers commit freely.  Dropping the pin releases
+    /// custody; retention is bounded by live pins (at most one preserved
+    /// payload per pin per cell), never leaked.  See the [`crate::snapshot`]
+    /// module docs for the full protocol.
     pub fn pin_snapshot(self: &std::sync::Arc<Self>) -> SnapshotPin {
         SnapshotPin::new(std::sync::Arc::clone(self))
     }
@@ -433,12 +433,12 @@ impl<'stm> Txn<'stm> {
     ///
     /// For a fresh object that only this attempt's buffered writes refer
     /// to, such as a node an insert links in: no other thread can have seen
-    /// it, so an abort may free it at once.  The owner rides the post-commit
-    /// queue as an action that forgets it, ahead of every other action, so
-    /// none of theirs can panic before it runs.
+    /// it, so an abort may free it at once.  The owner is held as an action
+    /// that forgets it, in a list of its own that a commit runs before any
+    /// post-commit action, so none of those can panic before it runs.
     pub fn free_on_abort<T: 'static>(&mut self, owner: T) {
         let forget = PostCommit::new(move |_| std::mem::forget(owner));
-        self.scratch.post_commit.insert(0, forget);
+        self.scratch.fresh.push(forget);
     }
 
     /// The cloning read is the mapping read with `f = Clone::clone`; one
@@ -472,7 +472,7 @@ impl<'stm> Txn<'stm> {
         if Orec::raw_is_owned_by(o1, self.id) {
             // Read-after-write: the value is our own buffered write, which
             // only the write log holds until commit.
-            return Ok(cell.peek_buffered(&mut self.scratch.writes, f));
+            return Ok(cell.peek_buffered(&mut self.scratch, f));
         }
         match Orec::decode_raw(o1) {
             OrecState::Locked { .. } => return Err(TxAbort::ReadConflict),
@@ -503,7 +503,7 @@ impl<'stm> Txn<'stm> {
         // read set and the commit-time validation walk stay proportional to
         // the number of *distinct* cells read, not the number of reads.
         let orec = &cell.orec as *const Orec;
-        if self.scratch.filter.insert(orec as usize) {
+        if self.scratch.filter.insert(orec as usize, ()) {
             self.scratch.read_set.push(ReadEntry { orec, observed: o1 });
         } else {
             self.dedup_hits += 1;
@@ -552,7 +552,7 @@ impl<'stm> Txn<'stm> {
         if Orec::raw_is_owned_by(o1, self.id) {
             // Already acquired earlier in this transaction: replace the value
             // we buffered.
-            cell.rewrite_buffered(&mut self.scratch.writes, value);
+            cell.rewrite_buffered(&mut self.scratch, value);
             return Ok(());
         }
         let old_version = match Orec::decode_raw(o1) {
@@ -681,6 +681,10 @@ impl<'stm> Txn<'stm> {
         // run arbitrary code, including new transactions on this runtime.
         self.guard = None;
         let stamp = self.commit_stamp;
+        // What the fresh owners own now belongs to what the commit published.
+        for forget in self.scratch.fresh.drain(..) {
+            forget.invoke(stamp);
+        }
         for action in self.scratch.post_commit.drain(..) {
             action.invoke(stamp);
         }
@@ -692,11 +696,12 @@ impl<'stm> Txn<'stm> {
             // cells it wrote alive (see `Txn::alloc`).
             unsafe { write.abort() };
         }
-        // The remaining buffers — read set, dedup filter, retirements, unrun
-        // post-commit actions (commit-only side effects die with the
-        // attempt, and the fresh objects `free_on_abort` holds with them,
-        // after the writes that referred to them are gone) — are cleared in
-        // one place: the scratch lease's reset when this attempt is dropped.
+        // The remaining buffers — read set, dedup filter, write index,
+        // retirements, unrun post-commit actions (commit-only side effects
+        // die with the attempt), and the fresh objects `free_on_abort` holds
+        // (freed now that the writes that referred to them are gone) — are
+        // cleared in one place: the scratch lease's reset when this attempt
+        // is dropped.
         self.flush_hot_path_stats();
         self.finished = true;
     }

@@ -408,3 +408,40 @@ fn own_writes_take_the_validated_descent_without_aborting() {
     map.check_invariants()
         .expect("invariants after the composed body");
 }
+
+/// (i) A composed transaction's cost grows linearly with its writes.  It
+/// re-reads and re-writes cells it wrote long before (the population shard,
+/// and the tail's `pred` links on every ascending insert), and registers
+/// every fresh node's owner with the attempt, so a write log searched end
+/// to end on each read-after-write, or an owner list grown at its head,
+/// makes the body quadratic.  Timed as a ratio, so the box's speed cancels
+/// out: 8× the inserts should take ~8× as long, where a quadratic body
+/// takes ~64×.
+#[test]
+fn one_transaction_scales_linearly_with_its_inserts() {
+    const SMALL: u64 = 2_000;
+    let time = |keys: u64| {
+        let map: SkipHash<u64, u64> = SkipHashBuilder::new().buckets(16_381).build();
+        let started = std::time::Instant::now();
+        map.transact(|v| {
+            for key in 0..keys {
+                assert!(v.insert(key, key)?);
+            }
+            Ok(())
+        });
+        let took = started.elapsed();
+        assert_eq!(map.len(), keys as usize);
+        took
+    };
+    // The fastest of three each, taken in turn, so a stall elsewhere on the
+    // box slows at most some timings of each size.
+    let (small, large) = (0..3)
+        .map(|_| (time(SMALL), time(8 * SMALL)))
+        .reduce(|(s, l), (s2, l2)| (s.min(s2), l.min(l2)))
+        .expect("three rounds");
+    let ratio = large.as_secs_f64() / small.as_secs_f64();
+    assert!(
+        ratio < 24.0,
+        "8x the inserts took {ratio:.1}x as long ({small:?} -> {large:?}): quadratic"
+    );
+}
