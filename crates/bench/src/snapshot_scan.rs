@@ -231,7 +231,13 @@ mod tests {
         );
         assert!(mops(result.scan_pairs, result.elapsed_secs) > 0.0);
         assert!(mops(result.writer_ops, result.elapsed_secs) > 0.0);
-        // The trial ends with no snapshot live, so custody has fully drained.
+        // The trial ends with no snapshot live.  A writer commit that
+        // collected the last scanner's pin may still have pushed its entry
+        // after that pin's drop-trim drained the runtime (the transient
+        // retention the stm `snapshot` module documents), so take and drop
+        // one more pin: with the writers joined, its drop-trim is a full
+        // drain, after which custody holds nothing.
+        drop(map.snapshot());
         assert_eq!(skiphash_stm::snapshot::live_history_entries(), 0);
         map.check_invariants().expect("invariants after trial");
     }

@@ -167,6 +167,7 @@ fn parse_point(line: &str) -> Option<TrajectoryPoint> {
 const UNIVERSE: u64 = 40_000;
 const POPULATION: u64 = 20_000;
 const RANGE_LEN: u64 = 1_024;
+const SHORT_RANGE_LEN: u64 = 100;
 
 /// The versioned-link baseline arms of `traversal/range_collect`, which
 /// [`traversal_cases`] measures first.
@@ -179,8 +180,9 @@ pub const TRAVERSAL_BASELINES: &[(MapKind, &str)] = &[
 /// `measure(id, op)` once per case; `id` is relative to the group
 /// (`range_collect/fast`) and each call of `op` performs the measured
 /// operation once.  Every map holds 20,000 keys of a 40,000-key universe;
-/// ranges collect 1,024 keys, and `get/hit` and `get/miss` look up a present
-/// and an absent key.
+/// ranges collect 1,024 keys (`range_collect/fast_100`: 100, the windows of
+/// the repo benchmark's control workloads), and `get/hit` and `get/miss`
+/// look up a present and an absent key.
 pub fn traversal_cases(mut measure: impl FnMut(&str, &mut dyn FnMut())) {
     // The baseline arms go first, while the process's heap is still clean:
     // a baseline list built *after* a skip hash lands its small nodes in the
@@ -204,10 +206,11 @@ pub fn traversal_cases(mut measure: impl FnMut(&str, &mut dyn FnMut())) {
         prefill(UNIVERSE, POPULATION, 1, |k| map.insert(k, 1));
         map
     };
-    let collect = |map: &SkipHash<u64, u64>, rng: &mut SmallRng| {
-        let low = rng.gen_range(0..UNIVERSE - RANGE_LEN);
-        black_box(map.range(low..low + RANGE_LEN).count());
+    let collect_len = |len: u64, map: &SkipHash<u64, u64>, rng: &mut SmallRng| {
+        let low = rng.gen_range(0..UNIVERSE - len);
+        black_box(map.range(low..low + len).count());
     };
+    let collect = |map: &SkipHash<u64, u64>, rng: &mut SmallRng| collect_len(RANGE_LEN, map, rng);
     // Level-0 scan: one full materialization walks ~20,000 nodes, live and
     // through a pinned MVCC snapshot.
     let map = prefilled(RangePolicy::FastOnly);
@@ -237,6 +240,10 @@ pub fn traversal_cases(mut measure: impl FnMut(&str, &mut dyn FnMut())) {
     });
     let mut rng = SmallRng::seed_from_u64(11);
     measure("range_collect/fast", &mut || collect(&map, &mut rng));
+    let mut rng = SmallRng::seed_from_u64(29);
+    measure("range_collect/fast_100", &mut || {
+        collect_len(SHORT_RANGE_LEN, &map, &mut rng)
+    });
     let slow = prefilled(RangePolicy::SlowOnly);
     let mut rng = SmallRng::seed_from_u64(13);
     measure("range_collect/slow", &mut || collect(&slow, &mut rng));

@@ -311,6 +311,23 @@ impl<K, V> RawNode<K, V> {
         }
     }
 
+    /// The block's address with its types erased, for a buffer that holds
+    /// handles of every `K, V` (the range collector's per-thread staging in
+    /// `crate::traverse`).
+    #[inline]
+    pub(crate) fn erase(self) -> NonNull<u8> {
+        self.block.cast()
+    }
+
+    /// The handle [`RawNode::erase`] turned into `addr`, valid as that
+    /// handle was.  `addr` must have been erased from a `RawNode<K, V>` of
+    /// these very types; dereferencing the result is what the validity rule
+    /// above governs.
+    #[inline]
+    pub(crate) fn unerase(addr: NonNull<u8>) -> Self {
+        Self { block: addr.cast() }
+    }
+
     /// Hint the prefetcher at this node's header line and its tower's first
     /// line (level 0, and for small keys `hash_next`), without dereferencing
     /// anything.

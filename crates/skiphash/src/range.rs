@@ -6,9 +6,11 @@
 //! version number, and walks the range in many small transactions, pausing
 //! only on *safe nodes* — nodes guaranteed not to be unstitched before the
 //! query finishes.  Both paths, and the pinned reads of
-//! [`Snapshot`](crate::Snapshot), are the same descent and the same level-0
-//! walk (the crate's `traverse` module); a path is a choice of reader and of
-//! what to do at each node.
+//! [`Snapshot`](crate::Snapshot), are the same descent and level-0 walks
+//! (the crate's `traverse` module); a path is a choice of reader and of
+//! what to do at each node.  The fast path and the pinned range collect
+//! with several cursors at once; the slow path walks with one, because it
+//! resumes from the safe node it last paused on.
 //!
 //! [`SkipHash::range`] accepts any `RangeBounds<K>` (`1..=5`, `..`, `3..`,
 //! `(Bound::Excluded(a), Bound::Included(b))`, …) and returns an owned
@@ -112,11 +114,29 @@ pub(crate) fn end_allows<K: Ord>(position: &NodeBound<K>, end: StdBound<&K>) -> 
 
 /// Every logically present `(key, value)` pair within the bounds, in
 /// ascending key order, as `reader` sees the list: one descent to the lower
-/// bound, one level-0 walk to the upper.  This is the whole range query of
-/// the fast path and [`TxView::range`](crate::TxView::range) (`reader` a
-/// transaction) and of [`Snapshot::range`](crate::Snapshot::range) (`reader`
-/// a pin).
+/// bound, then level 0 walked to the upper with several cursors in flight
+/// (the crate's `traverse` module, "The interleaved walk").  This is the
+/// whole range query of the fast path and
+/// [`TxView::range`](crate::TxView::range) (`reader` a transaction) and of
+/// [`Snapshot::range`](crate::Snapshot::range) (`reader` a pin).
 pub(crate) fn collect<K: MapKey, V: MapValue, R: Reader<K, V>>(
+    reader: &mut R,
+    list: &SkipList<K, V>,
+    start: StdBound<&K>,
+    end: StdBound<&K>,
+) -> Result<Vec<(K, V)>, R::Abort> {
+    let mut out = Vec::new();
+    if !range_is_empty(&start, &end) {
+        let cut = traverse::RANGE_CUT_LEVEL;
+        traverse::collect_interleaved(reader, list, start, end, cut, &mut out)?;
+    }
+    Ok(out)
+}
+
+/// [`collect`] as one cursor walks it: the reference the interleaved walk is
+/// tested against.
+#[cfg(test)]
+pub(crate) fn collect_single<K: MapKey, V: MapValue, R: Reader<K, V>>(
     reader: &mut R,
     list: &SkipList<K, V>,
     start: StdBound<&K>,

@@ -199,12 +199,15 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
     /// [`Snapshot::len`]) and filled by a walk that keeps several cursors in
     /// flight over segments of the list, so the cache misses of a long scan
     /// overlap instead of queueing one behind another (the crate's
-    /// `traverse` module, "The interleaved pinned walk").
+    /// `traverse` module, "The interleaved walk").  It is the walk of
+    /// [`Snapshot::range`], with segments cut eight times longer.
     pub fn to_vec(&self) -> Vec<(K, V)> {
         let mut reader = self.pin.reader();
         let len = self.inner.population.sum_pinned(&mut reader);
         let mut out = Vec::with_capacity(len.max(0) as usize);
-        traverse::collect_interleaved(&mut reader, &self.inner.skiplist, &mut out);
+        let (list, all) = (&self.inner.skiplist, StdBound::Unbounded);
+        let cut = traverse::SCAN_CUT_LEVEL;
+        let Ok(()) = traverse::collect_interleaved(&mut reader, list, all, all, cut, &mut out);
         out
     }
 
@@ -233,6 +236,7 @@ mod tests {
     use std::ops::Bound as StdBound;
 
     use crate::config::SkipHashBuilder;
+    use crate::range;
     use crate::SkipHash;
 
     fn map() -> SkipHash<u64, u64> {
@@ -339,7 +343,8 @@ mod tests {
     /// `to_vec`, whose cursors walk segments of the list at once, against
     /// the single-cursor pinned walk and the contents at the pin.
     fn assert_scans_agree(snap: &super::Snapshot<u64, u64>, at_pin: &BTreeMap<u64, u64>) {
-        let single = snap.pairs(StdBound::Unbounded, StdBound::Unbounded);
+        let (list, all) = (&snap.inner.skiplist, StdBound::Unbounded);
+        let Ok(single) = range::collect_single(&mut snap.pin.reader(), list, all, all);
         let interleaved = snap.to_vec();
         assert_eq!(interleaved, single, "interleaved vs single-cursor walk");
         let expected: Vec<(u64, u64)> = at_pin.iter().map(|(k, v)| (*k, *v)).collect();

@@ -1,7 +1,8 @@
 //! The one traversal core: every read of the skip list — tower descent,
 //! level-0 walk, point queries, fast-path, slow-path and pinned range
 //! queries — is [`descend`] and [`walk`] (or [`scan`], one after the other)
-//! driven by a [`Reader`].
+//! driven by a [`Reader`]; a range collect walks level 0 with several
+//! cursors at once ([`collect_interleaved`]).
 //!
 //! The paper's claim is that STM leaves the skip hash with one search and
 //! one scan, run as one transaction (fast path), as many small ones under
@@ -97,29 +98,55 @@
 //! range query coordinator defers until the query ends); each hop from it is
 //! covered by the reader as above.
 //!
-//! # The interleaved pinned walk
+//! # The interleaved walk
 //!
-//! A full scan at a pinned version ([`collect_interleaved`], behind
-//! `Snapshot::to_vec` and so every checkpoint) is a chain of dependent cache
-//! misses if one cursor walks it: each hop's address is in the line the
-//! previous hop misses on.  The pinned list cannot change and a pinned read
-//! cannot abort, so the walk can instead cut level 0 into segments and keep
-//! several cursors in flight, one per segment, advancing them round-robin
-//! and prefetching each one's next node, so their misses overlap
-//! (asynchronous memory access chaining: Kocberber et al., VLDB 2015).
-//! Segments are cut at the nodes an upper level links at the pinned
-//! version.  Every hop is still a pinned read and every handle is still
-//! covered by the pin's custody, as in the plain walk, so the walk needs no
-//! hint.
+//! A range query or a full scan ([`collect_interleaved`], behind every range
+//! collect, `Snapshot::to_vec` and so every checkpoint) is a chain of
+//! dependent cache misses if one cursor walks it: each hop's address is in
+//! the line the previous hop misses on.  The walk instead cuts level 0 into
+//! segments and keeps several cursors in flight, one per segment, advancing
+//! them round-robin and prefetching each one's next node, so their misses
+//! overlap (asynchronous memory access chaining: Kocberber et al., VLDB
+//! 2015).  Every hop is still a read through the reader, and every handle is
+//! covered as in the plain walk.
+//!
+//! A segment ends where the next starts: at the node its start links at the
+//! cut level.  That cut is exact if the node it designates is linked at
+//! level 0 too, after every node between the two there, so that it lies on
+//! the cursor's path.  It is, because the walk reads one consistent list
+//! whatever order its reads come in, and in that list a tower's links at all
+//! its levels were written together:
+//!
+//! * **[`PinnedReader`]**: every read resolves at the one pinned version,
+//!   which sees a commit whole or not at all, and one commit writes all of a
+//!   tower's links: an insert stitches every level of its node, `unstitch`
+//!   replaces every link to its node.
+//! * **[`Txn`]**: every read is validated against the attempt's one read
+//!   version `rv` or aborts (TL2: Dice, Shalev and Shavit, DISC 2006), so an
+//!   attempt that reads on sees the list at `rv`, and interleaving changes
+//!   only the order of its reads, never what they return.  An ordinary
+//!   attempt sees its own buffered writes over that list, and they move
+//!   whole towers too: its inserts and unstitches are the ones above, and a
+//!   mark writes no link.
+//!
+//! So the cuts are read through [`Reader::link`], never as hints: a hint
+//! shows committed words only, and can name a node the attempt's own writes
+//! have unstitched, which the cursor would then never meet.
+//!
+//! Up to the first node tall enough to cut at, one cursor walks ([`walk`],
+//! with its scout) and pushes its pairs straight into the result, so a
+//! window that ends before that node pays for no segment.
 
-use std::collections::VecDeque;
+use std::cell::Cell;
 use std::convert::Infallible;
 use std::ops::Bound as StdBound;
 use std::ops::ControlFlow;
+use std::ptr::NonNull;
 
 use skiphash_stm::{PinnedReader, TCell, TxAbort, Txn};
 
 use crate::node::{Bound, Level, Link, Node, RawNode};
+use crate::range::end_allows;
 use crate::skiplist::{SkipList, MAX_LEVEL_LIMIT};
 use crate::{MapKey, MapValue};
 
@@ -371,7 +398,9 @@ const SCOUT_LEAD: usize = 4;
 /// moves past a node, the scout follows the level-1 list until it is
 /// [`SCOUT_LEAD`] level-1 nodes ahead, reading through [`Reader::hint`] and
 /// prefetching each level-1 node it reaches and that node's level-0
-/// successor.
+/// successor.  A range collect walks with more cursors instead
+/// ([`collect_interleaved`]), so the scout serves the slow path's walk, the
+/// point queries' short walks, `count_present` and a collect's first run.
 ///
 /// Everything it loads is a hint: a concurrent commit can lead it astray,
 /// which costs wasted cache fills, and it restarts from the walk's own
@@ -451,10 +480,18 @@ pub(crate) fn first_present<K: MapKey, V: MapValue, R: Reader<K, V>>(
 /// Cursors [`collect_interleaved`] keeps in flight.
 const CURSORS: usize = 8;
 
-/// The level whose nodes cut level 0 into [`collect_interleaved`]'s
-/// segments: tower heights are geometric with p = 1/2, so about one node in
-/// 2^6 = 64 reaches it (capped below a shorter list's top level).
-const SEGMENT_LEVEL: usize = 6;
+/// The cut level of a range query ([`crate::range::collect`]): about one
+/// node in 2^3 = 8 reaches it (tower heights are geometric with p = 1/2), so
+/// a window of 100 nodes splits into about a dozen segments.  Level 2 read
+/// slower on 1,024-key windows, levels 4 and 5 on 100-key ones (docs/PERF.md,
+/// Mechanism 6).
+pub(crate) const RANGE_CUT_LEVEL: usize = 3;
+
+/// The cut level of a full scan (`Snapshot::to_vec`, and so every
+/// checkpoint): about one node in 2^6 = 64 reaches it, so a long scan
+/// starts a segment, a read and a hand-off, once per 64 nodes rather than
+/// once per 8 (docs/PERF.md, "Durable writes", for the sweep).
+pub(crate) const SCAN_CUT_LEVEL: usize = 6;
 
 /// Segments [`collect_interleaved`] holds staged: the running ones plus the
 /// finished ones still waiting for an earlier segment.  A cursor that
@@ -462,107 +499,175 @@ const SEGMENT_LEVEL: usize = 6;
 /// staging stays bounded when one segment runs long.
 const STAGED_SEGMENTS: usize = 4 * CURSORS;
 
+thread_local! {
+    /// [`collect_interleaved`]'s staging buffers, one per staged segment,
+    /// each holding the erased handles of its segment's present nodes.  A
+    /// thread reuses them from call to call, so once they have grown a
+    /// range allocates its result and nothing more.
+    static STAGING: Cell<Vec<Vec<NonNull<u8>>>> = const { Cell::new(Vec::new()) };
+}
+
+/// Run `body` on this thread's staging buffers, empty, and put them back
+/// empty whether `body` succeeded or aborted partway.  A nested call (a
+/// value's `clone` that runs a range query) finds none and grows its own.
+fn with_staging<T>(body: impl FnOnce(&mut [Vec<NonNull<u8>>]) -> T) -> T {
+    let mut buffers = STAGING.try_with(Cell::take).unwrap_or_default();
+    buffers.resize_with(STAGED_SEGMENTS, Vec::new);
+    let result = body(&mut buffers);
+    buffers.iter_mut().for_each(Vec::clear);
+    // A thread tearing down its locals drops the buffers instead.
+    let _ = STAGING.try_with(|staging| staging.set(buffers));
+    result
+}
+
 /// One cursor of [`collect_interleaved`]: walking level 0 from `at` until it
-/// reaches `end`, the first node of the next segment, staging what it
-/// collects in segment number `segment`.  `end` is read on the segment's
+/// reaches `stop`, the first node of the next segment, staging what it
+/// collects in segment number `segment`.  `stop` is read on the segment's
 /// first hop, from the start's tower.
 struct SegmentCursor<K, V> {
     at: RawNode<K, V>,
-    end: Option<RawNode<K, V>>,
+    stop: Option<RawNode<K, V>>,
     segment: usize,
 }
 
-/// Append to `out` every logically present `(key, value)` pair of `list` at
-/// `reader`'s pinned version, in key order: what [`scan`] from an unbounded
-/// start collects through the pin, with [`CURSORS`] segments walked at once
-/// (see the module docs).
+/// Append to `out` every logically present `(key, value)` pair of `list`
+/// within the bounds, in key order, as `reader` sees the list: what [`scan`]
+/// from `start` to `end` collects, with up to [`CURSORS`] segments of level
+/// 0 walked at once (see the module docs, "The interleaved walk").
 ///
-/// The first segment starts at the head.  Each one ends where the next
-/// starts: at the node its start links at [`SEGMENT_LEVEL`] at the pin,
-/// read on the segment's first hop, which hands that node to the next free
-/// cursor; the segment that ends at the tail is the last.  A cursor stops
-/// when its hop reaches its end node, which is exact because that node is
-/// on level 0 at the pin, after every node of the segment: a tower's links
-/// at all its levels are written by one commit (an insert stitches the
-/// whole tower, `unstitch` replaces every link to it), a pinned read sees
-/// either all of a commit or none of it, and so the node linked at the
-/// upper level at the pin was linked at level 0 at the pin too, with the
-/// upper level's order.
+/// The walk descends to `start` and runs one cursor from there, pushing
+/// pairs straight into `out`, until it meets the first node whose tower
+/// rises above `cut` (capped below the list's top level).  From that node on,
+/// level 0 is cut into segments at the nodes `cut` links.  Each segment ends
+/// where the next starts: at the node its start links at `cut`, read on the
+/// segment's first hop, which hands that node to the next free cursor.  A
+/// cursor stops when its hop reaches its end node, which is exact because a
+/// tower's links at all its levels are written by one commit, so the node a
+/// cut link designates in the reader's view is on level 0 there too, after
+/// every node of the segment.  A segment that starts past the end bound is
+/// empty and feeds no further one; a cursor also stops at the end bound.
 ///
-/// Each segment's pairs are staged in a buffer of their own and appended to
-/// `out` once every earlier segment has been, so the pairs are copied once
-/// more, out of a buffer that a few dozen pairs fill, never the whole scan.
-/// Sizing `out` from the pinned population beforehand makes it the only
-/// allocation the size of the result.
-pub(crate) fn collect_interleaved<K: MapKey, V: MapValue>(
-    reader: &mut PinnedReader<'_>,
+/// Each segment stages the handles of its present nodes in a buffer of its
+/// own (this thread's, reused), and once every earlier segment has been
+/// flushed the segment is flushed into `out`: key and value read per
+/// handle, in order.  A pair is copied once, into `out`.
+pub(crate) fn collect_interleaved<K: MapKey, V: MapValue, R: Reader<K, V>>(
+    reader: &mut R,
     list: &SkipList<K, V>,
+    start: StdBound<&K>,
+    end: StdBound<&K>,
+    cut: usize,
     out: &mut Vec<(K, V)>,
-) {
-    let level = SEGMENT_LEVEL.min(list.max_level() - 1);
+) -> Result<(), R::Abort> {
+    let level = cut.min(list.max_level() - 1);
+    let mut first_cut = None;
+    let first_run = |reader: &mut R, at: RawNode<K, V>, node: &Node<K, V>| {
+        if !end_allows(&node.bound, end) {
+            return Ok(ControlFlow::Break(()));
+        }
+        if node.height > level {
+            first_cut = Some(at);
+            return Ok(ControlFlow::Break(()));
+        }
+        if !reader.removed(node)? {
+            out.push((node.key().clone(), reader.value(node)?));
+        }
+        Ok(ControlFlow::Continue(()))
+    };
+    scan(reader, list, start, first_run)?;
+    let Some(first_cut) = first_cut else {
+        return Ok(());
+    };
+    with_staging(|staged| interleave(reader, list, first_cut, end, level, staged, out))
+}
+
+/// The segments of [`collect_interleaved`], from `first_cut` on: segment
+/// `s` stages its handles in `staged[s % STAGED_SEGMENTS]`.
+fn interleave<K: MapKey, V: MapValue, R: Reader<K, V>>(
+    reader: &mut R,
+    list: &SkipList<K, V>,
+    first_cut: RawNode<K, V>,
+    end: StdBound<&K>,
+    level: usize,
+    staged: &mut [Vec<NonNull<u8>>],
+    out: &mut Vec<(K, V)>,
+) -> Result<(), R::Abort> {
     let tail = list.tail();
     let mut cursors: [Option<SegmentCursor<K, V>>; CURSORS] = std::array::from_fn(|_| None);
-    // `staged[i]` holds segment `first_staged + i`'s pairs and whether its
-    // cursor is done; `feed` starts the next segment to hand out.
-    let mut staged: VecDeque<(Vec<(K, V)>, bool)> = VecDeque::with_capacity(STAGED_SEGMENTS);
-    let mut first_staged = 0;
-    let mut spare: Vec<Vec<(K, V)>> = Vec::new();
-    let mut feed = Some(list.head());
+    // Segments `first_staged..handed_out` are staged; `done[s %
+    // STAGED_SEGMENTS]` tells whether segment `s`'s cursor has finished, and
+    // `feed` is the start of the next segment to hand out.
+    let mut done = [false; STAGED_SEGMENTS];
+    let (mut first_staged, mut handed_out) = (0, 0);
+    let mut feed = Some(first_cut);
     loop {
         let mut busy = false;
         for slot in &mut cursors {
-            if slot.is_none() && staged.len() < STAGED_SEGMENTS {
+            if slot.is_none() && handed_out - first_staged < STAGED_SEGMENTS {
                 if let Some(start) = feed.take() {
                     *slot = Some(SegmentCursor {
                         at: start,
-                        end: None,
-                        segment: first_staged + staged.len(),
+                        stop: None,
+                        segment: handed_out,
                     });
-                    staged.push_back((spare.pop().unwrap_or_default(), false));
+                    handed_out += 1;
                 }
             }
             let Some(cursor) = slot else {
                 continue;
             };
             busy = true;
-            // SAFETY: `cursor.at` is the head sentinel (owned by `list`) or
-            // was read at the pin — the pinned half of the module's
+            // SAFETY: `cursor.at` was read through `reader` — the module's
             // borrowed-handle contract.
             let node = unsafe { cursor.at.node() };
-            let tower = cursor.at.tower(node);
-            let end = match cursor.end {
-                Some(end) => end,
-                // The segment's first hop: its start is the head or a node
-                // linked at `level` at the pin, so its tower reaches `level`.
-                None => {
-                    let Ok(end) = reader.link(&tower[level].succ);
-                    end.prefetch_to(level);
-                    feed = (end != tail).then_some(end);
-                    *cursor.end.insert(end)
+            let index = cursor.segment % STAGED_SEGMENTS;
+            // The end bound only ever stops the last segment: every later
+            // one starts past it, and so stops on its first hop.
+            let finished = if end_allows(&node.bound, end) {
+                let tower = cursor.at.tower(node);
+                let stop = match cursor.stop {
+                    Some(stop) => stop,
+                    // The segment's first hop: its start is a node `level`
+                    // links, or the first node taller than `level`.
+                    None => {
+                        let stop = reader.link(&tower[level].succ)?;
+                        stop.prefetch_to(level);
+                        feed = (stop != tail).then_some(stop);
+                        *cursor.stop.insert(stop)
+                    }
+                };
+                let next = reader.link(&tower[0].succ)?;
+                next.prefetch();
+                if !reader.removed(node)? {
+                    staged[index].push(cursor.at.erase());
                 }
+                cursor.at = next;
+                next == stop
+            } else {
+                true
             };
-            let Ok(next) = reader.link(&tower[0].succ);
-            next.prefetch();
-            let index = cursor.segment - first_staged;
-            if !node.is_head() && reader.removed(node) == Ok(false) {
-                let Ok(value) = reader.value(node);
-                staged[index].0.push((node.key().clone(), value));
+            if !finished {
+                continue;
             }
-            cursor.at = next;
-            if next == end {
-                staged[index].1 = true;
-                *slot = None;
-                while staged.front().is_some_and(|(_, done)| *done) {
-                    let (mut pairs, _) = staged.pop_front().expect("a front segment");
-                    out.append(&mut pairs);
-                    spare.push(pairs);
-                    first_staged += 1;
+            done[index] = true;
+            *slot = None;
+            while first_staged < handed_out && done[first_staged % STAGED_SEGMENTS] {
+                let front = first_staged % STAGED_SEGMENTS;
+                for &addr in &staged[front] {
+                    // SAFETY: staged above from a handle read through
+                    // `reader` of this very list, whose protection still
+                    // holds: the borrowed-handle contract.
+                    let node = unsafe { RawNode::<K, V>::unerase(addr).node() };
+                    out.push((node.key().clone(), reader.value(node)?));
                 }
+                staged[front].clear();
+                done[front] = false;
+                first_staged += 1;
             }
         }
         if !busy {
-            debug_assert!(staged.is_empty() && feed.is_none());
-            return;
+            debug_assert!(first_staged == handed_out && feed.is_none());
+            return Ok(());
         }
     }
 }
@@ -570,8 +675,9 @@ pub(crate) fn collect_interleaved<K: MapKey, V: MapValue>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::range::{collect, range_is_empty};
-    use skiphash_stm::{SnapshotPin, Stm};
+    use crate::range::{collect, collect_single, range_is_empty};
+    use skiphash_stm::sync::{AtomicBool, Ordering};
+    use skiphash_stm::{Stm, TxResult};
     use std::collections::BTreeMap;
     use std::fmt::Debug;
     use std::ops::Bound::{Excluded, Included, Unbounded};
@@ -778,15 +884,45 @@ mod tests {
         check_reader(&mut pin.reader(), &fx);
     }
 
-    /// `collect_interleaved` against the single-cursor pinned walk on shapes
-    /// a random map rarely takes: a first segment hundreds of nodes long
-    /// followed by a hundred one-node segments (finished cursors stage their
-    /// segments and then wait for the first), logically deleted duplicates
-    /// still linked, some of them segment boundaries, and lists too short
-    /// for the segment level.
-    #[test]
-    fn interleaved_walk_matches_the_single_cursor_walk() {
-        for max_level in [1, 2, 8] {
+    /// A list for the interleaved walk, with tower heights that make the
+    /// shapes a random map rarely takes: a first run of height-1 nodes, a
+    /// first segment 300 nodes long followed by 100 one-node segments (so
+    /// finished cursors stage theirs and wait, more of them than
+    /// [`STAGED_SEGMENTS`]), dozens of ordinary segments, and a last run of
+    /// height-1 nodes after the last cut.  Every seventh key is marked and
+    /// re-inserted, so logically deleted duplicates linger in front of live
+    /// nodes, some of them cut nodes.  Keys are `100 + 4 * i`.
+    struct Segmented {
+        stm: Arc<Stm>,
+        list: SkipList<u64, u64>,
+        present: BTreeMap<u64, u64>,
+        /// The keys bounds are probed at: before the first key, on it, around
+        /// the first cut node, on lingering duplicates, inside the long
+        /// segment, among the one-node segments, around the last cut node,
+        /// on the last key and past it.
+        probes: Vec<u64>,
+    }
+
+    const CUT: usize = RANGE_CUT_LEVEL + 1;
+
+    fn mark(tx: &mut Txn<'_>, list: &SkipList<u64, u64>, key: u64) -> TxResult<()> {
+        scan(tx, list, Included(&key), |tx, _, node| {
+            if tx.removed(node)? {
+                return Ok(ControlFlow::Continue(()));
+            }
+            assert_eq!(*node.key(), key);
+            node.mark_removed(tx, 1)?;
+            Ok(ControlFlow::Break(()))
+        })
+        .map(drop)
+    }
+
+    fn present(tx: &mut Txn<'_>, list: &SkipList<u64, u64>, key: u64) -> TxResult<bool> {
+        Ok(list.first_present(tx, Included(&key))? == Some(key))
+    }
+
+    impl Segmented {
+        fn build(max_level: usize) -> Self {
             let stm = Arc::new(Stm::new());
             let list: SkipList<u64, u64> = SkipList::new(max_level);
             let insert = |key: u64, value: u64, height: usize| {
@@ -796,54 +932,273 @@ mod tests {
                         .map(drop)
                 });
             };
-            let mark = |key: u64| {
-                stm.run(|tx| {
-                    scan(tx, &list, Included(&key), |tx, _, node| {
-                        if tx.removed(node)? {
-                            return Ok(ControlFlow::Continue(()));
-                        }
-                        node.mark_removed(tx, 1)?;
-                        Ok(ControlFlow::Break(()))
-                    })
-                    .map(drop)
-                })
-            };
-            let compare = |pin: &SnapshotPin, expected: &BTreeMap<u64, u64>| {
-                let mut interleaved = Vec::new();
-                collect_interleaved(&mut pin.reader(), &list, &mut interleaved);
-                let Ok(single) = collect(&mut pin.reader(), &list, Unbounded, Unbounded);
-                assert_eq!(interleaved, single, "max_level {max_level}");
-                let expected: Vec<(u64, u64)> = expected.iter().map(|(k, v)| (*k, *v)).collect();
-                assert_eq!(interleaved, expected, "max_level {max_level}");
-            };
-
+            let key = |i: u64| 100 + 4 * i;
             let mut present = BTreeMap::new();
-            compare(&stm.pin_snapshot(), &present);
-            for key in 0..1_000u64 {
-                let height = match key {
-                    0..600 => 1,
-                    600..700 => SEGMENT_LEVEL + 1,
-                    _ if key % 5 == 0 => SEGMENT_LEVEL + 2,
-                    _ => 1 + key as usize % 3,
+            for i in 0..1_000u64 {
+                let height = match i {
+                    0..150 | 151..450 | 980.. => 1,
+                    150 | 450..550 => CUT,
+                    _ if i % 5 == 0 => CUT + 1,
+                    _ => 1 + i as usize % 3,
                 };
-                insert(key, key, height);
-                present.insert(key, key);
+                insert(key(i), i, height);
+                present.insert(key(i), i);
             }
-            for key in (0..1_000u64).step_by(7) {
-                mark(key);
-                let height = if key % 2 == 0 { SEGMENT_LEVEL + 1 } else { 1 };
-                insert(key, key + 1, height);
-                present.insert(key, key + 1);
+            for i in (0..1_000u64).step_by(7) {
+                stm.run(|tx| mark(tx, &list, key(i)));
+                // No re-insert cuts the long segment short.
+                let height = if i % 2 == 0 && !(151..450).contains(&i) {
+                    CUT
+                } else {
+                    1
+                };
+                insert(key(i), i + 1, height);
+                present.insert(key(i), i + 1);
             }
-            let pin = stm.pin_snapshot();
-            compare(&pin, &present);
-            // Writes after the pin change nothing it reads.
-            for key in (3..1_000u64).step_by(11) {
-                mark(key);
-                insert(key, 0, SEGMENT_LEVEL + 1);
+            let probes = vec![
+                0,
+                key(0),
+                key(1),
+                key(149),
+                key(150),
+                key(150) + 1,
+                key(154),
+                key(300),
+                key(455),
+                key(500) + 2,
+                key(700),
+                key(975),
+                key(976),
+                key(990),
+                key(999),
+                key(999) + 1,
+            ];
+            Self {
+                stm,
+                list,
+                present,
+                probes,
             }
-            compare(&pin, &present);
         }
+
+        /// Every bound the probes make: unbounded, and each probe key
+        /// included and excluded.
+        fn bounds(&self) -> Vec<StdBound<u64>> {
+            let keys = self.probes.iter();
+            std::iter::once(Unbounded)
+                .chain(keys.flat_map(|&k| [Included(k), Excluded(k)]))
+                .collect()
+        }
+
+        /// The collector against the reference through `reader`, for every
+        /// pair of `bounds`.
+        fn compare<R: Reader<u64, u64>>(
+            &self,
+            reader: &mut R,
+            bounds: &[StdBound<u64>],
+            label: &str,
+        ) -> Result<(), R::Abort>
+        where
+            R::Abort: Debug,
+        {
+            for start in bounds.iter().map(StdBound::as_ref) {
+                for end in bounds.iter().map(StdBound::as_ref) {
+                    let interleaved = collect(reader, &self.list, start, end)?;
+                    let single = collect_single(reader, &self.list, start, end)?;
+                    assert_eq!(interleaved, single, "{label}: ({start:?}, {end:?})");
+                }
+            }
+            Ok(())
+        }
+
+        /// An ordinary attempt's own writes around `key`: the node present
+        /// there is marked and the key re-inserted above the cut level, so a
+        /// duplicate lingers in front of a cut node; the node before it goes
+        /// in tall too; and after it the next present node and the next cut
+        /// node are unstitched, one of them put in by this very attempt.
+        fn own_writes(&self, tx: &mut Txn<'_>, key: u64) -> TxResult<()> {
+            let list = &self.list;
+            let tall = CUT.min(list.max_level());
+            if present(tx, list, key)? {
+                mark(tx, list, key)?;
+            }
+            list.insert_after_logical_deletes(tx, key, 0, tall, 0, None)?;
+            if key > 0 && !present(tx, list, key - 1)? {
+                list.insert_after_logical_deletes(tx, key - 1, 0, tall, 0, None)?;
+            }
+            if !present(tx, list, key + 2)? {
+                list.insert_after_logical_deletes(tx, key + 2, 0, tall, 0, None)?;
+            }
+            if let Some(next) = list.first_present(tx, Excluded(&key))? {
+                assert!(list.remove(tx, &next)?);
+            }
+            let mut next_cut = None;
+            scan(tx, list, Excluded(&key), |tx, _, node| {
+                if node.height < tall || tx.removed(node)? {
+                    return Ok(ControlFlow::Continue(()));
+                }
+                next_cut = Some(*node.key());
+                Ok(ControlFlow::Break(()))
+            })?;
+            if let Some(next_cut) = next_cut {
+                assert!(list.remove(tx, &next_cut)?);
+            }
+            Ok(())
+        }
+    }
+
+    /// The interleaved collector against the single-cursor reference
+    /// (`range::collect_single`), for every shape of bound at each end,
+    /// through the three kinds of reader: a read-only attempt, an ordinary
+    /// attempt whose own buffered writes insert, mark and unstitch cut nodes
+    /// at and next to both bounds, and a pin after churn that came after it.
+    /// Lists too short for the cut level are walked too.
+    #[test]
+    fn interleaved_walk_matches_the_single_cursor_walk() {
+        for max_level in [1, 2, 8] {
+            let seg = Segmented::build(max_level);
+            let (stm, list) = (&seg.stm, &seg.list);
+            let bounds = seg.bounds();
+            let expected: Vec<(u64, u64)> = seg.present.iter().map(|(k, v)| (*k, *v)).collect();
+
+            // A read-only attempt, which keeps no read set.
+            stm.try_once_read_only(|tx| {
+                assert_eq!(collect(tx, list, Unbounded, Unbounded)?, expected);
+                seg.compare(tx, &bounds, "read-only")
+            })
+            .expect("a read-only attempt alone commits");
+
+            // An ordinary attempt over its own writes at both bounds, rolled
+            // back so that every pair of probes sees the same list.
+            for (i, &low) in seg.probes.iter().enumerate() {
+                for &high in &seg.probes[i..] {
+                    let attempt = stm.try_once(|tx| {
+                        seg.own_writes(tx, low)?;
+                        seg.own_writes(tx, high)?;
+                        let shapes = |k| [Unbounded, Included(k), Excluded(k)];
+                        for start in shapes(low) {
+                            for end in shapes(high) {
+                                let (start, end) = (start.as_ref(), end.as_ref());
+                                let interleaved = collect(tx, list, start, end)?;
+                                let single = collect_single(tx, list, start, end)?;
+                                let label =
+                                    format!("own writes at {low}, {high}: ({start:?}, {end:?})");
+                                assert_eq!(interleaved, single, "{label}");
+                            }
+                        }
+                        Err::<(), _>(TxAbort::Explicit)
+                    });
+                    assert_eq!(
+                        attempt.map_err(|failed| failed.cause),
+                        Err(TxAbort::Explicit)
+                    );
+                }
+            }
+
+            // A pin, read after churn that marks, unstitches and inserts cut
+            // nodes behind it.
+            let pin = stm.pin_snapshot();
+            let tall = CUT.min(max_level);
+            for key in (100..4_100u64).step_by(44) {
+                stm.run(|tx| {
+                    if present(tx, list, key)? {
+                        mark(tx, list, key)?;
+                    }
+                    list.insert_after_logical_deletes(tx, key, 0, tall, 0, None)?;
+                    if let Some(next) = list.first_present(tx, Excluded(&key))? {
+                        list.remove(tx, &next)?;
+                    }
+                    list.insert_after_logical_deletes(tx, key + 1, 0, tall, 0, None)
+                        .map(drop)
+                });
+            }
+            let mut reader = pin.reader();
+            let Ok(()) = seg.compare(&mut reader, &bounds, "pinned");
+            for cut in [RANGE_CUT_LEVEL, SCAN_CUT_LEVEL] {
+                let mut all = Vec::new();
+                let Ok(()) =
+                    collect_interleaved(&mut reader, list, Unbounded, Unbounded, cut, &mut all);
+                assert_eq!(all, expected, "pinned full scan, cut level {cut}");
+            }
+        }
+    }
+
+    /// Interleaved walks, through read-only and ordinary attempts, while two
+    /// writers re-insert and unstitch odd keys, a third of them above the
+    /// cut level, so cut nodes come and go under the cursors: every even key
+    /// in the window is seen exactly once, in order, with its value.
+    #[test]
+    fn interleaved_walks_see_every_stable_key_under_churn() {
+        const UNIVERSE: u64 = 6_000;
+        let stm = Stm::new();
+        let list: SkipList<u64, u64> = SkipList::new(12);
+        for key in (0..UNIVERSE).step_by(2) {
+            let height = if key.is_multiple_of(14) {
+                CUT + 1
+            } else {
+                1 + key as usize % 3
+            };
+            stm.run(|tx| {
+                list.insert_after_logical_deletes(tx, key, key, height, 0, None)
+                    .map(drop)
+            });
+        }
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for writer in 0..2u64 {
+                let (stm, list, stop) = (&stm, &list, &stop);
+                s.spawn(move || {
+                    let mut i = writer;
+                    while !stop.load(Ordering::Relaxed) {
+                        let key = (i * 2 + 1) % UNIVERSE;
+                        let height = if key.is_multiple_of(3) { CUT + 1 } else { 1 };
+                        stm.run(|tx| {
+                            if !list.remove(tx, &key)? {
+                                list.insert_after_logical_deletes(tx, key, key, height, 0, None)?;
+                            }
+                            Ok(())
+                        });
+                        i = i.wrapping_add(7);
+                    }
+                });
+            }
+            // Stops the writers when dropped, so that a failed assertion
+            // below ends the test instead of leaving the scope waiting.
+            struct StopOnDrop<'a>(&'a AtomicBool);
+            impl Drop for StopOnDrop<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::Relaxed);
+                }
+            }
+            let _writers = StopOnDrop(&stop);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_millis(500);
+            let mut query = 0u64;
+            while std::time::Instant::now() < deadline {
+                let span = [500, 4_096][query as usize % 2];
+                let low = (query * 37) % (UNIVERSE - span);
+                let (start, end) = (Included(&low), Excluded(&(low + span)));
+                let window = if query.is_multiple_of(3) {
+                    stm.run(|tx| collect(tx, &list, start, end))
+                } else {
+                    stm.run_read_only(|tx| collect(tx, &list, start, end))
+                };
+                let evens: Vec<u64> = window
+                    .iter()
+                    .map(|(k, _)| *k)
+                    .filter(|k| k % 2 == 0)
+                    .collect();
+                let expected: Vec<u64> = (low..low + span).filter(|k| k % 2 == 0).collect();
+                assert_eq!(evens, expected, "window {low}..{}", low + span);
+                assert!(
+                    window.windows(2).all(|w| w[0].0 < w[1].0),
+                    "sorted, no duplicates"
+                );
+                assert!(window.iter().all(|(k, v)| k == v));
+                query += 1;
+            }
+            assert!(query > 0);
+        });
+        assert_eq!(stm.run(|tx| list.check_invariants(tx)), Ok(()));
     }
 
     /// The scout reads ahead of the walk through hints, which never join the

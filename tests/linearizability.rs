@@ -23,8 +23,11 @@ fn build(policy: RangePolicy) -> Arc<SkipHash<u64, u64>> {
 
 /// Writers toggle odd keys while even keys stay untouched; every range query
 /// must observe *all* even keys exactly once and never a duplicate key.
+/// Windows alternate between spans of 500 and 4,096 keys: a long one is
+/// walked by several cursors at once, over segments cut at nodes the
+/// writers' re-inserts create and unstitch.
 fn stable_evens_scenario(policy: RangePolicy) {
-    const UNIVERSE: u64 = 2_000;
+    const UNIVERSE: u64 = 5_000;
     let map = build(policy);
     for key in (0..UNIVERSE).step_by(2) {
         assert!(map.insert(key, key));
@@ -49,8 +52,9 @@ fn stable_evens_scenario(policy: RangePolicy) {
     let deadline = std::time::Instant::now() + Duration::from_millis(600);
     let mut queries = 0;
     while std::time::Instant::now() < deadline {
-        let low = (queries * 37) % (UNIVERSE / 2);
-        let high = low + 500;
+        let span = [500, 4_096][queries as usize % 2];
+        let low = (queries * 37) % (UNIVERSE - span);
+        let high = low + span;
         let window: Vec<(u64, u64)> = map.range(low..=high).collect();
         // All even keys in the window must be present exactly once.
         let expected_evens = (low..=high).filter(|k| k % 2 == 0).count();
