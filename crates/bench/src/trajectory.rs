@@ -168,6 +168,7 @@ const UNIVERSE: u64 = 40_000;
 const POPULATION: u64 = 20_000;
 const RANGE_LEN: u64 = 1_024;
 const SHORT_RANGE_LEN: u64 = 100;
+const LARGE_UNIVERSE: u64 = 1 << 20;
 
 /// The versioned-link baseline arms of `traversal/range_collect`, which
 /// [`traversal_cases`] measures first.
@@ -179,10 +180,15 @@ pub const TRAVERSAL_BASELINES: &[(MapKind, &str)] = &[
 /// Run the `traversal/` cases in their fixed order, calling
 /// `measure(id, op)` once per case; `id` is relative to the group
 /// (`range_collect/fast`) and each call of `op` performs the measured
-/// operation once.  Every map holds 20,000 keys of a 40,000-key universe;
-/// ranges collect 1,024 keys (`range_collect/fast_100`: 100, the windows of
-/// the repo benchmark's control workloads), and `get/hit` and `get/miss`
-/// look up a present and an absent key.
+/// operation once.  Every map holds 20,000 keys of a 40,000-key universe,
+/// but `range_collect/fast_large`'s, which holds 2^19 keys of a 2^20-key
+/// universe like the repo benchmark's maps; ranges collect 1,024 keys
+/// (`range_collect/fast_100`: 100, the windows of the repo benchmark's
+/// control workloads), and `get/hit` and `get/miss` look up a present and an
+/// absent key.  The fast path walks the small maps with one cursor and the
+/// large one with interleaved cursors (`skiphash`'s `traverse` module), so
+/// `range_collect/fast` and `range_collect/fast_large` stand on either side
+/// of that choice.
 pub fn traversal_cases(mut measure: impl FnMut(&str, &mut dyn FnMut())) {
     // The baseline arms go first, while the process's heap is still clean:
     // a baseline list built *after* a skip hash lands its small nodes in the
@@ -206,11 +212,12 @@ pub fn traversal_cases(mut measure: impl FnMut(&str, &mut dyn FnMut())) {
         prefill(UNIVERSE, POPULATION, 1, |k| map.insert(k, 1));
         map
     };
-    let collect_len = |len: u64, map: &SkipHash<u64, u64>, rng: &mut SmallRng| {
-        let low = rng.gen_range(0..UNIVERSE - len);
+    let collect_len = |len: u64, universe: u64, map: &SkipHash<u64, u64>, rng: &mut SmallRng| {
+        let low = rng.gen_range(0..universe - len);
         black_box(map.range(low..low + len).count());
     };
-    let collect = |map: &SkipHash<u64, u64>, rng: &mut SmallRng| collect_len(RANGE_LEN, map, rng);
+    let collect =
+        |map: &SkipHash<u64, u64>, rng: &mut SmallRng| collect_len(RANGE_LEN, UNIVERSE, map, rng);
     // Level-0 scan: one full materialization walks ~20,000 nodes, live and
     // through a pinned MVCC snapshot.
     let map = prefilled(RangePolicy::FastOnly);
@@ -242,11 +249,21 @@ pub fn traversal_cases(mut measure: impl FnMut(&str, &mut dyn FnMut())) {
     measure("range_collect/fast", &mut || collect(&map, &mut rng));
     let mut rng = SmallRng::seed_from_u64(29);
     measure("range_collect/fast_100", &mut || {
-        collect_len(SHORT_RANGE_LEN, &map, &mut rng)
+        collect_len(SHORT_RANGE_LEN, UNIVERSE, &map, &mut rng)
     });
     let slow = prefilled(RangePolicy::SlowOnly);
     let mut rng = SmallRng::seed_from_u64(13);
     measure("range_collect/slow", &mut || collect(&slow, &mut rng));
+    // Built last, so the cases above see the heap and the tower heights
+    // they saw before this case existed.
+    let large = skiphash_for(LARGE_UNIVERSE, RangePolicy::FastOnly);
+    prefill(LARGE_UNIVERSE, LARGE_UNIVERSE / 2, 1, |k| {
+        large.insert(k, 1)
+    });
+    let mut rng = SmallRng::seed_from_u64(31);
+    measure("range_collect/fast_large", &mut || {
+        collect_len(RANGE_LEN, LARGE_UNIVERSE, &large, &mut rng)
+    });
 }
 
 #[cfg(test)]

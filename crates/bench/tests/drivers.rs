@@ -159,7 +159,7 @@ fn trajectory_generates_and_checks() {
     for path in [fresh, committed.to_str().expect("repo path is UTF-8")] {
         let (code, stdout, stderr) = run(bin, &["--check", path]);
         assert_eq!(code, 0, "{path} failed --check:\n{stderr}");
-        assert!(stdout.contains("OK (15 points)"), "{stdout}");
+        assert!(stdout.contains("OK (16 points)"), "{stdout}");
     }
     let _ = std::fs::remove_file(fresh);
 }

@@ -8,9 +8,9 @@
 //! query finishes.  Both paths, and the pinned reads of
 //! [`Snapshot`](crate::Snapshot), are the same descent and level-0 walks
 //! (the crate's `traverse` module); a path is a choice of reader and of
-//! what to do at each node.  The fast path and the pinned range collect
-//! with several cursors at once; the slow path walks with one, because it
-//! resumes from the safe node it last paused on.
+//! what to do at each node.  The fast path and the pinned range collect a
+//! list too large for the cache with several cursors at once; the slow path
+//! walks with one, because it resumes from the safe node it last paused on.
 //!
 //! [`SkipHash::range`] accepts any `RangeBounds<K>` (`1..=5`, `..`, `3..`,
 //! `(Bound::Excluded(a), Bound::Included(b))`, …) and returns an owned
@@ -114,28 +114,39 @@ pub(crate) fn end_allows<K: Ord>(position: &NodeBound<K>, end: StdBound<&K>) -> 
 
 /// Every logically present `(key, value)` pair within the bounds, in
 /// ascending key order, as `reader` sees the list: one descent to the lower
-/// bound, then level 0 walked to the upper with several cursors in flight
-/// (the crate's `traverse` module, "The interleaved walk").  This is the
-/// whole range query of the fast path and
-/// [`TxView::range`](crate::TxView::range) (`reader` a transaction) and of
-/// [`Snapshot::range`](crate::Snapshot::range) (`reader` a pin).
+/// bound, then level 0 walked to the upper.  This is the whole range query
+/// of the fast path and [`TxView::range`](crate::TxView::range) (`reader` a
+/// transaction), of [`Snapshot::range`](crate::Snapshot::range) (`reader` a
+/// pin) and, with both bounds unbounded, of the live full scans
+/// ([`SkipHash::to_vec`], `clear`, `check_invariants`).
+///
+/// A list the cache does not hold ([`traverse::is_large`]) is walked with
+/// several cursors in flight (the crate's `traverse` module, "The
+/// interleaved walk"), cut like `Snapshot::to_vec` when the scan is full;
+/// any other with one ([`collect_single`]).
 pub(crate) fn collect<K: MapKey, V: MapValue, R: Reader<K, V>>(
     reader: &mut R,
     list: &SkipList<K, V>,
     start: StdBound<&K>,
     end: StdBound<&K>,
 ) -> Result<Vec<(K, V)>, R::Abort> {
-    let mut out = Vec::new();
-    if !range_is_empty(&start, &end) {
-        let cut = traverse::RANGE_CUT_LEVEL;
-        traverse::collect_interleaved(reader, list, start, end, cut, &mut out)?;
+    if range_is_empty(&start, &end) || !traverse::is_large(reader, list)? {
+        return collect_single(reader, list, start, end);
     }
-    Ok(out)
+    let cut = match (start, end) {
+        (StdBound::Unbounded, StdBound::Unbounded) => traverse::SCAN_CUT_LEVEL,
+        _ => traverse::RANGE_CUT_LEVEL,
+    };
+    let mut out = Vec::new();
+    if traverse::collect_interleaved(reader, list, start, end, cut, &mut out)? {
+        return Ok(out);
+    }
+    collect_single(reader, list, start, end)
 }
 
-/// [`collect`] as one cursor walks it: the reference the interleaved walk is
-/// tested against.
-#[cfg(test)]
+/// [`collect`] as one cursor walks it, with the scout running ahead
+/// (`traverse::walk`): the walk of a list the cache holds, and the
+/// reference the interleaved walk is tested against.
 pub(crate) fn collect_single<K: MapKey, V: MapValue, R: Reader<K, V>>(
     reader: &mut R,
     list: &SkipList<K, V>,

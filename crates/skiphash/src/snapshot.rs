@@ -200,14 +200,22 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
     /// flight over segments of the list, so the cache misses of a long scan
     /// overlap instead of queueing one behind another (the crate's
     /// `traverse` module, "The interleaved walk").  It is the walk of
-    /// [`Snapshot::range`], with segments cut eight times longer.
+    /// [`Snapshot::range`] over a large list, with segments cut eight times
+    /// longer, but it walks a list of any size so: with one segment per 64
+    /// nodes its bookkeeping is too small to show on a list the cache holds
+    /// (docs/PERF.md, Mechanism 6).
     pub fn to_vec(&self) -> Vec<(K, V)> {
         let mut reader = self.pin.reader();
         let len = self.inner.population.sum_pinned(&mut reader);
         let mut out = Vec::with_capacity(len.max(0) as usize);
         let (list, all) = (&self.inner.skiplist, StdBound::Unbounded);
         let cut = traverse::SCAN_CUT_LEVEL;
-        let Ok(()) = traverse::collect_interleaved(&mut reader, list, all, all, cut, &mut out);
+        let Ok(complete) =
+            traverse::collect_interleaved(&mut reader, list, all, all, cut, &mut out);
+        debug_assert!(
+            complete,
+            "a pinned reader gives no hints, so it never misses"
+        );
         out
     }
 

@@ -1,8 +1,8 @@
 //! The one traversal core: every read of the skip list — tower descent,
 //! level-0 walk, point queries, fast-path, slow-path and pinned range
 //! queries — is [`descend`] and [`walk`] (or [`scan`], one after the other)
-//! driven by a [`Reader`]; a range collect walks level 0 with several
-//! cursors at once ([`collect_interleaved`]).
+//! driven by a [`Reader`]; a range collect over a list too large for the
+//! cache walks level 0 with several cursors at once ([`collect_interleaved`]).
 //!
 //! The paper's claim is that STM leaves the skip hash with one search and
 //! one scan, run as one transaction (fast path), as many small ones under
@@ -100,15 +100,20 @@
 //!
 //! # The interleaved walk
 //!
-//! A range query or a full scan ([`collect_interleaved`], behind every range
-//! collect, `Snapshot::to_vec` and so every checkpoint) is a chain of
-//! dependent cache misses if one cursor walks it: each hop's address is in
-//! the line the previous hop misses on.  The walk instead cuts level 0 into
-//! segments and keeps several cursors in flight, one per segment, advancing
-//! them round-robin and prefetching each one's next node, so their misses
-//! overlap (asynchronous memory access chaining: Kocberber et al., VLDB
-//! 2015).  Every hop is still a read through the reader, and every handle is
-//! covered as in the plain walk.
+//! A range query or a full scan ([`collect_interleaved`], behind the range
+//! collects and live full scans of a large list, `Snapshot::to_vec` and so
+//! every checkpoint) is a chain of dependent cache misses if one cursor walks
+//! it: each hop's address is in the line the previous hop misses on.  The
+//! walk instead cuts level 0 into segments and keeps several cursors in
+//! flight, one per segment, advancing them round-robin and prefetching each
+//! one's next node, so their misses overlap (asynchronous memory access
+//! chaining: Kocberber et al., VLDB 2015).  Every hop is still a read
+//! through the reader, and every handle is covered as in the plain walk.
+//!
+//! On a list the cache holds there are no misses to overlap, and the
+//! cursors' bookkeeping costs more than it saves, so a range collect walks
+//! with several cursors only a list [`is_large`] judges too large for the
+//! cache, and with one ([`walk`], with its scout) any other.
 //!
 //! A segment ends where the next starts: at the node its start links at the
 //! cut level.  That cut is exact if the node it designates is linked at
@@ -129,9 +134,26 @@
 //!   whole towers too: its inserts and unstitches are the ones above, and a
 //!   mark writes no link.
 //!
-//! So the cuts are read through [`Reader::link`], never as hints: a hint
-//! shows committed words only, and can name a node the attempt's own writes
-//! have unstitched, which the cursor would then never meet.
+//! A hinted cut cannot be taken on trust: a hint shows committed words only,
+//! so it can name a node inserted after the attempt's read version, or one
+//! the attempt's own writes have unstitched, which the cursor would then
+//! never meet.  So a cut taken as a hint is *confirmed* before the segment
+//! it starts is walked: the segment's cursor, finding its start inside the
+//! end bound, reads the previous start's cut link through [`Reader::link`]
+//! and checks that it designates that start.  A confirm that would abort
+//! aborts, as the single walk would where the race is; one that reads
+//! another node (the attempt's own inserts and unstitches) is a *miss*, and
+//! the collect is walked again with one cursor, as the descent re-runs with
+//! validated reads.  A pinned reader gives no hints, so its cuts are read.
+//!
+//! The confirm comes after the bound check so that a transaction reads no
+//! more than its window: a cut whose node lies past the end bound starts an
+//! empty segment and is never read, and the segment before it runs to the
+//! bound as the single walk does.  A cut inside the window changes only with
+//! a tower between it and its predecessor cut, or with its own unstitching,
+//! and either rewrites a level-0 link inside the window, which the single
+//! walk reads as well; so the walk conflicts with the commits the single
+//! walk conflicts with.
 //!
 //! Up to the first node tall enough to cut at, one cursor walks ([`walk`],
 //! with its scout) and pushes its pairs straight into the result, so a
@@ -398,9 +420,10 @@ const SCOUT_LEAD: usize = 4;
 /// moves past a node, the scout follows the level-1 list until it is
 /// [`SCOUT_LEAD`] level-1 nodes ahead, reading through [`Reader::hint`] and
 /// prefetching each level-1 node it reaches and that node's level-0
-/// successor.  A range collect walks with more cursors instead
-/// ([`collect_interleaved`]), so the scout serves the slow path's walk, the
-/// point queries' short walks, `count_present` and a collect's first run.
+/// successor.  A range collect over a large list walks with more cursors
+/// instead ([`collect_interleaved`]), so the scout serves the slow path's
+/// walk, the point queries' short walks, `count_present`, the collects of a
+/// list the cache holds and an interleaved collect's first run.
 ///
 /// Everything it loads is a hint: a concurrent commit can lead it astray,
 /// which costs wasted cache fills, and it restarts from the walk's own
@@ -477,6 +500,54 @@ pub(crate) fn first_present<K: MapKey, V: MapValue, R: Reader<K, V>>(
     })
 }
 
+/// The level [`is_large`] counts nodes at, and how many it looks for: a list
+/// holding [`LARGE_NODES`] nodes taller than `LARGE_LEVEL` holds about
+/// `LARGE_NODES << LARGE_LEVEL` = 2^17 nodes or more.  Counting four nodes
+/// rather than testing for one keeps the verdict steady: a 20,000-node list
+/// reads as large with probability 0.4%, a 500,000-node one as small with
+/// probability 0.02% (Poisson tails), where one node above level 17, the
+/// same 2^17, would misjudge them at 14% and 2.2%.
+const LARGE_LEVEL: usize = 15;
+const LARGE_NODES: usize = 4;
+
+/// True when `list` looks too large for the cache to hold, judged from its
+/// tall nodes: whether at least [`LARGE_NODES`] of them rise above
+/// [`LARGE_LEVEL`] (capped below the list's top level, so a list configured
+/// with fewer levels reads as large sooner).  A range collect walks a large
+/// list with [`collect_interleaved`], whose cursors overlap the misses of a
+/// list the cache does not hold and cost more than they save on one it does
+/// (docs/PERF.md, Mechanism 6).
+///
+/// The verdict steers the walk and nothing else, so its reads are hints
+/// where the reader gives them and join no read set; a pinned reader reads
+/// at its pin.  The nodes it visits are the tallest of the list, which every
+/// bounded descent passes, so they are usually in cache.
+pub(crate) fn is_large<K: MapKey, V: MapValue, R: Reader<K, V>>(
+    reader: &mut R,
+    list: &SkipList<K, V>,
+) -> Result<bool, R::Abort> {
+    let level = LARGE_LEVEL.min(list.max_level() - 1);
+    let tail = list.tail();
+    let mut at = list.head();
+    for _ in 0..LARGE_NODES {
+        // SAFETY: `at` is the head sentinel (owned by `list`) or was reached
+        // through `reader`, hinted or read — the module's borrowed-handle
+        // contract.
+        let succ = &at.tower(unsafe { at.node() })[level].succ;
+        // A link within the list is never absent, so a reader that gives
+        // hints never takes the read.
+        let next = match reader.hint(succ) {
+            Some(next) => next,
+            None => reader.link(succ)?,
+        };
+        if next == tail {
+            return Ok(false);
+        }
+        at = next;
+    }
+    Ok(true)
+}
+
 /// Cursors [`collect_interleaved`] keeps in flight.
 const CURSORS: usize = 8;
 
@@ -522,30 +593,44 @@ fn with_staging<T>(body: impl FnOnce(&mut [Vec<NonNull<u8>>]) -> T) -> T {
 
 /// One cursor of [`collect_interleaved`]: walking level 0 from `at` until it
 /// reaches `stop`, the first node of the next segment, staging what it
-/// collects in segment number `segment`.  `stop` is read on the segment's
+/// collects in segment number `segment`.  `stop` is taken on the segment's
 /// first hop, from the start's tower.
-struct SegmentCursor<K, V> {
+struct SegmentCursor<'n, K, V> {
     at: RawNode<K, V>,
     stop: Option<RawNode<K, V>>,
     segment: usize,
+    /// The previous segment's start's cut link, while this segment's start is
+    /// a hint of it still to be confirmed.
+    hinted_by: Option<&'n TCell<Link<K, V>>>,
 }
 
 /// Append to `out` every logically present `(key, value)` pair of `list`
 /// within the bounds, in key order, as `reader` sees the list: what [`scan`]
 /// from `start` to `end` collects, with up to [`CURSORS`] segments of level
-/// 0 walked at once (see the module docs, "The interleaved walk").
+/// 0 walked at once (see the module docs, "The interleaved walk").  Returns
+/// `false` on a *miss*, a hinted cut its confirm refuted (below); `out` then
+/// holds an unusable partial result, and the caller walks with one cursor
+/// instead.  A reader without hints never misses.
 ///
 /// The walk descends to `start` and runs one cursor from there, pushing
 /// pairs straight into `out`, until it meets the first node whose tower
 /// rises above `cut` (capped below the list's top level).  From that node on,
 /// level 0 is cut into segments at the nodes `cut` links.  Each segment ends
-/// where the next starts: at the node its start links at `cut`, read on the
+/// where the next starts: at the node its start links at `cut`, taken on the
 /// segment's first hop, which hands that node to the next free cursor.  A
 /// cursor stops when its hop reaches its end node, which is exact because a
 /// tower's links at all its levels are written by one commit, so the node a
 /// cut link designates in the reader's view is on level 0 there too, after
 /// every node of the segment.  A segment that starts past the end bound is
 /// empty and feeds no further one; a cursor also stops at the end bound.
+///
+/// Through a reader that gives hints the cut link is hinted, and the next
+/// segment's cursor, once it finds its start inside the end bound, confirms
+/// it with a validated read of that link before it walks.  So the walk reads
+/// no cut link whose node lies past the end bound, and a hint the reader's
+/// view does not bear out (a commit after the attempt's read version, which
+/// the confirm aborts on, or the attempt's own insert or unstitch, which it
+/// misses on) never steers a cursor.
 ///
 /// Each segment stages the handles of its present nodes in a buffer of its
 /// own (this thread's, reused), and once every earlier segment has been
@@ -558,7 +643,7 @@ pub(crate) fn collect_interleaved<K: MapKey, V: MapValue, R: Reader<K, V>>(
     end: StdBound<&K>,
     cut: usize,
     out: &mut Vec<(K, V)>,
-) -> Result<(), R::Abort> {
+) -> Result<bool, R::Abort> {
     let level = cut.min(list.max_level() - 1);
     let mut first_cut = None;
     let first_run = |reader: &mut R, at: RawNode<K, V>, node: &Node<K, V>| {
@@ -576,7 +661,7 @@ pub(crate) fn collect_interleaved<K: MapKey, V: MapValue, R: Reader<K, V>>(
     };
     scan(reader, list, start, first_run)?;
     let Some(first_cut) = first_cut else {
-        return Ok(());
+        return Ok(true);
     };
     with_staging(|staged| interleave(reader, list, first_cut, end, level, staged, out))
 }
@@ -591,24 +676,26 @@ fn interleave<K: MapKey, V: MapValue, R: Reader<K, V>>(
     level: usize,
     staged: &mut [Vec<NonNull<u8>>],
     out: &mut Vec<(K, V)>,
-) -> Result<(), R::Abort> {
+) -> Result<bool, R::Abort> {
     let tail = list.tail();
-    let mut cursors: [Option<SegmentCursor<K, V>>; CURSORS] = std::array::from_fn(|_| None);
+    let mut cursors: [Option<SegmentCursor<'_, K, V>>; CURSORS] = std::array::from_fn(|_| None);
     // Segments `first_staged..handed_out` are staged; `done[s %
     // STAGED_SEGMENTS]` tells whether segment `s`'s cursor has finished, and
-    // `feed` is the start of the next segment to hand out.
+    // `feed` is the start of the next segment to hand out, with the cut link
+    // that hinted it.
     let mut done = [false; STAGED_SEGMENTS];
     let (mut first_staged, mut handed_out) = (0, 0);
-    let mut feed = Some(first_cut);
+    let mut feed = Some((first_cut, None));
     loop {
         let mut busy = false;
         for slot in &mut cursors {
             if slot.is_none() && handed_out - first_staged < STAGED_SEGMENTS {
-                if let Some(start) = feed.take() {
+                if let Some((start, hinted_by)) = feed.take() {
                     *slot = Some(SegmentCursor {
                         at: start,
                         stop: None,
                         segment: handed_out,
+                        hinted_by,
                     });
                     handed_out += 1;
                 }
@@ -617,22 +704,31 @@ fn interleave<K: MapKey, V: MapValue, R: Reader<K, V>>(
                 continue;
             };
             busy = true;
-            // SAFETY: `cursor.at` was read through `reader` — the module's
-            // borrowed-handle contract.
+            // SAFETY: `cursor.at` was read or hinted through `reader` — the
+            // module's borrowed-handle contract.
             let node = unsafe { cursor.at.node() };
             let index = cursor.segment % STAGED_SEGMENTS;
             // The end bound only ever stops the last segment: every later
             // one starts past it, and so stops on its first hop.
             let finished = if end_allows(&node.bound, end) {
+                if let Some(cut) = cursor.hinted_by.take() {
+                    if reader.link(cut)? != cursor.at {
+                        return Ok(false);
+                    }
+                }
                 let tower = cursor.at.tower(node);
                 let stop = match cursor.stop {
                     Some(stop) => stop,
                     // The segment's first hop: its start is a node `level`
                     // links, or the first node taller than `level`.
                     None => {
-                        let stop = reader.link(&tower[level].succ)?;
+                        let cut = &tower[level].succ;
+                        let (stop, hinted_by) = match reader.hint(cut) {
+                            Some(stop) => (stop, Some(cut)),
+                            None => (reader.link(cut)?, None),
+                        };
                         stop.prefetch_to(level);
-                        feed = (stop != tail).then_some(stop);
+                        feed = (stop != tail).then_some((stop, hinted_by));
                         *cursor.stop.insert(stop)
                     }
                 };
@@ -667,7 +763,7 @@ fn interleave<K: MapKey, V: MapValue, R: Reader<K, V>>(
         }
         if !busy {
             debug_assert!(first_staged == handed_out && feed.is_none());
-            return Ok(());
+            return Ok(true);
         }
     }
 }
@@ -858,6 +954,8 @@ mod tests {
                 };
                 let got = collect(reader, &fx.list, start, end).unwrap();
                 assert_eq!(got, expected, "collect({start:?}, {end:?})");
+                let got = interleaved(reader, &fx.list, start, end).unwrap();
+                assert_eq!(got, expected, "interleaved({start:?}, {end:?})");
             }
         }
     }
@@ -904,6 +1002,33 @@ mod tests {
     }
 
     const CUT: usize = RANGE_CUT_LEVEL + 1;
+
+    /// The interleaved collector at the range cut level, whatever the size of
+    /// the list: what `range::collect` runs on a large one; `None` on a miss.
+    fn try_interleaved<R: Reader<u64, u64>>(
+        reader: &mut R,
+        list: &SkipList<u64, u64>,
+        start: StdBound<&u64>,
+        end: StdBound<&u64>,
+    ) -> Result<Option<Vec<(u64, u64)>>, R::Abort> {
+        let mut out = Vec::new();
+        let complete = range_is_empty(&start, &end)
+            || collect_interleaved(reader, list, start, end, RANGE_CUT_LEVEL, &mut out)?;
+        Ok(complete.then_some(out))
+    }
+
+    /// [`try_interleaved`] through a reader with no writes of its own: a
+    /// hint that a validated read does not bear out is then a commit after
+    /// the read version, which aborts, so it never misses.
+    fn interleaved<R: Reader<u64, u64>>(
+        reader: &mut R,
+        list: &SkipList<u64, u64>,
+        start: StdBound<&u64>,
+        end: StdBound<&u64>,
+    ) -> Result<Vec<(u64, u64)>, R::Abort> {
+        let got = try_interleaved(reader, list, start, end)?;
+        Ok(got.expect("no own writes, no miss"))
+    }
 
     fn mark(tx: &mut Txn<'_>, list: &SkipList<u64, u64>, key: u64) -> TxResult<()> {
         scan(tx, list, Included(&key), |tx, _, node| {
@@ -1003,9 +1128,9 @@ mod tests {
         {
             for start in bounds.iter().map(StdBound::as_ref) {
                 for end in bounds.iter().map(StdBound::as_ref) {
-                    let interleaved = collect(reader, &self.list, start, end)?;
+                    let got = interleaved(reader, &self.list, start, end)?;
                     let single = collect_single(reader, &self.list, start, end)?;
-                    assert_eq!(interleaved, single, "{label}: ({start:?}, {end:?})");
+                    assert_eq!(got, single, "{label}: ({start:?}, {end:?})");
                 }
             }
             Ok(())
@@ -1069,7 +1194,10 @@ mod tests {
             .expect("a read-only attempt alone commits");
 
             // An ordinary attempt over its own writes at both bounds, rolled
-            // back so that every pair of probes sees the same list.
+            // back so that every pair of probes sees the same list.  Its own
+            // cut nodes make some hinted cuts stale, so some of its collects
+            // miss; the others must match the single walk.
+            let (mut walked, mut missed) = (0, 0);
             for (i, &low) in seg.probes.iter().enumerate() {
                 for &high in &seg.probes[i..] {
                     let attempt = stm.try_once(|tx| {
@@ -1079,11 +1207,15 @@ mod tests {
                         for start in shapes(low) {
                             for end in shapes(high) {
                                 let (start, end) = (start.as_ref(), end.as_ref());
-                                let interleaved = collect(tx, list, start, end)?;
                                 let single = collect_single(tx, list, start, end)?;
+                                let Some(got) = try_interleaved(tx, list, start, end)? else {
+                                    missed += 1;
+                                    continue;
+                                };
+                                walked += 1;
                                 let label =
                                     format!("own writes at {low}, {high}: ({start:?}, {end:?})");
-                                assert_eq!(interleaved, single, "{label}");
+                                assert_eq!(got, single, "{label}");
                             }
                         }
                         Err::<(), _>(TxAbort::Explicit)
@@ -1093,6 +1225,9 @@ mod tests {
                         Err(TxAbort::Explicit)
                     );
                 }
+            }
+            if max_level > RANGE_CUT_LEVEL {
+                assert!(walked > 0 && missed > 0, "{walked} walked, {missed} missed");
             }
 
             // A pin, read after churn that marks, unstitches and inserts cut
@@ -1116,8 +1251,9 @@ mod tests {
             let Ok(()) = seg.compare(&mut reader, &bounds, "pinned");
             for cut in [RANGE_CUT_LEVEL, SCAN_CUT_LEVEL] {
                 let mut all = Vec::new();
-                let Ok(()) =
+                let Ok(complete) =
                     collect_interleaved(&mut reader, list, Unbounded, Unbounded, cut, &mut all);
+                assert!(complete, "a pinned reader never misses");
                 assert_eq!(all, expected, "pinned full scan, cut level {cut}");
             }
         }
@@ -1178,9 +1314,9 @@ mod tests {
                 let low = (query * 37) % (UNIVERSE - span);
                 let (start, end) = (Included(&low), Excluded(&(low + span)));
                 let window = if query.is_multiple_of(3) {
-                    stm.run(|tx| collect(tx, &list, start, end))
+                    stm.run(|tx| interleaved(tx, &list, start, end))
                 } else {
-                    stm.run_read_only(|tx| collect(tx, &list, start, end))
+                    stm.run_read_only(|tx| interleaved(tx, &list, start, end))
                 };
                 let evens: Vec<u64> = window
                     .iter()
@@ -1199,6 +1335,55 @@ mod tests {
             assert!(query > 0);
         });
         assert_eq!(stm.run(|tx| list.check_invariants(tx)), Ok(()));
+    }
+
+    /// `is_large` counts the nodes linked at its level, through a
+    /// transaction and through a pin alike, capped below a short list's top
+    /// level; `range::collect` follows its verdict, and either walk returns
+    /// the same pairs.
+    #[test]
+    fn is_large_counts_tall_nodes_and_collect_follows_it() {
+        for max_level in [20, 8] {
+            let stm = Arc::new(Stm::new());
+            let list: SkipList<u64, u64> = SkipList::new(max_level);
+            let insert = |key: u64, height: usize| {
+                stm.run(|tx| {
+                    list.insert_after_logical_deletes(tx, key, key, height, 0, None)
+                        .map(drop)
+                })
+            };
+            let verdict = || {
+                let in_txn = stm.run_read_only(|tx| is_large(tx, &list));
+                let pin = stm.pin_snapshot();
+                let Ok(pinned) = is_large(&mut pin.reader(), &list);
+                assert_eq!(in_txn, pinned, "both readers agree");
+                in_txn
+            };
+            let level = LARGE_LEVEL.min(max_level - 1);
+            for key in 0..300u64 {
+                insert(key * 2, 1 + key as usize % 3);
+            }
+            // A node as tall as the level itself is not linked there.
+            insert(99, level);
+            assert!(!verdict());
+            for tall in [1, 201, 301, 401] {
+                assert!(!verdict(), "fewer than {LARGE_NODES} tall nodes");
+                insert(tall, level + 1);
+            }
+            assert!(verdict());
+
+            let bounds = [Unbounded, Included(150), Excluded(150), Included(450)];
+            for start in bounds.iter().map(StdBound::as_ref) {
+                for end in bounds.iter().map(StdBound::as_ref) {
+                    let single = stm.run(|tx| collect_single(tx, &list, start, end));
+                    let got = stm.run_read_only(|tx| collect(tx, &list, start, end));
+                    assert_eq!(got, single, "({start:?}, {end:?})");
+                    let pin = stm.pin_snapshot();
+                    let Ok(got) = collect(&mut pin.reader(), &list, start, end);
+                    assert_eq!(got, single, "pinned ({start:?}, {end:?})");
+                }
+            }
+        }
     }
 
     /// The scout reads ahead of the walk through hints, which never join the

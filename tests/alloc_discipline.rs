@@ -18,7 +18,7 @@ use skiphash_stm::sync::{AtomicU64, Ordering};
 use std::alloc::{GlobalAlloc, Layout, System};
 
 use crossbeam_epoch as epoch;
-use skiphash::{SkipHash, TxHashMap};
+use skiphash::{SkipHash, SkipHashBuilder, TxHashMap};
 use skiphash_stm::{Stm, TCell};
 
 struct CountingAllocator;
@@ -265,6 +265,33 @@ fn steady_state_hot_paths_do_not_touch_the_global_allocator() {
         }) - 500 * result_allocs
     });
     assert_eq!(map.stm_stats().read_only_upgrades, 0);
+
+    // ---- 3c. A list judged too large for the cache is walked with
+    // interleaved cursors, which stage handles in buffers their thread
+    // reuses: a fast-path range and a pinned range over it allocate their
+    // result and nothing more.  Six levels make its ~32 full-height nodes
+    // count as the tall nodes of a large list.
+    let wide: SkipHash<u64, u64> = SkipHashBuilder::new().max_level(6).build();
+    for key in 0..1_024u64 {
+        wide.insert(key, key);
+    }
+    let wide_snap = wide.snapshot();
+    let wide_ranges = |map: &SkipHash<u64, u64>, snap: &skiphash::Snapshot<u64, u64>| {
+        let range = map.range_attempt_fast(100..164u64);
+        assert_eq!(range.map(|pairs| pairs.len()), Some(64));
+        assert_eq!(snap.range(100..164u64).len(), 64);
+    };
+    for _ in 0..200 {
+        wide_ranges(&wide, &wide_snap);
+    }
+    assert_steady_state_is_allocation_free("interleaved ranges", || {
+        count_allocs(|| {
+            for _ in 0..500 {
+                wide_ranges(&wide, &wide_snap);
+            }
+        }) - 1_000 * result_allocs
+    });
+    drop(wide_snap);
 
     // ---- 4. Pinned snapshot reads: ZERO allocations.
     //

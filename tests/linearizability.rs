@@ -23,12 +23,27 @@ fn build(policy: RangePolicy) -> Arc<SkipHash<u64, u64>> {
 
 /// Writers toggle odd keys while even keys stay untouched; every range query
 /// must observe *all* even keys exactly once and never a duplicate key.
-/// Windows alternate between spans of 500 and 4,096 keys: a long one is
-/// walked by several cursors at once, over segments cut at nodes the
-/// writers' re-inserts create and unstitch.
+/// Windows alternate between spans of 500 and 4,096 keys.  The scenario
+/// runs twice: on a map of 14 levels, which a range walks with one cursor,
+/// and on one of 8, whose ~30 nodes of full height make a range judge the
+/// list large (it counts tall nodes at the list's top level) and walk it
+/// with several cursors at once, over segments cut at nodes the writers'
+/// re-inserts create and unstitch.
 fn stable_evens_scenario(policy: RangePolicy) {
+    for levels in [14, 8] {
+        stable_evens_run(policy, levels);
+    }
+}
+
+fn stable_evens_run(policy: RangePolicy, levels: usize) {
     const UNIVERSE: u64 = 5_000;
-    let map = build(policy);
+    let map = Arc::new(
+        SkipHashBuilder::new()
+            .buckets(4_099)
+            .max_level(levels)
+            .range_policy(policy)
+            .build(),
+    );
     for key in (0..UNIVERSE).step_by(2) {
         assert!(map.insert(key, key));
     }
@@ -59,7 +74,10 @@ fn stable_evens_scenario(policy: RangePolicy) {
         // All even keys in the window must be present exactly once.
         let expected_evens = (low..=high).filter(|k| k % 2 == 0).count();
         let observed_evens = window.iter().filter(|(k, _)| k % 2 == 0).count();
-        assert_eq!(observed_evens, expected_evens, "policy {policy:?}");
+        assert_eq!(
+            observed_evens, expected_evens,
+            "{policy:?}, {levels} levels"
+        );
         // Sorted, no duplicates.
         assert!(window.windows(2).all(|w| w[0].0 < w[1].0));
         // Every reported value matches its key (writers always store v == k).
