@@ -18,6 +18,7 @@
 //! allocates height-1 nodes of its own, owns them while they are on its
 //! chains, and retires each at the commit that unlinks it (see
 //! [`crate::node`]).  Either way building a map allocates the bucket array
+//! (an `arena::Table` of the STM crate, on huge pages where it spans one)
 //! and nothing per bucket, and an update writes link words only: an insert
 //! builds its node with the bucket's head as its `hash_next` and writes the
 //! bucket, and an unlink rewrites the one link that points at the node.  Two
@@ -35,6 +36,7 @@ use std::collections::hash_map::RandomState;
 use std::fmt;
 use std::hash::BuildHasher;
 
+use skiphash_stm::arena::Table;
 use skiphash_stm::{TCell, TxResult, Txn};
 
 use crate::node::{Link, Node, OwnedNode, RawNode};
@@ -44,11 +46,18 @@ use crate::{MapKey, MapValue};
 /// node, and its handle.
 pub(crate) type Found<'c, K, V> = (&'c TCell<Link<K, V>>, &'c Node<K, V>, RawNode<K, V>);
 
+/// Where a key's chain walk ended: on its node, or, the key being absent,
+/// with the bucket a fresh node for it heads.
+pub(crate) enum Slot<'c, K, V> {
+    Present(&'c Node<K, V>),
+    Vacant(&'c TCell<Link<K, V>>),
+}
+
 /// The bucket array of a chained index: the chains, and no ownership of the
 /// nodes on them.  The skip hash's index is one; a [`TxHashMap`] is one that
 /// owns its nodes.
 pub(crate) struct Index<K, V> {
-    buckets: Box<[TCell<Link<K, V>>]>,
+    buckets: Table<TCell<Link<K, V>>>,
     hasher: RandomState,
 }
 
@@ -56,14 +65,13 @@ impl<K: MapKey, V: MapValue> Index<K, V> {
     pub(crate) fn new(bucket_count: usize) -> Self {
         assert!(bucket_count > 0, "bucket count must be positive");
         Self {
-            buckets: (0..bucket_count).map(|_| TCell::new(None)).collect(),
+            buckets: Table::new(bucket_count, |_| TCell::new(None)),
             hasher: RandomState::new(),
         }
     }
 
-    /// The bucket `key` hashes to: an insert reads its head into the fresh
-    /// node's `hash_next`, then writes the node there.
-    pub(crate) fn bucket_for(&self, key: &K) -> &TCell<Link<K, V>> {
+    /// The bucket `key` hashes to.
+    fn bucket_for(&self, key: &K) -> &TCell<Link<K, V>> {
         let hash = self.hasher.hash_one(key);
         let index = (hash % self.buckets.len() as u64) as usize;
         &self.buckets[index]
@@ -101,6 +109,18 @@ impl<K: MapKey, V: MapValue> Index<K, V> {
     /// [`Index::walk`]).
     pub(crate) fn find(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<Option<&Node<K, V>>> {
         Ok(self.locate(tx, key)?.map(|(_, node, _)| node))
+    }
+
+    /// `key`'s node or, when it is absent, its bucket, which an insert
+    /// reads into the fresh node's `hash_next` and then points at the node:
+    /// the key is hashed once either way.  Valid for the rest of the attempt
+    /// `tx` (see [`Index::walk`]).
+    pub(crate) fn slot(&self, tx: &mut Txn<'_>, key: &K) -> TxResult<Slot<'_, K, V>> {
+        let bucket = self.bucket_for(key);
+        Ok(match Self::walk(tx, bucket, |node| node.key() == key)? {
+            Some((_, node, _)) => Slot::Present(node),
+            None => Slot::Vacant(bucket),
+        })
     }
 
     /// Unlink `key`'s node from its chain, returning where the walk found
@@ -186,10 +206,10 @@ impl<K: MapKey, V: MapValue> TxHashMap<K, V> {
     /// `std`-style overwrite-and-return-displaced behaviour.
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn insert(&self, tx: &mut Txn<'_>, key: K, value: V) -> TxResult<bool> {
-        if self.contains(tx, &key)? {
+        let Slot::Vacant(bucket) = self.0.slot(tx, &key)? else {
             return Ok(false);
-        }
-        self.link(tx, key, value)?;
+        };
+        Self::link(tx, bucket, key, value)?;
         Ok(true)
     }
 
@@ -198,19 +218,19 @@ impl<K: MapKey, V: MapValue> TxHashMap<K, V> {
     /// semantics; contrast with the set-style [`TxHashMap::insert`]).
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn upsert(&self, tx: &mut Txn<'_>, key: K, value: V) -> TxResult<Option<V>> {
-        if let Some(node) = self.0.find(tx, &key)? {
-            let previous = node.read_value(tx)?;
-            node.value().write(tx, value)?;
-            return Ok(Some(previous));
+        match self.0.slot(tx, &key)? {
+            Slot::Present(node) => {
+                let previous = node.read_value(tx)?;
+                node.value().write(tx, value)?;
+                Ok(Some(previous))
+            }
+            Slot::Vacant(bucket) => Self::link(tx, bucket, key, value).map(|()| None),
         }
-        self.link(tx, key, value)?;
-        Ok(None)
     }
 
-    /// Push a fresh node for the absent `key` at the head of its bucket; the
-    /// attempt frees it if it aborts.
-    fn link(&self, tx: &mut Txn<'_>, key: K, value: V) -> TxResult<()> {
-        let bucket = self.0.bucket_for(&key);
+    /// Push a fresh node for the absent `key` at the head of its `bucket`;
+    /// the attempt frees it if it aborts.
+    fn link(tx: &mut Txn<'_>, bucket: &TCell<Link<K, V>>, key: K, value: V) -> TxResult<()> {
         let next = bucket.read(tx)?;
         let node = Node::linked_in(tx, key, value, 1, 0, next, |_| (None, None));
         bucket.write(tx, Some(node))

@@ -41,10 +41,11 @@ use std::ops::Bound;
 use std::ops::RangeBounds;
 use std::sync::Arc;
 
-use skiphash_stm::{TxResult, Txn};
+use skiphash_stm::{TCell, TxResult, Txn};
 
+use crate::hashmap::Slot;
 use crate::map::Inner;
-use crate::node::Node;
+use crate::node::{Link, Node};
 use crate::range::{self, Range};
 use crate::{MapKey, MapValue};
 
@@ -148,10 +149,10 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     /// [`TxView::compute`] (decide) when that is not what you want.
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn insert(&mut self, key: K, value: V) -> TxResult<bool> {
-        if self.contains_key(&key)? {
+        let Slot::Vacant(bucket) = self.slot(&key)? else {
             return Ok(false);
-        }
-        self.insert_fresh(key, value)?;
+        };
+        self.insert_fresh(bucket, key, value)?;
         Ok(true)
     }
 
@@ -160,13 +161,14 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     /// [`TxView::insert`]).
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn upsert(&mut self, key: K, value: V) -> TxResult<Option<V>> {
-        if let Some(node) = self.node(&key)? {
-            let previous = node.read_value(self.tx)?;
-            self.write_value(node, value)?;
-            return Ok(Some(previous));
+        match self.slot(&key)? {
+            Slot::Present(node) => {
+                let previous = node.read_value(self.tx)?;
+                self.write_value(node, value)?;
+                Ok(Some(previous))
+            }
+            Slot::Vacant(bucket) => self.insert_fresh(bucket, key, value).map(|()| None),
         }
-        self.insert_fresh(key, value)?;
-        Ok(None)
     }
 
     /// Remove `key`, returning whether it was present.
@@ -220,12 +222,14 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     where
         F: FnOnce() -> V,
     {
-        if let Some(node) = self.node(&key)? {
-            return node.read_value(self.tx);
+        match self.slot(&key)? {
+            Slot::Present(node) => node.read_value(self.tx),
+            Slot::Vacant(bucket) => {
+                let value = f();
+                self.insert_fresh(bucket, key, value.clone())?;
+                Ok(value)
+            }
         }
-        let value = f();
-        self.insert_fresh(key, value.clone())?;
-        Ok(value)
     }
 
     /// Decide the fate of `key`: `f` sees the current value (if any) and
@@ -236,22 +240,22 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     where
         F: FnOnce(Option<&V>) -> Compute<V>,
     {
-        let node = self.node(&key)?;
-        let current = match node {
-            None => None,
-            Some(node) => Some(node.read_value(self.tx)?),
+        let slot = self.slot(&key)?;
+        let current = match slot {
+            Slot::Vacant(_) => None,
+            Slot::Present(node) => Some(node.read_value(self.tx)?),
         };
         match f(current.as_ref()) {
             Compute::Keep => Ok(current),
             Compute::Put(value) => {
-                match node {
-                    Some(node) => self.write_value(node, value.clone())?,
-                    None => self.insert_fresh(key, value.clone())?,
+                match slot {
+                    Slot::Present(node) => self.write_value(node, value.clone())?,
+                    Slot::Vacant(bucket) => self.insert_fresh(bucket, key, value.clone())?,
                 }
                 Ok(Some(value))
             }
             Compute::Remove => {
-                if node.is_some() {
+                if let Slot::Present(_) = slot {
                     self.take(&key)?;
                 }
                 Ok(None)
@@ -346,6 +350,12 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
         self.inner.index.find(self.tx, key)
     }
 
+    /// `key`'s node or, when it is absent, its bucket, borrowed as
+    /// [`TxView::node`] borrows the node.
+    fn slot(&mut self, key: &K) -> TxResult<Slot<'a, K, V>> {
+        self.inner.index.slot(self.tx, key)
+    }
+
     /// Overwrite a present key's value: the one place a view writes a value
     /// cell.
     fn write_value(&mut self, node: &Node<K, V>, value: V) -> TxResult<()> {
@@ -355,9 +365,10 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
         node.value().write(self.tx, value)
     }
 
-    /// Shared insert path for a key known to be absent: stitch a fresh node
-    /// into the skip list, push it at the head of its bucket, and count it.
-    fn insert_fresh(&mut self, key: K, value: V) -> TxResult<()> {
+    /// Shared insert path for a key its `bucket`'s chain does not hold:
+    /// stitch a fresh node into the skip list, push it at the head of the
+    /// bucket, and count it.
+    fn insert_fresh(&mut self, bucket: &TCell<Link<K, V>>, key: K, value: V) -> TxResult<()> {
         if let Some(journal) = self.journal.as_mut() {
             journal.put(&key, &value);
         }
@@ -366,9 +377,11 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
             self.inner.skiplist.random_height(&mut rng)
         };
         let i_time = self.inner.rqc.on_update(self.tx)?;
-        let (list, bucket) = (&self.inner.skiplist, self.inner.index.bucket_for(&key));
         let next = bucket.read(self.tx)?;
-        let node = list.insert_after_logical_deletes(self.tx, key, value, height, i_time, next)?;
+        let node = self
+            .inner
+            .skiplist
+            .insert_after_logical_deletes(self.tx, key, value, height, i_time, next)?;
         bucket.write(self.tx, Some(node))?;
         self.inner.population.bump(self.tx, 1)
     }

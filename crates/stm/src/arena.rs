@@ -13,15 +13,24 @@
 //! 1. the calling thread's **magazine** for the class (a `Vec` of block
 //!    addresses, LIFO);
 //! 2. the class's mutex-protected **global pool**, half a magazine at a time;
-//! 3. the thread's **chunk** for the class: a bump cursor over a
-//!    cache-line-aligned region of `CHUNK_BYTES`, minted from the global
-//!    allocator only when the previous chunk is spent.
+//! 3. the thread's **chunk** for the class: a bump cursor over `CHUNK_BYTES`,
+//!    carved when the previous chunk is spent from the one process-wide
+//!    **region** being carved.  A region is `REGION_BYTES` (2 MiB), aligned
+//!    to its size and advised to huge pages before its first touch; it is
+//!    minted from the global allocator when the previous one is spent.
 //!
 //! A free pushes onto the magazine; a full magazine spills its upper half to
 //! the pool, and a thread's exit pools its magazines and the uncarved tails
-//! of its chunks.  Chunks are never returned to the operating system, so
-//! pooled memory is bounded by peak live blocks plus at most one partly
-//! carved chunk per thread per class.
+//! of its chunks.  Chunks and regions are never returned to the operating
+//! system, so pooled memory is bounded by peak live blocks plus at most one
+//! partly carved chunk per thread per class, and one partly carved region.
+//!
+//! Where the kernel takes the advice (Linux with transparent huge pages in
+//! `madvise` or `always` mode), a region is one huge page, so a dependent
+//! miss into a node block is not also a TLB miss.  A [`Table`] of a region or
+//! more, such as the skip hash's bucket array, comes from the same advised
+//! path.  Where the advice is refused or ignored, the same carving runs on
+//! ordinary pages.
 //!
 //! Blocks sit back to back inside a chunk, so a block's address is a multiple
 //! of the largest power of two dividing its class size, capped at a cache
@@ -60,6 +69,8 @@
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::cell::RefCell;
+use std::ops::Deref;
+use std::ptr::{self, NonNull};
 // FACADE-EXEMPT: allocator internals run inside real `Mutex` critical
 // sections and epoch callbacks; `stm::sync`'s module docs name this module
 // as deliberately uninstrumented (schedule-space blowup + parking hazard).
@@ -83,9 +94,15 @@ const MAX_ALIGN: usize = 64;
 /// half of it is also what a refill takes.
 const MAGAZINE_CAP: usize = 64;
 
-/// Bytes per chunk, rounded down to a whole number of blocks (eight of the
-/// largest class).
+/// Bytes per chunk, of which a class uses a whole number of blocks (eight
+/// of the largest class).  A chunk per class per thread stays small: a
+/// region-sized chunk would fault up to 2 MiB per class per thread.
 const CHUNK_BYTES: usize = 32 * 1024;
+
+/// Bytes per region, and its alignment: one huge page on x86-64 and on
+/// aarch64 with 4 KiB base pages.  Holds a whole number of chunks.
+const REGION_BYTES: usize = 2 * 1024 * 1024;
+const _: () = assert!(REGION_BYTES.is_multiple_of(CHUNK_BYTES));
 
 /// Recycle hits a thread may hold back before folding them into the totals.
 const HIT_BATCH: u64 = 64;
@@ -209,15 +226,11 @@ impl Local {
             }
             return addr as *mut u8;
         }
-        let size = CLASS_SIZES[class];
         if local.cursor == local.end {
-            let bytes = CHUNK_BYTES / size * size;
-            let chunk = Layout::from_size_align(bytes, MAX_ALIGN).expect("valid chunk layout");
-            local.cursor = mint(chunk) as usize;
-            local.end = local.cursor + bytes;
+            (local.cursor, local.end) = carve(class);
         }
         let block = local.cursor;
-        local.cursor += size;
+        local.cursor += CLASS_SIZES[class];
         block as *mut u8
     }
 
@@ -265,15 +278,91 @@ pub(crate) fn thread_recycle_hits(kind: BlockKind) -> u64 {
     LOCAL.with(|local| local.borrow().hits[kind as usize])
 }
 
+/// The region being carved into chunks: `[next, end)` is its uncarved rest.
+struct Region {
+    next: usize,
+    end: usize,
+}
+
+static REGION: Mutex<Region> = Mutex::new(Region { next: 0, end: 0 });
+
+/// A fresh chunk for `class`: the span `[start, end)` of the whole blocks it
+/// holds, carved from the region, and the region from a fresh mint when it
+/// is spent.
+#[cold]
+fn carve(class: usize) -> (usize, usize) {
+    // A region is valid after every step, so a poisoned lock leaves nothing
+    // to repair.
+    let mut region = REGION
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    if region.next == region.end {
+        let start = mint_advised(region_layout(REGION_BYTES, MAX_ALIGN)) as usize;
+        *region = Region {
+            next: start,
+            end: start + REGION_BYTES,
+        };
+    }
+    let start = region.next;
+    region.next += CHUNK_BYTES;
+    let size = CLASS_SIZES[class];
+    (start, start + CHUNK_BYTES / size * size)
+}
+
+/// Fresh memory from the global allocator: the one place the recycler, its
+/// regions and its tables get memory from the system.
 #[cold]
 fn mint(layout: Layout) -> *mut u8 {
-    // SAFETY: every caller passes a non-zero-size layout (chunks and classes
-    // are non-empty; the fallback rounds a zero size up to one byte).
+    // SAFETY: every caller passes a non-zero-size layout (regions are
+    // non-empty, tables are checked, the fallback rounds a zero size up to
+    // one byte).
     let ptr = unsafe { alloc(layout) };
     if ptr.is_null() {
         handle_alloc_error(layout);
     }
     ptr
+}
+
+/// The layout of `size` bytes on whole regions: rounded up to a multiple of
+/// `REGION_BYTES` and aligned to a region, so that every huge page under it
+/// is the layout's alone.
+fn region_layout(size: usize, align: usize) -> Layout {
+    let size = size
+        .checked_next_multiple_of(REGION_BYTES)
+        .expect("a region-rounded size fits the address space");
+    Layout::from_size_align(size, align.max(REGION_BYTES)).expect("valid region layout")
+}
+
+/// [`mint`] a [`region_layout`], advised to huge pages before anything
+/// touches it.  The advice is best effort: refused, or ignored with
+/// transparent huge pages off, it leaves ordinary pages, which is all a
+/// region is then.
+fn mint_advised(layout: Layout) -> *mut u8 {
+    let ptr = mint(layout);
+    advise_huge_pages(ptr, layout.size());
+    ptr
+}
+
+/// Ask the kernel to back `[ptr, ptr + len)` with transparent huge pages,
+/// returning whether it took the advice (`madvise` returned 0).
+#[cfg(all(target_os = "linux", not(miri)))]
+fn advise_huge_pages(ptr: *mut u8, len: usize) -> bool {
+    use std::ffi::{c_int, c_void};
+    /// `MADV_HUGEPAGE` in the kernel's generic `mman-common.h`.
+    const MADV_HUGEPAGE: c_int = 14;
+    extern "C" {
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+    // SAFETY: `[ptr, ptr + len)` is a whole allocation this module minted
+    // and owns; the advice changes which pages back it, never what it holds
+    // or whether it is mapped.
+    unsafe { madvise(ptr.cast(), len, MADV_HUGEPAGE) == 0 }
+}
+
+/// Elsewhere there is no advice to give, and regions are ordinary memory.
+#[cfg(not(all(target_os = "linux", not(miri))))]
+fn advise_huge_pages(_ptr: *mut u8, _len: usize) -> bool {
+    false
 }
 
 /// The global-allocator layout of a request the pools do not serve.
@@ -298,16 +387,23 @@ pub fn alloc_raw(size: usize, align: usize, kind: BlockKind) -> *mut u8 {
     };
     LOCAL
         .try_with(|local| local.borrow_mut().alloc(class, kind))
-        // Thread-local teardown: go straight to the global pool, and to the
-        // global allocator for one block of the class when it is empty.
-        .unwrap_or_else(|_| match lock_pool(class).pop() {
-            Some(addr) => {
-                RECYCLE_HITS[kind as usize].fetch_add(1, Ordering::Relaxed);
-                addr as *mut u8
-            }
-            None => {
-                let block = Layout::from_size_align(CLASS_SIZES[class], class_align(class));
-                mint(block.expect("valid class layout"))
+        // Thread-local teardown: go straight to the global pool, and carve a
+        // chunk into it when it is empty.
+        .unwrap_or_else(|_| {
+            // Popped first: the pool's lock is not held while a chunk is
+            // carved into it.
+            let pooled = lock_pool(class).pop();
+            match pooled {
+                Some(addr) => {
+                    RECYCLE_HITS[kind as usize].fetch_add(1, Ordering::Relaxed);
+                    addr as *mut u8
+                }
+                None => {
+                    let (block, end) = carve(class);
+                    let size = CLASS_SIZES[class];
+                    lock_pool(class).extend((block + size..end).step_by(size));
+                    block as *mut u8
+                }
             }
         })
 }
@@ -338,6 +434,88 @@ pub unsafe fn free_raw(ptr: *mut u8, size: usize, align: usize) {
     {
         // Thread-local teardown.
         lock_pool(class).push(addr);
+    }
+}
+
+/// A fixed-length array on memory of its own that the recycler never
+/// carves: a hash index's buckets.
+///
+/// A table of a region or more is whole regions, region-aligned and advised
+/// to huge pages before its first touch, by the path regions are minted on.
+/// A smaller table is allocated at its own size: a huge page backs only a
+/// whole aligned region, so rounding it up would fault 2 MiB for a few KiB.
+/// Either way the layout is a pure function of the length, and the drop
+/// frees with the layout the table was built with.
+pub struct Table<T> {
+    ptr: NonNull<T>,
+    len: usize,
+}
+
+// SAFETY: a table owns its elements as a `Box<[T]>` would: moving it to
+// another thread moves them, and a shared table lends out only `&T`.
+unsafe impl<T: Send> Send for Table<T> {}
+// SAFETY: as above; `&Table<T>` gives out nothing but `&T`.
+unsafe impl<T: Sync> Sync for Table<T> {}
+
+impl<T> Table<T> {
+    /// A table of `len` elements, the `i`-th built by `init(i)`.  A panic in
+    /// `init` leaks what was built so far.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table would hold no bytes (`len` zero or `T`
+    /// zero-sized), or more than the address space.
+    pub fn new(len: usize, mut init: impl FnMut(usize) -> T) -> Self {
+        let layout = Self::layout(len);
+        let block = if layout.size() >= REGION_BYTES {
+            mint_advised(layout)
+        } else {
+            mint(layout)
+        };
+        let ptr = NonNull::new(block.cast::<T>()).expect("mint never returns null");
+        for i in 0..len {
+            // SAFETY: the block holds `len` elements of `T` (`Self::layout`),
+            // and element `i` is written once, here, before anything reads it.
+            unsafe { ptr.as_ptr().add(i).write(init(i)) };
+        }
+        Self { ptr, len }
+    }
+
+    fn layout(len: usize) -> Layout {
+        let layout = Layout::array::<T>(len).expect("a table fits the address space");
+        assert!(layout.size() > 0, "a table holds at least one byte");
+        if layout.size() < REGION_BYTES {
+            layout
+        } else {
+            region_layout(layout.size(), layout.align())
+        }
+    }
+}
+
+impl<T> Deref for Table<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        // SAFETY: `new` initialised all `len` elements, and only `drop`
+        // ends them.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl<T> Drop for Table<T> {
+    fn drop(&mut self) {
+        // SAFETY: the `len` elements are initialised and dropped once, here;
+        // the block came from `mint` with `Self::layout(len)`.
+        unsafe {
+            ptr::drop_in_place(ptr::slice_from_raw_parts_mut(self.ptr.as_ptr(), self.len));
+            dealloc(self.ptr.as_ptr().cast(), Self::layout(self.len));
+        }
+    }
+}
+
+impl<T> std::fmt::Debug for Table<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Table").field("len", &self.len).finish()
     }
 }
 
@@ -538,6 +716,154 @@ mod tests {
         for block in held {
             // SAFETY: `block` came from `alloc_raw` with the same size/align and is not used again.
             unsafe { free_raw(block, SIZE, 8) };
+        }
+    }
+
+    #[test]
+    fn teardown_allocations_carve_a_chunk_into_the_pool() {
+        let _serial = serial();
+        // The class `thread_exit_pools_the_magazine_and_the_uncarved_tail`
+        // uses, and only this module's tests allocate from.
+        const SIZE: usize = 3072;
+        const CLASS: usize = class_of(SIZE, 8).expect("pooled");
+        /// Allocates, once the thread's recycler state is gone, every pooled
+        /// block and one more, and sends back what it got.
+        struct AtExit(std::sync::mpsc::Sender<(bool, Vec<usize>)>);
+        impl Drop for AtExit {
+            fn drop(&mut self) {
+                let torn_down = LOCAL.try_with(|_| ()).is_err();
+                let wanted = lock_pool(CLASS).len() + 1;
+                let blocks = (0..wanted)
+                    .map(|_| alloc_raw(SIZE, 8, Node) as usize)
+                    .collect();
+                let _ = self.0.send((torn_down, blocks));
+            }
+        }
+        thread_local! {
+            static AT_EXIT: RefCell<Option<AtExit>> = const { RefCell::new(None) };
+        }
+        let (send, receive) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            AT_EXIT.with(|at_exit| *at_exit.borrow_mut() = Some(AtExit(send)));
+            // `LOCAL` comes to life after `AT_EXIT`, so it is torn down first.
+            thread_recycle_hits(Node);
+        })
+        .join()
+        .expect("child exits cleanly");
+        let (torn_down, blocks) = receive.recv().expect("the destructor ran");
+        assert!(torn_down, "the thread's recycler state was gone");
+        // The pool ran dry, so the last block is the first of a fresh chunk,
+        // and the rest of that chunk is pooled.
+        let fresh = *blocks.last().expect("at least one block");
+        assert_eq!(fresh % CHUNK_BYTES, 0, "{fresh:#x} starts a chunk");
+        let mut pool = lock_pool(CLASS);
+        for rest in (1..CHUNK_BYTES / SIZE).map(|i| fresh + i * SIZE) {
+            assert!(pool.contains(&rest), "{rest:#x} is pooled");
+        }
+        // Returned as a teardown free returns them.
+        pool.extend(blocks);
+    }
+
+    #[test]
+    fn every_chunk_lies_inside_one_region() {
+        // Enough chunks to spend a region or two, whatever other tests carve
+        // meanwhile.  Carving touches nothing, so the chunks cost no memory.
+        let chunks = if cfg!(miri) {
+            80
+        } else {
+            3 * REGION_BYTES / CHUNK_BYTES
+        };
+        for round in 0..chunks {
+            let class = round % NUM_CLASSES;
+            let (start, end) = carve(class);
+            let size = CLASS_SIZES[class];
+            assert_eq!(start % CHUNK_BYTES, 0, "chunks sit back to back");
+            assert_eq!((end - start) % size, 0, "a chunk is whole blocks");
+            assert!(end - start > CHUNK_BYTES - size, "and as many as fit");
+            assert_eq!(
+                start / REGION_BYTES,
+                (end - 1) / REGION_BYTES,
+                "chunk {start:#x}..{end:#x} crosses a region boundary"
+            );
+        }
+    }
+
+    #[test]
+    fn a_table_round_trips() {
+        // Below a region a table is allocated at its own size; from a region
+        // up it is whole regions, minted and advised like the chunks' ones.
+        let drops = std::sync::Arc::new(());
+        let small = Table::new(1_000, |i| (i, std::sync::Arc::clone(&drops)));
+        assert_eq!(std::sync::Arc::strong_count(&drops), 1_001);
+        assert!(small.iter().enumerate().all(|(i, (at, _))| *at == i));
+        drop(small);
+        assert_eq!(std::sync::Arc::strong_count(&drops), 1, "each dropped once");
+
+        let len = REGION_BYTES / std::mem::size_of::<u64>() + 3;
+        let large = Table::new(len, |i| i as u64 * 7);
+        assert_eq!(large.len(), len);
+        assert_eq!(large.as_ptr() as usize % REGION_BYTES, 0, "region-aligned");
+        assert!(large.iter().enumerate().all(|(i, &v)| v == i as u64 * 7));
+        assert_eq!(large[len - 1], (len - 1) as u64 * 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one byte")]
+    fn an_empty_table_is_refused() {
+        let _ = Table::new(0, |_| 0u64);
+    }
+
+    /// The `VmFlags` of the mapping that holds `addr`, from
+    /// `/proc/self/smaps`.
+    #[cfg(all(target_os = "linux", not(miri)))]
+    fn vm_flags(addr: usize) -> String {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("smaps is readable");
+        let mut holds = false;
+        for line in smaps.lines() {
+            let range = line
+                .split_whitespace()
+                .next()
+                .and_then(|r| r.split_once('-'));
+            if let Some((start, end)) = range {
+                if let (Ok(start), Ok(end)) = (
+                    usize::from_str_radix(start, 16),
+                    usize::from_str_radix(end, 16),
+                ) {
+                    holds = (start..end).contains(&addr);
+                    continue;
+                }
+            }
+            if let Some(flags) = line.strip_prefix("VmFlags:") {
+                if holds {
+                    return flags.trim().to_string();
+                }
+            }
+        }
+        panic!("no mapping holds {addr:#x}");
+    }
+
+    #[cfg(all(target_os = "linux", not(miri)))]
+    #[test]
+    fn advised_memory_is_flagged_for_huge_pages() {
+        let (chunk, _) = carve(0);
+        let table = Table::new(REGION_BYTES / std::mem::size_of::<u64>(), |_| 0u64);
+        // Whether this kernel takes the advice at all (one built without
+        // transparent huge pages refuses it): ask once more, for memory of
+        // the test's own.  The `hg` flag is the advice itself, whatever the
+        // THP mode; `AnonHugePages` would depend on fragmentation too.
+        let probe = Table::new(REGION_BYTES / std::mem::size_of::<u64>(), |_| 0u64);
+        if !advise_huge_pages(probe.as_ptr().cast_mut().cast(), REGION_BYTES) {
+            return;
+        }
+        for (what, addr) in [
+            ("a chunk's region", chunk),
+            ("a table", table.as_ptr() as usize),
+        ] {
+            let flags = vm_flags(addr);
+            assert!(
+                flags.split_whitespace().any(|flag| flag == "hg"),
+                "{what} at {addr:#x} is not advised: VmFlags {flags}"
+            );
         }
     }
 }

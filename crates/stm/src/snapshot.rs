@@ -659,15 +659,21 @@ impl PinnedReader<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::sync::AtomicBool;
     use std::sync::mpsc::RecvTimeoutError;
 
     /// The history table and its gauges are process-global; tests that
     /// create entries and assert on [`live_history_entries`] serialize here
-    /// so parallel test threads cannot shift the counts mid-assertion.
+    /// so parallel test threads cannot shift the counts mid-assertion, and
+    /// so does every test of another module that displaces a value under a
+    /// pin.
     static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+    pub(crate) fn counter_lock() -> std::sync::MutexGuard<'static, ()> {
+        COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn registry_collects_published_pins_and_flags_pending() {
@@ -696,7 +702,7 @@ mod tests {
 
     #[test]
     fn pinning_never_waits_for_a_slot() {
-        let _serial = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _serial = counter_lock();
         let (done, finished) = std::sync::mpsc::channel();
         let worker = std::thread::spawn(move || {
             let stm = Arc::new(Stm::new());
@@ -768,7 +774,7 @@ mod tests {
 
     #[test]
     fn pin_resolves_old_values_and_drop_drains_history() {
-        let _serial = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _serial = counter_lock();
         let stm = Arc::new(Stm::new());
         let cell = TCell::new(1u64);
         stm.run(|tx| cell.write(tx, 2));
@@ -797,7 +803,7 @@ mod tests {
 
     #[test]
     fn two_pins_resolve_their_own_versions() {
-        let _serial = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _serial = counter_lock();
         let stm = Arc::new(Stm::new());
         let cell = TCell::new(10u64);
         let p1 = stm.pin_snapshot();
@@ -821,7 +827,7 @@ mod tests {
         // and the sweep takes a while.  A pin registered in between, and a
         // commit preserving a value for it, must not lose that value to the
         // sweep's out-of-date survivor list.
-        let _serial = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _serial = counter_lock();
         let stm = Arc::new(Stm::new());
         let cell = Box::new(TCell::new(1u64));
         // The dropper's collect: nobody else is pinned.
@@ -836,7 +842,7 @@ mod tests {
 
     #[test]
     fn cell_teardown_purges_its_history() {
-        let _serial = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _serial = counter_lock();
         let stm = Arc::new(Stm::new());
         // Boxed: history chains are keyed by cell address, so custody
         // requires the cell not move between the preserving commit and its

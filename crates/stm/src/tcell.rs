@@ -727,6 +727,7 @@ mod tests {
     fn the_all_zero_word_is_a_value() {
         // `None` and `0` are all-zero data words.  A pin that covers one
         // must get it back from history, not a "no payload" shortcut.
+        let _serial = crate::snapshot::tests::counter_lock();
         let stm = Arc::new(Stm::new());
         let mark: Box<TCell<Option<NonZeroU64>>> = Box::new(TCell::new(None));
         let count = Box::new(TCell::new(0u64));
@@ -963,6 +964,7 @@ mod tests {
 
     #[test]
     fn inline_handle_displaced_under_a_pin_lives_until_the_pin_drops() {
+        let _serial = crate::snapshot::tests::counter_lock();
         let stm = Arc::new(Stm::new());
         let drops = Arc::new(AtomicUsize::new(0));
         // Boxed: history is keyed by the cell's address.
