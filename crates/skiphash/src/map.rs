@@ -117,6 +117,19 @@ impl Population {
         Ok(total)
     }
 
+    /// The population as the committed shards show it now, for a choice
+    /// that steers speed only (a range collect's walk): each shard read
+    /// with `peek_unvalidated`, so nothing joins the read set and a
+    /// concurrent insert or remove never makes `tx` abort, as the
+    /// validated [`Population::sum`] would.  A racing commit can leave the
+    /// sum off by its own bumps, negative included.
+    pub(crate) fn hint(&self, tx: &Txn<'_>) -> i64 {
+        self.shards
+            .iter()
+            .map(|shard| tx.peek_unvalidated(shard, |v| *v))
+            .sum()
+    }
+
     /// The population as of `reader`'s pinned version, in `O(shards)`
     /// pinned reads.
     ///
@@ -611,8 +624,9 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
             if let Err(e) = structural {
                 return Ok(Err(e));
             }
+            let (all, population) = (Bound::Unbounded, inner.population.hint(tx));
             let mut from_list: Vec<K> =
-                range::collect(tx, &inner.skiplist, Bound::Unbounded, Bound::Unbounded)?
+                range::collect(tx, &inner.skiplist, population, all, all, Vec::new())?
                     .into_iter()
                     .map(|(k, _)| k)
                     .collect();

@@ -9,8 +9,9 @@
 //! [`Snapshot`](crate::Snapshot), are the same descent and level-0 walks
 //! (the crate's `traverse` module); a path is a choice of reader and of
 //! what to do at each node.  The fast path and the pinned range collect a
-//! list too large for the cache with several cursors at once; the slow path
-//! walks with one, because it resumes from the safe node it last paused on.
+//! list too large for the cache with several cursors at once, judged from
+//! the map's population (`cut_level`); the slow path walks with one,
+//! because it resumes from the safe node it last paused on.
 //!
 //! [`SkipHash::range`] accepts any `RangeBounds<K>` (`1..=5`, `..`, `3..`,
 //! `(Bound::Excluded(a), Bound::Included(b))`, …) and returns an owned
@@ -112,60 +113,77 @@ pub(crate) fn end_allows<K: Ord>(position: &NodeBound<K>, end: StdBound<&K>) -> 
     }
 }
 
+/// A list holds about four towers taller than level `l` once it holds
+/// `4 << l` nodes (tower heights are geometric with p = 1/2), so
+/// [`cut_level`] reads a population of `4 << l` as the size where such
+/// towers appear: from `4 << WINDOW_LARGE_LEVEL` = 2^17 nodes a window is
+/// walked with several cursors, from `4 << SCAN_LARGE_LEVEL` = 2^13 a full
+/// scan is.  That is where the crossover probe
+/// (`traverse::tests::walk_crossover`; three runs on a 2-vCPU VM, 2 MiB of
+/// L2 per core) finds eight cursors stop losing.  100-key windows read
+/// 1.34-1.41x one cursor's time at 16k nodes, 0.71-1.14x at 32k-65k and
+/// 0.75-0.97x from 2^17; 1,024-key windows 0.42-0.50x from 65k.  Full scans
+/// read 1.42-1.85x at 1k-4k nodes and 0.22-0.43x from 16k over scattered
+/// nodes; sizes probed by hand in between put the crossover just above 2^13,
+/// which read 0.88-1.70x, with 0.34-0.73x from 10k (docs/PERF.md,
+/// Mechanism 6).
+const WINDOW_LARGE_LEVEL: usize = 15;
+const SCAN_LARGE_LEVEL: usize = 11;
+
+/// The level a [`collect`] over a list of `population` nodes and
+/// `max_level` levels cuts level 0 at, so that several cursors walk it at
+/// once ([`traverse::RANGE_CUT_LEVEL`] for a window,
+/// [`traverse::SCAN_CUT_LEVEL`] for a full scan, both bounds unbounded), or
+/// `None` for one cursor: the list is large once `population` reaches `4 <<
+/// l`, with `l` the large level above, capped below the list's top level.
+/// The cap keeps the estimate a count of tall towers, so a list built with
+/// few levels reads as large sooner, which is how the tests reach the
+/// interleaved walk through the public API on small maps.  A negative
+/// population, a racing hint, reads as small.
+pub(crate) fn cut_level(population: i64, max_level: usize, full_scan: bool) -> Option<usize> {
+    let (large_level, cut) = if full_scan {
+        (SCAN_LARGE_LEVEL, traverse::SCAN_CUT_LEVEL)
+    } else {
+        (WINDOW_LARGE_LEVEL, traverse::RANGE_CUT_LEVEL)
+    };
+    (population >= 4 << large_level.min(max_level - 1)).then_some(cut)
+}
+
 /// Every logically present `(key, value)` pair within the bounds, in
-/// ascending key order, as `reader` sees the list: one descent to the lower
-/// bound, then level 0 walked to the upper.  This is the whole range query
-/// of the fast path and [`TxView::range`](crate::TxView::range) (`reader` a
-/// transaction), of [`Snapshot::range`](crate::Snapshot::range) (`reader` a
-/// pin) and, with both bounds unbounded, of the live full scans
-/// ([`SkipHash::to_vec`], `clear`, `check_invariants`).
+/// ascending key order, as `reader` sees the list, collected into `out` (an
+/// empty vector a caller may have sized) and returned: one descent to the
+/// lower bound, then level 0 walked to the upper
+/// ([`traverse::collect_interleaved`], the one range collector).  This is
+/// the whole range query of the fast path and
+/// [`TxView::range`](crate::TxView::range) (`reader` a transaction), of
+/// [`Snapshot::range`](crate::Snapshot::range) and
+/// [`Snapshot::to_vec`](crate::Snapshot::to_vec) (`reader` a pin) and, with
+/// both bounds unbounded, of the live full scans ([`SkipHash::to_vec`],
+/// `clear`, `check_invariants`).
 ///
-/// A list the cache does not hold ([`traverse::is_large`]) is walked with
-/// several cursors in flight (the crate's `traverse` module, "The
-/// interleaved walk"), cut like `Snapshot::to_vec` when the scan is full;
-/// any other with one ([`collect_single`]).
+/// `population` picks the walk ([`cut_level`]): the map's population as
+/// `reader` has it, a hint in a transaction (`Population::hint`, which
+/// joins no read set, so a range never conflicts with an insert or remove
+/// through the count) and exact at a pin (`Population::sum_pinned`).  A walk
+/// whose hinted cut misses is walked again with one cursor, which cannot
+/// miss.
 pub(crate) fn collect<K: MapKey, V: MapValue, R: Reader<K, V>>(
     reader: &mut R,
     list: &SkipList<K, V>,
+    population: i64,
     start: StdBound<&K>,
     end: StdBound<&K>,
+    mut out: Vec<(K, V)>,
 ) -> Result<Vec<(K, V)>, R::Abort> {
-    if range_is_empty(&start, &end) || !traverse::is_large(reader, list)? {
-        return collect_single(reader, list, start, end);
-    }
-    let cut = match (start, end) {
-        (StdBound::Unbounded, StdBound::Unbounded) => traverse::SCAN_CUT_LEVEL,
-        _ => traverse::RANGE_CUT_LEVEL,
-    };
-    let mut out = Vec::new();
-    if traverse::collect_interleaved(reader, list, start, end, cut, &mut out)? {
-        return Ok(out);
-    }
-    collect_single(reader, list, start, end)
-}
-
-/// [`collect`] as one cursor walks it, with the scout running ahead
-/// (`traverse::walk`): the walk of a list the cache holds, and the
-/// reference the interleaved walk is tested against.
-pub(crate) fn collect_single<K: MapKey, V: MapValue, R: Reader<K, V>>(
-    reader: &mut R,
-    list: &SkipList<K, V>,
-    start: StdBound<&K>,
-    end: StdBound<&K>,
-) -> Result<Vec<(K, V)>, R::Abort> {
-    let mut out = Vec::new();
     if range_is_empty(&start, &end) {
         return Ok(out);
     }
-    traverse::scan(reader, list, start, |reader, _, node| {
-        if !end_allows(&node.bound, end) {
-            return Ok(ControlFlow::Break(()));
-        }
-        if !reader.removed(node)? {
-            out.push((node.key().clone(), reader.value(node)?));
-        }
-        Ok(ControlFlow::Continue(()))
-    })?;
+    let full_scan = matches!((start, end), (StdBound::Unbounded, StdBound::Unbounded));
+    let cut = cut_level(population, list.max_level(), full_scan);
+    if !traverse::collect_interleaved(reader, list, start, end, cut, &mut out)? {
+        out.clear();
+        traverse::collect_interleaved(reader, list, start, end, None, &mut out)?;
+    }
     Ok(out)
 }
 
@@ -264,9 +282,10 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
     /// attempt aborted.
     fn range_fast(&self, start: StdBound<&K>, end: StdBound<&K>) -> Option<Vec<(K, V)>> {
         let inner = &self.inner;
-        let attempt = inner
-            .stm
-            .try_once_read_only(|tx| collect(tx, &inner.skiplist, start, end));
+        let attempt = inner.stm.try_once_read_only(|tx| {
+            let population = inner.population.hint(tx);
+            collect(tx, &inner.skiplist, population, start, end, Vec::new())
+        });
         debug_assert_ne!(
             attempt.as_ref().err().map(|failed| failed.cause),
             Some(TxAbort::Upgrade),
@@ -361,6 +380,7 @@ impl<K: MapKey, V: MapValue> SkipHash<K, V> {
 mod tests {
     use super::*;
     use crate::config::SkipHashBuilder;
+    use std::sync::Arc;
 
     fn map_with_policy(policy: RangePolicy) -> SkipHash<u64, u64> {
         SkipHashBuilder::new()
@@ -566,6 +586,107 @@ mod tests {
         assert_eq!(removals.len(), 1, "removal must have been deferred");
         inner.unstitch_all(&removals);
         assert!(map.check_invariants().is_ok());
+    }
+
+    /// The one rule that picks a range collect's walk: a window interleaves
+    /// from `4 << 15` nodes and a full scan from `4 << 11`, each capped at
+    /// `4 << (max_level - 1)` on a list of few levels, and a negative sum
+    /// (a racing hint) reads as small.
+    #[test]
+    fn cut_level_reads_the_population_against_its_thresholds() {
+        use crate::traverse::{RANGE_CUT_LEVEL, SCAN_CUT_LEVEL};
+        for (max_level, window_from, scan_from) in [
+            (20, 1 << 17, 1 << 13),
+            (8, 1 << 9, 1 << 9),
+            (6, 1 << 7, 1 << 7),
+        ] {
+            for (full_scan, from, cut) in [
+                (false, window_from, RANGE_CUT_LEVEL),
+                (true, scan_from, SCAN_CUT_LEVEL),
+            ] {
+                let at = |population| cut_level(population, max_level, full_scan);
+                let label = format!("{max_level} levels, full scan {full_scan}");
+                assert_eq!(at(from - 1), None, "{label}: one below");
+                assert_eq!(at(from), Some(cut), "{label}: at the threshold");
+                assert_eq!(at(-1), None, "{label}: a negative sum");
+                assert_eq!(at(i64::MIN), None, "{label}: a negative sum");
+            }
+        }
+        // The maps the tall-node count judged large still interleave: the
+        // 8-level map of tests/linearizability.rs (~2.5k-3.75k keys), the
+        // 6-level 1,024-key map of tests/alloc_discipline.rs (3c) and the
+        // 2^19-key map of the gated `range_collect/fast_large`; its 14-level
+        // map stays on one cursor.
+        assert_eq!(cut_level(2_500, 8, false), Some(RANGE_CUT_LEVEL));
+        assert_eq!(cut_level(1_024, 6, false), Some(RANGE_CUT_LEVEL));
+        assert_eq!(cut_level(1 << 19, 20, false), Some(RANGE_CUT_LEVEL));
+        assert_eq!(cut_level(3_750, 14, false), None);
+    }
+
+    /// A transaction's hint and a pin's exact sum read the same population
+    /// off a quiet map, so both readers pick the same walk, also where
+    /// single shards are negative (keys removed by a thread that did not
+    /// insert them).
+    #[test]
+    fn both_readers_pick_the_same_walk() {
+        let map: SkipHash<u64, u64> = SkipHashBuilder::new().max_level(8).build();
+        fill(&map, 0..600);
+        std::thread::scope(|s| {
+            s.spawn(|| (0..89).for_each(|k| assert!(map.remove(&k))));
+        });
+        let picks = |map: &SkipHash<u64, u64>| {
+            let inner = &map.inner;
+            let hinted = inner.stm.run_read_only(|tx| Ok(inner.population.hint(tx)));
+            let pin = inner.stm.pin_snapshot();
+            let pinned = inner.population.sum_pinned(&mut pin.reader());
+            assert_eq!(hinted, pinned, "both readers read one population");
+            [false, true].map(|full_scan| cut_level(hinted, 8, full_scan))
+        };
+        assert_eq!(picks(&map), [None, None], "511 keys, one below 4 << 7");
+        fill(&map, [1_000]);
+        let large = [
+            Some(traverse::RANGE_CUT_LEVEL),
+            Some(traverse::SCAN_CUT_LEVEL),
+        ];
+        assert_eq!(picks(&map), large, "512 keys");
+    }
+
+    /// The population steers the walk and nothing else, so a range reads it
+    /// as a hint that joins no read set: a writing transaction whose range
+    /// runs over a large list while another thread's insert outside the
+    /// window bumps a population shard commits on its first attempt.  A
+    /// validated read of the shards would abort it once.  The body's write
+    /// goes to a second map over the same runtime, so that no hash bucket
+    /// the insert writes can be one it read.
+    #[test]
+    fn a_range_reads_the_population_as_a_hint() {
+        let stm = Arc::new(skiphash_stm::Stm::new());
+        let on_stm = || SkipHashBuilder::new().stm(Arc::clone(&stm));
+        let (map, log): (SkipHash<u64, u64>, SkipHash<u64, u64>) =
+            (on_stm().max_level(6).build(), on_stm().build());
+        fill(&map, (0..1_024).map(|k| k * 2));
+        assert_eq!(
+            cut_level(map.len() as i64, 6, false),
+            Some(traverse::RANGE_CUT_LEVEL),
+            "the rule judges the map large"
+        );
+        let before = stm.stats();
+        let mut attempts = 0;
+        let window = stm.run(|tx| {
+            attempts += 1;
+            let window = map.view(tx).range(100..200)?;
+            if attempts == 1 {
+                std::thread::scope(|s| {
+                    s.spawn(|| assert!(map.insert(1_501, 0)));
+                });
+            }
+            log.view(tx).insert(0, window.len() as u64)?;
+            Ok(window.len())
+        });
+        assert_eq!(window, 50);
+        assert_eq!(attempts, 1, "the shard bump must not abort the range");
+        assert_eq!(stm.stats().since(&before).total_aborts(), 0);
+        assert_eq!((log.get(&0), map.len()), (Some(50), 1_025));
     }
 
     #[test]

@@ -348,7 +348,7 @@ mod tests {
 
     /// Every logically present pair, in level-0 order.
     fn present_pairs(stm: &Stm, list: &SkipList<u64, u64>) -> Vec<(u64, u64)> {
-        stm.run(|tx| crate::range::collect(tx, list, Unbounded, Unbounded))
+        stm.run(|tx| crate::range::collect(tx, list, 0, Unbounded, Unbounded, Vec::new()))
     }
 
     /// The node `at` designates, on a list no test unstitches from while it

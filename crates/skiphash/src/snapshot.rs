@@ -180,7 +180,10 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
 
     /// The pairs within the bounds at the pinned version.
     fn pairs(&self, start: StdBound<&K>, end: StdBound<&K>) -> Vec<(K, V)> {
-        let Ok(pairs) = range::collect(&mut self.pin.reader(), &self.inner.skiplist, start, end);
+        let mut reader = self.pin.reader();
+        let population = self.inner.population.sum_pinned(&mut reader);
+        let list = &self.inner.skiplist;
+        let Ok(pairs) = range::collect(&mut reader, list, population, start, end, Vec::new());
         pairs
     }
 
@@ -196,26 +199,17 @@ impl<K: MapKey, V: MapValue> Snapshot<K, V> {
     /// order.
     ///
     /// The result is sized from the pinned population (see
-    /// [`Snapshot::len`]) and filled by a walk that keeps several cursors in
-    /// flight over segments of the list, so the cache misses of a long scan
-    /// overlap instead of queueing one behind another (the crate's
-    /// `traverse` module, "The interleaved walk").  It is the walk of
-    /// [`Snapshot::range`] over a large list, with segments cut eight times
-    /// longer, but it walks a list of any size so: with one segment per 64
-    /// nodes its bookkeeping is too small to show on a list the cache holds
-    /// (docs/PERF.md, Mechanism 6).
+    /// [`Snapshot::len`]), which then picks the walk as it does for every
+    /// range collect: a list too large for the cache is walked with several
+    /// cursors in flight over segments of it, so the cache misses of a long
+    /// scan overlap instead of queueing one behind another (the crate's
+    /// `traverse` module, "The interleaved walk"), and any other with one.
     pub fn to_vec(&self) -> Vec<(K, V)> {
         let mut reader = self.pin.reader();
-        let len = self.inner.population.sum_pinned(&mut reader);
-        let mut out = Vec::with_capacity(len.max(0) as usize);
+        let population = self.inner.population.sum_pinned(&mut reader);
+        let out = Vec::with_capacity(population.max(0) as usize);
         let (list, all) = (&self.inner.skiplist, StdBound::Unbounded);
-        let cut = traverse::SCAN_CUT_LEVEL;
-        let Ok(complete) =
-            traverse::collect_interleaved(&mut reader, list, all, all, cut, &mut out);
-        debug_assert!(
-            complete,
-            "a pinned reader gives no hints, so it never misses"
-        );
+        let Ok(out) = range::collect(&mut reader, list, population, all, all, out);
         out
     }
 
@@ -244,7 +238,7 @@ mod tests {
     use std::ops::Bound as StdBound;
 
     use crate::config::SkipHashBuilder;
-    use crate::range;
+    use crate::traverse;
     use crate::SkipHash;
 
     fn map() -> SkipHash<u64, u64> {
@@ -348,12 +342,23 @@ mod tests {
         assert!(map.check_invariants().is_ok());
     }
 
-    /// `to_vec`, whose cursors walk segments of the list at once, against
-    /// the single-cursor pinned walk and the contents at the pin.
+    /// The full scan's interleaved walk, whose cursors walk segments of the
+    /// list at once, cut at its level whatever the list's size, against the
+    /// single-cursor pinned walk and the contents at the pin; and `to_vec`,
+    /// whichever walk it takes, against both.
     fn assert_scans_agree(snap: &super::Snapshot<u64, u64>, at_pin: &BTreeMap<u64, u64>) {
         let (list, all) = (&snap.inner.skiplist, StdBound::Unbounded);
-        let Ok(single) = range::collect_single(&mut snap.pin.reader(), list, all, all);
-        let interleaved = snap.to_vec();
+        let mut reader = snap.pin.reader();
+        let mut walk = |cut| {
+            let mut out = Vec::new();
+            let Ok(complete) =
+                traverse::collect_interleaved(&mut reader, list, all, all, cut, &mut out);
+            assert!(complete, "a pinned reader never misses");
+            out
+        };
+        let single = walk(None);
+        let interleaved = walk(Some(traverse::SCAN_CUT_LEVEL));
+        assert_eq!(snap.to_vec(), single, "to_vec vs single-cursor walk");
         assert_eq!(interleaved, single, "interleaved vs single-cursor walk");
         let expected: Vec<(u64, u64)> = at_pin.iter().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(

@@ -1,8 +1,9 @@
 //! The one traversal core: every read of the skip list — tower descent,
 //! level-0 walk, point queries, fast-path, slow-path and pinned range
 //! queries — is [`descend`] and [`walk`] (or [`scan`], one after the other)
-//! driven by a [`Reader`]; a range collect over a list too large for the
-//! cache walks level 0 with several cursors at once ([`collect_interleaved`]).
+//! driven by a [`Reader`]; every range collect is [`collect_interleaved`],
+//! which walks level 0 of a list too large for the cache with several
+//! cursors at once and of any other with one.
 //!
 //! The paper's claim is that STM leaves the skip hash with one search and
 //! one scan, run as one transaction (fast path), as many small ones under
@@ -100,20 +101,30 @@
 //!
 //! # The interleaved walk
 //!
-//! A range query or a full scan ([`collect_interleaved`], behind the range
-//! collects and live full scans of a large list, `Snapshot::to_vec` and so
-//! every checkpoint) is a chain of dependent cache misses if one cursor walks
-//! it: each hop's address is in the line the previous hop misses on.  The
-//! walk instead cuts level 0 into segments and keeps several cursors in
-//! flight, one per segment, advancing them round-robin and prefetching each
-//! one's next node, so their misses overlap (asynchronous memory access
-//! chaining: Kocberber et al., VLDB 2015).  Every hop is still a read
-//! through the reader, and every handle is covered as in the plain walk.
+//! A range query or a full scan ([`collect_interleaved`], behind the fast
+//! path, `TxView::range`, `Snapshot::range`, `Snapshot::to_vec` and so every
+//! checkpoint, and the live full scans) is a chain of dependent cache misses
+//! if one cursor walks it: each hop's address is in the line the previous
+//! hop misses on.  The walk instead cuts level 0 into segments and keeps
+//! several cursors in flight, one per segment, advancing them round-robin
+//! and prefetching each one's next node, so their misses overlap
+//! (asynchronous memory access chaining: Kocberber et al., VLDB 2015).
+//! Every hop is still a read through the reader, and every handle is
+//! covered as in the plain walk.
 //!
 //! On a list the cache holds there are no misses to overlap, and the
-//! cursors' bookkeeping costs more than it saves, so a range collect walks
-//! with several cursors only a list [`is_large`] judges too large for the
-//! cache, and with one ([`walk`], with its scout) any other.
+//! cursors' bookkeeping costs more than it saves, so the collector takes its
+//! cut level as an `Option`.  With none, the one cursor that walks up to the
+//! first cut (below) walks the whole range, with its scout: the
+//! single-cursor walk is the interleaved walk with no cut, one cursor being
+//! the N = 1 case of the interleaving.  `range::cut_level` picks the cut
+//! from the map's population, one rule for every caller.
+//!
+//! The slow path keeps [`walk`].  It resumes each attempt from a safe node,
+//! which stays on the list until the query ends, and moves its cursor one
+//! safe node at a time, so an aborted attempt keeps every pair it read up to
+//! there.  A segment's cursor starts at a cut node that is not safe, so an
+//! interleaved attempt could only restart from a descent.
 //!
 //! A segment ends where the next starts: at the node its start links at the
 //! cut level.  That cut is exact if the node it designates is linked at
@@ -143,7 +154,7 @@
 //! and checks that it designates that start.  A confirm that would abort
 //! aborts, as the single walk would where the race is; one that reads
 //! another node (the attempt's own inserts and unstitches) is a *miss*, and
-//! the collect is walked again with one cursor, as the descent re-runs with
+//! the collect is walked again with no cut, as the descent re-runs with
 //! validated reads.  A pinned reader gives no hints, so its cuts are read.
 //!
 //! The confirm comes after the bound check so that a transaction reads no
@@ -157,7 +168,8 @@
 //!
 //! Up to the first node tall enough to cut at, one cursor walks ([`walk`],
 //! with its scout) and pushes its pairs straight into the result, so a
-//! window that ends before that node pays for no segment.
+//! window that ends before that node pays for no segment; with no cut that
+//! run is the whole walk.
 
 use std::cell::Cell;
 use std::convert::Infallible;
@@ -421,9 +433,9 @@ const SCOUT_LEAD: usize = 4;
 /// [`SCOUT_LEAD`] level-1 nodes ahead, reading through [`Reader::hint`] and
 /// prefetching each level-1 node it reaches and that node's level-0
 /// successor.  A range collect over a large list walks with more cursors
-/// instead ([`collect_interleaved`]), so the scout serves the slow path's
-/// walk, the point queries' short walks, `count_present`, the collects of a
-/// list the cache holds and an interleaved collect's first run.
+/// instead, so the scout serves the slow path's walk, the point queries'
+/// short walks, `count_present`, and the first run of [`collect_interleaved`],
+/// which is the whole walk where no cut is taken.
 ///
 /// Everything it loads is a hint: a concurrent commit can lead it astray,
 /// which costs wasted cache fills, and it restarts from the walk's own
@@ -500,68 +512,21 @@ pub(crate) fn first_present<K: MapKey, V: MapValue, R: Reader<K, V>>(
     })
 }
 
-/// The level [`is_large`] counts nodes at, and how many it looks for: a list
-/// holding [`LARGE_NODES`] nodes taller than `LARGE_LEVEL` holds about
-/// `LARGE_NODES << LARGE_LEVEL` = 2^17 nodes or more.  Counting four nodes
-/// rather than testing for one keeps the verdict steady: a 20,000-node list
-/// reads as large with probability 0.4%, a 500,000-node one as small with
-/// probability 0.02% (Poisson tails), where one node above level 17, the
-/// same 2^17, would misjudge them at 14% and 2.2%.
-const LARGE_LEVEL: usize = 15;
-const LARGE_NODES: usize = 4;
-
-/// True when `list` looks too large for the cache to hold, judged from its
-/// tall nodes: whether at least [`LARGE_NODES`] of them rise above
-/// [`LARGE_LEVEL`] (capped below the list's top level, so a list configured
-/// with fewer levels reads as large sooner).  A range collect walks a large
-/// list with [`collect_interleaved`], whose cursors overlap the misses of a
-/// list the cache does not hold and cost more than they save on one it does
-/// (docs/PERF.md, Mechanism 6).
-///
-/// The verdict steers the walk and nothing else, so its reads are hints
-/// where the reader gives them and join no read set; a pinned reader reads
-/// at its pin.  The nodes it visits are the tallest of the list, which every
-/// bounded descent passes, so they are usually in cache.
-pub(crate) fn is_large<K: MapKey, V: MapValue, R: Reader<K, V>>(
-    reader: &mut R,
-    list: &SkipList<K, V>,
-) -> Result<bool, R::Abort> {
-    let level = LARGE_LEVEL.min(list.max_level() - 1);
-    let tail = list.tail();
-    let mut at = list.head();
-    for _ in 0..LARGE_NODES {
-        // SAFETY: `at` is the head sentinel (owned by `list`) or was reached
-        // through `reader`, hinted or read — the module's borrowed-handle
-        // contract.
-        let succ = &at.tower(unsafe { at.node() })[level].succ;
-        // A link within the list is never absent, so a reader that gives
-        // hints never takes the read.
-        let next = match reader.hint(succ) {
-            Some(next) => next,
-            None => reader.link(succ)?,
-        };
-        if next == tail {
-            return Ok(false);
-        }
-        at = next;
-    }
-    Ok(true)
-}
-
 /// Cursors [`collect_interleaved`] keeps in flight.
 const CURSORS: usize = 8;
 
-/// The cut level of a range query ([`crate::range::collect`]): about one
+/// The cut level of a window ([`crate::range::collect`]): about one
 /// node in 2^3 = 8 reaches it (tower heights are geometric with p = 1/2), so
 /// a window of 100 nodes splits into about a dozen segments.  Level 2 read
 /// slower on 1,024-key windows, levels 4 and 5 on 100-key ones (docs/PERF.md,
 /// Mechanism 6).
 pub(crate) const RANGE_CUT_LEVEL: usize = 3;
 
-/// The cut level of a full scan (`Snapshot::to_vec`, and so every
-/// checkpoint): about one node in 2^6 = 64 reaches it, so a long scan
-/// starts a segment, a read and a hand-off, once per 64 nodes rather than
-/// once per 8 (docs/PERF.md, "Durable writes", for the sweep).
+/// The cut level of a full scan, both bounds unbounded (`Snapshot::to_vec`
+/// and so every checkpoint, and the live full scans): about one node in
+/// 2^6 = 64 reaches it, so a long scan starts a segment, a read and a
+/// hand-off, once per 64 nodes rather than once per 8 (docs/PERF.md,
+/// "Durable writes", for the sweep).
 pub(crate) const SCAN_CUT_LEVEL: usize = 6;
 
 /// Segments [`collect_interleaved`] holds staged: the running ones plus the
@@ -605,24 +570,28 @@ struct SegmentCursor<'n, K, V> {
 }
 
 /// Append to `out` every logically present `(key, value)` pair of `list`
-/// within the bounds, in key order, as `reader` sees the list: what [`scan`]
-/// from `start` to `end` collects, with up to [`CURSORS`] segments of level
-/// 0 walked at once (see the module docs, "The interleaved walk").  Returns
-/// `false` on a *miss*, a hinted cut its confirm refuted (below); `out` then
-/// holds an unusable partial result, and the caller walks with one cursor
-/// instead.  A reader without hints never misses.
+/// within the bounds, in key order, as `reader` sees the list: the one range
+/// collector, behind every range collect and full scan but the slow path's
+/// (see the module docs, "The interleaved walk").  Returns `false` on a
+/// *miss*, a hinted cut its confirm refuted (below); `out` then holds an
+/// unusable partial result, and the caller walks again with `cut` `None`.
+/// A reader without hints never misses, and neither does a walk with no
+/// cut.
 ///
-/// The walk descends to `start` and runs one cursor from there, pushing
-/// pairs straight into `out`, until it meets the first node whose tower
-/// rises above `cut` (capped below the list's top level).  From that node on,
-/// level 0 is cut into segments at the nodes `cut` links.  Each segment ends
-/// where the next starts: at the node its start links at `cut`, taken on the
-/// segment's first hop, which hands that node to the next free cursor.  A
-/// cursor stops when its hop reaches its end node, which is exact because a
-/// tower's links at all its levels are written by one commit, so the node a
-/// cut link designates in the reader's view is on level 0 there too, after
-/// every node of the segment.  A segment that starts past the end bound is
-/// empty and feeds no further one; a cursor also stops at the end bound.
+/// The walk descends to `start` and runs one cursor from there, with its
+/// scout, pushing pairs straight into `out`, until it meets the first node
+/// whose tower rises above `cut` (capped below the list's top level).  With
+/// `cut` `None` it meets none, so that one cursor walks the whole range.
+/// From that node on, level 0 is cut into segments at the nodes `cut`
+/// links, and up to [`CURSORS`] of them are walked at once.  Each segment
+/// ends where the next starts: at the node its start links at `cut`, taken
+/// on the segment's first hop, which hands that node to the next free
+/// cursor.  A cursor stops when its hop reaches its end node, which is
+/// exact because a tower's links at all its levels are written by one
+/// commit, so the node a cut link designates in the reader's view is on
+/// level 0 there too, after every node of the segment.  A segment that
+/// starts past the end bound is empty and feeds no further one; a cursor
+/// also stops at the end bound.
 ///
 /// Through a reader that gives hints the cut link is hinted, and the next
 /// segment's cursor, once it finds its start inside the end bound, confirms
@@ -641,16 +610,16 @@ pub(crate) fn collect_interleaved<K: MapKey, V: MapValue, R: Reader<K, V>>(
     list: &SkipList<K, V>,
     start: StdBound<&K>,
     end: StdBound<&K>,
-    cut: usize,
+    cut: Option<usize>,
     out: &mut Vec<(K, V)>,
 ) -> Result<bool, R::Abort> {
-    let level = cut.min(list.max_level() - 1);
+    let level = cut.map(|cut| cut.min(list.max_level() - 1));
     let mut first_cut = None;
     let first_run = |reader: &mut R, at: RawNode<K, V>, node: &Node<K, V>| {
         if !end_allows(&node.bound, end) {
             return Ok(ControlFlow::Break(()));
         }
-        if node.height > level {
+        if level.is_some_and(|level| node.height > level) {
             first_cut = Some(at);
             return Ok(ControlFlow::Break(()));
         }
@@ -660,7 +629,7 @@ pub(crate) fn collect_interleaved<K: MapKey, V: MapValue, R: Reader<K, V>>(
         Ok(ControlFlow::Continue(()))
     };
     scan(reader, list, start, first_run)?;
-    let Some(first_cut) = first_cut else {
+    let (Some(first_cut), Some(level)) = (first_cut, level) else {
         return Ok(true);
     };
     with_staging(|staged| interleave(reader, list, first_cut, end, level, staged, out))
@@ -771,7 +740,7 @@ fn interleave<K: MapKey, V: MapValue, R: Reader<K, V>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::range::{collect, collect_single, range_is_empty};
+    use crate::range::{collect, range_is_empty};
     use skiphash_stm::sync::{AtomicBool, Ordering};
     use skiphash_stm::{Stm, TxResult};
     use std::collections::BTreeMap;
@@ -952,7 +921,8 @@ mod tests {
                     let within = fx.present.range((start, end));
                     within.map(|(k, v)| (*k, *v)).collect()
                 };
-                let got = collect(reader, &fx.list, start, end).unwrap();
+                let population = fx.present.len() as i64;
+                let got = collect(reader, &fx.list, population, start, end, Vec::new()).unwrap();
                 assert_eq!(got, expected, "collect({start:?}, {end:?})");
                 let got = interleaved(reader, &fx.list, start, end).unwrap();
                 assert_eq!(got, expected, "interleaved({start:?}, {end:?})");
@@ -982,17 +952,22 @@ mod tests {
         check_reader(&mut pin.reader(), &fx);
     }
 
-    /// A list for the interleaved walk, with tower heights that make the
-    /// shapes a random map rarely takes: a first run of height-1 nodes, a
-    /// first segment 300 nodes long followed by 100 one-node segments (so
-    /// finished cursors stage theirs and wait, more of them than
-    /// [`STAGED_SEGMENTS`]), dozens of ordinary segments, and a last run of
-    /// height-1 nodes after the last cut.  Every seventh key is marked and
-    /// re-inserted, so logically deleted duplicates linger in front of live
-    /// nodes, some of them cut nodes.  Keys are `100 + 4 * i`.
+    /// A list for the interleaved walk at one cut level, with tower heights
+    /// that make the shapes a random map rarely takes: a first run of
+    /// height-1 nodes, a first segment 300 nodes long followed by 100
+    /// one-node segments (so finished cursors stage theirs and wait, more of
+    /// them than [`STAGED_SEGMENTS`]), dozens of ordinary segments, and a
+    /// last run of height-1 nodes after the last cut.  Every seventh key is
+    /// marked and re-inserted, so logically deleted duplicates linger in
+    /// front of live nodes, some of them cut nodes.  Keys are `100 + 4 * i`.
     struct Segmented {
         stm: Arc<Stm>,
         list: SkipList<u64, u64>,
+        /// The cut level the list is shaped for.
+        cut: usize,
+        /// The height of a cut node: one above the cut level, capped at the
+        /// list's top.
+        tall: usize,
         present: BTreeMap<u64, u64>,
         /// The keys bounds are probed at: before the first key, on it, around
         /// the first cut node, on lingering duplicates, inside the long
@@ -1001,33 +976,49 @@ mod tests {
         probes: Vec<u64>,
     }
 
+    /// The height of a node the window's cut level links: the churn test's
+    /// tall nodes.
     const CUT: usize = RANGE_CUT_LEVEL + 1;
 
-    /// The interleaved collector at the range cut level, whatever the size of
-    /// the list: what `range::collect` runs on a large one; `None` on a miss.
+    /// The collector at cut level `cut`, whatever the size of the list: what
+    /// `range::collect` runs on a large one; `None` on a miss.
     fn try_interleaved<R: Reader<u64, u64>>(
         reader: &mut R,
         list: &SkipList<u64, u64>,
         start: StdBound<&u64>,
         end: StdBound<&u64>,
+        cut: Option<usize>,
     ) -> Result<Option<Vec<(u64, u64)>>, R::Abort> {
         let mut out = Vec::new();
         let complete = range_is_empty(&start, &end)
-            || collect_interleaved(reader, list, start, end, RANGE_CUT_LEVEL, &mut out)?;
+            || collect_interleaved(reader, list, start, end, cut, &mut out)?;
         Ok(complete.then_some(out))
     }
 
-    /// [`try_interleaved`] through a reader with no writes of its own: a
-    /// hint that a validated read does not bear out is then a commit after
-    /// the read version, which aborts, so it never misses.
+    /// [`try_interleaved`] at the window's cut level, through a reader with
+    /// no writes of its own: a hint that a validated read does not bear out
+    /// is then a commit after the read version, which aborts, so it never
+    /// misses.
     fn interleaved<R: Reader<u64, u64>>(
         reader: &mut R,
         list: &SkipList<u64, u64>,
         start: StdBound<&u64>,
         end: StdBound<&u64>,
     ) -> Result<Vec<(u64, u64)>, R::Abort> {
-        let got = try_interleaved(reader, list, start, end)?;
+        let got = try_interleaved(reader, list, start, end, Some(RANGE_CUT_LEVEL))?;
         Ok(got.expect("no own writes, no miss"))
+    }
+
+    /// The collector with no cut: one cursor walks the whole range, the
+    /// reference the interleaved walk is checked against.
+    fn single<R: Reader<u64, u64>>(
+        reader: &mut R,
+        list: &SkipList<u64, u64>,
+        start: StdBound<&u64>,
+        end: StdBound<&u64>,
+    ) -> Result<Vec<(u64, u64)>, R::Abort> {
+        let got = try_interleaved(reader, list, start, end, None)?;
+        Ok(got.expect("a walk with no cut never misses"))
     }
 
     fn mark(tx: &mut Txn<'_>, list: &SkipList<u64, u64>, key: u64) -> TxResult<()> {
@@ -1047,9 +1038,10 @@ mod tests {
     }
 
     impl Segmented {
-        fn build(max_level: usize) -> Self {
+        fn build(max_level: usize, cut: usize) -> Self {
             let stm = Arc::new(Stm::new());
             let list: SkipList<u64, u64> = SkipList::new(max_level);
+            let tall = (cut + 1).min(max_level);
             let insert = |key: u64, value: u64, height: usize| {
                 let height = height.min(max_level);
                 stm.run(|tx| {
@@ -1062,8 +1054,8 @@ mod tests {
             for i in 0..1_000u64 {
                 let height = match i {
                     0..150 | 151..450 | 980.. => 1,
-                    150 | 450..550 => CUT,
-                    _ if i % 5 == 0 => CUT + 1,
+                    150 | 450..550 => cut + 1,
+                    _ if i % 5 == 0 => cut + 2,
                     _ => 1 + i as usize % 3,
                 };
                 insert(key(i), i, height);
@@ -1073,7 +1065,7 @@ mod tests {
                 stm.run(|tx| mark(tx, &list, key(i)));
                 // No re-insert cuts the long segment short.
                 let height = if i % 2 == 0 && !(151..450).contains(&i) {
-                    CUT
+                    cut + 1
                 } else {
                     1
                 };
@@ -1101,6 +1093,8 @@ mod tests {
             Self {
                 stm,
                 list,
+                cut,
+                tall,
                 present,
                 probes,
             }
@@ -1115,8 +1109,9 @@ mod tests {
                 .collect()
         }
 
-        /// The collector against the reference through `reader`, for every
-        /// pair of `bounds`.
+        /// The collector at the list's cut level against the single-cursor
+        /// walk through `reader`, a reader with no writes of its own, for
+        /// every pair of `bounds`.
         fn compare<R: Reader<u64, u64>>(
             &self,
             reader: &mut R,
@@ -1128,8 +1123,9 @@ mod tests {
         {
             for start in bounds.iter().map(StdBound::as_ref) {
                 for end in bounds.iter().map(StdBound::as_ref) {
-                    let got = interleaved(reader, &self.list, start, end)?;
-                    let single = collect_single(reader, &self.list, start, end)?;
+                    let got = try_interleaved(reader, &self.list, start, end, Some(self.cut))?;
+                    let got = got.expect("no own writes, no miss");
+                    let single = single(reader, &self.list, start, end)?;
                     assert_eq!(got, single, "{label}: ({start:?}, {end:?})");
                 }
             }
@@ -1142,8 +1138,7 @@ mod tests {
         /// in tall too; and after it the next present node and the next cut
         /// node are unstitched, one of them put in by this very attempt.
         fn own_writes(&self, tx: &mut Txn<'_>, key: u64) -> TxResult<()> {
-            let list = &self.list;
-            let tall = CUT.min(list.max_level());
+            let (list, tall) = (&self.list, self.tall);
             if present(tx, list, key)? {
                 mark(tx, list, key)?;
             }
@@ -1172,23 +1167,33 @@ mod tests {
         }
     }
 
-    /// The interleaved collector against the single-cursor reference
-    /// (`range::collect_single`), for every shape of bound at each end,
-    /// through the three kinds of reader: a read-only attempt, an ordinary
-    /// attempt whose own buffered writes insert, mark and unstitch cut nodes
-    /// at and next to both bounds, and a pin after churn that came after it.
-    /// Lists too short for the cut level are walked too.
+    /// The interleaved collector against the single-cursor reference (the
+    /// collector with no cut), for every shape of bound at each end, through
+    /// the three kinds of reader: a read-only attempt, an ordinary attempt
+    /// whose own buffered writes insert, mark and unstitch cut nodes at and
+    /// next to both bounds, and a pin after churn that came after it.  Each
+    /// runs at the window's cut level and at the full scan's, on a list
+    /// shaped for it; lists too short for the cut level are walked too (at
+    /// the window's only: one or two levels cap both cuts, and build the same
+    /// list for both).
     #[test]
     fn interleaved_walk_matches_the_single_cursor_walk() {
-        for max_level in [1, 2, 8] {
-            let seg = Segmented::build(max_level);
+        let shapes = [
+            (RANGE_CUT_LEVEL, 1),
+            (RANGE_CUT_LEVEL, 2),
+            (RANGE_CUT_LEVEL, 8),
+        ];
+        for (cut, max_level) in shapes.into_iter().chain([(SCAN_CUT_LEVEL, 8)]) {
+            let seg = Segmented::build(max_level, cut);
             let (stm, list) = (&seg.stm, &seg.list);
             let bounds = seg.bounds();
             let expected: Vec<(u64, u64)> = seg.present.iter().map(|(k, v)| (*k, *v)).collect();
 
             // A read-only attempt, which keeps no read set.
             stm.try_once_read_only(|tx| {
-                assert_eq!(collect(tx, list, Unbounded, Unbounded)?, expected);
+                let population = seg.present.len() as i64;
+                let all = collect(tx, list, population, Unbounded, Unbounded, Vec::new())?;
+                assert_eq!(all, expected);
                 seg.compare(tx, &bounds, "read-only")
             })
             .expect("a read-only attempt alone commits");
@@ -1207,14 +1212,17 @@ mod tests {
                         for start in shapes(low) {
                             for end in shapes(high) {
                                 let (start, end) = (start.as_ref(), end.as_ref());
-                                let single = collect_single(tx, list, start, end)?;
-                                let Some(got) = try_interleaved(tx, list, start, end)? else {
+                                let single = single(tx, list, start, end)?;
+                                let Some(got) = try_interleaved(tx, list, start, end, Some(cut))?
+                                else {
                                     missed += 1;
                                     continue;
                                 };
                                 walked += 1;
-                                let label =
-                                    format!("own writes at {low}, {high}: ({start:?}, {end:?})");
+                                let label = format!(
+                                    "cut level {cut}, own writes at {low}, {high}: \
+                                     ({start:?}, {end:?})"
+                                );
                                 assert_eq!(got, single, "{label}");
                             }
                         }
@@ -1226,14 +1234,14 @@ mod tests {
                     );
                 }
             }
-            if max_level > RANGE_CUT_LEVEL {
+            if max_level > cut {
                 assert!(walked > 0 && missed > 0, "{walked} walked, {missed} missed");
             }
 
             // A pin, read after churn that marks, unstitches and inserts cut
             // nodes behind it.
             let pin = stm.pin_snapshot();
-            let tall = CUT.min(max_level);
+            let tall = seg.tall;
             for key in (100..4_100u64).step_by(44) {
                 stm.run(|tx| {
                     if present(tx, list, key)? {
@@ -1249,12 +1257,18 @@ mod tests {
             }
             let mut reader = pin.reader();
             let Ok(()) = seg.compare(&mut reader, &bounds, "pinned");
-            for cut in [RANGE_CUT_LEVEL, SCAN_CUT_LEVEL] {
+            for level in [RANGE_CUT_LEVEL, SCAN_CUT_LEVEL] {
                 let mut all = Vec::new();
-                let Ok(complete) =
-                    collect_interleaved(&mut reader, list, Unbounded, Unbounded, cut, &mut all);
+                let Ok(complete) = collect_interleaved(
+                    &mut reader,
+                    list,
+                    Unbounded,
+                    Unbounded,
+                    Some(level),
+                    &mut all,
+                );
                 assert!(complete, "a pinned reader never misses");
-                assert_eq!(all, expected, "pinned full scan, cut level {cut}");
+                assert_eq!(all, expected, "pinned full scan, cut level {level}");
             }
         }
     }
@@ -1337,51 +1351,115 @@ mod tests {
         assert_eq!(stm.run(|tx| list.check_invariants(tx)), Ok(()));
     }
 
-    /// `is_large` counts the nodes linked at its level, through a
-    /// transaction and through a pin alike, capped below a short list's top
-    /// level; `range::collect` follows its verdict, and either walk returns
-    /// the same pairs.
+    /// The crossover probe behind `range::cut_level`'s two thresholds: how
+    /// long the collector takes with its cut over how long it takes with
+    /// none, on maps of `n` keys at the default 20 levels, medians of seven
+    /// rounds that alternate which walk goes first.
+    ///
+    /// * Full scans at the full scan's cut, through a pin (`Snapshot::to_vec`
+    ///   and every checkpoint), on maps filled in scattered order and in key
+    ///   order, 1k-65k keys.
+    /// * 100- and 1,024-key windows at the window's cut, through read-only
+    ///   attempts (the fast path), on maps of `n` scattered keys of a `2n`
+    ///   universe, 16k-512k keys; each round walks the same 256 windows at
+    ///   scattered starts with either walk.
+    ///
+    /// Run with `cargo test --release -p skiphash --lib walk_crossover --
+    /// --ignored --nocapture`; a ratio below 1 means the cut pays.
     #[test]
-    fn is_large_counts_tall_nodes_and_collect_follows_it() {
-        for max_level in [20, 8] {
-            let stm = Arc::new(Stm::new());
-            let list: SkipList<u64, u64> = SkipList::new(max_level);
-            let insert = |key: u64, height: usize| {
-                stm.run(|tx| {
-                    list.insert_after_logical_deletes(tx, key, key, height, 0, None)
-                        .map(drop)
-                })
-            };
-            let verdict = || {
-                let in_txn = stm.run_read_only(|tx| is_large(tx, &list));
-                let pin = stm.pin_snapshot();
-                let Ok(pinned) = is_large(&mut pin.reader(), &list);
-                assert_eq!(in_txn, pinned, "both readers agree");
-                in_txn
-            };
-            let level = LARGE_LEVEL.min(max_level - 1);
-            for key in 0..300u64 {
-                insert(key * 2, 1 + key as usize % 3);
-            }
-            // A node as tall as the level itself is not linked there.
-            insert(99, level);
-            assert!(!verdict());
-            for tall in [1, 201, 301, 401] {
-                assert!(!verdict(), "fewer than {LARGE_NODES} tall nodes");
-                insert(tall, level + 1);
-            }
-            assert!(verdict());
+    #[ignore = "a timing probe: run it by hand, in release"]
+    fn walk_crossover() {
+        use crate::config::SkipHashBuilder;
+        use crate::SkipHash;
+        use std::time::Instant;
 
-            let bounds = [Unbounded, Included(150), Excluded(150), Included(450)];
-            for start in bounds.iter().map(StdBound::as_ref) {
-                for end in bounds.iter().map(StdBound::as_ref) {
-                    let single = stm.run(|tx| collect_single(tx, &list, start, end));
-                    let got = stm.run_read_only(|tx| collect(tx, &list, start, end));
-                    assert_eq!(got, single, "({start:?}, {end:?})");
-                    let pin = stm.pin_snapshot();
-                    let Ok(got) = collect(&mut pin.reader(), &list, start, end);
-                    assert_eq!(got, single, "pinned ({start:?}, {end:?})");
+        const ROUNDS: usize = 7;
+        const WINDOWS: u64 = 256;
+        /// A bijection on `0..n` for a power of two `n` (an odd multiplier
+        /// is invertible modulo `n`): scattered order.
+        fn scatter(i: u64, n: u64) -> u64 {
+            i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & (n - 1)
+        }
+        fn median(mut times: Vec<f64>) -> f64 {
+            times.sort_by(f64::total_cmp);
+            times[times.len() / 2]
+        }
+        /// Median microseconds of `walk` with no cut and with `cut`, over
+        /// alternating rounds.
+        fn race(mut walk: impl FnMut(Option<usize>), cut: usize) -> (f64, f64) {
+            let (mut single, mut cut_walk) = (Vec::new(), Vec::new());
+            for round in 0..ROUNDS {
+                for first in [round % 2 == 0, round % 2 != 0] {
+                    let started = Instant::now();
+                    walk(if first { None } else { Some(cut) });
+                    let micros = started.elapsed().as_secs_f64() * 1e6;
+                    if first { &mut single } else { &mut cut_walk }.push(micros);
                 }
+            }
+            (median(single), median(cut_walk))
+        }
+        let build = |keys: &mut dyn Iterator<Item = u64>| {
+            let map: SkipHash<u64, u64> = SkipHashBuilder::new().build();
+            keys.for_each(|key| assert!(map.insert(key, key)));
+            map
+        };
+
+        println!("full scans, pinned, cut level {SCAN_CUT_LEVEL}: single us, cut us, cut/single");
+        for shift in 10..=16 {
+            let n = 1u64 << shift;
+            for (order, map) in [
+                ("scattered", build(&mut (0..n).map(|i| scatter(i, n)))),
+                ("key order", build(&mut (0..n))),
+            ] {
+                let (pin, list) = (map.inner.stm.pin_snapshot(), &map.inner.skiplist);
+                let (single, cut) = race(
+                    |cut| {
+                        let mut out = Vec::with_capacity(n as usize);
+                        let Ok(complete) = collect_interleaved(
+                            &mut pin.reader(),
+                            list,
+                            Unbounded,
+                            Unbounded,
+                            cut,
+                            &mut out,
+                        );
+                        assert!(complete && out.len() == n as usize);
+                    },
+                    SCAN_CUT_LEVEL,
+                );
+                println!(
+                    "  n={n:>6} {order}: {single:9.1} {cut:9.1} {:5.2}",
+                    cut / single
+                );
+            }
+        }
+
+        println!("windows, read-only attempts, cut level {RANGE_CUT_LEVEL}: per window");
+        for shift in 14..=19 {
+            let n = 1u64 << shift;
+            let map = build(&mut (0..n).map(|i| 2 * scatter(i, n)));
+            let (stm, list) = (&map.inner.stm, &map.inner.skiplist);
+            for len in [100u64, 1_024] {
+                let (single, cut) = race(
+                    |cut| {
+                        let mut out = Vec::new();
+                        for w in 0..WINDOWS {
+                            let low = 2 * scatter(w, n).min(n - len);
+                            let (start, end) = (Included(&low), Excluded(&(low + 2 * len)));
+                            out.clear();
+                            let complete = stm.run_read_only(|tx| {
+                                collect_interleaved(tx, list, start, end, cut, &mut out)
+                            });
+                            assert!(complete && out.len() == len as usize);
+                        }
+                    },
+                    RANGE_CUT_LEVEL,
+                );
+                let (single, cut) = (single / WINDOWS as f64, cut / WINDOWS as f64);
+                println!(
+                    "  n={n:>6} {len:>5}-key: {single:9.2} {cut:9.2} {:5.2}",
+                    cut / single
+                );
             }
         }
     }
@@ -1406,7 +1484,8 @@ mod tests {
         let before = stm.stats();
 
         let got = stm.try_once(|tx| {
-            let got = collect(tx, &list, Included(&0), Included(&9))?;
+            // A population of 0 reads as small: one cursor, with its scout.
+            let got = collect(tx, &list, 0, Included(&0), Included(&9), Vec::new())?;
             // Unstitch 13: that rewrites the links of 12 and 14, of which
             // only the scout read any.  The walk read 10's level-0 link, which
             // this leaves alone.

@@ -307,8 +307,9 @@ impl<'a, 't, K: MapKey, V: MapValue> TxView<'a, 't, K, V> {
     /// short under contention).
     #[must_use = "a TxAbort must be propagated with `?` so the enclosing transaction retries"]
     pub fn range<R: RangeBounds<K>>(&mut self, range: R) -> TxResult<Range<K, V>> {
-        let list = &self.inner.skiplist;
-        range::collect(self.tx, list, range.start_bound(), range.end_bound()).map(Range::new)
+        let (list, population) = (&self.inner.skiplist, self.inner.population.hint(self.tx));
+        let (start, end) = (range.start_bound(), range.end_bound());
+        range::collect(self.tx, list, population, start, end, Vec::new()).map(Range::new)
     }
 
     /// Number of keys currently present.

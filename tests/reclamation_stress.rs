@@ -9,7 +9,7 @@
 //! the designated targets for the AddressSanitizer CI job.
 
 use skiphash_stm::sync::{AtomicBool, AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -42,6 +42,17 @@ impl Drop for Tracked {
         );
         self.drops.fetch_add(1, Ordering::SeqCst);
     }
+}
+
+/// The snapshot history table and its `live_history_entries` gauge are
+/// process-wide.  A test that asserts on the gauge, and one that puts
+/// entries in the table (removes under a pin), take this lock, so that the
+/// one's entries cannot shift the other's counts mid-assertion.
+fn history_lock() -> MutexGuard<'static, ()> {
+    static HISTORY: Mutex<()> = Mutex::new(());
+    HISTORY
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Drive pins (and therefore collection cycles) until `drops` reaches
@@ -432,6 +443,7 @@ fn skiphash_churn_under_concurrent_range_queries() {
 /// writers that displaced them keep committing.
 #[test]
 fn snapshot_custody_plateaus_and_drains_after_last_drop() {
+    let _history = history_lock();
     const WRITERS: u64 = 4;
     const KEYS_PER_WRITER: u64 = 64;
     const OPS_PER_WRITER: u64 = 2_000;
@@ -814,6 +826,7 @@ fn deferred_removals_in_one_chain_leave_no_cycle() {
 /// its free.
 #[test]
 fn a_pinned_snapshot_keeps_unstitched_nodes_until_it_drops() {
+    let _history = history_lock();
     const N: u64 = 512;
     let drops = Arc::new(AtomicUsize::new(0));
     let map: SkipHash<u64, (u64, Arc<Tracked>)> = SkipHash::new();
